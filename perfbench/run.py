@@ -10,7 +10,7 @@ before it is the program's full report (every metric with its sample
 count, input sizes, host and build stamp).
 
     python3 perfbench/run.py --workload check-warm --seed 1 --seconds 10 --trace 0
-    python3 perfbench/run.py --selftest     # the span-arithmetic test
+    python3 perfbench/run.py --selftest     # the benchmark's own tests
 
 Run it from the repository root. Build products go to .bench_build/.
 """
@@ -69,8 +69,10 @@ def main():
     args = parser.parse_args()
 
     if args.selftest:
-        build(["perfbench_spans_test"])
-        sys.exit(subprocess.run([str(BUILD / "perfbench_spans_test")]).returncode)
+        tests = ["perfbench_spans_test", "perfbench_metrics_test"]
+        build(tests)
+        codes = [subprocess.run([str(BUILD / t)]).returncode for t in tests]
+        sys.exit(max(codes))
 
     spec = load_spec()
     workloads = [w["name"] for w in spec["workloads"]]

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sched.h>
 #include <signal.h>
 #include <sys/prctl.h>
 #include <sys/wait.h>
@@ -20,8 +21,31 @@
 
 namespace perfbench {
 
+CpuSplit SplitCpus() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  CpuSplit split;
+  if (::sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return split;
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+  }
+  if (cpus.size() < 4) return split;
+  split.client.assign(cpus.begin(), cpus.begin() + 1);
+  split.daemon.assign(cpus.begin() + 1, cpus.end());
+  return split;
+}
+
+bool PinTo(const std::vector<int>& cpus) {
+  if (cpus.empty()) return true;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (int cpu : cpus) CPU_SET(cpu, &set);
+  return ::sched_setaffinity(0, sizeof(set), &set) == 0;
+}
+
 bool Daemon::Start(const std::string& binary, int threads,
-                   std::string* error) {
+                   const std::vector<int>& cpus, std::string* error) {
   int fds[2];
   if (::pipe2(fds, O_CLOEXEC) != 0) {
     *error = "pipe failed";
@@ -39,7 +63,7 @@ bool Daemon::Start(const std::string& binary, int threads,
   if (pid == 0) {
     // Child: die with the benchmark, report the port on the pipe.
     ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-    if (::getppid() != parent) ::_exit(127);
+    if (::getppid() != parent || !PinTo(cpus)) ::_exit(127);
     ::dup2(fds[1], STDOUT_FILENO);
     const char* argv[] = {binary.c_str(), "serve", "--port=0",
                           threads_arg.c_str(), nullptr};
@@ -135,106 +159,6 @@ void Daemon::Stop() {
   }
 }
 
-namespace {
-
-// The metric name of a series key: everything before '{'.
-std::string NameOf(const std::string& series) {
-  return series.substr(0, series.find('{'));
-}
-
-// The `le` bound of a histogram bucket series; false for +Inf or none.
-bool BucketBound(const std::string& series, double* bound) {
-  const size_t le = series.find("le=\"");
-  if (le == std::string::npos) return false;
-  const std::string text =
-      series.substr(le + 4, series.find('"', le + 4) - le - 4);
-  if (text == "+Inf") return false;
-  *bound = std::strtod(text.c_str(), nullptr);
-  return true;
-}
-
-}  // namespace
-
-MetricsSnapshot ParseMetrics(const std::string& text) {
-  MetricsSnapshot out;
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const size_t space = line.rfind(' ');
-    if (space == std::string::npos) continue;
-    out[line.substr(0, space)] = std::strtod(line.c_str() + space + 1, nullptr);
-  }
-  // Histogram buckets arrive cumulative and only where non-empty; turn
-  // them into per-bucket counts so that an absent bucket reads as 0 and
-  // snapshots subtract bucket by bucket.
-  std::map<std::string, std::map<double, std::string>> histograms;
-  for (const auto& [series, value] : out) {
-    double bound = 0.0;
-    if (NameOf(series).ends_with("_bucket") && BucketBound(series, &bound)) {
-      const size_t le = series.find("le=\"");
-      histograms[series.substr(0, le)][bound] = series;
-    }
-  }
-  for (const auto& [prefix, buckets] : histograms) {
-    double previous = 0.0;
-    for (const auto& [bound, series] : buckets) {
-      const double cumulative = out[series];
-      out[series] = cumulative - previous;
-      previous = cumulative;
-    }
-  }
-  return out;
-}
-
-namespace {
-
-// Per-bucket sample counts of one histogram, keyed by upper bound.
-std::map<double, double> BucketCounts(const MetricsSnapshot& m,
-                                      const std::string& name,
-                                      const std::string& filter) {
-  std::map<double, double> counts;
-  const std::string bucket = name + "_bucket";
-  for (const auto& [series, value] : m) {
-    double bound = 0.0;
-    if (NameOf(series) != bucket || !BucketBound(series, &bound)) continue;
-    if (!filter.empty() && series.find(filter) == std::string::npos) continue;
-    counts[bound] += value;
-  }
-  return counts;
-}
-
-}  // namespace
-
-double SumSeries(const MetricsSnapshot& m, const std::string& name) {
-  double sum = 0.0;
-  for (const auto& [series, value] : m) {
-    if (NameOf(series) == name) sum += value;
-  }
-  return sum;
-}
-
-double HistogramQuantile(const MetricsSnapshot& m, const std::string& name,
-                         const std::string& filter, double q,
-                         double* count_out) {
-  const std::map<double, double> counts = BucketCounts(m, name, filter);
-  double total = 0.0;
-  for (const auto& [bound, count] : counts) total += count;
-  if (count_out != nullptr) *count_out = total;
-  if (total <= 0.0) return 0.0;
-  const double target = q * total;
-  double seen = 0.0;
-  double lower = 0.0;
-  for (const auto& [bound, count] : counts) {
-    if (count > 0.0 && seen + count >= target) {
-      return lower + (bound - lower) * (target - seen) / count;
-    }
-    seen += count;
-    lower = bound;
-  }
-  return lower;
-}
-
 MetricsSnapshot WindowProbe::Scrape() {
   if (client_ == nullptr) {
     auto client = oodb::server::Client::Connect("127.0.0.1", daemon_.port());
@@ -242,7 +166,9 @@ MetricsSnapshot WindowProbe::Scrape() {
     client_ = std::make_unique<oodb::server::Client>(std::move(*client));
   }
   auto text = client_->Metrics();
-  return text.ok() ? ParseMetrics(*text) : MetricsSnapshot{};
+  if (!text.ok()) return {};
+  auto parsed = ParseMetrics(*text);
+  return parsed.ok() ? *std::move(parsed) : MetricsSnapshot{};
 }
 
 void WindowProbe::Begin() {

@@ -1,6 +1,7 @@
 // The daemon under test as a child process (`oodbsub serve --port=0`),
-// plus readers for what the benchmark observes from outside it: CPU time
-// and peak RSS from /proc, and the METRICS exposition.
+// the CPUs it and the benchmark run on, and readers for what the
+// benchmark observes from outside it: CPU time and peak RSS from /proc,
+// and METRICS deltas.
 #ifndef PERFBENCH_DAEMON_H_
 #define PERFBENCH_DAEMON_H_
 
@@ -11,16 +12,33 @@
 #include <string>
 #include <vector>
 
+#include "metrics.h"
 #include "server/client.h"
 
 namespace perfbench {
 
+// Disjoint CPU sets for the benchmark's client threads and the daemon,
+// so that neither preempts the other and neither migrates between runs.
+// With at least 4 CPUs allowed, the client gets the first and the daemon
+// (its loop thread and its workers) the rest; with fewer, both are empty
+// and nothing is pinned.
+struct CpuSplit {
+  std::vector<int> client;
+  std::vector<int> daemon;
+};
+CpuSplit SplitCpus();
+
+// Restricts the calling thread, and the threads and processes it starts
+// later, to `cpus`. Does nothing for an empty set.
+bool PinTo(const std::vector<int>& cpus);
+
 class Daemon {
  public:
-  // Starts `binary serve --port=0 --threads=<threads>` and waits for its
-  // `listening on` line. The child is killed if this process dies.
-  // Returns false with `*error` set on failure.
-  bool Start(const std::string& binary, int threads, std::string* error);
+  // Starts `binary serve --port=0 --threads=<threads>` on `cpus` (see
+  // PinTo) and waits for its `listening on` line. The child is killed if
+  // this process dies. Returns false with `*error` set on failure.
+  bool Start(const std::string& binary, int threads,
+             const std::vector<int>& cpus, std::string* error);
 
   Daemon() = default;
   ~Daemon();
@@ -43,23 +61,6 @@ class Daemon {
   int port_ = 0;
   int stdout_fd_ = -1;
 };
-
-// One parsed METRICS exposition: every sample line keyed by its series
-// (`name{labels}` exactly as rendered). Histogram `_bucket` series hold
-// per-bucket counts, not the exposition's cumulative ones.
-using MetricsSnapshot = std::map<std::string, double>;
-MetricsSnapshot ParseMetrics(const std::string& text);
-
-// Sum of every series of metric `name`, over all label sets.
-double SumSeries(const MetricsSnapshot& m, const std::string& name);
-
-// Quantile q of the samples in a histogram (or in a delta of two
-// snapshots of it), linearly interpolated inside the bucket that holds
-// it. Returns 0 for no samples. `filter` selects the series whose labels
-// contain it (e.g. `verb="CHECK"`).
-double HistogramQuantile(const MetricsSnapshot& m, const std::string& name,
-                         const std::string& filter, double q,
-                         double* count_out = nullptr);
 
 // What the daemon did while a timed window ran: METRICS deltas and CPU
 // time, summed over one or more measured stretches (Begin() ... End()).

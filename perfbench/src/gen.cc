@@ -102,9 +102,11 @@ GeneratedDl GenerateCatalogDl(uint64_t seed, size_t queries) {
   constexpr size_t kRoots = 8;
   constexpr size_t kFanOut = 4;
   constexpr size_t kDepth = 6;
-  SplitMix64 rng(seed);
+  constexpr uint64_t kSchemaSeed = 1;
   GeneratedDl out;
-  std::vector<std::string> steps = EmitSchema(rng, 12, 6, &out);
+  SplitMix64 schema_rng(kSchemaSeed);
+  std::vector<std::string> steps = EmitSchema(schema_rng, 12, 6, &out);
+  SplitMix64 rng(seed);
   std::string& src = out.source;
   std::vector<size_t> level;
   auto emit = [&](int parent) {

@@ -63,7 +63,10 @@ GeneratedDl GenerateFlatDl(uint64_t seed, size_t classes, size_t attrs,
 // query classes K0…: roots isA a schema class, then children grown level
 // by level (fan-out 4, depth at most 6), each isA its parent query class
 // plus one derived path, so child ⊑_Σ parent holds by construction. Once
-// a forest of 8 roots is grown out, the next 8 roots are started.
+// a forest of 8 roots is grown out, the next 8 roots are started. The
+// schema is the same for every seed: with only 12 classes, one random
+// draw of it would set how much subsumption the whole catalog has, and
+// with it the cost of every operation; the seed draws the query classes.
 GeneratedDl GenerateCatalogDl(uint64_t seed, size_t queries);
 
 // A database state (`.odb` text) over the schema classes and base

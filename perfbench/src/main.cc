@@ -1,7 +1,8 @@
 // The benchmark program: spawns the daemon, sets it up several times,
 // drives one timed window, checks every reply, and prints one JSON report
-// as its last line of stdout. With --trace 1 it adds a traced daemon
-// window and the in-process replay, and reports per-layer numbers.
+// as its last line of stdout. With --trace 1 it adds paired traced and
+// untraced slices and the in-process replay, and reports per-layer
+// numbers.
 //
 // usage: perfbench --workload W --seed N --seconds S --trace 0|1
 //                         --daemon PATH/oodbsub [--out-dir DIR]
@@ -27,10 +28,12 @@ namespace {
 
 // Set-ups per run: at least kMinSetups and until kSetupBudgetS seconds
 // were spent, at most kMaxSetups; setup_s is their median.
-constexpr int kMinSetups = 3;
+constexpr int kMinSetups = 5;
 constexpr int kMaxSetups = 200;
 constexpr double kSetupBudgetS = 2.0;
 constexpr int kDaemonThreads = 2;
+// Tracing overhead: this many pairs of one untraced and one traced slice.
+constexpr int kOverheadPairs = 4;
 
 // ---- A minimal JSON writer (objects of numbers, strings and objects) -----
 
@@ -84,6 +87,15 @@ Object Metric(double value, const std::string& unit, double samples) {
 
 // ---- Host and build stamp -------------------------------------------------
 
+std::string CpuList(const std::vector<int>& cpus) {
+  std::string out;
+  for (int cpu : cpus) {
+    if (!out.empty()) out += ',';
+    out += std::to_string(cpu);
+  }
+  return out.empty() ? "unpinned" : out;
+}
+
 std::string CpuModel() {
   std::ifstream in("/proc/cpuinfo");
   std::string line;
@@ -96,6 +108,26 @@ std::string CpuModel() {
   return "unknown";
 }
 
+// Milliseconds a fixed single-threaded integer loop takes on the client's
+// CPU, the median of five. Taken before and after the timed window, it
+// reads higher when the host is busy, and explains a run whose figures
+// all moved together.
+double CpuProbeMs() {
+  std::vector<double> times;
+  for (int i = 0; i < 5; ++i) {
+    const int64_t start = NowNs();
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (int k = 0; k < 20'000'000; ++k) {
+      h ^= h >> 31;
+      h *= 0xbf58476d1ce4e5b9ULL;
+    }
+    volatile uint64_t sink = h;  // keeps the loop from being folded away
+    (void)sink;
+    times.push_back(static_cast<double>(NowNs() - start) / 1e6);
+  }
+  return Median(std::move(times));
+}
+
 bool OptimizedBuild() {
 #if defined(__OPTIMIZE__) && defined(NDEBUG)
   return true;
@@ -104,7 +136,7 @@ bool OptimizedBuild() {
 #endif
 }
 
-Object Host(uint64_t seed) {
+Object Host(uint64_t seed, const CpuSplit& cpus, double probe_ms) {
   Object o;
   o.Num("nproc", static_cast<double>(::sysconf(_SC_NPROCESSORS_ONLN)))
       .Str("cpu_model", CpuModel())
@@ -113,7 +145,10 @@ Object Host(uint64_t seed) {
       .Str("cxx_flags", PERFBENCH_FLAGS)
       .Bool("optimized", OptimizedBuild())
       .Num("seed", static_cast<double>(seed))
-      .Num("daemon_threads", kDaemonThreads);
+      .Num("daemon_threads", kDaemonThreads)
+      .Str("client_cpus", CpuList(cpus.client))
+      .Str("daemon_cpus", CpuList(cpus.daemon))
+      .Num("cpu_probe_ms", probe_ms);
   return o;
 }
 
@@ -223,6 +258,10 @@ int Run(int argc, char** argv) {
                  "perfbench: WARNING: non-optimized build; these numbers are "
                  "not a baseline\n");
   }
+  // Pinned before any thread starts, so that every client thread
+  // inherits the client's CPUs.
+  const CpuSplit cpus = SplitCpus();
+  if (!PinTo(cpus.client)) return Fail("cannot pin the client's CPUs");
   std::string error;
   if (!workload->Prepare(args.seed, &error)) return Fail(error);
 
@@ -236,20 +275,43 @@ int Run(int argc, char** argv) {
     if (daemon != nullptr) daemon->Stop();
     daemon = std::make_unique<Daemon>();
     const int64_t start = NowNs();
-    if (!daemon->Start(args.daemon, kDaemonThreads, &error)) return Fail(error);
+    if (!daemon->Start(args.daemon, kDaemonThreads, cpus.daemon, &error)) {
+      return Fail(error);
+    }
     if (!workload->Setup(daemon->port(), &error)) return Fail(error);
     setups.push_back(static_cast<double>(NowNs() - start) / 1e9);
     setup_total_s += setups.back();
   }
 
   WindowProbe probe(*daemon);
+  const double probe_before_ms = CpuProbeMs();
   Log a = workload->RunTimed(daemon->port(), args.seconds, nullptr, &probe);
+  const double probe_ms = (probe_before_ms + CpuProbeMs()) / 2;
 
+  // Tracing overhead: pairs of an untraced and a traced slice, back to
+  // back in alternating order, so that drift of the daemon's state or of
+  // the host between slices cancels in each pair's ratio of CHECK p50s.
   SpanRecorder daemon_spans;
-  Log b;
+  Log b;  // the paired slices' counts
+  std::vector<double> overhead;
   if (args.trace) {
-    b = workload->RunTimed(daemon->port(), std::max(1.0, args.seconds / 2),
-                           &daemon_spans, nullptr);
+    const double slice_s = std::max(0.5, args.seconds / 10);
+    for (int pair = 0; pair < kOverheadPairs; ++pair) {
+      double p50[2] = {0, 0};  // untraced, traced
+      for (int k = 0; k < 2; ++k) {
+        const bool traced = (k + pair) % 2 == 1;
+        const Log slice = workload->RunTimed(
+            daemon->port(), slice_s, traced ? &daemon_spans : nullptr, nullptr);
+        p50[traced] = WindowedQuantileUs(OfVerb(slice, kCheck), 0.5);
+        b.attempted += slice.attempted;
+        b.failed += slice.failed;
+        b.mismatches += slice.mismatches;
+        for (const std::string& note : slice.notes) {
+          if (b.notes.size() < 8) b.notes.push_back(note);
+        }
+      }
+      if (p50[0] > 0 && p50[1] > 0) overhead.push_back(p50[1] / p50[0] - 1.0);
+    }
   }
   workload->VerifyEnd(daemon->port(), &a);
   const double rss = daemon->PeakRssMiB();
@@ -342,11 +404,10 @@ int Run(int argc, char** argv) {
       const Verb verb = Verb(v);
       const std::vector<Sent> samples = OfVerb(a, verb);
       if (samples.empty()) continue;
-      const std::string filter = std::string("verb=\"") + VerbWire(verb) + "\"";
       double n = 0;
       const double daemon_p50_us =
           HistogramQuantile(probe.delta(), "oodb_server_request_seconds",
-                            filter, 0.5, &n) *
+                            {{"verb", VerbWire(verb)}}, 0.5, 1e-9, &n) *
           1e6;
       const std::string stem = VerbStem(verb);
       layers.Obj("server.outside_us." + stem,
@@ -402,14 +463,9 @@ int Run(int argc, char** argv) {
     for (const auto& [name, unit] : kUnits) {
       layers.Obj(name, Metric(replay.values[name], unit, replay.bases[name]));
     }
-    // Tracing overhead: CHECK p50 of the traced daemon window over the
-    // untraced one.
-    const std::vector<Sent> traced = OfVerb(b, kCheck);
     layers.Obj("bench.trace_overhead_frac",
-               Metric(ratio(WindowedQuantileUs(traced, 0.5),
-                            WindowedQuantileUs(checks, 0.5)) -
-                          1.0,
-                      "ratio", static_cast<double>(traced.size())));
+               Metric(Median(overhead), "ratio",
+                      static_cast<double>(overhead.size())));
   }
 
   Object sizes;
@@ -422,7 +478,7 @@ int Run(int argc, char** argv) {
       .Num("failed", static_cast<double>(failed))
       .Num("mismatches", static_cast<double>(a.mismatches + b.mismatches))
       .Num("window_s", a.window_s)
-      .Obj("host", Host(args.seed))
+      .Obj("host", Host(args.seed, cpus, probe_ms))
       .Obj("sizes", sizes)
       .Obj("end_to_end", e2e);
   if (args.trace) report.Obj("per_layer", layers);

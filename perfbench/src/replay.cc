@@ -43,6 +43,20 @@ bool ReplayStack::LoadState(const std::string& odb, std::string* error) {
   return ref_->LoadState(odb, error);
 }
 
+void ReplayStack::MeasureFrom(SpanRecorder* spans) {
+  spans_ = spans;
+  first_translate_ns_.clear();
+  engine_individuals_.clear();
+  engine_constraints_.clear();
+  plan_checks_.clear();
+  plan_pool_.clear();
+  plans_ = plans_with_residual_ = 0;
+  insert_checks_.clear();
+  insert_classes_.clear();
+  eval_candidates_ = eval_answers_ = 0;
+  batch_ns_per_pair_.clear();
+}
+
 int32_t ReplayStack::BeginRequest(uint64_t id, Verb verb) {
   return spans_->Begin(kRequestNames[verb], id);
 }

@@ -75,6 +75,11 @@ class ReplayStack {
   // (`calculus.classifier.build`), as the daemon's first CLASSIFY.
   bool Classify(std::string* error);
 
+  // Sends later spans to `spans` and drops the samples taken so far, so
+  // that replayed set-up work stays out of the per-layer numbers (the
+  // load and first-classification times are kept).
+  void MeasureFrom(SpanRecorder* spans);
+
   calculus::SubsumptionChecker& checker() { return *ref_->checker; }
   Reference& reference() { return *ref_; }
 

@@ -760,7 +760,22 @@ class CatalogChurn : public Workload {
       reader_pairs_.emplace_back(dl_.queries[q], d);
       reader_expected_.push_back(*verdict);
     }
+    // Every query class is a view from set-up on, so its extent is
+    // checked there and after every VIEW of the timed part.
+    for (uint32_t q = 0; q < dl_.queries.size(); ++q) {
+      if (ExpectedExtent(q) == SIZE_MAX) {
+        *error = "reference evaluation of " + dl_.queries[q] + " failed";
+        return false;
+      }
+    }
     writer_seed_ = seed ^ 0x3417e;
+    // The writer's round: every query class once, in a seeded order.
+    order_.resize(dl_.queries.size());
+    for (size_t i = 0; i < order_.size(); ++i) order_[i] = static_cast<uint32_t>(i);
+    SplitMix64 shuffle(writer_seed_);
+    for (size_t i = order_.size(); i > 1; --i) {
+      std::swap(order_[i - 1], order_[shuffle.Index(i)]);
+    }
     return true;
   }
 
@@ -796,8 +811,36 @@ class CatalogChurn : public Workload {
         }
       }
     }
-    has_view_.assign(dl_.queries.size(), false);
-    views_ = 0;
+    // Every query class becomes a view, then the writer's round runs
+    // kWarmRounds times. A cycle (UNDEFINE q, VIEW q) restores the catalog
+    // and the taxonomy, but q's re-insertion moves it to the end of the
+    // lists the classifier searches, so which subsumption checks a cycle
+    // makes depends on the cycles before it. After two rounds in the same
+    // order, every round repeats the states of the one before: the timed
+    // cycles meet the same taxonomy and find their checks in the memo,
+    // however many cycles ran before them.
+    const size_t n = dl_.queries.size();
+    for (uint32_t q = 0; q < n; ++q) {
+      auto extent = client.DefineView(kSession, dl_.queries[q]);
+      if (!extent.ok() || *extent != ExpectedExtent(q)) {
+        *error = "VIEW " + dl_.queries[q] + " disagrees with the reference";
+        return false;
+      }
+    }
+    has_view_.assign(n, true);
+    views_ = n;
+    for (size_t i = 0; i < kWarmRounds * n; ++i) {
+      const uint32_t q = order_[i % n];
+      auto undefined = client.Undefine(kSession, dl_.queries[q]);
+      auto extent = client.DefineView(kSession, dl_.queries[q]);
+      if (!undefined.ok() || *undefined != ExpectedUndefine(q, n - 1) ||
+          !extent.ok() || *extent != ExpectedExtent(q)) {
+        *error = "warm-up cycle of " + dl_.queries[q] +
+                 " disagrees with the reference";
+        return false;
+      }
+    }
+    cycles_ = 0;
     return true;
   }
 
@@ -841,8 +884,7 @@ class CatalogChurn : public Workload {
         // Each cycle is completed even when the window closes mid-way, so
         // every class stays resident between cycles.
         while (NowNs() < end && writer_log.failed == 0) {
-          const uint32_t q = static_cast<uint32_t>(
-              SplitMix64(writer_seed_ + cycles_).Index(dl_.queries.size()));
+          const uint32_t q = order_[cycles_ % order_.size()];
           ++cycles_;
           Cycle(client, q, &writer_log, spans);
         }
@@ -892,7 +934,7 @@ class CatalogChurn : public Workload {
         return;
       }
       if (has_view_[q]) --views_;
-      if (*reply != ExpectedUndefine(q)) {
+      if (*reply != ExpectedUndefine(q, views_)) {
         log->Mismatch("final UNDEFINE " + dl_.queries[q] + ": " + *reply);
       }
       has_view_[q] = false;
@@ -925,7 +967,11 @@ class CatalogChurn : public Workload {
 
   void Replay(const Log& log, double budget_s, SpanRecorder* spans,
               LayerReport* layers) override {
-    ReplayStack stack(spans);
+    // The daemon's set-up, replayed untraced: every query class a view,
+    // then the writer's warm rounds, so that the timed cycles meet the
+    // same taxonomy and memo as in the daemon.
+    SpanRecorder setup_spans;
+    ReplayStack stack(&setup_spans);
     std::string error;
     if (!stack.Load(dl_.source, &error) || !stack.LoadState(state_, &error) ||
         !stack.Classify(&error)) {
@@ -936,6 +982,15 @@ class CatalogChurn : public Workload {
       auto d = stack.reference().ConceptOf(p.second);
       if (c.ok() && d.ok()) (void)stack.checker().Subsumes(*c, *d);
     }
+    const int32_t setup = stack.BeginRequest(0, kView);
+    for (const std::string& q : dl_.queries) (void)stack.DefineView(setup, 0, q);
+    for (size_t i = 0; i < kWarmRounds * order_.size(); ++i) {
+      const std::string& q = dl_.queries[order_[i % order_.size()]];
+      (void)stack.Undefine(setup, 0, q);
+      (void)stack.DefineView(setup, 0, q);
+    }
+    stack.EndRequest(setup);
+    stack.MeasureFrom(spans);
     const int64_t deadline = NowNs() + static_cast<int64_t>(budget_s * 1e9);
     uint64_t id = 0;
     for (const Sent& s : log.sent) {
@@ -968,6 +1023,7 @@ class CatalogChurn : public Workload {
             {"query_classes", static_cast<double>(dl_.queries.size())},
             {"reader_pairs", static_cast<double>(reader_pairs_.size())},
             {"objects", kObjects},
+            {"views_at_setup", static_cast<double>(dl_.queries.size())},
             {"views_at_end", static_cast<double>(views_)},
             {"writer_cycles", static_cast<double>(cycles_)},
             {"taxonomy_size_at_end", taxonomy_size_}};
@@ -980,11 +1036,13 @@ class CatalogChurn : public Workload {
   static constexpr size_t kCatalogQueries = 2000;
   static constexpr size_t kReaderPairs = 512;
   static constexpr size_t kFinalRemovals = 16;
+  static constexpr size_t kWarmRounds = 2;
 
-  std::string ExpectedUndefine(size_t q) const {
+  // The UNDEFINE reply for q, leaving `views` views.
+  std::string ExpectedUndefine(size_t q, size_t views) const {
     return "undefined=" + dl_.queries[q] +
            " view_dropped=" + (has_view_[q] ? "true" : "false") +
-           " taxonomy_removed=true views=" + std::to_string(views_);
+           " taxonomy_removed=true views=" + std::to_string(views);
   }
 
   // UNDEFINE q then VIEW q; the pair's latency is one lead sample.
@@ -997,7 +1055,7 @@ class CatalogChurn : public Workload {
                            std::string("UNDEFINE ") + kSession + " " + name,
                            &undefine, log, spans);
     if (!reply.ok()) return;
-    if (*reply != ExpectedUndefine(q)) {
+    if (*reply != ExpectedUndefine(q, views_)) {
       log->Mismatch("UNDEFINE " + name + ": " + *reply);
     }
     has_view_[q] = false;
@@ -1019,18 +1077,23 @@ class CatalogChurn : public Workload {
     log->lead.push_back(cycle);
   }
 
-  // VIEW extents against QueryEvaluator::Evaluate on the reference state.
+  // The extent of query q by QueryEvaluator::Evaluate on the reference
+  // state; SIZE_MAX if it fails.
+  size_t ExpectedExtent(uint32_t q) {
+    auto it = extents_.find(q);
+    if (it == extents_.end()) {
+      oodb::db::QueryEvaluator evaluator(*ref_->database);
+      auto answers = evaluator.Evaluate(ref_->Find(dl_.queries[q]));
+      it = extents_.emplace(q, answers.ok() ? answers->size() : SIZE_MAX).first;
+    }
+    return it->second;
+  }
+
+  // VIEW extents of the timed part against the reference.
   void VerifyExtents(Log* log) {
     for (const Sent& s : log->sent) {
       if (s.verb != kView) continue;
-      auto it = extents_.find(s.arg0);
-      if (it == extents_.end()) {
-        oodb::db::QueryEvaluator evaluator(*ref_->database);
-        auto answers = evaluator.Evaluate(ref_->Find(dl_.queries[s.arg0]));
-        const size_t n = answers.ok() ? answers->size() : SIZE_MAX;
-        it = extents_.emplace(s.arg0, n).first;
-      }
-      if (it->second != s.arg1) {
+      if (ExpectedExtent(s.arg0) != s.arg1) {
         log->Mismatch("VIEW " + dl_.queries[s.arg0] + " extent=" +
                       std::to_string(s.arg1));
       }
@@ -1081,7 +1144,8 @@ class CatalogChurn : public Workload {
   std::vector<Pair> reader_pairs_;
   std::vector<bool> reader_expected_;
   uint64_t writer_seed_ = 0;
-  uint64_t cycles_ = 0;
+  std::vector<uint32_t> order_;
+  uint64_t cycles_ = 0;  // timed writer cycles since the last set-up
   uint64_t reader_seq_ = 0;
   std::vector<bool> has_view_;
   size_t views_ = 0;
