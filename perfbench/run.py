@@ -74,10 +74,11 @@ def main():
         codes = [subprocess.run([str(BUILD / t)]).returncode for t in tests]
         sys.exit(max(codes))
 
+    # Any workload perfbench knows runs, also one BENCHMARK.json does not
+    # list (catalog-churn); perfbench refuses an unknown name.
     spec = load_spec()
-    workloads = [w["name"] for w in spec["workloads"]]
-    if args.workload not in workloads:
-        fail(f"unknown workload {args.workload!r}; one of {workloads}")
+    if not args.workload:
+        fail("--workload is required")
     build(["perfbench", "oodbsub"])
     TRACES.mkdir(parents=True, exist_ok=True)
 
