@@ -46,8 +46,14 @@ def build(targets):
                  "-DCMAKE_BUILD_TYPE=Release"]
     if subprocess.run(configure, stdout=sys.stderr).returncode != 0:
         fail("cmake configure failed")
-    command = ["cmake", "--build", str(BUILD), "-j", jobs, "--target", *targets]
-    if subprocess.run(command, stdout=sys.stderr).returncode != 0:
+    command = ["cmake", "--build", str(BUILD), "--target", *targets, "-j"]
+    if subprocess.run(command + [jobs], stdout=sys.stderr).returncode == 0:
+        return
+    # A parallel build can run out of memory on a small host; one job at a
+    # time resumes where it stopped.
+    print("perfbench: parallel build failed; retrying with one job",
+          file=sys.stderr)
+    if subprocess.run(command + ["1"], stdout=sys.stderr).returncode != 0:
         fail("build failed")
 
 

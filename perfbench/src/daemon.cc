@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -44,6 +46,20 @@ bool PinTo(const std::vector<int>& cpus) {
   return ::sched_setaffinity(0, sizeof(set), &set) == 0;
 }
 
+std::string AllowedCpus(pid_t pid) {
+  std::ifstream in(pid == 0 ? std::string("/proc/self/status")
+                            : "/proc/" + std::to_string(pid) + "/status");
+  const std::string key = "Cpus_allowed_list:";
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(key, 0) == 0) {
+      const size_t at = line.find_first_not_of(" \t", key.size());
+      return at == std::string::npos ? "unknown" : line.substr(at);
+    }
+  }
+  return "unknown";
+}
+
 bool Daemon::Start(const std::string& binary, int threads,
                    const std::vector<int>& cpus, std::string* error) {
   int fds[2];
@@ -61,24 +77,32 @@ bool Daemon::Start(const std::string& binary, int threads,
     return false;
   }
   if (pid == 0) {
-    // Child: die with the benchmark, report the port on the pipe.
+    // Child: die with the benchmark, report the port (or why it has
+    // none) on the pipe.
     ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-    if (::getppid() != parent || !PinTo(cpus)) ::_exit(127);
+    if (::getppid() != parent) ::_exit(127);
+    (void)PinTo(cpus);
     ::dup2(fds[1], STDOUT_FILENO);
+    ::dup2(fds[1], STDERR_FILENO);
     const char* argv[] = {binary.c_str(), "serve", "--port=0",
                           threads_arg.c_str(), nullptr};
     ::execv(binary.c_str(), const_cast<char* const*>(argv));
+    ::dprintf(STDERR_FILENO, "cannot run %s: %s\n", binary.c_str(),
+              std::strerror(errno));
     ::_exit(127);
   }
   ::close(fds[1]);
   pid_ = pid;
   stdout_fd_ = fds[0];
 
-  // Read the `listening on 127.0.0.1:<port>` line, 30 s at most.
+  // Read up to the end of the `listening on 127.0.0.1:<port>` line, 30 s
+  // at most.
+  const std::string prefix = "listening on 127.0.0.1:";
   std::string line;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (line.find('\n') == std::string::npos) {
+  while (line.find('\n', std::min(line.size(), line.find(prefix))) ==
+         std::string::npos) {
     const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - std::chrono::steady_clock::now());
     if (left.count() <= 0) break;
@@ -89,9 +113,9 @@ bool Daemon::Start(const std::string& binary, int threads,
     if (n <= 0) break;
     line.append(buf, static_cast<size_t>(n));
   }
-  const std::string prefix = "listening on 127.0.0.1:";
   const size_t at = line.find(prefix);
   if (at == std::string::npos) {
+    while (!line.empty() && line.back() == '\n') line.pop_back();
     *error = "daemon did not report its port: '" + line + "'";
     Stop();
     return false;

@@ -21,7 +21,8 @@ namespace perfbench {
 // so that neither preempts the other and neither migrates between runs.
 // With at least 4 CPUs allowed, the client gets the first and the daemon
 // (its loop thread and its workers) the rest; with fewer, both are empty
-// and nothing is pinned.
+// and nothing is pinned. Pinning is best effort: where the host refuses
+// it, the benchmark runs unpinned, and the stamp says so.
 struct CpuSplit {
   std::vector<int> client;
   std::vector<int> daemon;
@@ -32,11 +33,18 @@ CpuSplit SplitCpus();
 // later, to `cpus`. Does nothing for an empty set.
 bool PinTo(const std::vector<int>& cpus);
 
+// The CPUs process `pid` (0: this process) may run on, as the kernel
+// lists them in /proc (`Cpus_allowed_list`), or "unknown".
+std::string AllowedCpus(pid_t pid);
+
 class Daemon {
  public:
   // Starts `binary serve --port=0 --threads=<threads>` on `cpus` (see
-  // PinTo) and waits for its `listening on` line. The child is killed if
-  // this process dies. Returns false with `*error` set on failure.
+  // PinTo; a refused pin leaves the daemon unpinned) and waits for its
+  // `listening on` line. The daemon's stdout and stderr share one pipe, so
+  // a daemon that fails to start reports why in `*error`. The child is
+  // killed if this process dies. Returns false with `*error` set on
+  // failure.
   bool Start(const std::string& binary, int threads,
              const std::vector<int>& cpus, std::string* error);
 
@@ -46,6 +54,7 @@ class Daemon {
   Daemon& operator=(const Daemon&) = delete;
 
   int port() const { return port_; }
+  pid_t pid() const { return pid_; }
 
   // User + system CPU seconds of every daemon thread so far.
   double CpuSeconds() const;

@@ -8,6 +8,10 @@ namespace {
 // Share of path steps that carry a class filter `(a: C)`.
 constexpr double kFilterProb = 0.6;
 
+// Every generated schema is drawn from this seed, whatever the run's
+// seed (see gen.h).
+constexpr uint64_t kSchemaSeed = 1;
+
 // `prefix` followed by `i` ("C3"). Appending instead of `prefix +
 // std::to_string(i)` avoids a false -Wrestrict from GCC 12 at -O3.
 std::string Name(const char* prefix, size_t i) {
@@ -79,9 +83,10 @@ std::string Path(SplitMix64& rng, const std::vector<std::string>& steps,
 
 GeneratedDl GenerateFlatDl(uint64_t seed, size_t classes, size_t attrs,
                            size_t queries) {
-  SplitMix64 rng(seed);
   GeneratedDl out;
-  std::vector<std::string> steps = EmitSchema(rng, classes, attrs, &out);
+  SplitMix64 schema_rng(kSchemaSeed);
+  std::vector<std::string> steps = EmitSchema(schema_rng, classes, attrs, &out);
+  SplitMix64 rng(seed);
   std::string& src = out.source;
   for (size_t q = 0; q < queries; ++q) {
     std::string name = Name("Q", q);
@@ -102,7 +107,6 @@ GeneratedDl GenerateCatalogDl(uint64_t seed, size_t queries) {
   constexpr size_t kRoots = 8;
   constexpr size_t kFanOut = 4;
   constexpr size_t kDepth = 6;
-  constexpr uint64_t kSchemaSeed = 1;
   GeneratedDl out;
   SplitMix64 schema_rng(kSchemaSeed);
   std::vector<std::string> steps = EmitSchema(schema_rng, 12, 6, &out);

@@ -56,6 +56,11 @@ struct GeneratedDl {
 // attributes (some with inverse synonyms), and `queries` structural query
 // classes Q0…, each isA a schema class with one to three derived paths of
 // one or two steps. Every query class may be materialized as a view.
+//
+// In every generated DL the schema is the same for every seed: with a
+// dozen classes, one random draw of it would set how much subsumption
+// all queries over it have, and with it the cost of every operation; the
+// seed draws the query classes.
 GeneratedDl GenerateFlatDl(uint64_t seed, size_t classes, size_t attrs,
                            size_t queries);
 
@@ -63,10 +68,7 @@ GeneratedDl GenerateFlatDl(uint64_t seed, size_t classes, size_t attrs,
 // query classes K0…: roots isA a schema class, then children grown level
 // by level (fan-out 4, depth at most 6), each isA its parent query class
 // plus one derived path, so child ⊑_Σ parent holds by construction. Once
-// a forest of 8 roots is grown out, the next 8 roots are started. The
-// schema is the same for every seed: with only 12 classes, one random
-// draw of it would set how much subsumption the whole catalog has, and
-// with it the cost of every operation; the seed draws the query classes.
+// a forest of 8 roots is grown out, the next 8 roots are started.
 GeneratedDl GenerateCatalogDl(uint64_t seed, size_t queries);
 
 // A database state (`.odb` text) over the schema classes and base

@@ -92,15 +92,6 @@ Object Metric(double value, const std::string& unit, double samples) {
 
 // ---- Host and build stamp -------------------------------------------------
 
-std::string CpuList(const std::vector<int>& cpus) {
-  std::string out;
-  for (int cpu : cpus) {
-    if (!out.empty()) out += ',';
-    out += std::to_string(cpu);
-  }
-  return out.empty() ? "unpinned" : out;
-}
-
 std::string CpuModel() {
   std::ifstream in("/proc/cpuinfo");
   std::string line;
@@ -141,7 +132,8 @@ bool OptimizedBuild() {
 #endif
 }
 
-Object Host(uint64_t seed, const CpuSplit& cpus, double probe_ms) {
+// `daemon_cpus` is the daemon's CPU list, read while it ran.
+Object Host(uint64_t seed, const std::string& daemon_cpus, double probe_ms) {
   Object o;
   o.Num("nproc", static_cast<double>(::sysconf(_SC_NPROCESSORS_ONLN)))
       .Str("cpu_model", CpuModel())
@@ -151,8 +143,8 @@ Object Host(uint64_t seed, const CpuSplit& cpus, double probe_ms) {
       .Bool("optimized", OptimizedBuild())
       .Num("seed", static_cast<double>(seed))
       .Num("daemon_threads", kDaemonThreads)
-      .Str("client_cpus", CpuList(cpus.client))
-      .Str("daemon_cpus", CpuList(cpus.daemon))
+      .Str("client_cpus", AllowedCpus(0))
+      .Str("daemon_cpus", daemon_cpus)
       .Num("cpu_probe_ms", probe_ms);
   return o;
 }
@@ -265,9 +257,13 @@ int Run(int argc, char** argv) {
                  "not a baseline\n");
   }
   // Pinned before any thread starts, so that every client thread
-  // inherits the client's CPUs.
-  const CpuSplit cpus = SplitCpus();
-  if (!PinTo(cpus.client)) return Fail("cannot pin the client's CPUs");
+  // inherits the client's CPUs. A host that refuses leaves both unpinned.
+  CpuSplit cpus = SplitCpus();
+  if (!PinTo(cpus.client)) {
+    std::fprintf(stderr,
+                 "perfbench: WARNING: cannot pin CPUs; running unpinned\n");
+    cpus = CpuSplit{};
+  }
   std::string error;
   if (!workload->Prepare(args.seed, &error)) return Fail(error);
 
@@ -289,6 +285,7 @@ int Run(int argc, char** argv) {
     setup_total_s += setups.back();
   }
 
+  const std::string daemon_cpus = AllowedCpus(daemon->pid());
   WindowProbe probe(*daemon);
   const double probe_before_ms = CpuProbeMs();
   Log a = workload->RunTimed(daemon->port(), args.seconds, nullptr, &probe);
@@ -398,9 +395,10 @@ int Run(int argc, char** argv) {
     SpanRecorder replay_spans;
     LayerReport replay;
     workload->Replay(a, std::max(1.0, args.seconds / 2), &replay_spans, &replay);
+    // One pair of span files per workload, overwritten by its next traced
+    // run: a check-warm pair is about 100 MB.
     if (!args.out_dir.empty()) {
-      const std::string stem = args.out_dir + "/" + args.workload + "-seed" +
-                               std::to_string(args.seed);
+      const std::string stem = args.out_dir + "/" + args.workload;
       (void)replay_spans.WriteTsv(stem + "-replay.spans.tsv");
       (void)daemon_spans.WriteTsv(stem + "-daemon.spans.tsv");
     }
@@ -486,7 +484,7 @@ int Run(int argc, char** argv) {
       .Num("failed", static_cast<double>(failed))
       .Num("mismatches", static_cast<double>(a.mismatches + b.mismatches))
       .Num("window_s", a.window_s)
-      .Obj("host", Host(args.seed, cpus, probe_ms))
+      .Obj("host", Host(args.seed, daemon_cpus, probe_ms))
       .Obj("sizes", sizes)
       .Obj("end_to_end", e2e);
   if (args.trace) report.Obj("per_layer", layers);
