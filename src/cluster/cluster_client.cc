@@ -10,35 +10,6 @@
 
 namespace oodb::cluster {
 
-namespace {
-
-// First whitespace-delimited token of a request line (the verb) and,
-// when present, the second (the session name for session verbs).
-void VerbAndSession(const std::string& line, std::string_view* verb,
-                    std::string_view* session) {
-  *verb = {};
-  *session = {};
-  size_t i = 0;
-  auto skip = [&] { while (i < line.size() && line[i] == ' ') ++i; };
-  auto token = [&] {
-    const size_t start = i;
-    while (i < line.size() && line[i] != ' ') ++i;
-    return std::string_view(line).substr(start, i - start);
-  };
-  skip();
-  *verb = token();
-  skip();
-  *session = token();
-}
-
-}  // namespace
-
-bool IsIdempotentVerb(std::string_view verb) {
-  return verb == "CHECK" || verb == "BCHECK" || verb == "CLASSIFY" ||
-         verb == "STATS" || verb == "PING" || verb == "METRICS" ||
-         verb == "TRACE";
-}
-
 uint64_t BackoffPolicy::DelayMs(size_t retry_index, Rng& rng) const {
   uint64_t d = cap_ms;
   if (retry_index < 20) {  // past 2^20 * base the cap has long won
@@ -83,10 +54,14 @@ Result<std::string> ClusterClient::Call(const std::string& line,
     return FailedPreconditionError("cluster client has no nodes");
   }
   ++stats_.requests;
-  std::string_view verb;
-  std::string_view session;
-  VerbAndSession(line, &verb, &session);
-  const bool idempotent = IsIdempotentVerb(verb);
+  // Only the verb and the session matter here; a malformed line still
+  // goes to the daemon, which answers it.
+  server::Request request;
+  server::ParseLine(line, {}, &request);
+  const server::RequestView view = request.view();
+  const std::string_view session =
+      view.names_session() ? view.args[0] : std::string_view();
+  const bool idempotent = view.info().idempotent;
 
   // Candidate nodes, in preference order: the owner first, then — for
   // idempotent reads only — its replicas, which hold the same session

@@ -1,9 +1,9 @@
 // Failover-aware client for a daemon fleet (docs/cluster.md §4).
 //
-// Routing: every request line names a session (except fleet-wide verbs
-// like STATS with no argument, which go to node 0); the consistent-hash
-// ring maps the session to its owner, and the client talks to the owner
-// directly. On a transport error the client retries — but only for
+// Routing: a request line whose verb names a session (server::kVerbTable)
+// goes to that session's owner on the consistent-hash ring; every other
+// line (PING, SLEEP, STATS with no argument, ...) goes to node 0. On a
+// transport error the client retries — but only for the table's
 // idempotent read verbs — with capped exponential backoff, rotating
 // through the owner's replicas so reads keep answering while the owner
 // is down. Mutations are never retried across nodes: they go to the
@@ -26,10 +26,6 @@
 #include "server/client.h"
 
 namespace oodb::cluster {
-
-// Read verbs that are safe to resend after an ambiguous transport
-// failure (and to serve from a replica): they mutate nothing.
-bool IsIdempotentVerb(std::string_view verb);
 
 // Capped exponential backoff with jitter. Delay for retry i is uniform
 // in [(1 - jitter) * d, d] where d = min(base_ms << i, cap_ms): the full

@@ -22,14 +22,12 @@ bool ParseReplicaGap(const std::string& message, uint64_t* have) {
   return end != nullptr && (*end == '\0' || *end == ' ');
 }
 
-}  // namespace
-
-namespace {
 int64_t SteadyNowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
 }  // namespace
 
 PeerPool::PeerPool(std::vector<NodeAddr> nodes, int64_t deadline_ms)
@@ -96,8 +94,9 @@ Replicator::Replicator(const ClusterConfig& config, const Ring& ring,
                        PeerPool* peers)
     : config_(config), ring_(ring), peers_(peers) {}
 
-uint64_t Replicator::Record(const std::string& session, std::string line,
-                            std::string payload, uint64_t trace_id) {
+uint64_t Replicator::Record(const std::string& session, server::Verb verb,
+                            std::string line, std::string payload,
+                            uint64_t trace_id) {
   base::MutexLock lock(&mu_);
   Log& log = logs_[session];
   if (!log.placed) {
@@ -108,7 +107,7 @@ uint64_t Replicator::Record(const std::string& session, std::string line,
   const uint64_t seq = log.next_seq++;
   // A LOAD rebuilds the session from scratch: everything before it is
   // superseded, so the retained log restarts at the LOAD entry.
-  if (line.rfind("LOAD ", 0) == 0) log.entries.clear();
+  if (verb == server::Verb::kLoad) log.entries.clear();
   log.entries.push_back(
       Entry{seq, std::move(line), std::move(payload), trace_id});
   recorded_.fetch_add(1, std::memory_order_relaxed);

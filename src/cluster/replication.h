@@ -29,6 +29,7 @@
 #include "cluster/membership.h"
 #include "cluster/ring.h"
 #include "server/client.h"
+#include "server/wire.h"
 
 namespace oodb::cluster {
 
@@ -106,15 +107,15 @@ class Replicator {
   Replicator(const ClusterConfig& config, const Ring& ring,
              PeerPool* peers);
 
-  // Appends one applied mutation (`line` exactly as dispatched, plus
-  // its payload) to the session's log and returns its sequence number.
-  // `trace_id` is the owner-side trace id of the request that made the
-  // mutation; it rides in the REPL envelope header so the replica's
-  // slow-query entry can be joined back to the owner's. A LOAD line
-  // resets the retained log. Cheap: no I/O.
-  uint64_t Record(const std::string& session, std::string line,
-                  std::string payload, uint64_t trace_id = 0)
-      EXCLUDES(mu_);
+  // Appends one applied mutation (its `verb`, its `line` as rendered by
+  // server::RenderLine, and its payload) to the session's log and returns
+  // its sequence number. `trace_id` is the owner-side trace id of the
+  // request that made the mutation; it rides in the REPL envelope header
+  // so the replica's slow-query entry can be joined back to the owner's.
+  // A LOAD resets the retained log. Cheap: no I/O.
+  uint64_t Record(const std::string& session, server::Verb verb,
+                  std::string line, std::string payload,
+                  uint64_t trace_id = 0) EXCLUDES(mu_);
 
   // Pushes every entry not yet acknowledged by each of the session's
   // replicas, in sequence order. Serialized internally; failures leave

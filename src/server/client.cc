@@ -18,18 +18,7 @@ namespace oodb::server {
 Client::Client(int fd)
     : fd_(fd), reader_(std::make_unique<FrameReader>(fd)) {}
 
-Client::Client(Client&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      reader_(std::move(other.reader_)),
-      binary_(other.binary_),
-      dead_(other.dead_),
-      timed_out_(other.timed_out_),
-      deadline_armed_(other.deadline_armed_),
-      next_id_(other.next_id_),
-      out_(std::move(other.out_)),
-      in_(std::move(other.in_)),
-      in_pos_(other.in_pos_),
-      pending_(std::move(other.pending_)) {}
+Client::Client(Client&& other) noexcept { *this = std::move(other); }
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
@@ -249,7 +238,7 @@ Result<std::string> Client::Roundtrip(const std::string& line,
     frame += *payload;
     frame += '\n';
   }
-  if (!SendAll(fd_, frame)) {
+  if (!WriteFully(fd_, frame)) {
     NoteTransportFault();
     return InternalError("connection lost while sending");
   }

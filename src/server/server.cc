@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <utility>
 
@@ -31,10 +30,6 @@ namespace {
 constexpr uint64_t kListenTag = 0;
 constexpr uint64_t kEventTag = 1;
 
-// Text command lines longer than this are a malformed peer (matches
-// FrameReader::ReadLine's default cap on the client side).
-constexpr size_t kMaxTextLine = 1 << 16;
-
 // Soft cap on a connection's unwritten output. Reading (and therefore
 // parsing) pauses above it; nothing is ever dropped.
 constexpr size_t kMaxOutBuffer = size_t{16} << 20;
@@ -46,91 +41,13 @@ constexpr size_t kOutChunk = size_t{8} << 10;
 
 // iovec slots per sendmsg. Deep pipelines with large replies flush in
 // several calls; the gather write still beats one send per frame.
-constexpr int kMaxIov = 64;
+constexpr size_t kMaxIov = 64;
 
 Reply StatusReply(const Status& status) {
   return ErrReply(StatusCodeName(status.code()), status.message());
 }
 
-// Parses a non-negative integer token; returns false on garbage.
-bool ParseSize(const std::string& token, size_t* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = static_cast<size_t>(v);
-  return true;
-}
-
-// Optional trace-propagation header on the cluster envelopes: the token
-// right after FORWARD/REPL may be `@<origin-node-index>:<trace-id>`,
-// naming the sending node and its request's trace id. Absent header =
-// pre-header framing (hand-crafted frames in tests keep working).
-bool ParseEnvelopeHeader(const std::string& token, size_t* origin,
-                         uint64_t* trace_id) {
-  if (token.size() < 4 || token[0] != '@') return false;
-  const size_t colon = token.find(':');
-  if (colon == std::string::npos || colon == 1 || colon + 1 >= token.size()) {
-    return false;
-  }
-  size_t id = 0;
-  return ParseSize(token.substr(1, colon - 1), origin) &&
-         ParseSize(token.substr(colon + 1), &id) &&
-         (*trace_id = id, true);
-}
-
 }  // namespace
-
-const char* VerbName(Verb verb) {
-  switch (verb) {
-    case Verb::kPing:
-      return "PING";
-    case Verb::kLoad:
-      return "LOAD";
-    case Verb::kState:
-      return "STATE";
-    case Verb::kView:
-      return "VIEW";
-    case Verb::kUndefine:
-      return "UNDEFINE";
-    case Verb::kCheck:
-      return "CHECK";
-    case Verb::kBcheck:
-      return "BCHECK";
-    case Verb::kClassify:
-      return "CLASSIFY";
-    case Verb::kOptimize:
-      return "OPTIMIZE";
-    case Verb::kStats:
-      return "STATS";
-    case Verb::kSleep:
-      return "SLEEP";
-    case Verb::kShutdown:
-      return "SHUTDOWN";
-    case Verb::kMetrics:
-      return "METRICS";
-    case Verb::kTrace:
-      return "TRACE";
-    case Verb::kHealth:
-      return "HEALTH";
-    case Verb::kRepl:
-      return "REPL";
-    case Verb::kForward:
-      return "FORWARD";
-    case Verb::kOther:
-    case Verb::kCount:
-      break;
-  }
-  return "?";
-}
-
-Verb VerbOf(const std::string& token) {
-  for (size_t i = 0; i < static_cast<size_t>(Verb::kOther); ++i) {
-    if (token == VerbName(static_cast<Verb>(i))) return static_cast<Verb>(i);
-  }
-  return Verb::kOther;
-}
 
 // Per-connection state machine, owned by the event-loop thread. A
 // connection is always in one of three read states (deciding the
@@ -184,18 +101,13 @@ Server::Server(ServerOptions options)
 
 void Server::RegisterMetrics() {
   // Latency histograms exist only for verbs that run through the pool;
-  // inline control verbs are not timed.
-  constexpr Verb kTimedVerbs[] = {Verb::kLoad,     Verb::kState,
-                                  Verb::kView,     Verb::kUndefine,
-                                  Verb::kCheck,    Verb::kBcheck,
-                                  Verb::kClassify, Verb::kOptimize,
-                                  Verb::kStats,    Verb::kSleep,
-                                  Verb::kRepl,     Verb::kForward};
-  for (Verb verb : kTimedVerbs) {
-    latency_[static_cast<size_t>(verb)] = registry_.GetHistogram(
+  // the verbs the loop answers inline are not timed.
+  for (const VerbInfo& info : kVerbTable) {
+    if (info.on_loop || info.verb == Verb::kOther) continue;
+    latency_[static_cast<size_t>(info.verb)] = registry_.GetHistogram(
         "oodb_server_request_seconds",
         "End-to-end request latency (admission to reply written)",
-        {{"verb", VerbName(verb)}}, 1e-9);
+        {{"verb", info.name}}, 1e-9);
   }
   loop_batch_hist_ = registry_.GetHistogram(
       "oodb_loop_ready_batch", "Ready events per epoll_wait return", {}, 1);
@@ -251,9 +163,6 @@ void Server::AppendServerMetrics(obs::Collector& out) const {
   out.AddGauge("oodb_server_pending",
                "Requests admitted (queued or running)", {},
                admitted_.load(relaxed));
-  out.AddGauge("oodb_server_open_connections",
-               "Connections registered with the event loop", {},
-               open_conns_.load(relaxed));
   out.AddGauge("oodb_server_threads", "Worker threads", {}, pool_->size());
   // Event-loop self-instrumentation (the companion histograms
   // oodb_loop_ready_batch / oodb_loop_iteration_lag_seconds are
@@ -304,11 +213,8 @@ void Server::AppendServerMetrics(obs::Collector& out) const {
                    rs.failures);
     out.AddCounter("oodb_server_repl_resyncs_total",
                    "Replica resyncs (cursor rewinds)", {}, rs.resyncs);
-    out.AddGauge("oodb_server_repl_max_lag",
-                 "Worst replica lag in log entries", {}, rs.max_lag);
     // Replication lag, exported under the cluster family alongside the
-    // per-peer health gauges (oodb_server_repl_max_lag kept above for
-    // compatibility).
+    // per-peer health gauges.
     out.AddGauge("oodb_cluster_repl_lag_max",
                  "Worst replica lag over live logs, in log entries", {},
                  rs.max_lag);
@@ -560,13 +466,11 @@ void Server::ParseFrames(Connection& conn) {
   if (!conn.preamble_decided) return;
   while (!conn.discard_input) {
     if (conn.out_bytes > kMaxOutBuffer) break;
-    if (conn.binary) {
-      if (conn.inflight >= options_.max_inflight_per_conn) break;
-      if (!ParseBinaryFrame(conn)) break;
-    } else {
-      if (conn.text_waiting) break;
-      if (!ParseTextFrame(conn)) break;
+    if (conn.binary ? conn.inflight >= options_.max_inflight_per_conn
+                    : conn.text_waiting) {
+      break;
     }
+    if (!ParseFrame(conn)) break;
   }
   // Compact once the consumed prefix dominates the buffer.
   if (conn.in_pos == conn.in.size()) {
@@ -579,177 +483,79 @@ void Server::ParseFrames(Connection& conn) {
   if (!pending_work_.empty()) SubmitPooled(conn);
 }
 
-bool Server::ParseTextFrame(Connection& conn) {
-  std::string_view buf = std::string_view(conn.in).substr(conn.in_pos);
-  const size_t nl = buf.find('\n');
-  if (nl == std::string_view::npos) {
-    if (buf.size() > kMaxTextLine) {
-      // Malformed peer (unterminated line); no reply can be framed.
-      conn.closing = true;
-      conn.discard_input = true;
-    }
-    return false;
-  }
-  if (nl > kMaxTextLine) {
-    conn.closing = true;
-    conn.discard_input = true;
-    return false;
-  }
-  std::vector<std::string> tokens = SplitTokens(buf.substr(0, nl));
-  if (tokens.empty()) {  // blank line: ignore
-    conn.in_pos += nl + 1;
-    return true;
-  }
-  const std::string& verb = tokens[0];
-
-  // Payload-carrying verbs: the line ends with the byte count; the
-  // payload plus one terminating '\n' follows. The cluster wrappers
-  // (`REPL <seq> LOAD …`, `FORWARD LOAD …`) frame their inner
-  // LOAD/STATE payload exactly like the bare line.
-  std::string payload;
-  size_t frame_len = nl + 1;
-  size_t inner = 0;
-  if (verb == "REPL") {
-    inner = 2;
-  } else if (verb == "FORWARD") {
-    inner = 1;
-  }
-  // An `@origin:trace` header after the envelope verb shifts the inner
-  // command one token to the right.
-  if (inner > 0 && tokens.size() > 1 && tokens[1].front() == '@') ++inner;
-  const bool bare_payload_verb = verb == "LOAD" || verb == "STATE";
-  const bool wrapped_payload_verb =
-      inner > 0 && tokens.size() == inner + 3 &&
-      (tokens[inner] == "LOAD" || tokens[inner] == "STATE");
-  if (bare_payload_verb || wrapped_payload_verb) {
-    size_t nbytes = 0;
-    if ((bare_payload_verb && tokens.size() != 3) ||
-        !ParseSize(tokens.back(), &nbytes)) {
-      conn.in_pos += frame_len;
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      verb_requests_[static_cast<size_t>(VerbOf(verb))].fetch_add(
-          1, std::memory_order_relaxed);
-      QueueReply(conn, 0,
-                 ErrReply(kErrProto,
-                          StrCat("usage: ", verb, " <session> <nbytes>")),
-                 VerbOf(verb));
-      return true;
-    }
-    if (nbytes > options_.max_payload) {
-      // The payload cannot be admitted: reply, then close (the unread
-      // bytes make the stream unrecoverable).
-      conn.in_pos += frame_len;
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      verb_requests_[static_cast<size_t>(VerbOf(verb))].fetch_add(
-          1, std::memory_order_relaxed);
-      QueueReply(conn, 0,
-                 ErrReply(kErrProto, StrCat("payload exceeds ",
-                                            options_.max_payload, " bytes")),
-                 VerbOf(verb));
-      conn.closing = true;
-      conn.discard_input = true;
-      return true;
-    }
-    if (buf.size() < nl + 1 + nbytes + 1) return false;  // need more bytes
-    if (buf[nl + 1 + nbytes] != '\n') {  // frame out of sync
-      conn.closing = true;
-      conn.discard_input = true;
-      return false;
-    }
-    payload.assign(buf.substr(nl + 1, nbytes));
-    frame_len += nbytes + 1;
-  }
-  conn.in_pos += frame_len;
-  HandleFrame(conn, 0, std::move(tokens), std::move(payload));
-  return true;
-}
-
-bool Server::ParseBinaryFrame(Connection& conn) {
-  std::string_view buf = std::string_view(conn.in).substr(conn.in_pos);
+bool Server::ParseFrame(Connection& conn) {
+  const std::string_view buf = std::string_view(conn.in).substr(conn.in_pos);
   if (buf.empty()) return false;
   size_t consumed = 0;
   BinaryRequest req;
   std::string error;
-  switch (ParseBinaryRequest(buf, &consumed, &req, &error)) {
+  const ParseStatus status =
+      conn.binary ? ParseBinaryRequest(buf, &consumed, &req, &error)
+                  : ParseTextRequest(buf, options_.max_payload, &consumed,
+                                     &req.request, &error);
+  switch (status) {
     case ParseStatus::kNeedMore:
       return false;
     case ParseStatus::kBad:
-      // Addressed to the frame's id when the header was readable; the
-      // framing is gone, so close after the reply flushes.
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      verb_requests_[static_cast<size_t>(Verb::kOther)].fetch_add(
-          1, std::memory_order_relaxed);
-      QueueReply(conn, req.id, ErrReply(kErrProto, error), Verb::kOther);
+      // The framing is gone: answer if a reply is owed (addressed to the
+      // frame's id when the header was readable), then close once it
+      // flushes.
       conn.closing = true;
       conn.discard_input = true;
+      if (!req.request.ok()) HandleFrame(conn, req.id, std::move(req.request));
       return false;
     case ParseStatus::kFrame:
       break;
   }
   conn.in_pos += consumed;
-  HandleFrame(conn, req.id, std::move(req.tokens), std::move(req.payload));
+  HandleFrame(conn, req.id, std::move(req.request));
   return true;
 }
 
 void Server::HandleFrame(Connection& conn, uint64_t request_id,
-                         std::vector<std::string> tokens,
-                         std::string payload) {
+                         Request request) {
+  const Verb verb = request.verb();
   requests_.fetch_add(1, std::memory_order_relaxed);
-  if (tokens.empty()) {  // binary kLine frame with an empty command line
-    verb_requests_[static_cast<size_t>(Verb::kOther)].fetch_add(
-        1, std::memory_order_relaxed);
-    QueueReply(conn, request_id, ErrReply(kErrProto, "empty command"),
-               Verb::kOther);
-    return;
-  }
-  const std::string& verb = tokens[0];
-  const Verb vkind = VerbOf(verb);
-  verb_requests_[static_cast<size_t>(vkind)].fetch_add(
+  verb_requests_[static_cast<size_t>(verb)].fetch_add(
       1, std::memory_order_relaxed);
+  if (!request.ok()) {
+    return QueueReply(conn, request_id, ErrReply(kErrProto, request.error()),
+                      verb);
+  }
 
   // Control verbs answered inline on the loop — they must work even when
-  // the admission queue is saturated. METRICS/TRACE stay observable
-  // under overload and while draining by the same rule.
-  if (verb == "PING") {
-    return QueueReply(conn, request_id, OkReply("pong"), vkind);
-  }
-  if (verb == "HEALTH") {
-    // Inline like METRICS: load balancers and smoke tests must get an
-    // answer under overload and while draining.
-    if (tokens.size() != 1) {
+  // the admission queue is saturated. HEALTH/METRICS/TRACE stay
+  // observable under overload and while draining by the same rule.
+  switch (verb) {  // the verb table's on_loop verbs
+    case Verb::kPing:
+      return QueueReply(conn, request_id, OkReply("pong"), verb);
+    case Verb::kHealth:
+      return QueueReply(conn, request_id, OkReply(HealthText()), verb);
+    case Verb::kMetrics:
       return QueueReply(conn, request_id,
-                        ErrReply(kErrProto, "usage: HEALTH"), vkind);
-    }
-    return QueueReply(conn, request_id, OkReply(HealthText()), vkind);
-  }
-  if (verb == "METRICS") {
-    if (tokens.size() != 1) {
+                        OkReply(registry_.RenderPrometheus()), verb);
+    case Verb::kTrace: {
+      const Args args = request.view().args;
+      uint64_t n = 10;
+      if (!args.empty() && !ParseSize(args[0], &n)) {
+        return QueueReply(conn, request_id,
+                          ErrReply(kErrProto, InfoOf(verb).usage), verb);
+      }
       return QueueReply(conn, request_id,
-                        ErrReply(kErrProto, "usage: METRICS"), vkind);
+                        OkReply(slow_log_.RenderJsonLines(n)), verb);
     }
-    return QueueReply(conn, request_id, OkReply(registry_.RenderPrometheus()),
-                      vkind);
-  }
-  if (verb == "TRACE") {
-    size_t n = 10;
-    if (tokens.size() > 2 ||
-        (tokens.size() == 2 && !ParseSize(tokens[1], &n))) {
-      return QueueReply(conn, request_id,
-                        ErrReply(kErrProto, "usage: TRACE [n]"), vkind);
-    }
-    return QueueReply(conn, request_id, OkReply(slow_log_.RenderJsonLines(n)),
-                      vkind);
-  }
-  if (verb == "SHUTDOWN") {
-    QueueReply(conn, request_id, OkReply("draining"), vkind);
-    RequestShutdown();
-    conn.closing = true;
-    conn.discard_input = true;
-    return;
+    case Verb::kShutdown:
+      QueueReply(conn, request_id, OkReply("draining"), verb);
+      RequestShutdown();
+      conn.closing = true;
+      conn.discard_input = true;
+      return;
+    default:
+      break;
   }
   if (stopping_.load(std::memory_order_relaxed)) {
     return QueueReply(conn, request_id,
-                      ErrReply(kErrShutdown, "server is draining"), vkind);
+                      ErrReply(kErrShutdown, "server is draining"), verb);
   }
 
   // Bounded admission: reply BUSY instead of queueing without limit.
@@ -758,7 +564,7 @@ void Server::HandleFrame(Connection& conn, uint64_t request_id,
     admitted_.fetch_sub(1, std::memory_order_acq_rel);
     Reply reply;
     reply.kind = Reply::Kind::kBusy;
-    return QueueReply(conn, request_id, reply, vkind);
+    return QueueReply(conn, request_id, reply, verb);
   }
 
   // Per-request trace: spans are filled on the worker, which also
@@ -768,12 +574,9 @@ void Server::HandleFrame(Connection& conn, uint64_t request_id,
   if (obs::Enabled() && slow_log_.enabled()) {
     trace = std::make_shared<obs::TraceContext>();
     trace->id = trace_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    trace->verb = verb;
-    // tokens[1] is the session name except for SLEEP (a duration) and
-    // the cluster envelopes (a sequence number / the inner verb).
-    if (tokens.size() > 1 && vkind != Verb::kSleep && vkind != Verb::kRepl &&
-        vkind != Verb::kForward) {
-      trace->session = tokens[1];
+    trace->verb = VerbName(verb);
+    if (const RequestView view = request.view(); view.names_session()) {
+      trace->session = view.args[0];
     }
   }
 
@@ -781,11 +584,9 @@ void Server::HandleFrame(Connection& conn, uint64_t request_id,
   if (!conn.binary) conn.text_waiting = true;
   PooledWork work;
   work.request_id = request_id;
-  work.vkind = vkind;
   work.trace = std::move(trace);
   work.enqueued = std::chrono::steady_clock::now();
-  work.tokens = std::move(tokens);
-  work.payload = std::move(payload);
+  work.request = std::move(request);
   pending_work_.push_back(std::move(work));
 }
 
@@ -795,7 +596,7 @@ void Server::SubmitPooled(Connection& conn) {
   std::vector<std::pair<uint64_t, Verb>> staged;
   staged.reserve(pending_work_.size());
   for (const PooledWork& w : pending_work_) {
-    staged.emplace_back(w.request_id, w.vkind);
+    staged.emplace_back(w.request_id, w.request.verb());
   }
   const uint64_t conn_id = conn.id;
   const bool binary = conn.binary;
@@ -810,33 +611,37 @@ void Server::SubmitPooled(Connection& conn) {
       });
   pending_work_.clear();  // moved-from: restore the between-passes invariant
   if (!submitted) {  // pool already draining
-    for (const auto& [request_id, vkind] : staged) {
+    for (const auto& [request_id, verb] : staged) {
       admitted_.fetch_sub(1, std::memory_order_acq_rel);
       conn.inflight--;
       conn.text_waiting = false;
       QueueReply(conn, request_id,
-                 ErrReply(kErrShutdown, "server is draining"), vkind);
+                 ErrReply(kErrShutdown, "server is draining"), verb);
     }
   }
 }
 
 void Server::QueueReply(Connection& conn, uint64_t request_id,
-                        const Reply& reply, Verb vkind) {
+                        const Reply& reply, Verb verb) {
+  CountReply(reply, verb);
+  AppendOutput(conn, conn.binary ? EncodeBinaryReply(request_id, reply)
+                                 : EncodeReply(reply));
+}
+
+void Server::CountReply(const Reply& reply, Verb verb) {
   switch (reply.kind) {
     case Reply::Kind::kOk:
       ok_.fetch_add(1, std::memory_order_relaxed);
       break;
     case Reply::Kind::kErr:
       errors_.fetch_add(1, std::memory_order_relaxed);
-      verb_errors_[static_cast<size_t>(vkind)].fetch_add(
+      verb_errors_[static_cast<size_t>(verb)].fetch_add(
           1, std::memory_order_relaxed);
       break;
     case Reply::Kind::kBusy:
       busy_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-  AppendOutput(conn, conn.binary ? EncodeBinaryReply(request_id, reply)
-                                 : EncodeReply(reply));
 }
 
 void Server::AppendOutput(Connection& conn, std::string bytes) {
@@ -866,19 +671,24 @@ void Server::ConsumeOutput(Connection& conn, size_t n) {
   }
 }
 
-// Gathers up to kMaxIov chunks of pending output into `iov`. Returns
-// the slot count.
-int Server::GatherOutput(Connection& conn, iovec* iov) {
-  int n = 0;
+ssize_t Server::WriteSome(Connection& conn) {
+  // One gather write per syscall: a pipelined burst of replies leaves in
+  // a handful of sendmsg calls, not one send per frame. sendmsg rather
+  // than writev for MSG_NOSIGNAL (no SIGPIPE on a dead peer).
+  iovec iov[kMaxIov];
+  msghdr msg{};
+  msg.msg_iov = iov;
   size_t head = conn.out_head;
   for (const std::string& chunk : conn.outq) {
-    if (n == kMaxIov) break;
-    iov[n].iov_base = const_cast<char*>(chunk.data()) + head;
-    iov[n].iov_len = chunk.size() - head;
+    if (msg.msg_iovlen == kMaxIov) break;
+    iov[msg.msg_iovlen].iov_base = const_cast<char*>(chunk.data()) + head;
+    iov[msg.msg_iovlen].iov_len = chunk.size() - head;
     head = 0;
-    ++n;
+    ++msg.msg_iovlen;
   }
-  return n;
+  const ssize_t w = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
+  if (w > 0) ConsumeOutput(conn, static_cast<size_t>(w));
+  return w;
 }
 
 Server::Completion Server::FinalizeOnWorker(uint64_t conn_id, bool binary,
@@ -893,39 +703,25 @@ Server::Completion Server::FinalizeOnWorker(uint64_t conn_id, bool binary,
                      StrCat("queued ", waited, " ms, deadline ",
                             options_.deadline_ms, " ms"));
   } else {
-    reply = Dispatch(work.tokens, work.payload, work.trace.get());
+    reply = Dispatch(work.request, work.trace.get());
   }
   admitted_.fetch_sub(1, std::memory_order_acq_rel);
 
-  const uint64_t request_id = work.request_id;
-  const Verb vkind = work.vkind;
+  const Verb verb = work.request.verb();
   const std::shared_ptr<obs::TraceContext>& trace = work.trace;
-  const auto enqueued = work.enqueued;
-  switch (reply.kind) {
-    case Reply::Kind::kOk:
-      ok_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case Reply::Kind::kErr:
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      verb_errors_[static_cast<size_t>(vkind)].fetch_add(
-          1, std::memory_order_relaxed);
-      break;
-    case Reply::Kind::kBusy:
-      busy_.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
+  CountReply(reply, verb);
   std::string bytes;
   {
     obs::ScopedSpan span(trace.get(), obs::Phase::kReply);
-    bytes = binary ? EncodeBinaryReply(request_id, reply)
+    bytes = binary ? EncodeBinaryReply(work.request_id, reply)
                    : EncodeReply(reply);
   }
   if (obs::Enabled()) {
-    const auto elapsed = std::chrono::steady_clock::now() - enqueued;
+    const auto elapsed = std::chrono::steady_clock::now() - work.enqueued;
     const auto ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
     const uint64_t total_ns = ns > 0 ? static_cast<uint64_t>(ns) : 1;
-    if (obs::Histogram* hist = latency_[static_cast<size_t>(vkind)]) {
+    if (obs::Histogram* hist = latency_[static_cast<size_t>(verb)]) {
       hist->RecordAlways(total_ns);
     }
     if (trace != nullptr) {
@@ -979,19 +775,8 @@ void Server::DrainCompletions() {
 
 void Server::FlushOutput(Connection& conn) {
   while (conn.out_bytes > 0) {
-    // One gather write per syscall: a pipelined burst of replies leaves
-    // in a handful of sendmsg calls, not one send per frame. sendmsg
-    // rather than writev for MSG_NOSIGNAL (no SIGPIPE on a dead peer).
-    iovec iov[kMaxIov];
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<size_t>(GatherOutput(conn, iov));
-    ssize_t w = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
-    if (w > 0) {
-      ConsumeOutput(conn, static_cast<size_t>(w));
-      continue;
-    }
-    if (w < 0 && errno == EINTR) continue;
+    const ssize_t w = WriteSome(conn);
+    if (w > 0 || (w < 0 && errno == EINTR)) continue;
     if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     CloseConnection(conn.id);  // peer is gone; replies are undeliverable
     return;
@@ -1038,16 +823,8 @@ void Server::FinalFlush() {
       std::chrono::steady_clock::now() + std::chrono::seconds(1);
   for (auto& [id, conn] : conns_) {
     while (conn->out_bytes > 0) {
-      iovec iov[kMaxIov];
-      msghdr msg{};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = static_cast<size_t>(GatherOutput(*conn, iov));
-      ssize_t w = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
-      if (w > 0) {
-        ConsumeOutput(*conn, static_cast<size_t>(w));
-        continue;
-      }
-      if (w < 0 && errno == EINTR) continue;
+      const ssize_t w = WriteSome(*conn);
+      if (w > 0 || (w < 0 && errno == EINTR)) continue;
       if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         if (std::chrono::steady_clock::now() >= deadline) break;
         pollfd pfd{conn->fd, POLLOUT, 0};
@@ -1059,147 +836,92 @@ void Server::FinalFlush() {
   }
 }
 
-namespace {
-
-// Verbs that mutate session state — the ones the owner replicates.
-bool IsMutationVerb(const std::string& verb) {
-  return verb == "LOAD" || verb == "STATE" || verb == "VIEW" ||
-         verb == "UNDEFINE";
-}
-
-// Verbs addressing a named session in tokens[1] (the routable set).
-bool IsSessionVerb(const std::string& verb) {
-  return IsMutationVerb(verb) || verb == "CHECK" || verb == "BCHECK" ||
-         verb == "CLASSIFY" || verb == "OPTIMIZE" || verb == "STATS";
-}
-
-}  // namespace
-
-Reply Server::Dispatch(const std::vector<std::string>& tokens,
-                       const std::string& payload, obs::TraceContext* trace,
-                       Route route) {
-  const std::string& verb = tokens[0];
-
-  // Cluster envelopes first: FORWARD unwraps to a re-dispatch with the
-  // ownership check suppressed, REPL to a serialized replica apply.
-  if (verb == "FORWARD") {
-    if (ring_ == nullptr) {
-      return ErrReply(kErrProto, "FORWARD outside cluster mode");
-    }
-    if (route != Route::kClient) {
-      return ErrReply(kErrProto, "nested FORWARD");
-    }
-    // Optional `@origin:trace` header: stamp where the request came
-    // from onto this node's trace, then strip it.
-    size_t idx = 1;
-    size_t origin = 0;
-    uint64_t origin_trace = 0;
-    if (tokens.size() >= 2 &&
-        ParseEnvelopeHeader(tokens[1], &origin, &origin_trace)) {
-      idx = 2;
-      if (trace != nullptr) {
-        trace->route = "forwarded";
-        trace->origin_trace_id = origin_trace;
-        if (origin < peer_names_.size()) {
-          trace->peer = peer_names_[origin];
-        }
+Reply Server::Dispatch(const Request& request, obs::TraceContext* trace) {
+  switch (request.verb()) {
+    case Verb::kForward: {
+      // A peer routed this here: skip the ownership check, but still
+      // replicate mutations.
+      if (ring_ == nullptr) {
+        return ErrReply(kErrProto, "FORWARD outside cluster mode");
       }
-    } else if (trace != nullptr) {
-      trace->route = "forwarded";
+      StampEnvelope(request.envelope(), "forwarded", trace);
+      const RequestView inner = request.inner();
+      if (trace != nullptr && inner.names_session()) {
+        trace->session = inner.args[0];
+      }
+      return Execute(inner, trace, Route::kForwarded);
     }
-    if (tokens.size() < idx + 1) {
-      return ErrReply(kErrProto, "usage: FORWARD [@o:t] <verb> ...");
-    }
-    const std::vector<std::string> inner(tokens.begin() + idx, tokens.end());
-    if (trace != nullptr && inner.size() >= 2 && IsSessionVerb(inner[0])) {
-      trace->session = inner[1];
-    }
-    return Dispatch(inner, payload, trace, Route::kForwarded);
+    case Verb::kRepl:
+      return DispatchRepl(request, trace);
+    default:
+      return Execute(request.view(), trace, Route::kClient);
   }
-  if (verb == "REPL") return DispatchRepl(tokens, payload, trace);
+}
 
+void Server::StampEnvelope(const Envelope& envelope, const char* route,
+                           obs::TraceContext* trace) const {
+  if (trace == nullptr) return;
+  trace->route = route;
+  if (!envelope.has_header) return;
+  trace->origin_trace_id = envelope.trace_id;
+  if (envelope.origin < peer_names_.size()) {
+    trace->peer = peer_names_[envelope.origin];
+  }
+}
+
+Reply Server::Execute(const RequestView& request, obs::TraceContext* trace,
+                      Route route) {
+  const VerbInfo& info = request.info();
   // Ownership: a session verb arriving from an ordinary client on a
   // node that does not own the session is served locally only when this
   // node replicates it (reads), otherwise proxied to the owner.
-  if (ring_ != nullptr && route == Route::kClient && tokens.size() >= 2 &&
-      IsSessionVerb(verb)) {
-    const std::string& session = tokens[1];
+  if (ring_ != nullptr && route == Route::kClient &&
+      request.names_session()) {
+    const std::string_view session = request.args[0];
     const size_t owner = ring_->OwnerOf(session);
     if (owner != options_.cluster.self) {
       const bool replica_read =
-          !IsMutationVerb(verb) &&
+          !info.mutates &&
           ring_->IsReplicaOf(session, options_.cluster.self,
                              options_.cluster.EffectiveReplicas());
-      if (replica_read) {
-        replica_reads_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        return ForwardToOwner(owner, tokens, payload, trace);
-      }
+      if (!replica_read) return ForwardToOwner(owner, request, trace);
+      replica_reads_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  Reply reply = DispatchLocal(tokens, payload, trace);
+  Reply reply = DispatchLocal(request, trace);
 
   // Replication hook: the owner logs every applied mutation and pushes
   // it to the session's replicas before the reply leaves this node.
   // Replica applies never re-replicate.
   if (ring_ != nullptr && route != Route::kReplica &&
-      reply.kind == Reply::Kind::kOk && tokens.size() >= 2 &&
-      IsMutationVerb(verb)) {
-    const std::string& session = tokens[1];
+      reply.kind == Reply::Kind::kOk && info.mutates) {
+    const std::string session(request.args[0]);
     // The push is synchronous: its cost is this request's, so it gets
     // its own phase. The REPL header carries this trace's id so the
     // replica's entry can be joined back here.
     obs::ScopedSpan span(trace, obs::Phase::kReplicate);
-    replicator_->Record(session, StrJoin(tokens, " "), payload,
+    replicator_->Record(session, request.verb, RenderLine(request),
+                        std::string(request.payload),
                         trace != nullptr ? trace->id : 0);
     replicator_->Flush(session);
   }
   return reply;
 }
 
-Reply Server::DispatchRepl(const std::vector<std::string>& tokens,
-                           const std::string& payload,
-                           obs::TraceContext* trace) {
+Reply Server::DispatchRepl(const Request& request, obs::TraceContext* trace) {
   if (ring_ == nullptr) {
     return ErrReply(kErrProto, "REPL outside cluster mode");
   }
-  // Optional `@origin:trace` header before the sequence number.
-  size_t idx = 1;
-  {
-    size_t origin = 0;
-    uint64_t origin_trace = 0;
-    if (tokens.size() >= 2 &&
-        ParseEnvelopeHeader(tokens[1], &origin, &origin_trace)) {
-      idx = 2;
-      if (trace != nullptr) {
-        trace->route = "replica";
-        trace->origin_trace_id = origin_trace;
-        if (origin < peer_names_.size()) {
-          trace->peer = peer_names_[origin];
-        }
-      }
-    } else if (trace != nullptr) {
-      trace->route = "replica";
-    }
-  }
-  size_t seq = 0;
-  if (tokens.size() < idx + 3 || !ParseSize(tokens[idx], &seq) || seq == 0) {
-    return ErrReply(kErrProto,
-                    "usage: REPL [@o:t] <seq> <verb> <session> ...");
-  }
-  const std::vector<std::string> inner(tokens.begin() + idx + 1,
-                                       tokens.end());
-  if (!IsMutationVerb(inner[0])) {
-    return ErrReply(kErrProto,
-                    StrCat("REPL cannot carry '", inner[0], "'"));
-  }
-  const std::string& session = inner[1];
+  StampEnvelope(request.envelope(), "replica", trace);
+  const uint64_t seq = request.envelope().seq;
+  const RequestView inner = request.inner();
+  const std::string_view session = inner.args[0];
   if (trace != nullptr) trace->session = session;
   // Serialized per daemon: pipelined REPL frames for one session may
   // land on different workers, and they must apply in sequence order.
   base::MutexLock lock(&repl_mu_);
-  uint64_t& applied = replica_applied_[session];
+  uint64_t& applied = replica_applied_[std::string(session)];
   if (seq <= applied) {
     // Duplicate delivery (owner retried after a lost ack): idempotent.
     repl_dups_.fetch_add(1, std::memory_order_relaxed);
@@ -1207,20 +929,18 @@ Reply Server::DispatchRepl(const std::vector<std::string>& tokens,
   }
   // In-sequence, or a LOAD — which rebuilds the session from scratch and
   // is therefore a valid resync point at any forward sequence number.
-  if (seq != applied + 1 && inner[0] != "LOAD") {
+  if (seq != applied + 1 && inner.verb != Verb::kLoad) {
     repl_gaps_.fetch_add(1, std::memory_order_relaxed);
     return ErrReply("replica_gap", StrCat("have=", applied));
   }
-  Reply reply = Dispatch(inner, payload, trace, Route::kReplica);
+  Reply reply = Execute(inner, trace, Route::kReplica);
   if (reply.kind != Reply::Kind::kOk) return reply;
   applied = seq;
   repl_applies_.fetch_add(1, std::memory_order_relaxed);
   return OkReply(StrCat("applied=", seq));
 }
 
-Reply Server::ForwardToOwner(size_t owner,
-                             const std::vector<std::string>& tokens,
-                             const std::string& payload,
+Reply Server::ForwardToOwner(size_t owner, const RequestView& request,
                              obs::TraceContext* trace) {
   forwards_.fetch_add(1, std::memory_order_relaxed);
   // The whole proxy attempt — dialing, the round trip(s), failover — is
@@ -1229,19 +949,19 @@ Reply Server::ForwardToOwner(size_t owner,
   obs::ScopedSpan span(trace, obs::Phase::kForward);
   const std::string line =
       StrCat("FORWARD @", options_.cluster.self, ":",
-             trace != nullptr ? trace->id : 0, " ", StrJoin(tokens, " "));
+             trace != nullptr ? trace->id : 0, " ", RenderLine(request));
   // The owner first; for idempotent reads, the session's replicas next,
   // so every node keeps answering reads while the owner is down.
   std::vector<size_t> targets{owner};
-  if (cluster::IsIdempotentVerb(tokens[0])) {
+  if (request.info().idempotent) {
     for (const size_t r : ring_->ReplicasOf(
-             tokens[1], options_.cluster.EffectiveReplicas())) {
+             request.args[0], options_.cluster.EffectiveReplicas())) {
       if (r != options_.cluster.self) targets.push_back(r);
     }
   }
   Reply reply = ErrReply("unavailable", "no cluster peer reachable");
   for (const size_t node : targets) {
-    if (ForwardTo(node, line, payload, &reply)) {
+    if (ForwardTo(node, line, request.payload, &reply)) {
       if (trace != nullptr && node < peer_names_.size()) {
         trace->peer = peer_names_[node];
       }
@@ -1253,7 +973,7 @@ Reply Server::ForwardToOwner(size_t owner,
 }
 
 bool Server::ForwardTo(size_t node, const std::string& line,
-                       const std::string& payload, Reply* reply) {
+                       std::string_view payload, Reply* reply) {
   auto borrowed = peers_->Acquire(node);
   if (!borrowed.ok()) {
     *reply = ErrReply("unavailable",
@@ -1270,7 +990,8 @@ bool Server::ForwardTo(size_t node, const std::string& line,
       (forward_samples_.fetch_add(1, std::memory_order_relaxed) & 7) == 0;
   std::chrono::steady_clock::time_point t0;
   if (sample) t0 = std::chrono::steady_clock::now();
-  auto r = peer->Roundtrip(line, payload.empty() ? nullptr : &payload);
+  const std::string body(payload);
+  auto r = peer->Roundtrip(line, payload.empty() ? nullptr : &body);
   if (sample && node < forward_rtt_.size() &&
       forward_rtt_[node] != nullptr) {
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -1311,160 +1032,126 @@ bool Server::ForwardTo(size_t node, const std::string& line,
   return answered;
 }
 
-Reply Server::DispatchLocal(const std::vector<std::string>& tokens,
-                            const std::string& payload,
+Reply Server::DispatchLocal(const RequestView& request,
                             obs::TraceContext* trace) {
-  const std::string& verb = tokens[0];
-  if (verb == "LOAD") return DispatchLoad(tokens, payload, trace);
-  if (verb == "STATE") return DispatchState(tokens, payload, trace);
-  if (verb == "STATS") return DispatchStats(tokens);
-
-  if (verb == "SLEEP") {
-    // Diagnostic: occupies a worker for <ms> — how the tests and the
-    // load benchmark provoke BUSY/deadline behaviour deterministically.
-    size_t ms = 0;
-    if (tokens.size() != 2 || !ParseSize(tokens[1], &ms) || ms > 10000) {
-      return ErrReply(kErrProto, "usage: SLEEP <ms≤10000>");
+  // The parse checked every argument count against the verb table, so
+  // the handlers below index request.args without further checks.
+  const Args& args = request.args;
+  switch (request.verb) {
+    case Verb::kLoad: {
+      // Parse/translate outside any lock — LOAD of a big schema must not
+      // stall requests against other sessions.
+      auto session =
+          Session::FromSource(request.payload, options_.checker, trace);
+      if (!session.ok()) return StatusReply(session.status());
+      std::string summary = (*session)->Summary();
+      base::MutexLock lock(&sessions_mu_);
+      if (sessions_.find(args[0]) == sessions_.end() &&
+          sessions_.size() >= options_.max_sessions) {
+        return ErrReply("resource_exhausted",
+                        StrCat("session limit (", options_.max_sessions,
+                               ") reached"));
+      }
+      // Replacing is atomic for new requests; in-flight requests finish
+      // against the old session via their shared_ptr.
+      sessions_[std::string(args[0])] = std::move(*session);
+      return OkReply(StrCat("session=", args[0], " ", summary));
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    return OkReply(StrCat("slept=", ms));
+    case Verb::kState: {
+      std::shared_ptr<Session> session = FindSession(args[0]);
+      if (session == nullptr) {
+        return ErrReply("not_found", StrCat("no session '", args[0], "'"));
+      }
+      base::WriterLock lock(&session->mu());
+      obs::ScopedSpan span(trace, obs::Phase::kParse);
+      if (Status s = session->LoadState(request.payload); !s.ok()) {
+        return StatusReply(s);
+      }
+      return OkReply("state loaded (views reset, re-issue VIEW)");
+    }
+    case Verb::kStats:
+      return DispatchStats(request);
+    case Verb::kSleep: {
+      // Diagnostic: occupies a worker for <ms> — how the tests and the
+      // load benchmark provoke BUSY/deadline behaviour deterministically.
+      uint64_t ms = 0;
+      if (!ParseSize(args[0], &ms) || ms > 10000) {
+        return ErrReply(kErrProto, request.info().usage);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+      return OkReply(StrCat("slept=", ms));
+    }
+    default:
+      break;
   }
 
   // Everything below addresses a named session.
-  if (verb != "VIEW" && verb != "UNDEFINE" && verb != "CHECK" &&
-      verb != "BCHECK" && verb != "CLASSIFY" && verb != "OPTIMIZE") {
-    return ErrReply(kErrProto, StrCat("unknown command '", verb, "'"));
-  }
-  if (tokens.size() < 2) {
-    return ErrReply(kErrProto, StrCat(verb, " needs a session name"));
-  }
-  std::shared_ptr<Session> session = FindSession(tokens[1]);
-  if (session == nullptr) {
-    return ErrReply("not_found", StrCat("no session '", tokens[1],
-                                        "' (LOAD one first)"));
-  }
-
-  if (verb == "VIEW") {
-    if (tokens.size() != 3) {
-      return ErrReply(kErrProto, "usage: VIEW <session> <query-class>");
+  std::shared_ptr<Session> session;
+  if (request.info().session == SessionArg::kRequired) {
+    session = FindSession(args[0]);
+    if (session == nullptr) {
+      return ErrReply("not_found", StrCat("no session '", args[0],
+                                          "' (LOAD one first)"));
     }
-    base::WriterLock lock(&session->mu());
-    // Extent materialization evaluates the view body over the database;
-    // attribute it to the engine phase as one block.
-    obs::ScopedSpan span(trace, obs::Phase::kEngine);
-    auto extent = session->DefineView(tokens[2]);
-    if (!extent.ok()) return StatusReply(extent.status());
-    return OkReply(StrCat("extent=", *extent));
   }
-  if (verb == "UNDEFINE") {
-    if (tokens.size() != 3) {
-      return ErrReply(kErrProto, "usage: UNDEFINE <session> <query-class>");
+  switch (request.verb) {
+    case Verb::kView: {
+      base::WriterLock lock(&session->mu());
+      // Extent materialization evaluates the view body over the database;
+      // attribute it to the engine phase as one block.
+      obs::ScopedSpan span(trace, obs::Phase::kEngine);
+      auto extent = session->DefineView(args[1]);
+      if (!extent.ok()) return StatusReply(extent.status());
+      return OkReply(StrCat("extent=", *extent));
     }
-    base::WriterLock lock(&session->mu());
-    // Taxonomy repair is pure graph surgery (no subsumption checks), but
-    // it is still session mutation; attribute it to the engine phase.
-    obs::ScopedSpan span(trace, obs::Phase::kEngine);
-    auto summary = session->UndefineView(tokens[2]);
-    if (!summary.ok()) return StatusReply(summary.status());
-    return OkReply(std::move(*summary));
-  }
-  if (verb == "CHECK") {
-    if (tokens.size() != 4) {
-      return ErrReply(kErrProto, "usage: CHECK <session> <C> <D>");
+    case Verb::kUndefine: {
+      base::WriterLock lock(&session->mu());
+      // Taxonomy repair is pure graph surgery (no subsumption checks), but
+      // it is still session mutation; attribute it to the engine phase.
+      obs::ScopedSpan span(trace, obs::Phase::kEngine);
+      auto summary = session->UndefineView(args[1]);
+      if (!summary.ok()) return StatusReply(summary.status());
+      return OkReply(std::move(*summary));
     }
-    base::ReaderLock lock(&session->mu());
-    auto verdict = session->Check(tokens[2], tokens[3], trace);
-    if (!verdict.ok()) return StatusReply(verdict.status());
-    return OkReply(StrCat("subsumed=", *verdict ? "true" : "false"));
-  }
-  if (verb == "BCHECK") {
-    // Batched CHECK: N pairs, one verdict per pair, in order. One frame
-    // buys one dispatch, one session lock, and grouped SubsumesBatch
-    // runs instead of N full round trips.
-    if (tokens.size() < 2 || (tokens.size() - 2) % 2 != 0) {
-      return ErrReply(kErrProto, "usage: BCHECK <session> [<C> <D>]...");
+    case Verb::kCheck: {
+      base::ReaderLock lock(&session->mu());
+      auto verdict = session->Check(args[1], args[2], trace);
+      if (!verdict.ok()) return StatusReply(verdict.status());
+      return OkReply(StrCat("subsumed=", *verdict ? "true" : "false"));
     }
-    const size_t count = (tokens.size() - 2) / 2;
-    if (count > kMaxBatchPairs) {
+    case Verb::kBcheck: {
+      // Batched CHECK: N pairs, one verdict per pair, in order. One frame
+      // buys one dispatch, one session lock, and grouped SubsumesBatch
+      // runs instead of N full round trips.
+      base::ReaderLock lock(&session->mu());
+      auto verdicts = session->CheckBatch(args.From(1), trace);
+      if (!verdicts.ok()) return StatusReply(verdicts.status());
+      std::string text = "subsumed=";
+      for (size_t i = 0; i < verdicts->size(); ++i) {
+        if (i > 0) text += ',';
+        text += (*verdicts)[i] ? "true" : "false";
+      }
+      return OkReply(std::move(text));
+    }
+    case Verb::kClassify: {
+      base::ReaderLock lock(&session->mu());
+      auto hierarchy = session->Classify(trace);
+      if (!hierarchy.ok()) return StatusReply(hierarchy.status());
+      return OkReply(std::move(*hierarchy));
+    }
+    case Verb::kOptimize: {
+      base::ReaderLock lock(&session->mu());
+      auto plan = session->Optimize(args[1], trace);
+      if (!plan.ok()) return StatusReply(plan.status());
+      return OkReply(std::move(*plan));
+    }
+    default:
       return ErrReply(kErrProto,
-                      StrCat("batch exceeds ", kMaxBatchPairs, " pairs"));
-    }
-    std::vector<std::pair<std::string, std::string>> pairs;
-    pairs.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      pairs.emplace_back(tokens[2 + 2 * i], tokens[3 + 2 * i]);
-    }
-    base::ReaderLock lock(&session->mu());
-    auto verdicts = session->CheckBatch(pairs, trace);
-    if (!verdicts.ok()) return StatusReply(verdicts.status());
-    std::string text = "subsumed=";
-    for (size_t i = 0; i < verdicts->size(); ++i) {
-      if (i > 0) text += ',';
-      text += (*verdicts)[i] ? "true" : "false";
-    }
-    return OkReply(std::move(text));
+                      StrCat("unknown command '", request.info().name, "'"));
   }
-  if (verb == "CLASSIFY") {
-    if (tokens.size() != 2) {
-      return ErrReply(kErrProto, "usage: CLASSIFY <session>");
-    }
-    base::ReaderLock lock(&session->mu());
-    auto hierarchy = session->Classify(trace);
-    if (!hierarchy.ok()) return StatusReply(hierarchy.status());
-    return OkReply(std::move(*hierarchy));
-  }
-  if (verb == "OPTIMIZE") {
-    if (tokens.size() != 3) {
-      return ErrReply(kErrProto, "usage: OPTIMIZE <session> <query-class>");
-    }
-    base::ReaderLock lock(&session->mu());
-    auto plan = session->Optimize(tokens[2], trace);
-    if (!plan.ok()) return StatusReply(plan.status());
-    return OkReply(std::move(*plan));
-  }
-  return ErrReply(kErrProto, StrCat("unknown command '", verb, "'"));
 }
 
-Reply Server::DispatchLoad(const std::vector<std::string>& tokens,
-                           const std::string& payload,
-                           obs::TraceContext* trace) {
-  const std::string& name = tokens[1];
-  // Parse/translate outside any lock — LOAD of a big schema must not
-  // stall requests against other sessions.
-  auto session = Session::FromSource(payload, options_.checker, trace);
-  if (!session.ok()) return StatusReply(session.status());
-  std::string summary = (*session)->Summary();
-  {
-    base::MutexLock lock(&sessions_mu_);
-    auto it = sessions_.find(name);
-    if (it == sessions_.end() && sessions_.size() >= options_.max_sessions) {
-      return ErrReply("resource_exhausted",
-                      StrCat("session limit (", options_.max_sessions,
-                             ") reached"));
-    }
-    // Replacing is atomic for new requests; in-flight requests finish
-    // against the old session via their shared_ptr.
-    sessions_[name] = std::move(*session);
-  }
-  return OkReply(StrCat("session=", name, " ", summary));
-}
-
-Reply Server::DispatchState(const std::vector<std::string>& tokens,
-                            const std::string& payload,
-                            obs::TraceContext* trace) {
-  std::shared_ptr<Session> session = FindSession(tokens[1]);
-  if (session == nullptr) {
-    return ErrReply("not_found", StrCat("no session '", tokens[1], "'"));
-  }
-  base::WriterLock lock(&session->mu());
-  obs::ScopedSpan span(trace, obs::Phase::kParse);
-  if (Status s = session->LoadState(payload); !s.ok()) {
-    return StatusReply(s);
-  }
-  return OkReply("state loaded (views reset, re-issue VIEW)");
-}
-
-Reply Server::DispatchStats(const std::vector<std::string>& tokens) {
+Reply Server::DispatchStats(const RequestView& request) {
   ServerStats s = stats();
   std::string text = StrCat(
       "server: connections=", s.connections, " requests=", s.requests,
@@ -1499,12 +1186,13 @@ Reply Server::DispatchStats(const std::vector<std::string>& tokens) {
     base::ReaderLock lock(&session->mu());
     text = StrCat(text, "\nsession ", name, ": ", session->StatsText());
   };
-  if (tokens.size() >= 2) {
-    std::shared_ptr<Session> session = FindSession(tokens[1]);
+  if (request.names_session()) {
+    const std::string_view name = request.args[0];
+    std::shared_ptr<Session> session = FindSession(name);
     if (session == nullptr) {
-      return ErrReply("not_found", StrCat("no session '", tokens[1], "'"));
+      return ErrReply("not_found", StrCat("no session '", name, "'"));
     }
-    append(tokens[1], session);
+    append(std::string(name), session);
   } else {
     std::vector<std::pair<std::string, std::shared_ptr<Session>>> all;
     {
@@ -1540,7 +1228,7 @@ std::string Server::HealthText() const {
   return StrCat("status=", status, detail);
 }
 
-std::shared_ptr<Session> Server::FindSession(const std::string& name) {
+std::shared_ptr<Session> Server::FindSession(std::string_view name) {
   base::MutexLock lock(&sessions_mu_);
   auto it = sessions_.find(name);
   return it == sessions_.end() ? nullptr : it->second;

@@ -1,35 +1,27 @@
-// Optimizer-as-a-service: a standalone TCP daemon that keeps named
-// sessions (schema + SL axioms + QL concepts + materialized view catalog)
-// resident in memory and answers subsumption/classification/optimization
-// requests over the framed protocols of wire.h (legacy newline text and
-// length-prefixed binary, negotiated per connection on one port).
+// Optimizer-as-a-service: a TCP daemon that keeps named sessions
+// (schema, SL axioms, QL concepts, view catalog) resident and answers
+// subsumption, classification and optimization requests over the
+// framings of wire.h.
 //
-// Concurrency shape: ONE epoll event-loop thread owns every connection —
-// non-blocking sockets, each connection a small state machine (reading
-// frames → dispatch → writing replies) with per-connection input/output
-// buffers and partial read/write resumption. The actual work still runs
-// on a shared service::ThreadPool behind a bounded admission counter;
-// finished requests hand their encoded reply back to the loop through a
-// mutex-guarded completion queue plus an eventfd wakeup. Binary
-// connections may pipeline many frames (replies tagged with request ids,
-// completing out of order); text connections keep the legacy
-// one-reply-per-request-in-order contract by parsing at most one pooled
-// request at a time. When the admission queue is full the request is
-// answered `BUSY` immediately (backpressure instead of unbounded queue
-// growth); a request that waited in the queue past the configured
-// deadline is answered `ERR deadline` without running. SHUTDOWN (or
-// Shutdown()) stops accepting, drains the queued work, flushes the
-// replies, and closes connections — the graceful-drain counterpart of
-// the pool's Drain().
+// One epoll event-loop thread owns every connection (non-blocking
+// sockets, partial reads and writes resumed); the work runs on a shared
+// service::ThreadPool behind a bounded admission counter (BUSY when
+// full, `ERR deadline` past the queue-wait budget), and encoded replies
+// come back through a completion queue plus an eventfd. SHUTDOWN drains
+// the admitted work, flushes, and closes. See docs/server.md §3.
 #ifndef OODB_SERVER_SERVER_H_
 #define OODB_SERVER_SERVER_H_
+
+#include <sys/types.h>
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -45,38 +37,7 @@
 #include "server/wire.h"
 #include "service/thread_pool.h"
 
-struct iovec;  // <sys/uio.h>; forward-declared to keep it out of the API
-
 namespace oodb::server {
-
-// Protocol verbs, for per-verb accounting. kOther bins unknown commands.
-enum class Verb : uint8_t {
-  kPing,
-  kLoad,
-  kState,
-  kView,
-  kUndefine,
-  kCheck,
-  kBcheck,
-  kClassify,
-  kOptimize,
-  kStats,
-  kSleep,
-  kShutdown,
-  kMetrics,
-  kTrace,
-  kHealth,   // ok/degraded summary for load balancers and smoke tests
-  kRepl,     // owner → replica: apply one logged mutation (cluster mode)
-  kForward,  // peer → owner: proxy a request for a session we don't own
-  kOther,
-  kCount,
-};
-
-inline constexpr size_t kNumVerbs = static_cast<size_t>(Verb::kCount);
-
-// "CHECK", "CLASSIFY", ... ("?" for kOther).
-const char* VerbName(Verb verb);
-Verb VerbOf(const std::string& token);
 
 struct ServerOptions {
   // TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (read it
@@ -189,11 +150,9 @@ class Server {
   // so the handoff and completion-wakeup costs amortize over the burst.
   struct PooledWork {
     uint64_t request_id = 0;
-    Verb vkind = Verb::kOther;
     std::shared_ptr<obs::TraceContext> trace;
     std::chrono::steady_clock::time_point enqueued;
-    std::vector<std::string> tokens;
-    std::string payload;
+    Request request;
   };
 
   // ---- Event-loop side (all run on loop_ only) ----
@@ -204,15 +163,19 @@ class Server {
   // Parses as many complete frames as the connection's buffers and
   // pipelining bounds allow, dispatching each.
   void ParseFrames(Connection& conn);
-  bool ParseTextFrame(Connection& conn);    // one frame; false = no progress
-  bool ParseBinaryFrame(Connection& conn);  // one frame; false = no progress
-  // Routes one decoded frame: inline verbs answered on the loop,
-  // everything else admitted onto the pool.
-  void HandleFrame(Connection& conn, uint64_t request_id,
-                   std::vector<std::string> tokens, std::string payload);
+  // Parses and handles one frame in the connection's framing; false when
+  // no progress is possible.
+  bool ParseFrame(Connection& conn);
+  // Counts one parsed request and routes it: malformed requests and the
+  // table's on_loop verbs are answered on the loop, everything else is
+  // admitted onto the pool.
+  void HandleFrame(Connection& conn, uint64_t request_id, Request request);
   // Appends an inline (loop-thread) reply to the connection's output.
   void QueueReply(Connection& conn, uint64_t request_id, const Reply& reply,
-                  Verb vkind);
+                  Verb verb);
+  // Counts one reply by kind and verb: every reply, inline or pooled,
+  // passes here exactly once.
+  void CountReply(const Reply& reply, Verb verb);
   // Submits the frames collected by the current parse pass as one pool
   // task (rolling them back with shutdown errors if the pool refuses).
   void SubmitPooled(Connection& conn);
@@ -223,8 +186,8 @@ class Server {
   void AppendOutput(Connection& conn, std::string bytes);
   // Advances the output queue past `n` written bytes.
   void ConsumeOutput(Connection& conn, size_t n);
-  // Fills `iov` (kMaxIov slots) from the queue; returns the slot count.
-  int GatherOutput(Connection& conn, iovec* iov);
+  // One gather write (sendmsg) of the queued output; returns its result.
+  ssize_t WriteSome(Connection& conn);
   void FlushOutput(Connection& conn);
   // Keeps EPOLLIN/EPOLLOUT interest in sync with buffer state.
   void UpdateInterest(Connection& conn);
@@ -249,33 +212,34 @@ class Server {
   // kReplica: a REPL apply; skip both (never re-replicate).
   enum class Route : uint8_t { kClient, kForwarded, kReplica };
 
-  Reply Dispatch(const std::vector<std::string>& tokens,
-                 const std::string& payload, obs::TraceContext* trace,
-                 Route route = Route::kClient);
+  // Runs one admitted request: FORWARD unwraps to its inner request,
+  // REPL to a replica apply, anything else goes to Execute.
+  Reply Dispatch(const Request& request, obs::TraceContext* trace);
+  // Routes one unwrapped request (ownership check, FORWARD proxy, replica
+  // reads), runs it locally, and replicates it if it mutated.
+  Reply Execute(const RequestView& request, obs::TraceContext* trace,
+                Route route);
   // The single-node dispatch body: no routing, no replication.
-  Reply DispatchLocal(const std::vector<std::string>& tokens,
-                      const std::string& payload, obs::TraceContext* trace);
+  Reply DispatchLocal(const RequestView& request, obs::TraceContext* trace);
   // REPL <seq> <verb> <session> ...: apply one replicated mutation if it
   // is next in sequence (serialized per daemon by repl_mu_).
-  Reply DispatchRepl(const std::vector<std::string>& tokens,
-                     const std::string& payload, obs::TraceContext* trace)
+  Reply DispatchRepl(const Request& request, obs::TraceContext* trace)
       EXCLUDES(repl_mu_);
-  // Proxies `tokens` to the owning node as a FORWARD frame; idempotent
+  // Stamps an incoming FORWARD/REPL envelope's route and origin on the
+  // trace.
+  void StampEnvelope(const Envelope& envelope, const char* route,
+                     obs::TraceContext* trace) const;
+  // Proxies `request` to the owning node as a FORWARD frame; idempotent
   // reads fail over to the session's replicas when the owner is down.
   // The whole proxy attempt is a kForward span on `trace`, and the peer
   // that answered is stamped into trace->peer.
-  Reply ForwardToOwner(size_t owner, const std::vector<std::string>& tokens,
-                       const std::string& payload,
+  Reply ForwardToOwner(size_t owner, const RequestView& request,
                        obs::TraceContext* trace);
   // One proxy attempt. Returns true if the peer answered (authoritative
   // reply in *reply), false on a transport fault (try another node).
   bool ForwardTo(size_t node, const std::string& line,
-                 const std::string& payload, Reply* reply);
-  Reply DispatchLoad(const std::vector<std::string>& tokens,
-                     const std::string& payload, obs::TraceContext* trace);
-  Reply DispatchState(const std::vector<std::string>& tokens,
-                      const std::string& payload, obs::TraceContext* trace);
-  Reply DispatchStats(const std::vector<std::string>& tokens);
+                 std::string_view payload, Reply* reply);
+  Reply DispatchStats(const RequestView& request);
   // The HEALTH verb body: "status=ok|degraded|draining" plus, in
   // cluster mode, the degraded criteria (down peers, replica lag).
   std::string HealthText() const;
@@ -284,7 +248,7 @@ class Server {
   // Snapshot callback: server counters + every session's metrics.
   void AppendServerMetrics(obs::Collector& out) const
       EXCLUDES(sessions_mu_);
-  std::shared_ptr<Session> FindSession(const std::string& name)
+  std::shared_ptr<Session> FindSession(std::string_view name)
       EXCLUDES(sessions_mu_);
   void RequestShutdown() EXCLUDES(stop_mu_);
   void Teardown();
@@ -318,7 +282,7 @@ class Server {
   std::map<std::string, uint64_t> replica_applied_ GUARDED_BY(repl_mu_);
 
   mutable base::Mutex sessions_mu_ ACQUIRED_BEFORE(stop_mu_);
-  std::map<std::string, std::shared_ptr<Session>> sessions_
+  std::map<std::string, std::shared_ptr<Session>, std::less<>> sessions_
       GUARDED_BY(sessions_mu_);
 
   // mutable: the metrics callback (const) samples the queue depth.
@@ -360,9 +324,8 @@ class Server {
   obs::MetricsRegistry registry_;
   obs::SlowQueryLog slow_log_;
   std::atomic<uint64_t> trace_seq_{0};
-  // Request-latency histograms by verb (registry-owned); null for verbs
-  // answered inline (PING/HEALTH/METRICS/TRACE/SHUTDOWN) and unknown
-  // commands.
+  // Request-latency histograms by verb (registry-owned); null for the
+  // verb table's on_loop verbs and for kOther.
   std::array<obs::Histogram*, kNumVerbs> latency_{};
 
   // Event-loop self-instrumentation (registry-owned; docs/observability

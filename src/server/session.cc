@@ -11,7 +11,7 @@
 namespace oodb::server {
 
 Result<std::unique_ptr<Session>> Session::FromSource(
-    const std::string& dl_source,
+    std::string_view dl_source,
     const calculus::CheckerOptions& checker_options,
     obs::TraceContext* trace) {
   // Not make_unique: the constructor is private.
@@ -50,7 +50,7 @@ Result<std::unique_ptr<Session>> Session::FromSource(
   return session;
 }
 
-Status Session::LoadState(const std::string& odb_source) {
+Status Session::LoadState(std::string_view odb_source) {
   // A fresh database invalidates every materialized extent, so the
   // catalog and optimizer are rebuilt; clients re-issue VIEW afterwards.
   auto database =
@@ -64,7 +64,7 @@ Status Session::LoadState(const std::string& odb_source) {
   return Status::Ok();
 }
 
-Result<size_t> Session::DefineView(const std::string& name) {
+Result<size_t> Session::DefineView(std::string_view name) {
   Symbol s = symbols_.Find(name);
   if (!s.valid() || model_->FindClass(s) == nullptr) {
     return NotFoundError(StrCat("no class named '", name, "'"));
@@ -86,7 +86,7 @@ Result<size_t> Session::DefineView(const std::string& name) {
   return catalog_->Find(s)->extent.size();
 }
 
-Result<std::string> Session::UndefineView(const std::string& name) {
+Result<std::string> Session::UndefineView(std::string_view name) {
   Symbol s = symbols_.Find(name);
   const dl::ClassDef* def = s.valid() ? model_->FindClass(s) : nullptr;
   if (def == nullptr || !def->is_query) {
@@ -118,7 +118,7 @@ Result<std::string> Session::UndefineView(const std::string& name) {
                 " views=", catalog_->views().size());
 }
 
-Result<ql::ConceptId> Session::ConceptOf(const std::string& name) {
+Result<ql::ConceptId> Session::ConceptOf(std::string_view name) {
   Symbol s = symbols_.Find(name);
   const dl::ClassDef* def = s.valid() ? model_->FindClass(s) : nullptr;
   if (def == nullptr) {
@@ -128,7 +128,7 @@ Result<ql::ConceptId> Session::ConceptOf(const std::string& name) {
   return translator_->QueryConcept(s);
 }
 
-Result<bool> Session::Check(const std::string& c, const std::string& d,
+Result<bool> Session::Check(std::string_view c, std::string_view d,
                             obs::TraceContext* trace) {
   ql::ConceptId cc = ql::kInvalidConcept;
   ql::ConceptId dd = ql::kInvalidConcept;
@@ -141,28 +141,28 @@ Result<bool> Session::Check(const std::string& c, const std::string& d,
   return checker_->Subsumes(cc, dd, trace);
 }
 
-Result<std::vector<bool>> Session::CheckBatch(
-    const std::vector<std::pair<std::string, std::string>>& pairs,
-    obs::TraceContext* trace) {
-  std::vector<ql::ConceptId> lhs(pairs.size());
-  std::vector<ql::ConceptId> rhs(pairs.size());
+Result<std::vector<bool>> Session::CheckBatch(Args operands,
+                                              obs::TraceContext* trace) {
+  const size_t num_pairs = operands.size() / 2;
+  std::vector<ql::ConceptId> lhs(num_pairs);
+  std::vector<ql::ConceptId> rhs(num_pairs);
   {
     obs::ScopedSpan span(trace, obs::Phase::kTranslate);
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      OODB_ASSIGN_OR_RETURN(lhs[i], ConceptOf(pairs[i].first));
-      OODB_ASSIGN_OR_RETURN(rhs[i], ConceptOf(pairs[i].second));
+    for (size_t i = 0; i < num_pairs; ++i) {
+      OODB_ASSIGN_OR_RETURN(lhs[i], ConceptOf(operands[2 * i]));
+      OODB_ASSIGN_OR_RETURN(rhs[i], ConceptOf(operands[2 * i + 1]));
     }
   }
   // Group pair indices by left operand, preserving first-seen order, so
   // each distinct C costs one SubsumesBatch call over all its Ds.
   std::unordered_map<ql::ConceptId, size_t> group_of;
   std::vector<std::pair<ql::ConceptId, std::vector<size_t>>> groups;
-  for (size_t i = 0; i < pairs.size(); ++i) {
+  for (size_t i = 0; i < num_pairs; ++i) {
     auto [it, inserted] = group_of.emplace(lhs[i], groups.size());
     if (inserted) groups.push_back({lhs[i], {}});
     groups[it->second].second.push_back(i);
   }
-  std::vector<bool> verdicts(pairs.size());
+  std::vector<bool> verdicts(num_pairs);
   for (const auto& [c, indices] : groups) {
     std::vector<ql::ConceptId> ds;
     ds.reserve(indices.size());
@@ -173,7 +173,7 @@ Result<std::vector<bool>> Session::CheckBatch(
       verdicts[indices[k]] = group_verdicts[k];
     }
   }
-  checks_.fetch_add(pairs.size(), std::memory_order_relaxed);
+  checks_.fetch_add(num_pairs, std::memory_order_relaxed);
   return verdicts;
 }
 
@@ -216,7 +216,7 @@ Result<std::string> Session::Classify(obs::TraceContext* trace) {
   return classifier_->ToString(symbols_);
 }
 
-Result<std::string> Session::Optimize(const std::string& query,
+Result<std::string> Session::Optimize(std::string_view query,
                                       obs::TraceContext* trace) {
   Symbol s = symbols_.Find(query);
   const dl::ClassDef* def = s.valid() ? model_->FindClass(s) : nullptr;

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "obs/trace.h"
 #include "ql/term_factory.h"
 #include "schema/schema.h"
+#include "server/wire.h"
 #include "views/views.h"
 
 namespace oodb::server {
@@ -41,39 +43,40 @@ class Session {
   // Parses and translates a DL source into a fresh session with an empty
   // database state. Parser warnings are collected, not printed.
   static Result<std::unique_ptr<Session>> FromSource(
-      const std::string& dl_source,
+      std::string_view dl_source,
       const calculus::CheckerOptions& checker_options,
       obs::TraceContext* trace = nullptr);
 
   // Replaces the database state from `.odb` text. Views defined against
   // the previous state are dropped (their extents are stale by
   // construction); callers re-issue VIEW after STATE.
-  Status LoadState(const std::string& odb_source) REQUIRES(mu_);
+  Status LoadState(std::string_view odb_source) REQUIRES(mu_);
 
   // Defines and materializes the named query class as a view. Returns
   // the extent size. If the resident taxonomy is built and the class was
   // previously UNDEFINEd out of it, it is re-inserted incrementally.
-  Result<size_t> DefineView(const std::string& name) REQUIRES(mu_);
+  Result<size_t> DefineView(std::string_view name) REQUIRES(mu_);
 
   // Undefines a query class: drops its materialized view (if any) and
   // removes it from the resident taxonomy via incremental DAG repair.
   // The exclusion survives STATE (the taxonomy is Σ-level, not
   // data-level) and lasts until a DEFINE re-inserts the class or a LOAD
   // replaces the session. Returns a `key=value` summary line.
-  Result<std::string> UndefineView(const std::string& name) REQUIRES(mu_);
+  Result<std::string> UndefineView(std::string_view name) REQUIRES(mu_);
 
   // C ⊑_Σ D for two named classes, through the shared warm checker.
-  Result<bool> Check(const std::string& c, const std::string& d,
+  Result<bool> Check(std::string_view c, std::string_view d,
                      obs::TraceContext* trace = nullptr)
       REQUIRES_SHARED(mu_);
 
   // Cᵢ ⊑_Σ Dᵢ for every pair, one verdict per pair in order (the BCHECK
-  // verb). Pairs sharing a left operand are grouped onto a single
-  // SubsumesBatch call — the catalog-scan fast path one completion run
-  // decides — so a query-vs-view-catalog batch costs one engine run.
-  Result<std::vector<bool>> CheckBatch(
-      const std::vector<std::pair<std::string, std::string>>& pairs,
-      obs::TraceContext* trace = nullptr) REQUIRES_SHARED(mu_);
+  // verb). `operands` holds the pairs flat: C₁ D₁ C₂ D₂ ... Pairs sharing
+  // a left operand are grouped onto a single SubsumesBatch call — the
+  // catalog-scan fast path one completion run decides — so a
+  // query-vs-view-catalog batch costs one engine run.
+  Result<std::vector<bool>> CheckBatch(Args operands,
+                                       obs::TraceContext* trace = nullptr)
+      REQUIRES_SHARED(mu_);
 
   // Classifies schema + query classes; returns the hierarchy rendering.
   // The taxonomy is RESIDENT: the first call classifies from scratch,
@@ -84,7 +87,7 @@ class Session {
 
   // Runs the optimizer's plan choice for a named query class and renders
   // the plan as `key=value` lines (see docs/server.md).
-  Result<std::string> Optimize(const std::string& query,
+  Result<std::string> Optimize(std::string_view query,
                                obs::TraceContext* trace = nullptr)
       REQUIRES_SHARED(mu_);
 
@@ -113,7 +116,7 @@ class Session {
 
   // Resolves a class name to its QL concept (query classes are
   // translated; schema classes are primitive concepts).
-  Result<ql::ConceptId> ConceptOf(const std::string& name);
+  Result<ql::ConceptId> ConceptOf(std::string_view name);
 
   // Builds the resident classifier over schema + query classes (minus
   // taxonomy exclusions) if absent.

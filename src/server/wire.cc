@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cstring>
+#include <cstdlib>
+
+#include "base/strings.h"
 
 namespace oodb::server {
 
@@ -38,16 +40,175 @@ std::string EncodeReply(const Reply& reply) {
   return std::string(kBusyLine);  // unreachable
 }
 
-std::vector<std::string> SplitTokens(std::string_view line) {
-  std::vector<std::string> tokens;
+Verb VerbOf(std::string_view token) {
+  for (const VerbInfo& info : kVerbTable) {
+    if (token == info.name) return info.verb;  // "?" is kOther's anyway
+  }
+  return Verb::kOther;
+}
+
+bool ParseSize(std::string_view token, uint64_t* out) {
+  if (token.empty()) return false;
+  const std::string text(token);  // strtoull needs a terminator
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  if (errno != 0 || end == nullptr || *end != '\0') return false;
+  *out = static_cast<uint64_t>(v);
+  return true;
+}
+
+namespace {
+
+// The optional `@<origin>:<trace>` header of a FORWARD/REPL envelope.
+bool ParseEnvelopeHeader(std::string_view token, Envelope* envelope) {
+  const size_t colon = token.find(':');
+  uint64_t origin = 0;
+  if (token.empty() || token[0] != '@' || colon == std::string_view::npos ||
+      !ParseSize(token.substr(1, colon - 1), &origin) ||
+      !ParseSize(token.substr(colon + 1), &envelope->trace_id)) {
+    return false;
+  }
+  envelope->has_header = true;
+  envelope->origin = static_cast<size_t>(origin);
+  return true;
+}
+
+bool IsSpace(char c) { return c == ' ' || c == '\t'; }
+
+}  // namespace
+
+void Request::Validate(std::string_view verb_token) {
+  verb_ = VerbOf(verb_token);
+  if (verb_ == Verb::kOther) {
+    error_ = verb_token.empty()
+                 ? "empty command"
+                 : StrCat("unknown command '", verb_token, "'");
+    return;
+  }
+  const Args args = ArgsFrom(0);
+  size_t first = 0;  // the checked request's first argument
+  const VerbInfo* info = &InfoOf(verb_);
+  if (info->envelope) {
+    if (first < args.size() && ParseEnvelopeHeader(args[first], &envelope_)) {
+      ++first;
+    }
+    if (verb_ == Verb::kRepl) {  // then <seq>, from 1
+      const bool seq = first < args.size() &&
+                       ParseSize(args[first], &envelope_.seq) &&
+                       envelope_.seq > 0;
+      first = seq ? first + 1 : args.size();
+    }
+    if (first >= args.size()) {
+      error_ = info->usage;
+      return;
+    }
+    inner_verb_ = VerbOf(args[first]);
+    const VerbInfo& inner = InfoOf(inner_verb_);
+    if (verb_ == Verb::kRepl && !inner.mutates) {
+      error_ = StrCat("REPL cannot carry '", args[first], "'");
+    } else if (inner_verb_ == Verb::kOther) {
+      error_ = StrCat("unknown command '", args[first], "'");
+    } else if (inner.envelope) {
+      error_ = StrCat("nested ", inner.name);
+    }
+    if (!ok()) return;
+    inner_at_ = static_cast<uint32_t>(++first);
+    info = &inner;
+  }
+  const size_t n = args.size() - first;
+  uint64_t nbytes = 0;
+  if (n < info->min_args || (info->max_args != kAnyArgs && n > info->max_args) ||
+      (info->pairs && (n - 1) % 2 != 0) ||
+      (info->payload && !ParseSize(args[first + 1], &nbytes))) {
+    error_ = info->usage;
+  } else if (info->pairs && (n - 1) / 2 > kMaxBatchPairs) {
+    error_ = StrCat("batch exceeds ", kMaxBatchPairs, " pairs");
+  }
+}
+
+bool ParseLine(std::string_view line, std::string_view payload, Request* out) {
+  *out = Request();
+  out->bytes_.reserve(line.size() + payload.size());
+  out->bytes_.append(line);
+  out->bytes_.append(payload);
+  out->payload_ = {static_cast<uint32_t>(line.size()),
+                   static_cast<uint32_t>(payload.size())};
+  std::string_view verb;
   size_t i = 0;
   while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    if (i > start) tokens.emplace_back(line.substr(start, i - start));
+    while (i < line.size() && IsSpace(line[i])) ++i;
+    const size_t start = i;
+    while (i < line.size() && !IsSpace(line[i])) ++i;
+    if (i == start) break;
+    if (verb.empty()) {
+      verb = line.substr(start, i - start);
+    } else {
+      out->args_.push_back({static_cast<uint32_t>(start),
+                            static_cast<uint32_t>(i - start)});
+    }
   }
-  return tokens;
+  out->Validate(verb);
+  return out->ok();
+}
+
+std::string RenderLine(const RequestView& request) {
+  std::string line = VerbName(request.verb);
+  for (size_t i = 0; i < request.args.size(); ++i) {
+    line += ' ';
+    line += request.args[i];
+  }
+  return line;
+}
+
+ParseStatus ParseTextRequest(std::string_view buf, size_t max_payload,
+                             size_t* consumed, Request* out,
+                             std::string* error) {
+  *out = Request();
+  size_t start = 0;
+  size_t nl = 0;
+  for (;;) {  // skip blank lines
+    nl = buf.find('\n', start);
+    const size_t len = (nl == std::string_view::npos ? buf.size() : nl) - start;
+    if (len > kMaxTextLine) {
+      // No reply can be framed for a line we never finish reading.
+      *error = StrCat("command line exceeds ", kMaxTextLine, " bytes");
+      return ParseStatus::kBad;
+    }
+    if (nl == std::string_view::npos) return ParseStatus::kNeedMore;
+    if (buf.substr(start, len).find_first_not_of(" \t") != buf.npos) break;
+    start = nl + 1;
+  }
+  size_t frame_len = nl + 1;
+  ParseLine(buf.substr(start, nl - start), {}, out);
+  const RequestView target =
+      InfoOf(out->verb()).envelope ? out->inner() : out->view();
+  if (out->ok() && target.info().payload) {
+    // The payload-carrying verbs, bare or wrapped in FORWARD/REPL, end
+    // their line with the byte count; the payload plus one terminating
+    // '\n' follows.
+    uint64_t nbytes = 0;
+    ParseSize(target.args[target.args.size() - 1], &nbytes);
+    if (nbytes > max_payload) {
+      // The payload cannot be admitted: reply, then close (the unread
+      // bytes make the stream unrecoverable).
+      out->error_ = StrCat("payload exceeds ", max_payload, " bytes");
+      *error = out->error_;
+      return ParseStatus::kBad;
+    }
+    if (buf.size() - frame_len < nbytes + 1) return ParseStatus::kNeedMore;
+    if (buf[frame_len + nbytes] != '\n') {
+      *out = Request();
+      *error = "payload is not terminated by a newline";
+      return ParseStatus::kBad;
+    }
+    out->payload_ = {static_cast<uint32_t>(out->bytes_.size()),
+                     static_cast<uint32_t>(nbytes)};
+    out->bytes_.append(buf.substr(frame_len, nbytes));
+    frame_len += nbytes + 1;
+  }
+  *consumed = frame_len;
+  return ParseStatus::kFrame;
 }
 
 std::string SanitizeLine(std::string_view text) {
@@ -104,16 +265,18 @@ void AppendStr16(std::string* out, std::string_view s) {
   out->append(s);
 }
 
-// Reads a u16-prefixed string out of body[*pos..); false on overrun.
-bool GetStr16(std::string_view body, size_t* pos, std::string* out) {
+// Reads a u16-prefixed string out of body[*pos..): *span locates its
+// bytes within body. False on overrun.
+bool GetSpan16(std::string_view body, size_t* pos, ArgSpan* span) {
   if (body.size() - *pos < 2) return false;
   const uint16_t n = GetU16(body.data() + *pos);
   *pos += 2;
   if (body.size() - *pos < n) return false;
-  out->assign(body.data() + *pos, n);
+  *span = {static_cast<uint32_t>(*pos), n};
   *pos += n;
   return true;
 }
+
 
 // Stamps the frame header (everything after the length prefix is already
 // in `frame`) and returns the finished wire bytes.
@@ -221,67 +384,69 @@ ParseStatus ParseHeader(std::string_view buf, size_t* consumed, uint64_t* id,
 ParseStatus ParseBinaryRequest(std::string_view buf, size_t* consumed,
                                BinaryRequest* out, std::string* error) {
   out->id = 0;
+  Request& req = out->request;
+  req = Request();
   std::string_view body;
   ParseStatus st = ParseHeader(buf, consumed, &out->id, &body, error);
+  if (st == ParseStatus::kBad) req.error_ = *error;
   if (st != ParseStatus::kFrame) return st;
   const auto op = static_cast<Opcode>(buf[12]);
-  out->op = op;
-  out->tokens.clear();
-  out->payload.clear();
   size_t pos = 0;
   switch (op) {
     case Opcode::kLine: {
-      std::string line;
-      if (!GetStr16(body, &pos, &line)) break;
-      if (body.size() - pos < 4) break;
+      ArgSpan line;
+      if (!GetSpan16(body, &pos, &line) || body.size() - pos < 4) break;
       const uint32_t payload_len = GetU32(body.data() + pos);
       pos += 4;
       if (body.size() - pos != payload_len) break;
-      out->payload.assign(body.data() + pos, payload_len);
-      out->tokens = SplitTokens(line);
+      ParseLine(body.substr(line.offset, line.size), body.substr(pos), &req);
       return ParseStatus::kFrame;
     }
-    case Opcode::kCheck: {
-      std::string session, c, d;
-      if (!GetStr16(body, &pos, &session) || !GetStr16(body, &pos, &c) ||
-          !GetStr16(body, &pos, &d) || pos != body.size()) {
-        break;
-      }
-      out->tokens = {"CHECK", std::move(session), std::move(c), std::move(d)};
-      return ParseStatus::kFrame;
-    }
+    case Opcode::kCheck:
     case Opcode::kBatchCheck: {
-      std::string session;
-      if (!GetStr16(body, &pos, &session)) break;
-      if (body.size() - pos < 4) break;
-      const uint32_t count = GetU32(body.data() + pos);
-      pos += 4;
-      if (count > kMaxBatchPairs) {
-        *error = "batch of " + std::to_string(count) + " pairs exceeds " +
-                 std::to_string(kMaxBatchPairs);
-        return ParseStatus::kBad;
+      // The operands are spans into a copy of the body, just past their
+      // u16 length prefixes.
+      ArgSpan session;
+      if (!GetSpan16(body, &pos, &session)) break;
+      uint32_t pairs = 1;
+      if (op == Opcode::kBatchCheck) {
+        if (body.size() - pos < 4) break;
+        pairs = GetU32(body.data() + pos);
+        pos += 4;
+        if (pairs > kMaxBatchPairs) {
+          *error = "batch of " + std::to_string(pairs) + " pairs exceeds " +
+                   std::to_string(kMaxBatchPairs);
+          req.error_ = *error;
+          return ParseStatus::kBad;
+        }
+        if (pairs > (body.size() - pos) / 4) break;  // 4 bytes per pair min
       }
-      out->tokens.reserve(2 + 2 * count);
-      out->tokens.push_back("BCHECK");
-      out->tokens.push_back(std::move(session));
+      req.args_.reserve(1 + 2 * size_t{pairs});
+      req.args_.push_back(session);
       bool ok = true;
-      for (uint32_t i = 0; i < count && ok; ++i) {
-        std::string c, d;
-        ok = GetStr16(body, &pos, &c) && GetStr16(body, &pos, &d);
+      for (uint32_t i = 0; i < pairs && ok; ++i) {
+        ArgSpan c;
+        ArgSpan d;
+        ok = GetSpan16(body, &pos, &c) && GetSpan16(body, &pos, &d);
         if (ok) {
-          out->tokens.push_back(std::move(c));
-          out->tokens.push_back(std::move(d));
+          req.args_.push_back(c);
+          req.args_.push_back(d);
         }
       }
       if (!ok || pos != body.size()) break;
+      req.bytes_.assign(body);
+      req.verb_ = op == Opcode::kCheck ? Verb::kCheck : Verb::kBcheck;
       return ParseStatus::kFrame;
     }
     default:
       *error = "unknown opcode " + std::to_string(buf[12]);
+      req.error_ = *error;
       return ParseStatus::kBad;
   }
   *error = "truncated or overlong frame body (opcode " +
            std::to_string(static_cast<int>(op)) + ")";
+  req = Request();
+  req.error_ = *error;
   return ParseStatus::kBad;
 }
 
@@ -294,25 +459,17 @@ ParseStatus ParseBinaryReply(std::string_view buf, size_t* consumed,
   const auto status = static_cast<BinaryStatus>(buf[12]);
   size_t pos = 0;
   switch (status) {
-    case BinaryStatus::kOk: {
-      if (body.size() < 4) break;
-      const uint32_t n = GetU32(body.data());
-      pos = 4;
-      if (body.size() - pos != n) break;
-      out->reply.kind = Reply::Kind::kOk;
-      out->reply.code.clear();
-      out->reply.payload.assign(body.data() + pos, n);
-      return ParseStatus::kFrame;
-    }
-    case BinaryStatus::kErr: {
-      std::string code;
-      if (!GetStr16(body, &pos, &code)) break;
+    case BinaryStatus::kOk:
+    case BinaryStatus::kErr: {  // [str16 code] + u32 length + payload
+      const bool ok = status == BinaryStatus::kOk;
+      ArgSpan code;
+      if (!ok && !GetSpan16(body, &pos, &code)) break;
       if (body.size() - pos < 4) break;
       const uint32_t n = GetU32(body.data() + pos);
       pos += 4;
       if (body.size() - pos != n) break;
-      out->reply.kind = Reply::Kind::kErr;
-      out->reply.code = std::move(code);
+      out->reply.kind = ok ? Reply::Kind::kOk : Reply::Kind::kErr;
+      out->reply.code.assign(body.substr(code.offset, code.size));
       out->reply.payload.assign(body.data() + pos, n);
       return ParseStatus::kFrame;
     }

@@ -133,15 +133,18 @@ TEST(Cluster, BackoffDelaysStayInTheJitteredEnvelopeAndCap) {
 }
 
 TEST(Cluster, OnlyReadVerbsAreIdempotent) {
+  const auto idempotent = [](const char* verb) {
+    return server::InfoOf(server::VerbOf(verb)).idempotent;
+  };
   // Retried across nodes / served by replicas:
   for (const char* verb :
        {"CHECK", "BCHECK", "CLASSIFY", "STATS", "PING", "METRICS", "TRACE"}) {
-    EXPECT_TRUE(IsIdempotentVerb(verb)) << verb;
+    EXPECT_TRUE(idempotent(verb)) << verb;
   }
   // Never replayed blindly:
   for (const char* verb : {"LOAD", "STATE", "VIEW", "UNDEFINE", "OPTIMIZE",
                            "SHUTDOWN", "SLEEP", "REPL", "FORWARD", "check"}) {
-    EXPECT_FALSE(IsIdempotentVerb(verb)) << verb;
+    EXPECT_FALSE(idempotent(verb)) << verb;
   }
 }
 
@@ -484,9 +487,11 @@ TEST(Cluster, ReplicatorLagArithmeticAcrossDupGapResync) {
 
   // Two unflushed mutations: lag counts entries, max == sum with one
   // replica slot.
-  repl.Record(session, StrCat("LOAD ", session, " ", source.size()),
+  repl.Record(session, server::Verb::kLoad,
+              StrCat("LOAD ", session, " ", source.size()),
               source);
-  repl.Record(session, StrCat("VIEW ", session, " Q0"), "");
+  repl.Record(session, server::Verb::kView, StrCat("VIEW ", session, " Q0"),
+              "");
   Replicator::Stats s = repl.stats();
   EXPECT_EQ(s.recorded, 2u);
   EXPECT_EQ(s.max_lag, 2u);
@@ -503,7 +508,8 @@ TEST(Cluster, ReplicatorLagArithmeticAcrossDupGapResync) {
   // answers dup=true, which still advances the cursor — no failure, no
   // residual lag.
   Replicator fresh(config, ring, &pool);
-  fresh.Record(session, StrCat("LOAD ", session, " ", source.size()),
+  fresh.Record(session, server::Verb::kLoad,
+               StrCat("LOAD ", session, " ", source.size()),
                source);
   fresh.Flush(session);
   const Replicator::Stats fs = fresh.stats();
@@ -519,7 +525,8 @@ TEST(Cluster, ReplicatorLagArithmeticAcrossDupGapResync) {
   fleet->servers[1].reset();
   fleet->servers[1] = Fleet::StartNode(fleet->config, 1, 100);
   ASSERT_NE(fleet->servers[1], nullptr);
-  repl.Record(session, StrCat("VIEW ", session, " Q1"), "");
+  repl.Record(session, server::Verb::kView, StrCat("VIEW ", session, " Q1"),
+              "");
   for (int i = 0; i < 5 && repl.stats().resyncs == 0; ++i) {
     repl.Flush(session);
   }
@@ -592,6 +599,59 @@ TEST(Cluster, HealthVerbReportsDegradationAndPeerDeadlinesFire) {
             0.0);
   EXPECT_EQ(obs::SampleValue(*samples, "oodb_cluster_repl_lag_max"), 1.0);
   EXPECT_EQ(obs::SampleValue(*samples, "oodb_cluster_repl_lag_sum"), 1.0);
+  fleet->ShutdownAll();
+}
+
+// The inner line of a FORWARD envelope is checked like a bare one: a
+// wrapped LOAD/STATE with no session once crashed the node (SIGSEGV).
+TEST(Cluster, ForwardedLoadOrStateWithoutASessionIsAnErrNotACrash) {
+  auto fleet = Fleet::Start(2, 1);
+  ASSERT_NE(fleet, nullptr);
+  server::Client client = MustConnect(fleet->config.nodes[0].port);
+  ASSERT_TRUE(client.SetDeadline(5000).ok());
+  for (const char* line : {"FORWARD LOAD", "FORWARD @0:1 STATE"}) {
+    auto reply = client.Roundtrip(line);
+    ASSERT_FALSE(reply.ok()) << line;
+    EXPECT_EQ(reply.status().message().rfind("proto: ", 0), 0u)
+        << reply.status();
+    EXPECT_TRUE(client.Ping().ok()) << line;
+  }
+  fleet->ShutdownAll();
+}
+
+// Every verb but SHUTDOWN (plus an unknown one) with 0 to 5 arguments,
+// bare, inside FORWARD and inside REPL, over both framings of a 2-node
+// fleet: each request gets exactly one reply and both nodes stay up.
+TEST(Cluster, EveryVerbAtEveryArityGetsExactlyOneReplyInAFleet) {
+  auto fleet = Fleet::Start(2, 1);
+  ASSERT_NE(fleet, nullptr);
+  server::Client text = MustConnect(fleet->config.nodes[0].port);
+  server::Client binary = MustConnect(fleet->config.nodes[1].port);
+  ASSERT_TRUE(text.SetDeadline(5000).ok());
+  ASSERT_TRUE(binary.SetDeadline(5000).ok());
+  ASSERT_TRUE(binary.EnableBinary().ok());
+  for (const server::VerbInfo& info : server::kVerbTable) {
+    if (info.verb == server::Verb::kShutdown) continue;
+    std::string line = info.verb == server::Verb::kOther ? "FROB" : info.name;
+    for (int n = 0; n <= 5; ++n) {
+      for (const std::string& wrapped :
+           {line, "FORWARD " + line, "REPL 1 " + line}) {
+        for (server::Client* client : {&text, &binary}) {
+          auto reply = client->Roundtrip(wrapped);
+          EXPECT_NE(reply.status().code(), StatusCode::kInternal)
+              << wrapped << ": " << reply.status();
+          auto pong = client->Roundtrip("PING");
+          ASSERT_TRUE(pong.ok()) << wrapped << ": " << pong.status();
+          EXPECT_EQ(*pong, "pong") << wrapped;
+        }
+      }
+      line += StrCat(" x", n);
+    }
+  }
+  for (const auto& server : fleet->servers) {
+    const server::ServerStats stats = server->stats();
+    EXPECT_EQ(stats.ok + stats.errors + stats.busy, stats.requests);
+  }
   fleet->ShutdownAll();
 }
 

@@ -7,7 +7,9 @@
 #   4. it fails when BENCH_cluster.json drops a field bench_cluster.cc
 #      emits (schema drift between artifact and source);
 #   5. it fails when a cluster/loop metric emitted in code loses its
-#      docs/observability.md row.
+#      docs/observability.md row;
+#   6. it fails when a verb's on_loop flag in the verb table no longer
+#      matches the inline verbs docs/server.md lists.
 #
 # usage: lint_consistency_test.sh <repo_root>
 set -eu
@@ -22,7 +24,7 @@ python3 "$LINTER" --root "$ROOT"
 
 # Build a minimal tree copy holding exactly the files the linter reads.
 mkdir -p "$TMP/src/server" "$TMP/docs" "$TMP/tests" "$TMP/bench"
-cp "$ROOT/src/server/server.h" "$ROOT/src/server/server.cc" "$TMP/src/server/"
+cp "$ROOT/src/server/wire.h" "$ROOT/src/server/server.cc" "$TMP/src/server/"
 cp "$ROOT/docs/server.md" "$ROOT/docs/observability.md" "$TMP/docs/"
 cp "$ROOT/tests/server_test.cc" "$ROOT/tests/cluster_test.cc" "$TMP/tests/"
 cp "$ROOT/bench/CMakeLists.txt" "$TMP/bench/"
@@ -65,6 +67,19 @@ grep -v 'oodb_cluster_repl_lag_max' "$ROOT/docs/observability.md" \
   > "$TMP/docs/observability.md"
 if python3 "$LINTER" --root "$TMP" 2>/dev/null; then
   echo "FAIL: linter passed with oodb_cluster_repl_lag_max undocumented" >&2
+  exit 1
+fi
+cp "$ROOT/docs/observability.md" "$TMP/docs/"
+
+# 6. HEALTH moved off the loop in the verb table must fail.
+sed 's/{Verb::kHealth, "HEALTH", true,/{Verb::kHealth, "HEALTH", false,/' \
+  "$ROOT/src/server/wire.h" > "$TMP/src/server/wire.h"
+if cmp -s "$ROOT/src/server/wire.h" "$TMP/src/server/wire.h"; then
+  echo "FAIL: could not edit the HEALTH row of kVerbTable" >&2
+  exit 1
+fi
+if python3 "$LINTER" --root "$TMP" 2>/dev/null; then
+  echo "FAIL: linter passed with HEALTH's on_loop flag flipped" >&2
   exit 1
 fi
 

@@ -1140,6 +1140,127 @@ TEST(Server, MalformedBinaryFramesGetAnAddressedErrThenClose) {
   server.Shutdown();
 }
 
+// A LINE frame carries a text command line, so it must be checked like
+// one: LOAD/STATE with no session once crashed the daemon (SIGSEGV).
+TEST(Server, BinaryLoadOrStateWithoutASessionIsAnErrNotACrash) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Client client = MustConnect(*port);
+  ASSERT_TRUE(client.SetDeadline(5000).ok());
+  ASSERT_TRUE(client.EnableBinary().ok());
+  for (const char* line : {"LOAD", "STATE"}) {
+    auto reply = client.Roundtrip(line);
+    ASSERT_FALSE(reply.ok()) << line;
+    EXPECT_EQ(reply.status().code(), StatusCode::kFailedPrecondition)
+        << reply.status();
+    EXPECT_EQ(reply.status().message().rfind("proto: usage: ", 0), 0u)
+        << reply.status();
+    EXPECT_TRUE(client.Ping().ok()) << line;
+  }
+  server.Shutdown();
+}
+
+// Every verb but SHUTDOWN (plus an unknown one) with 0 to 5 arguments.
+std::vector<std::string> ArityLines() {
+  std::vector<std::string> lines;
+  for (const VerbInfo& info : kVerbTable) {
+    if (info.verb == Verb::kShutdown) continue;
+    std::string line = info.verb == Verb::kOther ? "FROB" : info.name;
+    for (int n = 0; n <= 5; ++n) {
+      lines.push_back(line);
+      line += StrCat(" x", n);
+    }
+  }
+  return lines;
+}
+
+TEST(Server, EveryVerbAtEveryArityGetsExactlyOneReply) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Client text = MustConnect(*port);
+  Client binary = MustConnect(*port);
+  ASSERT_TRUE(text.SetDeadline(5000).ok());
+  ASSERT_TRUE(binary.SetDeadline(5000).ok());
+  ASSERT_TRUE(binary.EnableBinary().ok());
+  for (const std::string& line : ArityLines()) {
+    for (Client* client : {&text, &binary}) {
+      // A reply of any kind, then the next request is answered in turn:
+      // a missing reply times out, an extra one answers the PING.
+      auto reply = client->Roundtrip(line);
+      EXPECT_NE(reply.status().code(), StatusCode::kInternal)
+          << line << ": " << reply.status();
+      auto pong = client->Roundtrip("PING");
+      ASSERT_TRUE(pong.ok()) << line << ": " << pong.status();
+      EXPECT_EQ(*pong, "pong") << line;
+    }
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.ok + stats.errors + stats.busy, stats.requests);
+  server.Shutdown();
+}
+
+// Writes a depth-64 pipeline of BCHECK frames 7 bytes at a time, so the
+// connection's input buffer keeps growing and compacting while earlier
+// requests run on the workers. Every verdict must match the checker.
+TEST(Server, BatchFramesDribbledInSevenByteSlicesMatchTheChecker) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Rng rng(77);
+  gen::DlGenOptions options;
+  options.num_classes = 7;
+  options.num_attrs = 4;
+  options.num_queries = 8;
+  gen::GeneratedDl dl = gen::GenerateDlSource(rng, options);
+  auto ref = Reference::FromSource(dl.source);
+  ASSERT_NE(ref, nullptr);
+  {
+    Client client = MustConnect(*port);
+    ASSERT_TRUE(client.Load("drip", dl.source).ok());
+  }
+  std::vector<std::pair<std::string, std::string>> all;
+  for (const std::string& c : dl.query_names) {
+    for (const std::string& d : dl.query_names) all.emplace_back(c, d);
+    for (size_t i = 0; i < 4 && i < dl.class_names.size(); ++i) {
+      all.emplace_back(c, dl.class_names[i]);
+    }
+  }
+  constexpr size_t kDepth = 64;
+  std::string wire;
+  std::vector<std::vector<std::pair<std::string, std::string>>> batches;
+  for (size_t i = 0; i < kDepth; ++i) {
+    std::vector<std::pair<std::string, std::string>> batch;
+    for (size_t k = 0; k < 12; ++k) {
+      batch.push_back(all[(i * 12 + k) % all.size()]);
+    }
+    wire += EncodeBinaryBatchCheckRequest(i + 1, "drip", batch);
+    batches.push_back(std::move(batch));
+  }
+  RawBinaryConn conn = RawBinaryConn::Open(*port);
+  for (size_t at = 0; at < wire.size(); at += 7) {
+    ASSERT_TRUE(WriteFully(conn.fd, std::string_view(wire).substr(at, 7)));
+  }
+  for (size_t n = 0; n < kDepth; ++n) {
+    auto reply = conn.ReadReply();
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    ASSERT_GE(reply->id, 1u);
+    ASSERT_LE(reply->id, kDepth);
+    ASSERT_EQ(reply->reply.kind, Reply::Kind::kOk) << reply->reply.payload;
+    auto verdicts = ParseBatchVerdicts(reply->reply.payload, 12);
+    ASSERT_TRUE(verdicts.ok()) << verdicts.status();
+    const auto& batch = batches[reply->id - 1];
+    for (size_t k = 0; k < batch.size(); ++k) {
+      auto want = ref->Check(batch[k].first, batch[k].second);
+      ASSERT_TRUE(want.ok()) << want.status();
+      EXPECT_EQ((*verdicts)[k], *want)
+          << batch[k].first << " vs " << batch[k].second;
+    }
+  }
+  server.Shutdown();
+}
+
 TEST(Server, ManyConcurrentConnectionsStayResponsive) {
   Server server;
   auto port = server.Start();

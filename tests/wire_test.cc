@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "base/strings.h"
 #include "server/client.h"
 
 #include <string>
@@ -24,6 +25,15 @@ namespace {
 
 using Pairs = std::vector<std::pair<std::string, std::string>>;
 
+// A request as plain values: the verb's wire name then every argument.
+std::vector<std::string> Tokens(const RequestView& request) {
+  std::vector<std::string> tokens{VerbName(request.verb)};
+  for (size_t i = 0; i < request.args.size(); ++i) {
+    tokens.emplace_back(request.args[i]);
+  }
+  return tokens;
+}
+
 TEST(Wire, BinaryCheckRequestRoundtrips) {
   const std::string wire =
       EncodeBinaryCheckRequest(0xdeadbeefcafe1234ull, "sess", "QClass", "VTop");
@@ -35,10 +45,10 @@ TEST(Wire, BinaryCheckRequestRoundtrips) {
       << error;
   EXPECT_EQ(consumed, wire.size());
   EXPECT_EQ(req.id, 0xdeadbeefcafe1234ull);
-  EXPECT_EQ(req.op, Opcode::kCheck);
-  EXPECT_EQ(req.tokens,
+  EXPECT_EQ(req.request.verb(), Verb::kCheck);
+  EXPECT_EQ(Tokens(req.request.view()),
             (std::vector<std::string>{"CHECK", "sess", "QClass", "VTop"}));
-  EXPECT_TRUE(req.payload.empty());
+  EXPECT_TRUE(req.request.payload().empty());
 }
 
 TEST(Wire, BinaryLineRequestCarriesPayloadAndSplitsTokens) {
@@ -51,9 +61,9 @@ TEST(Wire, BinaryLineRequestCarriesPayloadAndSplitsTokens) {
             ParseStatus::kFrame)
       << error;
   EXPECT_EQ(req.id, 7u);
-  EXPECT_EQ(req.tokens,
+  EXPECT_EQ(Tokens(req.request.view()),
             (std::vector<std::string>{"LOAD", "demo", "11"}));
-  EXPECT_EQ(req.payload, "class A end");
+  EXPECT_EQ(req.request.payload(), "class A end");
 }
 
 TEST(Wire, BinaryBatchCheckRequestRoundtrips) {
@@ -66,9 +76,10 @@ TEST(Wire, BinaryBatchCheckRequestRoundtrips) {
             ParseStatus::kFrame)
       << error;
   EXPECT_EQ(req.id, 42u);
-  EXPECT_EQ(req.op, Opcode::kBatchCheck);
-  EXPECT_EQ(req.tokens, (std::vector<std::string>{"BCHECK", "s", "A", "B",
-                                                  "C", "D", "A", "D"}));
+  EXPECT_EQ(req.request.verb(), Verb::kBcheck);
+  EXPECT_EQ(Tokens(req.request.view()),
+            (std::vector<std::string>{"BCHECK", "s", "A", "B", "C", "D", "A",
+                                      "D"}));
 }
 
 TEST(Wire, ZeroLengthBatchIsAValidFrame) {
@@ -79,7 +90,8 @@ TEST(Wire, ZeroLengthBatchIsAValidFrame) {
   ASSERT_EQ(ParseBinaryRequest(wire, &consumed, &req, &error),
             ParseStatus::kFrame)
       << error;
-  EXPECT_EQ(req.tokens, (std::vector<std::string>{"BCHECK", "s"}));
+  EXPECT_EQ(Tokens(req.request.view()),
+            (std::vector<std::string>{"BCHECK", "s"}));
 }
 
 TEST(Wire, EveryProperPrefixNeedsMoreAndConsumedAdvancesFrameExactly) {
@@ -197,6 +209,237 @@ TEST(Wire, BatchCountAboveTheCapIsRejected) {
   EXPECT_EQ(ParseBinaryRequest(wire, &consumed, &req, &error),
             ParseStatus::kBad);
   EXPECT_NE(error.find("exceeds"), std::string::npos) << error;
+}
+
+// ---- The verb table and the text framing ----------------------------------
+
+// Everything a request carries, as one comparable string.
+std::string Describe(const Request& req) {
+  std::string out = StrCat(StrJoin(Tokens(req.view()), " "),
+                           "|payload=", req.payload(), "|error=", req.error());
+  if (InfoOf(req.verb()).envelope && req.ok()) {
+    const Envelope& e = req.envelope();
+    out += StrCat("|header=", e.has_header, " origin=", e.origin,
+                  " trace=", e.trace_id, " seq=", e.seq,
+                  "|inner=", StrJoin(Tokens(req.inner()), " "));
+  }
+  return out;
+}
+
+// Parses `wire` as one text-framed request with a 64-byte payload cap.
+ParseStatus ParseText(std::string_view wire, Request* req,
+                      size_t* consumed = nullptr) {
+  size_t used = 0;
+  std::string error;
+  const ParseStatus status = ParseTextRequest(wire, 64, &used, req, &error);
+  if (consumed != nullptr) *consumed = used;
+  return status;
+}
+
+TEST(Wire, VerbNamesRoundTripThroughTheTable) {
+  for (const VerbInfo& info : kVerbTable) {
+    if (info.verb == Verb::kOther) continue;
+    EXPECT_EQ(VerbOf(VerbName(info.verb)), info.verb) << info.name;
+  }
+  EXPECT_EQ(VerbOf("FROBNICATE"), Verb::kOther);
+  EXPECT_EQ(VerbOf("check"), Verb::kOther);  // verbs are case-sensitive
+  EXPECT_EQ(VerbOf("?"), Verb::kOther);
+  EXPECT_EQ(VerbOf(""), Verb::kOther);
+  EXPECT_STREQ(VerbName(Verb::kOther), "?");
+}
+
+TEST(Wire, TextLoadCarriesItsPayload) {
+  const std::string frame = "LOAD demo 11\nclass A end\n";
+  const std::string wire = frame + "PING\n";
+  Request req;
+  size_t consumed = 0;
+  ASSERT_EQ(ParseText(wire, &req, &consumed), ParseStatus::kFrame);
+  EXPECT_TRUE(req.ok()) << req.error();
+  EXPECT_EQ(Tokens(req.view()),
+            (std::vector<std::string>{"LOAD", "demo", "11"}));
+  EXPECT_EQ(req.payload(), "class A end");
+  EXPECT_EQ(consumed, frame.size());
+  for (size_t n = 0; n < frame.size(); ++n) {
+    EXPECT_EQ(ParseText(std::string_view(wire).substr(0, n), &req),
+              ParseStatus::kNeedMore)
+        << "prefix of " << n << " bytes";
+  }
+}
+
+TEST(Wire, TextPayloadVerbWithoutAByteCountIsAnsweredAndSkipped) {
+  // ERR and keep the connection: only the line is consumed.
+  for (const char* line :
+       {"LOAD", "LOAD demo", "LOAD demo x11", "LOAD demo -", "STATE demo 1 2"}) {
+    const std::string wire = std::string(line) + "\nPING\n";
+    Request req;
+    size_t consumed = 0;
+    ASSERT_EQ(ParseText(wire, &req, &consumed), ParseStatus::kFrame) << line;
+    EXPECT_FALSE(req.ok()) << line;
+    EXPECT_EQ(req.error(), InfoOf(req.verb()).usage) << line;
+    EXPECT_EQ(consumed, std::string(line).size() + 1) << line;
+  }
+}
+
+TEST(Wire, TextPayloadOverTheCapIsAnsweredThenCloses) {
+  Request req;
+  EXPECT_EQ(ParseText("LOAD demo 65\n", &req), ParseStatus::kBad);
+  EXPECT_EQ(req.verb(), Verb::kLoad);
+  EXPECT_EQ(req.error(), "payload exceeds 64 bytes");
+  // Wrapped, the reply is owed under the envelope's verb.
+  EXPECT_EQ(ParseText("FORWARD STATE demo 999\n", &req), ParseStatus::kBad);
+  EXPECT_EQ(req.verb(), Verb::kForward);
+  EXPECT_FALSE(req.ok());
+}
+
+TEST(Wire, TextPayloadWithoutItsTerminatorClosesSilently) {
+  Request req;
+  EXPECT_EQ(ParseText("LOAD demo 3\nabcX", &req), ParseStatus::kBad);
+  EXPECT_TRUE(req.ok());  // no reply is owed
+}
+
+TEST(Wire, OverlongTextLineClosesSilently) {
+  Request req;
+  const std::string line(kMaxTextLine + 1, 'A');
+  EXPECT_EQ(ParseText(line, &req), ParseStatus::kBad);
+  EXPECT_TRUE(req.ok());
+  EXPECT_EQ(ParseText(line + "\n", &req), ParseStatus::kBad);
+  EXPECT_TRUE(req.ok());
+  // At the cap the line may still end.
+  EXPECT_EQ(ParseText(std::string(kMaxTextLine, 'A'), &req),
+            ParseStatus::kNeedMore);
+}
+
+TEST(Wire, BlankTextLinesAreSkipped) {
+  const std::string wire = "\n \t\nPING\n";
+  Request req;
+  size_t consumed = 0;
+  ASSERT_EQ(ParseText(wire, &req, &consumed), ParseStatus::kFrame);
+  EXPECT_EQ(req.verb(), Verb::kPing);
+  EXPECT_EQ(consumed, wire.size());
+  EXPECT_EQ(ParseText("\n\n", &req), ParseStatus::kNeedMore);
+}
+
+TEST(Wire, EnvelopesUnwrapWithAndWithoutAHeader) {
+  Request req;
+  ASSERT_EQ(ParseText("FORWARD CHECK s A B\n", &req), ParseStatus::kFrame);
+  EXPECT_EQ(Describe(req),
+            "FORWARD CHECK s A B|payload=|error=|header=false origin=0 "
+            "trace=0 seq=0|inner=CHECK s A B");
+  ASSERT_EQ(ParseText("FORWARD @2:77 CHECK s A B\n", &req),
+            ParseStatus::kFrame);
+  EXPECT_EQ(Describe(req),
+            "FORWARD @2:77 CHECK s A B|payload=|error=|header=true origin=2 "
+            "trace=77 seq=0|inner=CHECK s A B");
+  ASSERT_EQ(ParseText("REPL 5 VIEW s Q\n", &req), ParseStatus::kFrame);
+  EXPECT_EQ(Describe(req),
+            "REPL 5 VIEW s Q|payload=|error=|header=false origin=0 trace=0 "
+            "seq=5|inner=VIEW s Q");
+  // A wrapped LOAD/STATE frames its payload exactly like the bare line.
+  ASSERT_EQ(ParseText("REPL @0:9 3 LOAD s 4\nabcd\n", &req),
+            ParseStatus::kFrame);
+  EXPECT_EQ(Describe(req),
+            "REPL @0:9 3 LOAD s 4|payload=abcd|error=|header=true origin=0 "
+            "trace=9 seq=3|inner=LOAD s 4");
+
+  // Malformed envelopes: ERR, and the connection stays usable.
+  const std::pair<const char*, const char*> bad[] = {
+      {"FORWARD", "usage: FORWARD [@o:t] <verb> ..."},
+      {"FORWARD @0:1", "usage: FORWARD [@o:t] <verb> ..."},
+      {"FORWARD LOAD", "usage: LOAD <session> <nbytes>"},
+      {"FORWARD @0:1 STATE", "usage: STATE <session> <nbytes>"},
+      {"FORWARD CHECK s A", "usage: CHECK <session> <C> <D>"},
+      {"FORWARD FORWARD CHECK s A B", "nested FORWARD"},
+      {"FORWARD FROB x", "unknown command 'FROB'"},
+      {"REPL VIEW s Q", "usage: REPL [@o:t] <seq> <verb> <session> ..."},
+      {"REPL 0 VIEW s Q", "usage: REPL [@o:t] <seq> <verb> <session> ..."},
+      {"REPL 1", "usage: REPL [@o:t] <seq> <verb> <session> ..."},
+      {"REPL 1 CHECK s A B", "REPL cannot carry 'CHECK'"},
+      {"REPL @0:1 2 VIEW s", "usage: VIEW <session> <query-class>"},
+  };
+  for (const auto& [line, error] : bad) {
+    ASSERT_EQ(ParseText(std::string(line) + "\n", &req), ParseStatus::kFrame)
+        << line;
+    EXPECT_EQ(req.error(), error) << line;
+  }
+}
+
+TEST(Wire, EveryVerbParsesAlikeFromTextAndBinaryLine) {
+  std::vector<std::pair<std::string, std::string>> cases = {
+      {"LOAD s 3", "abc"},
+      {"STATE s 1", "x"},
+      {"FORWARD @1:2 LOAD s 3", "abc"},
+      {"REPL 4 STATE s 3", "abc"},
+      {"", ""},
+  };
+  for (const VerbInfo& info : kVerbTable) {
+    std::string line = info.verb == Verb::kOther ? "FROB" : info.name;
+    for (size_t n = 0; n <= 5; ++n) {
+      cases.emplace_back(line, "");
+      line += StrCat(" x", n);
+    }
+  }
+  for (const auto& [line, payload] : cases) {
+    const std::string text =
+        line + "\n" + (payload.empty() ? "" : payload + "\n");
+    Request from_text;
+    const ParseStatus status = ParseText(text, &from_text);
+    if (line.empty()) {
+      // A blank text line is skipped; an empty LINE frame is malformed.
+      EXPECT_EQ(status, ParseStatus::kNeedMore);
+    } else {
+      ASSERT_EQ(status, ParseStatus::kFrame) << line;
+    }
+    const std::string wire = EncodeBinaryLineRequest(9, line, payload);
+    size_t consumed = 0;
+    BinaryRequest from_binary;
+    std::string error;
+    ASSERT_EQ(ParseBinaryRequest(wire, &consumed, &from_binary, &error),
+              ParseStatus::kFrame)
+        << line;
+    if (line.empty()) {
+      EXPECT_EQ(from_binary.request.error(), "empty command");
+      continue;
+    }
+    EXPECT_EQ(Describe(from_binary.request), Describe(from_text)) << line;
+  }
+}
+
+TEST(Wire, CheckOpcodesParseLikeTheirTextLines) {
+  const std::pair<std::string, std::string> cases[] = {
+      {EncodeBinaryCheckRequest(1, "s", "A", "B"), "CHECK s A B\n"},
+      {EncodeBinaryBatchCheckRequest(2, "s", {{"A", "B"}, {"C", "D"}}),
+       "BCHECK s A B C D\n"},
+      {EncodeBinaryBatchCheckRequest(3, "s", {}), "BCHECK s\n"},
+  };
+  for (const auto& [wire, text] : cases) {
+    size_t consumed = 0;
+    BinaryRequest from_binary;
+    std::string error;
+    ASSERT_EQ(ParseBinaryRequest(wire, &consumed, &from_binary, &error),
+              ParseStatus::kFrame)
+        << error;
+    Request from_text;
+    ASSERT_EQ(ParseText(text, &from_text), ParseStatus::kFrame);
+    EXPECT_TRUE(from_text.ok()) << from_text.error();
+    EXPECT_EQ(Describe(from_binary.request), Describe(from_text)) << text;
+  }
+}
+
+TEST(Wire, RequestsOwnTheirBytes) {
+  // The parsed request must not point into the buffer it came from, nor
+  // into storage a move relocates (short strings live inline).
+  std::string wire = EncodeBinaryCheckRequest(1, "s", "A", "B");
+  size_t consumed = 0;
+  BinaryRequest parsed;
+  std::string error;
+  ASSERT_EQ(ParseBinaryRequest(wire, &consumed, &parsed, &error),
+            ParseStatus::kFrame);
+  wire.assign(wire.size(), '#');
+  Request moved = std::move(parsed.request);
+  std::vector<Request> many;
+  many.push_back(std::move(moved));
+  many.resize(64);  // reallocates, moving the request again
+  EXPECT_EQ(Describe(many[0]), "CHECK s A B|payload=|error=");
 }
 
 TEST(Wire, BinaryRepliesRoundtripAllThreeKinds) {

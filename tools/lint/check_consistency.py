@@ -3,19 +3,22 @@
 tests, and bench baselines vs bench sources vs EXPERIMENTS.md.
 
 The daemon's protocol surface is spread over four artifacts that drift
-independently: the Verb enum (src/server/server.h), the VerbName switch
-and per-verb metrics registration (src/server/server.cc), the command
-table in docs/server.md, and the contract tests (tests/server_test.cc).
-UNDEFINE-style rot — a verb added to the wire but never documented,
-timed, or tested — is exactly what this pass fails CI for.
+independently: the Verb enum and its verb table (kVerbTable in
+src/server/wire.h: wire name, and whether the event loop answers the
+verb inline or the pool runs it under a latency histogram), the command
+table and concurrency notes in docs/server.md, and the contract tests
+(tests/server_test.cc). UNDEFINE-style rot — a verb added to the wire
+but never documented, timed, or tested — is exactly what this pass fails
+CI for.
 
 Checks (each failure is one line on stderr; exit 1 if any):
-  1. Every Verb enumerator (minus kOther/kCount) has a VerbName case.
+  1. Every Verb enumerator (minus kCount) has a kVerbTable row.
   2. Every wire verb has a command row in docs/server.md ("## 2.
      Commands" table, rows starting with the verb in backticks).
-  3. Every wire verb is accounted for in metrics: either in the
-     kTimedVerbs latency-histogram list (server.cc) or in the
-     inline-verbs list documented next to latency_ (server.h).
+  3. Every wire verb is accounted for in metrics: the pool times every
+     verb the table does not mark on_loop, and the verbs docs/server.md
+     §3 lists as "answered inline" and as bypassing admission are
+     exactly the table's on_loop verbs.
   4. Every wire verb is mentioned in tests/server_test.cc or
      tests/cluster_test.cc (case-insensitive — the test client wraps
      verbs in methods; the cluster verbs REPL/FORWARD live in the
@@ -56,43 +59,40 @@ def read(root: pathlib.Path, rel: str) -> str:
     return (root / rel).read_text(encoding="utf-8")
 
 
-def parse_verb_enum(server_h: str) -> list[str]:
-    """Enumerators of `enum class Verb`, in order, without kOther/kCount."""
-    m = re.search(r"enum class Verb[^{]*\{([^}]*)\}", server_h, re.S)
+def parse_verb_enum(wire_h: str) -> list[str]:
+    """Enumerators of `enum class Verb`, in order, without kCount."""
+    m = re.search(r"enum class Verb[^{]*\{([^}]*)\}", wire_h, re.S)
     if not m:
         sys.exit("check_consistency: cannot find `enum class Verb` "
-                 "in src/server/server.h")
+                 "in src/server/wire.h")
     names = re.findall(r"\bk[A-Z]\w*", m.group(1))
-    return [n for n in names if n not in ("kOther", "kCount")]
+    return [n for n in names if n != "kCount"]
 
 
-def parse_verb_names(server_cc: str) -> dict[str, str]:
-    """Mapping enumerator -> wire string from the VerbName switch."""
-    m = re.search(r"const char\* VerbName\(Verb verb\) \{(.*?)\n\}",
-                  server_cc, re.S)
+def parse_verb_table(wire_h: str) -> dict[str, tuple[str, bool]]:
+    """Mapping enumerator -> (wire name, on_loop) from kVerbTable."""
+    m = re.search(r"kVerbTable\[\]\s*=\s*\{(.*?)\n\};", wire_h, re.S)
     if not m:
-        sys.exit("check_consistency: cannot find VerbName() "
-                 "in src/server/server.cc")
-    return dict(re.findall(
-        r"case Verb::(k\w+):\s*return \"([A-Z]+)\";", m.group(1)))
+        sys.exit("check_consistency: cannot find kVerbTable "
+                 "in src/server/wire.h")
+    rows = re.findall(r'\{Verb::(k\w+),\s*"([A-Z?]+)",\s*(true|false),',
+                      m.group(1))
+    return {enum: (name, on_loop == "true") for enum, name, on_loop in rows}
 
 
-def parse_timed_verbs(server_cc: str) -> set[str]:
-    """Enumerators listed in the kTimedVerbs histogram registration."""
-    m = re.search(r"kTimedVerbs\[\]\s*=\s*\{([^}]*)\}", server_cc)
-    if not m:
-        sys.exit("check_consistency: cannot find kTimedVerbs "
-                 "in src/server/server.cc")
-    return set(re.findall(r"Verb::(k\w+)", m.group(1)))
-
-
-def parse_inline_verbs(server_h: str) -> set[str]:
-    """Wire names in the 'answered inline (A/B/C)' comment by latency_."""
-    m = re.search(r"answered inline \(([A-Z/]+)\)", server_h)
-    if not m:
-        sys.exit("check_consistency: cannot find the 'answered inline "
-                 "(...)' comment in src/server/server.h")
-    return set(m.group(1).split("/"))
+def parse_doc_inline_lists(server_md: str) -> list[set[str]]:
+    """Verbs docs/server.md says the loop answers inline, and those it
+    says bypass admission (two sentences in section 3)."""
+    lists = []
+    for pattern in (r"((?:`[A-Z]+`/?)+)\s+are\s+answered\s+inline",
+                    r"((?:`[A-Z]+`(?:,\s+|\s+and\s+)?)+)\s+bypass\s+"
+                    r"admission"):
+        m = re.search(pattern, server_md)
+        if not m:
+            sys.exit("check_consistency: cannot find the inline-verb list "
+                     f"/{pattern}/ in docs/server.md")
+        lists.append(set(re.findall(r"`([A-Z]+)`", m.group(1))))
+    return lists
 
 
 def parse_doc_verbs(server_md: str) -> set[str]:
@@ -105,41 +105,46 @@ def parse_doc_verbs(server_md: str) -> set[str]:
 
 
 def check_wire(root: pathlib.Path, errors: list[str]) -> None:
-    server_h = read(root, "src/server/server.h")
-    server_cc = read(root, "src/server/server.cc")
+    wire_h = read(root, "src/server/wire.h")
     server_md = read(root, "docs/server.md")
     server_test = (read(root, "tests/server_test.cc") +
                    read(root, "tests/cluster_test.cc")).lower()
 
-    enumerators = parse_verb_enum(server_h)
-    names = parse_verb_names(server_cc)
-    timed = parse_timed_verbs(server_cc)
-    inline = parse_inline_verbs(server_h)
+    enumerators = parse_verb_enum(wire_h)
+    table = parse_verb_table(wire_h)
     documented = parse_doc_verbs(server_md)
+    on_loop = {name for name, inline in table.values() if inline}
 
     for enumerator in enumerators:
-        verb = names.get(enumerator)
-        if verb is None:
-            errors.append(f"Verb::{enumerator} has no VerbName case "
-                          "in src/server/server.cc")
+        if enumerator not in table:
+            errors.append(f"Verb::{enumerator} has no kVerbTable row "
+                          "in src/server/wire.h (so it is neither timed "
+                          "nor answered inline)")
+            continue
+        verb = table[enumerator][0]
+        if enumerator == "kOther":
             continue
         if verb not in documented:
             errors.append(f"wire verb {verb} has no command row in "
                           "docs/server.md (section '## 2. Commands')")
-        if enumerator not in timed and verb not in inline:
-            errors.append(
-                f"wire verb {verb} is neither in kTimedVerbs "
-                "(src/server/server.cc) nor listed as answered inline "
-                "next to latency_ (src/server/server.h) — it would be "
-                "served without latency accounting")
         if verb.lower() not in server_test:
             errors.append(f"wire verb {verb} is never mentioned in "
                           "tests/server_test.cc or tests/cluster_test.cc")
 
-    implemented = set(names.values())
+    for listed in parse_doc_inline_lists(server_md):
+        for verb in sorted(on_loop - listed):
+            errors.append(f"wire verb {verb} is answered inline (on_loop in "
+                          "kVerbTable) but docs/server.md section 3 does "
+                          "not list it as inline / bypassing admission")
+        for verb in sorted(listed - on_loop):
+            errors.append(f"docs/server.md section 3 lists {verb} as "
+                          "answered inline, but kVerbTable runs it on the "
+                          "pool")
+
+    implemented = {name for name, _ in table.values()}
     for verb in sorted(documented - implemented):
         errors.append(f"docs/server.md documents command {verb} which is "
-                      "not a wire verb in src/server/server.h")
+                      "not a wire verb in src/server/wire.h")
 
 
 def check_bench(root: pathlib.Path, errors: list[str]) -> None:
