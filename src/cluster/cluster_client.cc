@@ -54,13 +54,15 @@ Result<std::string> ClusterClient::Call(const std::string& line,
     return FailedPreconditionError("cluster client has no nodes");
   }
   ++stats_.requests;
-  // Only the verb and the session matter here; a malformed line still
-  // goes to the daemon, which answers it.
+  // Only the verb and the routing key matter here: the first argument,
+  // which names the session of a session verb (other verbs go wherever
+  // it hashes, or to node 0 without one). A malformed line still goes to
+  // the daemon, which answers it.
   server::Request request;
   server::ParseLine(line, {}, &request);
   const server::RequestView view = request.view();
   const std::string_view session =
-      view.names_session() ? view.args[0] : std::string_view();
+      view.args.empty() ? std::string_view() : view.args[0];
   const bool idempotent = view.info().idempotent;
 
   // Candidate nodes, in preference order: the owner first, then — for

@@ -1,7 +1,6 @@
 #include "cluster/replication.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 
 #include "base/strings.h"
@@ -9,18 +8,6 @@
 namespace oodb::cluster {
 
 namespace {
-
-// The replica's ERR payload is "replica_gap: have=<n>" after the
-// client's "<code>: <message>" mapping.
-bool ParseReplicaGap(const std::string& message, uint64_t* have) {
-  constexpr std::string_view kCode = "replica_gap";
-  if (message.rfind(kCode, 0) != 0) return false;
-  const size_t pos = message.find("have=");
-  if (pos == std::string::npos) return false;
-  char* end = nullptr;
-  *have = std::strtoull(message.c_str() + pos + 5, &end, 10);
-  return end != nullptr && (*end == '\0' || *end == ' ');
-}
 
 int64_t SteadyNowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -165,30 +152,28 @@ bool Replicator::PushToReplica(const std::string& session, size_t slot) {
     const std::string line = StrCat("REPL @", config_.self, ":", e.trace_id,
                                     " ", e.seq, " ", e.line);
     sent_.fetch_add(1, std::memory_order_relaxed);
-    auto r =
-        peer->Roundtrip(line, e.payload.empty() ? nullptr : &e.payload);
-    if (r.ok()) {
+    Result<server::Reply> r = peer->Exchange(line, e.payload);
+    if (r.ok() && r->kind == server::Reply::Kind::kOk) {
       acked = e.seq;
       acked_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    if (r.status().code() == StatusCode::kFailedPrecondition) {
-      uint64_t have = 0;
-      if (ParseReplicaGap(r.status().message(), &have)) {
-        // The replica is behind where we believed: rewind the cursor to
-        // its applied sequence and let the caller push again.
-        resyncs_.fetch_add(1, std::memory_order_relaxed);
-        acked = have;
-        rewound = true;
-      } else {
-        failures_.fetch_add(1, std::memory_order_relaxed);
-      }
+    uint64_t have = 0;
+    if (r.ok() && r->code == "replica_gap" &&
+        r->payload.rfind("have=", 0) == 0 &&
+        server::ParseSize(std::string_view(r->payload).substr(5), &have)) {
+      // The replica is behind where we believed: rewind the cursor to
+      // its applied sequence and let the caller push again.
+      resyncs_.fetch_add(1, std::memory_order_relaxed);
+      acked = have;
+      rewound = true;
       break;
     }
-    // BUSY or a transport error: leave the cursor; a later Flush
-    // retries. Transport errors poison the connection's framing.
+    // Any other ERR, BUSY or a transport error: leave the cursor; a
+    // later Flush retries. Transport errors poison the connection's
+    // framing.
     failures_.fetch_add(1, std::memory_order_relaxed);
-    healthy = r.status().code() == StatusCode::kResourceExhausted;
+    healthy = r.ok();
     break;
   }
   peers_->Release(node, std::move(peer), healthy);

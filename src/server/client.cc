@@ -210,19 +210,33 @@ Result<BinaryReply> Client::ReadReplyFrame() {
 }
 
 Result<std::string> Client::Await(uint64_t id) {
+  OODB_ASSIGN_OR_RETURN(Reply reply, AwaitReply(id));
+  return ReplyToResult(std::move(reply));
+}
+
+Result<Reply> Client::AwaitReply(uint64_t id) {
   if (dead_) return DeadConnectionError();
   OODB_RETURN_IF_ERROR(Flush());
   auto it = pending_.find(id);
   if (it != pending_.end()) {
     Reply reply = std::move(it->second);
     pending_.erase(it);
-    return ReplyToResult(std::move(reply));
+    return reply;
   }
   for (;;) {
     OODB_ASSIGN_OR_RETURN(BinaryReply frame, ReadReplyFrame());
-    if (frame.id == id) return ReplyToResult(std::move(frame.reply));
+    if (frame.id == id) return std::move(frame.reply);
     pending_[frame.id] = std::move(frame.reply);
   }
+}
+
+Result<Reply> Client::Exchange(std::string_view line,
+                               std::string_view payload) {
+  if (!binary_) return FailedPreconditionError("EnableBinary() first");
+  const uint64_t id = next_id_++;
+  OODB_RETURN_IF_ERROR(
+      SendFrame(id, EncodeBinaryLineRequest(id, line, payload)).status());
+  return AwaitReply(id);
 }
 
 Result<std::string> Client::Roundtrip(const std::string& line,
@@ -248,22 +262,15 @@ Result<std::string> Client::Roundtrip(const std::string& line,
     return InternalError("connection lost while awaiting reply");
   }
   if (reply == "BUSY") return ResourceExhaustedError("BUSY");
-  if (reply.rfind("ERR ", 0) == 0) {
-    std::string rest = reply.substr(4);
-    size_t space = rest.find(' ');
-    std::string code = rest.substr(0, space);
-    std::string message =
-        space == std::string::npos ? "" : rest.substr(space + 1);
-    return FailedPreconditionError(StrCat(code, ": ", message));
+  if (reply.rfind("ERR ", 0) == 0) {  // ERR <code> <message>
+    const size_t space = reply.find(' ', 4);
+    return FailedPreconditionError(StrCat(
+        reply.substr(4, space - 4), ": ",
+        space == std::string::npos ? "" : reply.substr(space + 1)));
   }
-  if (reply.rfind("OK ", 0) != 0) {
-    return InternalError(StrCat("malformed reply '", reply, "'"));
-  }
-  const char* digits = reply.c_str() + 3;
-  char* end = nullptr;
-  unsigned long long nbytes = std::strtoull(digits, &end, 10);
-  // end == digits: no digits consumed ("OK " with an empty byte count).
-  if (end == nullptr || end == digits || *end != '\0') {
+  uint64_t nbytes = 0;
+  if (reply.rfind("OK ", 0) != 0 ||
+      !ParseSize(std::string_view(reply).substr(3), &nbytes)) {
     return InternalError(StrCat("malformed reply '", reply, "'"));
   }
   std::string body;

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -87,6 +88,11 @@ class Client {
   // OK/ERR/BUSY exactly like Roundtrip.
   Result<std::string> Await(uint64_t id);
 
+  // One LINE frame and its reply as the daemon sent it: OK, ERR and
+  // BUSY are all values, only a transport fault is an error. The
+  // payload is borrowed, so a daemon proxies it without a copy.
+  Result<Reply> Exchange(std::string_view line, std::string_view payload);
+
   // ---- Convenience wrappers over the protocol verbs (both modes) ----
   Status Ping();
   Result<std::string> Load(const std::string& session,
@@ -126,6 +132,8 @@ class Client {
   Result<uint64_t> SendFrame(uint64_t id, std::string frame);
   // Reads exactly one binary reply frame off the socket.
   Result<BinaryReply> ReadReplyFrame();
+  // Await without the OK/ERR/BUSY mapping.
+  Result<Reply> AwaitReply(uint64_t id);
   // OK payload / ERR / BUSY mapping shared by Roundtrip and Await.
   Result<std::string> ReplyToResult(Reply reply);
 

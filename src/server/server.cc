@@ -493,23 +493,18 @@ bool Server::ParseFrame(Connection& conn) {
       conn.binary ? ParseBinaryRequest(buf, &consumed, &req, &error)
                   : ParseTextRequest(buf, options_.max_payload, &consumed,
                                      &req.request, &error);
-  switch (status) {
-    case ParseStatus::kNeedMore:
-      return false;
-    case ParseStatus::kBad:
-      // The framing is gone: answer if a reply is owed (addressed to the
-      // frame's id when the header was readable), then close once it
-      // flushes.
-      conn.closing = true;
-      conn.discard_input = true;
-      if (!req.request.ok()) HandleFrame(conn, req.id, std::move(req.request));
-      return false;
-    case ParseStatus::kFrame:
-      break;
+  conn.in_pos += consumed;  // a frame, or blank text lines
+  if (status == ParseStatus::kBad) {
+    // The framing is gone: answer if a reply is owed (addressed to the
+    // frame's id when the header was readable), then close once it
+    // flushes.
+    conn.closing = true;
+    conn.discard_input = true;
+    if (!req.request.ok()) HandleFrame(conn, req.id, std::move(req.request));
+  } else if (status == ParseStatus::kFrame) {
+    HandleFrame(conn, req.id, std::move(req.request));
   }
-  conn.in_pos += consumed;
-  HandleFrame(conn, req.id, std::move(req.request));
-  return true;
+  return status == ParseStatus::kFrame;
 }
 
 void Server::HandleFrame(Connection& conn, uint64_t request_id,
@@ -526,32 +521,8 @@ void Server::HandleFrame(Connection& conn, uint64_t request_id,
   // Control verbs answered inline on the loop — they must work even when
   // the admission queue is saturated. HEALTH/METRICS/TRACE stay
   // observable under overload and while draining by the same rule.
-  switch (verb) {  // the verb table's on_loop verbs
-    case Verb::kPing:
-      return QueueReply(conn, request_id, OkReply("pong"), verb);
-    case Verb::kHealth:
-      return QueueReply(conn, request_id, OkReply(HealthText()), verb);
-    case Verb::kMetrics:
-      return QueueReply(conn, request_id,
-                        OkReply(registry_.RenderPrometheus()), verb);
-    case Verb::kTrace: {
-      const Args args = request.view().args;
-      uint64_t n = 10;
-      if (!args.empty() && !ParseSize(args[0], &n)) {
-        return QueueReply(conn, request_id,
-                          ErrReply(kErrProto, InfoOf(verb).usage), verb);
-      }
-      return QueueReply(conn, request_id,
-                        OkReply(slow_log_.RenderJsonLines(n)), verb);
-    }
-    case Verb::kShutdown:
-      QueueReply(conn, request_id, OkReply("draining"), verb);
-      RequestShutdown();
-      conn.closing = true;
-      conn.discard_input = true;
-      return;
-    default:
-      break;
+  if (InfoOf(verb).on_loop) {
+    return QueueReply(conn, request_id, AnswerInline(conn, request), verb);
   }
   if (stopping_.load(std::memory_order_relaxed)) {
     return QueueReply(conn, request_id,
@@ -588,6 +559,33 @@ void Server::HandleFrame(Connection& conn, uint64_t request_id,
   work.enqueued = std::chrono::steady_clock::now();
   work.request = std::move(request);
   pending_work_.push_back(std::move(work));
+}
+
+Reply Server::AnswerInline(Connection& conn, const Request& request) {
+  switch (request.verb()) {
+    case Verb::kPing:
+      return OkReply("pong");
+    case Verb::kHealth:
+      return OkReply(HealthText());
+    case Verb::kMetrics:
+      return OkReply(registry_.RenderPrometheus());
+    case Verb::kTrace: {
+      const Args args = request.view().args;
+      uint64_t n = 10;
+      if (!args.empty() && !ParseSize(args[0], &n)) {
+        return ErrReply(kErrProto, InfoOf(Verb::kTrace).usage);
+      }
+      return OkReply(slow_log_.RenderJsonLines(n));
+    }
+    case Verb::kShutdown:
+      RequestShutdown();
+      conn.closing = true;
+      conn.discard_input = true;
+      return OkReply("draining");
+    default:  // the verb table flags a verb on_loop that has no case here
+      return ErrReply("internal", StrCat(VerbName(request.verb()),
+                                         " is not answered inline"));
+  }
 }
 
 void Server::SubmitPooled(Connection& conn) {
@@ -961,75 +959,44 @@ Reply Server::ForwardToOwner(size_t owner, const RequestView& request,
   }
   Reply reply = ErrReply("unavailable", "no cluster peer reachable");
   for (const size_t node : targets) {
-    if (ForwardTo(node, line, request.payload, &reply)) {
-      if (trace != nullptr && node < peer_names_.size()) {
-        trace->peer = peer_names_[node];
-      }
-      return reply;
+    auto peer = peers_->Acquire(node);
+    if (!peer.ok()) {
+      reply = ErrReply("unavailable", peer.status().message());
+      continue;
     }
+    // RTT is sampled 1-in-8 attempts: the two clock reads it needs are
+    // the expensive part on hosts without a vDSO fast path (bench_obs
+    // E21 budget). The histogram is a latency distribution; forward
+    // totals come from the per-verb request counters.
+    const bool sample =
+        obs::Enabled() &&
+        (forward_samples_.fetch_add(1, std::memory_order_relaxed) & 7) == 0;
+    std::chrono::steady_clock::time_point t0;
+    if (sample) t0 = std::chrono::steady_clock::now();
+    Result<Reply> r = (*peer)->Exchange(line, request.payload);
+    if (sample && node < forward_rtt_.size() &&
+        forward_rtt_[node] != nullptr) {
+      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+      forward_rtt_[node]->RecordAlways(ns > 0 ? static_cast<uint64_t>(ns)
+                                              : 1);
+    }
+    // A transport fault poisons the connection, and the peer may be
+    // down: try the next target. Any reply (OK, ERR or BUSY) is the
+    // peer's answer, passed on unchanged.
+    peers_->Release(node, std::move(*peer), r.ok());
+    if (!r.ok()) {
+      reply = ErrReply("unavailable", r.status().message());
+      continue;
+    }
+    if (trace != nullptr && node < peer_names_.size()) {
+      trace->peer = peer_names_[node];
+    }
+    return std::move(r).value();
   }
   forward_failures_.fetch_add(1, std::memory_order_relaxed);
   return reply;
-}
-
-bool Server::ForwardTo(size_t node, const std::string& line,
-                       std::string_view payload, Reply* reply) {
-  auto borrowed = peers_->Acquire(node);
-  if (!borrowed.ok()) {
-    *reply = ErrReply("unavailable",
-                      std::string(borrowed.status().message()));
-    return false;
-  }
-  std::unique_ptr<Client> peer = std::move(*borrowed);
-  // RTT is sampled 1-in-8 forwards: the two clock reads it needs are the
-  // expensive part on hosts without a vDSO fast path (bench_obs E21
-  // budget). The histogram is a latency distribution; forward totals
-  // come from the per-verb request counters.
-  const bool sample =
-      obs::Enabled() &&
-      (forward_samples_.fetch_add(1, std::memory_order_relaxed) & 7) == 0;
-  std::chrono::steady_clock::time_point t0;
-  if (sample) t0 = std::chrono::steady_clock::now();
-  const std::string body(payload);
-  auto r = peer->Roundtrip(line, payload.empty() ? nullptr : &body);
-  if (sample && node < forward_rtt_.size() &&
-      forward_rtt_[node] != nullptr) {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    forward_rtt_[node]->RecordAlways(ns > 0 ? static_cast<uint64_t>(ns) : 1);
-  }
-  bool healthy = true;
-  bool answered = true;
-  if (r.ok()) {
-    *reply = OkReply(std::move(*r));
-  } else {
-    switch (r.status().code()) {
-      case StatusCode::kResourceExhausted: {  // the peer answered BUSY
-        Reply busy;
-        busy.kind = Reply::Kind::kBusy;
-        *reply = busy;
-        break;
-      }
-      case StatusCode::kFailedPrecondition: {
-        // An ERR reply, carried as "<code>: <message>" — re-split it so
-        // the original error reaches the client unchanged.
-        const std::string msg(r.status().message());
-        const size_t sep = msg.find(": ");
-        *reply = sep == std::string::npos
-                     ? ErrReply(kErrProto, msg)
-                     : ErrReply(msg.substr(0, sep), msg.substr(sep + 2));
-        break;
-      }
-      default:  // transport fault: connection poisoned, peer maybe down
-        healthy = false;
-        answered = false;
-        *reply = ErrReply("unavailable", std::string(r.status().message()));
-        break;
-    }
-  }
-  peers_->Release(node, std::move(peer), healthy);
-  return answered;
 }
 
 Reply Server::DispatchLocal(const RequestView& request,

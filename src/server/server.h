@@ -170,6 +170,9 @@ class Server {
   // table's on_loop verbs are answered on the loop, everything else is
   // admitted onto the pool.
   void HandleFrame(Connection& conn, uint64_t request_id, Request request);
+  // The reply to a verb the table flags on_loop (PING, HEALTH, METRICS,
+  // TRACE, SHUTDOWN), computed on the loop thread.
+  Reply AnswerInline(Connection& conn, const Request& request);
   // Appends an inline (loop-thread) reply to the connection's output.
   void QueueReply(Connection& conn, uint64_t request_id, const Reply& reply,
                   Verb verb);
@@ -235,10 +238,6 @@ class Server {
   // that answered is stamped into trace->peer.
   Reply ForwardToOwner(size_t owner, const RequestView& request,
                        obs::TraceContext* trace);
-  // One proxy attempt. Returns true if the peer answered (authoritative
-  // reply in *reply), false on a transport fault (try another node).
-  bool ForwardTo(size_t node, const std::string& line,
-                 std::string_view payload, Reply* reply);
   Reply DispatchStats(const RequestView& request);
   // The HEALTH verb body: "status=ok|degraded|draining" plus, in
   // cluster mode, the degraded criteria (down peers, replica lag).

@@ -161,34 +161,56 @@ std::string RenderLine(const RequestView& request) {
   return line;
 }
 
+namespace {
+
+// Whether a text line announces a payload, judged from its shape alone:
+// LOAD/STATE with two arguments, bare or where an envelope's wrapped
+// verb stands, the last a byte count. The payload is framed even when
+// the request is otherwise malformed (a bad envelope), so that its bytes
+// are never read as command lines.
+bool AnnouncesPayload(const RequestView& line, uint64_t* nbytes) {
+  const Args args = line.args;
+  Verb verb = line.verb;
+  size_t first = 0;  // the payload verb's first argument
+  if (line.info().envelope) {
+    // [@o:t], then for REPL <seq>, then the wrapped verb.
+    first = (verb == Verb::kRepl ? 1 : 0) +
+            (!args.empty() && args[0].front() == '@' ? 1 : 0);
+    if (first >= args.size()) return false;
+    verb = VerbOf(args[first++]);
+  }
+  return InfoOf(verb).payload && args.size() == first + 2 &&
+         ParseSize(args[first + 1], nbytes);
+}
+
+}  // namespace
+
 ParseStatus ParseTextRequest(std::string_view buf, size_t max_payload,
                              size_t* consumed, Request* out,
                              std::string* error) {
   *out = Request();
-  size_t start = 0;
+  *consumed = 0;
   size_t nl = 0;
-  for (;;) {  // skip blank lines
-    nl = buf.find('\n', start);
-    const size_t len = (nl == std::string_view::npos ? buf.size() : nl) - start;
+  for (;;) {
+    nl = buf.find('\n', *consumed);
+    const size_t len =
+        (nl == std::string_view::npos ? buf.size() : nl) - *consumed;
     if (len > kMaxTextLine) {
       // No reply can be framed for a line we never finish reading.
       *error = StrCat("command line exceeds ", kMaxTextLine, " bytes");
       return ParseStatus::kBad;
     }
     if (nl == std::string_view::npos) return ParseStatus::kNeedMore;
-    if (buf.substr(start, len).find_first_not_of(" \t") != buf.npos) break;
-    start = nl + 1;
+    if (buf.substr(*consumed, len).find_first_not_of(" \t") != buf.npos) {
+      break;
+    }
+    *consumed = nl + 1;  // a blank line holds no request: drop it
   }
   size_t frame_len = nl + 1;
-  ParseLine(buf.substr(start, nl - start), {}, out);
-  const RequestView target =
-      InfoOf(out->verb()).envelope ? out->inner() : out->view();
-  if (out->ok() && target.info().payload) {
-    // The payload-carrying verbs, bare or wrapped in FORWARD/REPL, end
-    // their line with the byte count; the payload plus one terminating
-    // '\n' follows.
-    uint64_t nbytes = 0;
-    ParseSize(target.args[target.args.size() - 1], &nbytes);
+  ParseLine(buf.substr(*consumed, nl - *consumed), {}, out);
+  uint64_t nbytes = 0;
+  if (AnnouncesPayload(out->view(), &nbytes)) {
+    // The payload plus one terminating '\n' follows the line.
     if (nbytes > max_payload) {
       // The payload cannot be admitted: reply, then close (the unread
       // bytes make the stream unrecoverable).
@@ -360,6 +382,7 @@ namespace {
 // frame is buffered, with *body set to the bytes after the id field.
 ParseStatus ParseHeader(std::string_view buf, size_t* consumed, uint64_t* id,
                         std::string_view* body, std::string* error) {
+  *consumed = 0;
   if (buf.size() < 4) return ParseStatus::kNeedMore;
   const uint32_t frame_len = GetU32(buf.data());
   if (frame_len > kMaxBinaryFrame) {
@@ -421,19 +444,14 @@ ParseStatus ParseBinaryRequest(std::string_view buf, size_t* consumed,
         }
         if (pairs > (body.size() - pos) / 4) break;  // 4 bytes per pair min
       }
-      req.args_.reserve(1 + 2 * size_t{pairs});
+      const size_t n = 1 + 2 * size_t{pairs};
+      req.args_.reserve(n);
       req.args_.push_back(session);
-      bool ok = true;
-      for (uint32_t i = 0; i < pairs && ok; ++i) {
-        ArgSpan c;
-        ArgSpan d;
-        ok = GetSpan16(body, &pos, &c) && GetSpan16(body, &pos, &d);
-        if (ok) {
-          req.args_.push_back(c);
-          req.args_.push_back(d);
-        }
+      for (ArgSpan operand; req.args_.size() < n;) {
+        if (!GetSpan16(body, &pos, &operand)) break;
+        req.args_.push_back(operand);
       }
-      if (!ok || pos != body.size()) break;
+      if (req.args_.size() != n || pos != body.size()) break;
       req.bytes_.assign(body);
       req.verb_ = op == Opcode::kCheck ? Verb::kCheck : Verb::kBcheck;
       return ParseStatus::kFrame;

@@ -358,14 +358,16 @@ struct BinaryReply {
 // Incremental request parsers, one per framing: each examines buf[0..)
 // for one complete request. On kFrame, *consumed is the request's full
 // byte length; the request may still be malformed (!ok(): answer it ERR
-// and go on). On kBad, *error holds a one-line diagnostic and the
-// request's error() the ERR reply owed before the connection closes
-// (empty when none is).
+// and go on). On kNeedMore, *consumed leading bytes hold no request and
+// may be dropped (blank text lines; always 0 for binary). On kBad,
+// *error holds a one-line diagnostic and the request's error() the ERR
+// reply owed before the connection closes (empty when none is).
 //
-// Text: a command line, plus for LOAD/STATE (bare or wrapped) the
-// payload and its terminating '\n'. Blank lines before it are skipped.
-// Over-long lines and a missing payload terminator close silently; a
-// payload over `max_payload` is answered, then closes.
+// Text: a command line, plus the payload and its terminating '\n' when
+// the line's shape announces one (LOAD/STATE <session> <nbytes>, bare or
+// wrapped, even in a malformed envelope). Blank lines before it are
+// consumed with it. Over-long lines and a missing payload terminator
+// close silently; a payload over `max_payload` is answered, then closes.
 ParseStatus ParseTextRequest(std::string_view buf, size_t max_payload,
                              size_t* consumed, Request* out,
                              std::string* error);

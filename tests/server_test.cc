@@ -1161,6 +1161,63 @@ TEST(Server, BinaryLoadOrStateWithoutASessionIsAnErrNotACrash) {
   server.Shutdown();
 }
 
+// Blank lines hold no request, but the loop must still consume them:
+// enough of them would otherwise fill the input cap and stall the
+// connection, its next command never read.
+TEST(Server, BlankLinesBeyondTheInputCapDoNotStallTheConnection) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Client client = MustConnect(*port);
+  ASSERT_TRUE(client.SetDeadline(30000).ok());
+  // The cap is the largest frame (16 MiB) plus 64 KiB of slack.
+  const std::string blanks(size_t{17} << 20, '\n');
+  auto reply = client.Roundtrip(blanks + "PING");
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(*reply, "pong");
+  EXPECT_EQ(server.stats().requests, 1u);
+  server.Shutdown();
+}
+
+// A LOAD/STATE line frames its payload from its shape, even inside a
+// malformed envelope: the request gets one ERR, and its payload bytes
+// are never read as command lines.
+TEST(Server, MalformedEnvelopePayloadsAreNotReadAsCommands) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Client client = MustConnect(*port);
+  ASSERT_TRUE(client.SetDeadline(5000).ok());
+  const std::string payload = "FROB";  // an ERR of its own if read
+  for (const char* line : {"REPL 0 LOAD s 4", "REPL x LOAD s 4",
+                           "FORWARD @x:1 LOAD s 4", "REPL 1 STATE s 4",
+                           "FORWARD LOAD s 4"}) {
+    auto reply = client.Roundtrip(line, &payload);
+    ASSERT_FALSE(reply.ok()) << line;
+    EXPECT_EQ(reply.status().code(), StatusCode::kFailedPrecondition)
+        << line << ": " << reply.status();
+    auto pong = client.Roundtrip("PING");
+    ASSERT_TRUE(pong.ok()) << line << ": " << pong.status();
+    EXPECT_EQ(*pong, "pong") << line;
+  }
+  server.Shutdown();
+}
+
+// The verb table alone decides what the loop answers inline: every
+// on_loop verb is served there (SHUTDOWN is tested on its own).
+TEST(Server, EveryInlineVerbOfTheTableIsAnswered) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Client client = MustConnect(*port);
+  for (const VerbInfo& info : kVerbTable) {
+    if (!info.on_loop || info.verb == Verb::kShutdown) continue;
+    auto reply = client.Roundtrip(info.name);
+    EXPECT_TRUE(reply.ok()) << info.name << ": " << reply.status();
+  }
+  server.Shutdown();
+}
+
 // Every verb but SHUTDOWN (plus an unknown one) with 0 to 5 arguments.
 std::vector<std::string> ArityLines() {
   std::vector<std::string> lines;

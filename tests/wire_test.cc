@@ -309,14 +309,57 @@ TEST(Wire, OverlongTextLineClosesSilently) {
             ParseStatus::kNeedMore);
 }
 
-TEST(Wire, BlankTextLinesAreSkipped) {
+TEST(Wire, BlankTextLinesAreConsumed) {
   const std::string wire = "\n \t\nPING\n";
   Request req;
   size_t consumed = 0;
   ASSERT_EQ(ParseText(wire, &req, &consumed), ParseStatus::kFrame);
   EXPECT_EQ(req.verb(), Verb::kPing);
   EXPECT_EQ(consumed, wire.size());
-  EXPECT_EQ(ParseText("\n\n", &req), ParseStatus::kNeedMore);
+  // With no request after them, the blank lines are still consumed, so
+  // they never pile up in the connection's input buffer.
+  EXPECT_EQ(ParseText("\n\n", &req, &consumed), ParseStatus::kNeedMore);
+  EXPECT_EQ(consumed, 2u);
+  EXPECT_EQ(ParseText("\n \nPI", &req, &consumed), ParseStatus::kNeedMore);
+  EXPECT_EQ(consumed, 3u);
+  EXPECT_EQ(ParseText("\nLOAD s 5\nab", &req, &consumed),
+            ParseStatus::kNeedMore);
+  EXPECT_EQ(consumed, 1u);
+  EXPECT_EQ(ParseText("PI", &req, &consumed), ParseStatus::kNeedMore);
+  EXPECT_EQ(consumed, 0u);
+}
+
+TEST(Wire, MalformedEnvelopesStillFrameTheirPayload) {
+  // The payload is framed from the line's shape, so a bad envelope is
+  // answered once and its payload bytes are never read as commands.
+  for (const char* line :
+       {"REPL 0 LOAD s 3", "REPL x LOAD s 3", "REPL @0:1 0 STATE s 3",
+        "FORWARD @x:1 LOAD s 3", "REPL 1 LOAD s 3"}) {
+    const std::string frame = std::string(line) + "\nabc\n";
+    Request req;
+    size_t consumed = 0;
+    ASSERT_EQ(ParseText(frame + "PING\n", &req, &consumed),
+              ParseStatus::kFrame)
+        << line;
+    EXPECT_EQ(consumed, frame.size()) << line;
+    EXPECT_EQ(req.payload(), "abc") << line;
+    EXPECT_EQ(req.ok(), std::string_view(line) == "REPL 1 LOAD s 3")
+        << line << ": " << req.error();
+  }
+  // Over the cap, a malformed envelope is answered, then closes.
+  Request req;
+  EXPECT_EQ(ParseText("REPL 0 LOAD s 65\n", &req), ParseStatus::kBad);
+  EXPECT_EQ(req.error(), "payload exceeds 64 bytes");
+  // Shapes that announce no payload consume the line alone.
+  for (const char* line : {"FORWARD LOAD s 3 x", "FORWARD REPL 1 LOAD s 3",
+                           "REPL 5 @0:1 LOAD s 3"}) {
+    size_t consumed = 0;
+    ASSERT_EQ(ParseText(std::string(line) + "\nabc\n", &req, &consumed),
+              ParseStatus::kFrame)
+        << line;
+    EXPECT_EQ(consumed, std::string(line).size() + 1) << line;
+    EXPECT_FALSE(req.ok()) << line;
+  }
 }
 
 TEST(Wire, EnvelopesUnwrapWithAndWithoutAHeader) {
