@@ -41,6 +41,7 @@
 #include "dl/analyzer.h"
 #include "dl/translate.h"
 #include "gen/dl_gen.h"
+#include "obs/exposition.h"
 #include "ql/term_factory.h"
 #include "schema/schema.h"
 #include "server/client.h"
@@ -396,7 +397,7 @@ int Run(int argc, char** argv) {
     // Every idle connection must still be usable after the storm.
     for (auto& idle : herd) idle_alive += idle.Ping().ok() ? 1 : 0;
   }
-  const server::ServerStats live = daemon.stats();
+  const std::vector<obs::Sample> live = daemon.registry().Snapshot();
   daemon.Shutdown();
 
   bench::Section("E17: daemon protocol comparison (text vs binary)");
@@ -524,9 +525,12 @@ int Run(int argc, char** argv) {
   json.Add("idle_connections", static_cast<uint64_t>(idle_open));
   json.Add("idle_alive_after_storm", static_cast<uint64_t>(idle_alive));
   json.Add("active_rps_with_idle", active_rps_with_idle);
-  json.Add("server_ok", live.ok);
-  json.Add("server_errors", live.errors);
-  json.Add("server_busy", live.busy);
+  const auto count = [&live](const char* series) {
+    return static_cast<uint64_t>(obs::SampleValue(live, series));
+  };
+  json.Add("server_ok", count("oodb_server_ok_total"));
+  json.Add("server_errors", count("oodb_server_errors_total"));
+  json.Add("server_busy", count("oodb_server_busy_total"));
   json.Add("overload_served", overload_ok.load());
   json.Add("overload_busy", busy.load());
   json.Add("overload_errors", overload_errors.load());

@@ -13,13 +13,6 @@
 
 namespace oodb::obs {
 
-// One exposition sample: `name{label="value",...} number`.
-struct Sample {
-  std::string name;
-  Labels labels;
-  double value = 0.0;
-};
-
 // Parses exposition text. Comment lines (# HELP / # TYPE) are validated for
 // shape and skipped; malformed sample lines yield an error.
 Result<std::vector<Sample>> ParseExposition(const std::string& text);

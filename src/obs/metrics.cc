@@ -55,12 +55,6 @@ std::string RenderLabels(const Labels& labels) {
   return out;
 }
 
-std::string RenderLabelsWithLe(const Labels& labels, const std::string& le) {
-  Labels with_le = labels;
-  with_le.emplace_back("le", le);
-  return RenderLabels(with_le);
-}
-
 }  // namespace
 
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
@@ -97,21 +91,19 @@ Collector::Family& Collector::FamilyOf(const std::string& name,
 
 void Collector::AddCounter(const std::string& name, const std::string& help,
                            const Labels& labels, double value) {
-  FamilyOf(name, help, "counter")
-      .lines.push_back(name + RenderLabels(labels) + " " + FormatValue(value));
+  FamilyOf(name, help, "counter").samples.push_back({name, labels, value});
 }
 
 void Collector::AddGauge(const std::string& name, const std::string& help,
                          const Labels& labels, double value) {
-  FamilyOf(name, help, "gauge")
-      .lines.push_back(name + RenderLabels(labels) + " " + FormatValue(value));
+  FamilyOf(name, help, "gauge").samples.push_back({name, labels, value});
 }
 
 void Collector::AddHistogram(const std::string& name, const std::string& help,
                              const Labels& labels, const Histogram& hist,
                              double scale) {
   // Snapshot first; concurrent recorders may race individual loads, so the
-  // rendered count is recomputed from the bucket snapshot for consistency.
+  // count is recomputed from the bucket snapshot for consistency.
   std::array<uint64_t, Histogram::kNumBuckets> buckets;
   for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
     buckets[i] = hist.bucket(i);
@@ -119,27 +111,35 @@ void Collector::AddHistogram(const std::string& name, const std::string& help,
   const double sum = static_cast<double>(hist.sum()) * scale;
 
   Family& family = FamilyOf(name, help, "histogram");
+  const auto add_bucket = [&](const std::string& le, uint64_t cumulative) {
+    Labels with_le = labels;
+    with_le.emplace_back("le", le);
+    family.samples.push_back({name + "_bucket", std::move(with_le),
+                              static_cast<double>(cumulative)});
+  };
   uint64_t cumulative = 0;
   for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
     if (buckets[i] == 0) continue;
     cumulative += buckets[i];
     const double bound = static_cast<double>(Histogram::BucketUpperBound(i));
-    family.lines.push_back(
-        name + "_bucket" +
-        RenderLabelsWithLe(labels, FormatValue(bound * scale)) + " " +
-        FormatValue(static_cast<double>(cumulative)));
+    add_bucket(FormatValue(bound * scale), cumulative);
   }
-  family.lines.push_back(name + "_bucket" +
-                         RenderLabelsWithLe(labels, "+Inf") + " " +
-                         FormatValue(static_cast<double>(cumulative)));
-  family.lines.push_back(name + "_sum" + RenderLabels(labels) + " " +
-                         FormatValue(sum));
-  family.lines.push_back(name + "_count" + RenderLabels(labels) + " " +
-                         FormatValue(static_cast<double>(cumulative)));
+  add_bucket("+Inf", cumulative);
+  family.samples.push_back({name + "_sum", labels, sum});
+  family.samples.push_back(
+      {name + "_count", labels, static_cast<double>(cumulative)});
   // Companion gauge: Prometheus histograms cannot express the exact max,
   // but the human snapshot (oodbsub stats) wants it.
   AddGauge(name + "_max", help + " (maximum observed)", labels,
            static_cast<double>(hist.max()) * scale);
+}
+
+std::vector<Sample> Collector::Samples() const {
+  std::vector<Sample> out;
+  for (const Family& family : families_) {
+    out.insert(out.end(), family.samples.begin(), family.samples.end());
+  }
+  return out;
 }
 
 std::string Collector::Render() const {
@@ -147,9 +147,9 @@ std::string Collector::Render() const {
   for (const Family& family : families_) {
     out += "# HELP " + family.name + " " + family.help + "\n";
     out += "# TYPE " + family.name + " " + family.type + "\n";
-    for (const std::string& line : family.lines) {
-      out += line;
-      out.push_back('\n');
+    for (const Sample& sample : family.samples) {
+      out += sample.name + RenderLabels(sample.labels) + " " +
+             FormatValue(sample.value) + "\n";
     }
   }
   return out;
@@ -228,8 +228,17 @@ void MetricsRegistry::AddCallback(std::function<void(Collector&)> fn) {
 }
 
 void MetricsRegistry::Collect(Collector& out) const {
-  base::MutexLock lock(&mu_);
-  for (const auto& entry : entries_) {
+  // Entries and callbacks are never removed, so the pointers copied here
+  // stay valid once mu_ is released.
+  std::vector<const Entry*> entries;
+  std::vector<std::function<void(Collector&)>> callbacks;
+  {
+    base::MutexLock lock(&mu_);
+    entries.reserve(entries_.size());
+    for (const auto& entry : entries_) entries.push_back(entry.get());
+    callbacks = callbacks_;
+  }
+  for (const Entry* entry : entries) {
     switch (entry->kind) {
       case Kind::kCounter:
         out.AddCounter(entry->name, entry->help, entry->labels,
@@ -245,7 +254,13 @@ void MetricsRegistry::Collect(Collector& out) const {
         break;
     }
   }
-  for (const auto& fn : callbacks_) fn(out);
+  for (const auto& fn : callbacks) fn(out);
+}
+
+std::vector<Sample> MetricsRegistry::Snapshot() const {
+  Collector collector;
+  Collect(collector);
+  return collector.Samples();
 }
 
 std::string MetricsRegistry::RenderPrometheus() const {

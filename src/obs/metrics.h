@@ -9,7 +9,8 @@
 //  - When observability is disabled (SetEnabled(false)), every Record/Add
 //    costs exactly one relaxed atomic load and nothing else.
 //  - Exposition (Prometheus text format) is pull-based and may take locks;
-//    it never blocks recorders.
+//    it never blocks recorders. Snapshot() returns the same samples
+//    unformatted, for in-process readers such as the daemon's STATS.
 
 #include <array>
 #include <atomic>
@@ -123,20 +124,30 @@ class Histogram {
   std::atomic<uint64_t> max_{0};
 };
 
-// Accumulates one exposition snapshot in Prometheus text format. Samples of
-// the same family (metric name) are grouped under a single # HELP/# TYPE
-// header in first-seen order.
+// One exposition sample: `name{label="value",...} number`.
+struct Sample {
+  std::string name;
+  Labels labels;
+  double value = 0.0;
+};
+
+// Accumulates one snapshot of samples. Samples of the same family
+// (metric name) are grouped under a single # HELP/# TYPE header in
+// first-seen order; Samples() and Render() list them in that order.
 class Collector {
  public:
   void AddCounter(const std::string& name, const std::string& help,
                   const Labels& labels, double value);
   void AddGauge(const std::string& name, const std::string& help,
                 const Labels& labels, double value);
-  // Renders <name>_bucket/_sum/_count plus a companion <name>_max gauge.
+  // Adds <name>_bucket/_sum/_count plus a companion <name>_max gauge.
   // `scale` converts raw sample units into exposition units (1e-9: ns -> s).
   void AddHistogram(const std::string& name, const std::string& help,
                     const Labels& labels, const Histogram& hist, double scale);
 
+  // The samples added so far, family by family.
+  std::vector<Sample> Samples() const;
+  // The same samples in Prometheus text format.
   std::string Render() const;
 
  private:
@@ -144,7 +155,7 @@ class Collector {
     std::string name;
     std::string help;
     std::string type;
-    std::vector<std::string> lines;
+    std::vector<Sample> samples;
   };
   Family& FamilyOf(const std::string& name, const std::string& help,
                    const std::string& type);
@@ -169,7 +180,13 @@ class MetricsRegistry {
   // Callback invoked at every exposition to append externally-owned stats.
   void AddCallback(std::function<void(Collector&)> fn);
 
+  // Adds every owned metric, then runs the callbacks. The callbacks run
+  // after mu_ is released, so they may take other locks and register
+  // metrics: the registry mutex stays a leaf.
   void Collect(Collector& out) const;
+  // The samples Collect produces, in exposition order.
+  std::vector<Sample> Snapshot() const;
+  // That snapshot in Prometheus text format.
   std::string RenderPrometheus() const;
 
  private:

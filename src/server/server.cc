@@ -19,6 +19,7 @@
 #include "base/strings.h"
 #include "base/sync.h"
 #include "cluster/cluster_client.h"
+#include "obs/exposition.h"
 #include "server/client.h"
 
 namespace oodb::server {
@@ -42,6 +43,20 @@ constexpr size_t kOutChunk = size_t{8} << 10;
 // iovec slots per sendmsg. Deep pipelines with large replies flush in
 // several calls; the gather write still beats one send per frame.
 constexpr size_t kMaxIov = 64;
+
+// Upper bound on LOAD/STATE payload sizes.
+constexpr size_t kMaxPayload = size_t{8} << 20;
+
+// Upper bound on live named sessions.
+constexpr size_t kMaxSessions = 64;
+
+// Pipelining bound: pooled requests in flight per binary connection.
+// Frames beyond it stay in the connection's input buffer (backpressure
+// via paused parsing, then paused reading), never dropped.
+constexpr size_t kMaxInflightPerConn = 256;
+
+// Ring-buffer capacity of the slow-query log.
+constexpr size_t kSlowLogCapacity = 128;
 
 Reply StatusReply(const Status& status) {
   return ErrReply(StatusCodeName(status.code()), status.message());
@@ -81,15 +96,14 @@ struct Server::Connection {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      slow_log_(options_.slow_log_capacity, options_.slow_threshold_ms) {
+      slow_log_(kSlowLogCapacity, options_.slow_threshold_ms) {
   size_t threads = options_.num_threads;
   if (threads == 0) threads = std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
   pool_ = std::make_unique<service::ThreadPool>(threads);
   // The input cap must admit the largest legal frame in one piece: a
   // text LOAD/STATE payload or a binary frame, plus header slack.
-  in_cap_ =
-      std::max(options_.max_payload, size_t{kMaxBinaryFrame}) + (64u << 10);
+  in_cap_ = std::max(kMaxPayload, size_t{kMaxBinaryFrame}) + (64u << 10);
   if (options_.cluster.enabled()) {
     ring_ = std::make_unique<cluster::Ring>(options_.cluster.nodes);
     peers_ = std::make_unique<cluster::PeerPool>(options_.cluster.nodes);
@@ -100,6 +114,28 @@ Server::Server(ServerOptions options)
 }
 
 void Server::RegisterMetrics() {
+  // The request and reply counters, each registered here once: METRICS
+  // renders them and STATS reads them back from a snapshot.
+  connections_ = registry_.GetCounter("oodb_server_connections_total",
+                                      "TCP connections accepted");
+  requests_ = registry_.GetCounter("oodb_server_requests_total",
+                                   "Frames parsed, including rejected ones");
+  ok_ = registry_.GetCounter("oodb_server_ok_total", "OK replies");
+  errors_ = registry_.GetCounter("oodb_server_errors_total", "ERR replies");
+  busy_ = registry_.GetCounter("oodb_server_busy_total",
+                               "BUSY replies (admission bound hit)");
+  deadline_expired_ =
+      registry_.GetCounter("oodb_server_deadline_expired_total",
+                           "Requests expired in the admission queue");
+  for (const VerbInfo& info : kVerbTable) {
+    const size_t i = static_cast<size_t>(info.verb);
+    verb_requests_[i] =
+        registry_.GetCounter("oodb_server_verb_requests_total",
+                             "Requests by verb", {{"verb", info.name}});
+    verb_errors_[i] =
+        registry_.GetCounter("oodb_server_verb_errors_total",
+                             "ERR replies by verb", {{"verb", info.name}});
+  }
   // Latency histograms exist only for verbs that run through the pool;
   // the verbs the loop answers inline are not timed.
   for (const VerbInfo& info : kVerbTable) {
@@ -117,6 +153,23 @@ void Server::RegisterMetrics() {
       "completions drained)",
       {}, 1e-9);
   if (options_.cluster.enabled()) {
+    forwards_ =
+        registry_.GetCounter("oodb_server_forwards_total",
+                             "Requests proxied to another cluster node");
+    forward_failures_ =
+        registry_.GetCounter("oodb_server_forward_failures_total",
+                             "Proxied requests with no reachable peer");
+    replica_reads_ =
+        registry_.GetCounter("oodb_server_replica_reads_total",
+                             "Reads served from this node's replica copies");
+    repl_applies_ =
+        registry_.GetCounter("oodb_server_repl_applies_total",
+                             "Replicated mutations applied in sequence");
+    repl_dups_ = registry_.GetCounter("oodb_server_repl_dups_total",
+                                      "Replicated mutations already applied");
+    repl_gaps_ =
+        registry_.GetCounter("oodb_server_repl_gaps_total",
+                             "Replication gap rejections (resync trigger)");
     forward_rtt_.assign(options_.cluster.nodes.size(), nullptr);
     peer_names_.reserve(options_.cluster.nodes.size());
     for (size_t i = 0; i < options_.cluster.nodes.size(); ++i) {
@@ -134,32 +187,9 @@ void Server::RegisterMetrics() {
 
 void Server::AppendServerMetrics(obs::Collector& out) const {
   const auto relaxed = std::memory_order_relaxed;
-  out.AddCounter("oodb_server_connections_total", "TCP connections accepted",
-                 {}, connections_.load(relaxed));
-  out.AddCounter("oodb_server_requests_total",
-                 "Frames parsed, including rejected ones", {},
-                 requests_.load(relaxed));
-  out.AddCounter("oodb_server_ok_total", "OK replies", {}, ok_.load(relaxed));
-  out.AddCounter("oodb_server_errors_total", "ERR replies", {},
-                 errors_.load(relaxed));
-  out.AddCounter("oodb_server_busy_total",
-                 "BUSY replies (admission bound hit)", {},
-                 busy_.load(relaxed));
-  out.AddCounter("oodb_server_deadline_expired_total",
-                 "Requests expired in the admission queue", {},
-                 deadline_expired_.load(relaxed));
   out.AddCounter("oodb_server_slow_queries_total",
                  "Requests recorded by the slow-query log", {},
                  slow_log_.recorded());
-  for (size_t i = 0; i < kNumVerbs; ++i) {
-    const uint64_t n = verb_requests_[i].load(relaxed);
-    if (n == 0) continue;
-    const obs::Labels labels = {{"verb", VerbName(static_cast<Verb>(i))}};
-    out.AddCounter("oodb_server_verb_requests_total", "Requests by verb",
-                   labels, n);
-    out.AddCounter("oodb_server_verb_errors_total", "ERR replies by verb",
-                   labels, verb_errors_[i].load(relaxed));
-  }
   out.AddGauge("oodb_server_pending",
                "Requests admitted (queued or running)", {},
                admitted_.load(relaxed));
@@ -183,26 +213,8 @@ void Server::AppendServerMetrics(obs::Collector& out) const {
                  "Encoded replies awaiting the event loop", {}, depth);
   }
   if (ring_ != nullptr) {
-    // Cluster-only series: a single-node daemon's exposition is
-    // byte-identical to what it was before cluster mode existed.
-    out.AddCounter("oodb_server_forwards_total",
-                   "Requests proxied to another cluster node", {},
-                   forwards_.load(relaxed));
-    out.AddCounter("oodb_server_forward_failures_total",
-                   "Proxied requests with no reachable peer", {},
-                   forward_failures_.load(relaxed));
-    out.AddCounter("oodb_server_replica_reads_total",
-                   "Reads served from this node's replica copies", {},
-                   replica_reads_.load(relaxed));
-    out.AddCounter("oodb_server_repl_applies_total",
-                   "Replicated mutations applied in sequence", {},
-                   repl_applies_.load(relaxed));
-    out.AddCounter("oodb_server_repl_dups_total",
-                   "Replicated mutations already applied", {},
-                   repl_dups_.load(relaxed));
-    out.AddCounter("oodb_server_repl_gaps_total",
-                   "Replication gap rejections (resync trigger)", {},
-                   repl_gaps_.load(relaxed));
+    // Cluster-only series, like the cluster counters RegisterMetrics
+    // registers.
     const cluster::Replicator::Stats rs = replicator_->stats();
     out.AddCounter("oodb_server_repl_sent_total",
                    "REPL frames pushed to replicas", {}, rs.sent);
@@ -260,8 +272,8 @@ void Server::AppendServerMetrics(obs::Collector& out) const {
   }
   out.AddGauge("oodb_server_sessions", "Live named sessions", {}, all.size());
   for (const auto& [name, session] : all) {
-    // Same lock order as DispatchStats: sessions_mu_ released first, then
-    // each session's shared lock in turn.
+    // sessions_mu_ is released first, then each session's shared lock is
+    // taken in turn (docs/concurrency.md).
     base::ReaderLock lock(&session->mu());
     session->AppendMetrics(out, {{"session", name}});
   }
@@ -414,7 +426,7 @@ void Server::HandleAccept() {
       continue;
     }
     conn->armed = EPOLLIN;
-    connections_.fetch_add(1, std::memory_order_relaxed);
+    connections_->Add();
     open_conns_.fetch_add(1, std::memory_order_relaxed);
     conns_.emplace(conn->id, std::move(conn));
   }
@@ -466,7 +478,7 @@ void Server::ParseFrames(Connection& conn) {
   if (!conn.preamble_decided) return;
   while (!conn.discard_input) {
     if (conn.out_bytes > kMaxOutBuffer) break;
-    if (conn.binary ? conn.inflight >= options_.max_inflight_per_conn
+    if (conn.binary ? conn.inflight >= kMaxInflightPerConn
                     : conn.text_waiting) {
       break;
     }
@@ -491,8 +503,8 @@ bool Server::ParseFrame(Connection& conn) {
   std::string error;
   const ParseStatus status =
       conn.binary ? ParseBinaryRequest(buf, &consumed, &req, &error)
-                  : ParseTextRequest(buf, options_.max_payload, &consumed,
-                                     &req.request, &error);
+                  : ParseTextRequest(buf, kMaxPayload, &consumed, &req.request,
+                                     &error);
   conn.in_pos += consumed;  // a frame, or blank text lines
   if (status == ParseStatus::kBad) {
     // The framing is gone: answer if a reply is owed (addressed to the
@@ -510,9 +522,8 @@ bool Server::ParseFrame(Connection& conn) {
 void Server::HandleFrame(Connection& conn, uint64_t request_id,
                          Request request) {
   const Verb verb = request.verb();
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  verb_requests_[static_cast<size_t>(verb)].fetch_add(
-      1, std::memory_order_relaxed);
+  requests_->Add();
+  verb_requests_[static_cast<size_t>(verb)]->Add();
   if (!request.ok()) {
     return QueueReply(conn, request_id, ErrReply(kErrProto, request.error()),
                       verb);
@@ -629,15 +640,14 @@ void Server::QueueReply(Connection& conn, uint64_t request_id,
 void Server::CountReply(const Reply& reply, Verb verb) {
   switch (reply.kind) {
     case Reply::Kind::kOk:
-      ok_.fetch_add(1, std::memory_order_relaxed);
+      ok_->Add();
       break;
     case Reply::Kind::kErr:
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      verb_errors_[static_cast<size_t>(verb)].fetch_add(
-          1, std::memory_order_relaxed);
+      errors_->Add();
+      verb_errors_[static_cast<size_t>(verb)]->Add();
       break;
     case Reply::Kind::kBusy:
-      busy_.fetch_add(1, std::memory_order_relaxed);
+      busy_->Add();
       break;
   }
 }
@@ -696,7 +706,7 @@ Server::Completion Server::FinalizeOnWorker(uint64_t conn_id, bool binary,
                           std::chrono::steady_clock::now() - work.enqueued)
                           .count();
   if (options_.deadline_ms > 0 && waited > options_.deadline_ms) {
-    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+    deadline_expired_->Add();
     reply = ErrReply(kErrDeadline,
                      StrCat("queued ", waited, " ms, deadline ",
                             options_.deadline_ms, " ms"));
@@ -883,7 +893,7 @@ Reply Server::Execute(const RequestView& request, obs::TraceContext* trace,
           ring_->IsReplicaOf(session, options_.cluster.self,
                              options_.cluster.EffectiveReplicas());
       if (!replica_read) return ForwardToOwner(owner, request, trace);
-      replica_reads_.fetch_add(1, std::memory_order_relaxed);
+      replica_reads_->Add();
     }
   }
 
@@ -922,25 +932,25 @@ Reply Server::DispatchRepl(const Request& request, obs::TraceContext* trace) {
   uint64_t& applied = replica_applied_[std::string(session)];
   if (seq <= applied) {
     // Duplicate delivery (owner retried after a lost ack): idempotent.
-    repl_dups_.fetch_add(1, std::memory_order_relaxed);
+    repl_dups_->Add();
     return OkReply(StrCat("applied=", applied, " dup=true"));
   }
   // In-sequence, or a LOAD — which rebuilds the session from scratch and
   // is therefore a valid resync point at any forward sequence number.
   if (seq != applied + 1 && inner.verb != Verb::kLoad) {
-    repl_gaps_.fetch_add(1, std::memory_order_relaxed);
+    repl_gaps_->Add();
     return ErrReply("replica_gap", StrCat("have=", applied));
   }
   Reply reply = Execute(inner, trace, Route::kReplica);
   if (reply.kind != Reply::Kind::kOk) return reply;
   applied = seq;
-  repl_applies_.fetch_add(1, std::memory_order_relaxed);
+  repl_applies_->Add();
   return OkReply(StrCat("applied=", seq));
 }
 
 Reply Server::ForwardToOwner(size_t owner, const RequestView& request,
                              obs::TraceContext* trace) {
-  forwards_.fetch_add(1, std::memory_order_relaxed);
+  forwards_->Add();
   // The whole proxy attempt — dialing, the round trip(s), failover — is
   // the forward phase: total_ns minus forward_ns is what this node
   // spent, forward_ns is network plus the remote node's work.
@@ -995,7 +1005,7 @@ Reply Server::ForwardToOwner(size_t owner, const RequestView& request,
     }
     return std::move(r).value();
   }
-  forward_failures_.fetch_add(1, std::memory_order_relaxed);
+  forward_failures_->Add();
   return reply;
 }
 
@@ -1008,16 +1018,14 @@ Reply Server::DispatchLocal(const RequestView& request,
     case Verb::kLoad: {
       // Parse/translate outside any lock — LOAD of a big schema must not
       // stall requests against other sessions.
-      auto session =
-          Session::FromSource(request.payload, options_.checker, trace);
+      auto session = Session::FromSource(request.payload, trace);
       if (!session.ok()) return StatusReply(session.status());
       std::string summary = (*session)->Summary();
       base::MutexLock lock(&sessions_mu_);
       if (sessions_.find(args[0]) == sessions_.end() &&
-          sessions_.size() >= options_.max_sessions) {
+          sessions_.size() >= kMaxSessions) {
         return ErrReply("resource_exhausted",
-                        StrCat("session limit (", options_.max_sessions,
-                               ") reached"));
+                        StrCat("session limit (", kMaxSessions, ") reached"));
       }
       // Replacing is atomic for new requests; in-flight requests finish
       // against the old session via their shared_ptr.
@@ -1118,55 +1126,117 @@ Reply Server::DispatchLocal(const RequestView& request,
   }
 }
 
+namespace {
+
+// The STATS text, one template per line: each {series} stands for that
+// series' value in the registry snapshot, and a session's lines read
+// the series labeled with its name.
+constexpr std::string_view kStatsServerLine =
+    "server: connections={oodb_server_connections_total} "
+    "requests={oodb_server_requests_total} ok={oodb_server_ok_total} "
+    "err={oodb_server_errors_total} busy={oodb_server_busy_total} "
+    "deadline={oodb_server_deadline_expired_total} "
+    "pending={oodb_server_pending} threads={oodb_server_threads} "
+    "sessions={oodb_server_sessions}";
+// Follows the configured `cluster: nodes=<n> self=<i> replicas=<r> `.
+constexpr std::string_view kStatsClusterCounters =
+    "forwards={oodb_server_forwards_total} "
+    "forward_failures={oodb_server_forward_failures_total} "
+    "replica_reads={oodb_server_replica_reads_total} "
+    "repl_applies={oodb_server_repl_applies_total} "
+    "repl_dups={oodb_server_repl_dups_total} "
+    "repl_gaps={oodb_server_repl_gaps_total} "
+    "repl_sent={oodb_server_repl_sent_total} "
+    "repl_acked={oodb_server_repl_acked_total} "
+    "repl_failures={oodb_server_repl_push_failures_total} "
+    "repl_resyncs={oodb_server_repl_resyncs_total} "
+    "repl_max_lag={oodb_cluster_repl_lag_max}";
+// Follows `session <name>: `.
+constexpr std::string_view kStatsSessionLines =
+    "checks={oodb_session_checks_total} "
+    "classifies={oodb_session_classifies_total} "
+    "optimizes={oodb_session_optimizes_total} "
+    "undefines={oodb_session_undefines_total} views={oodb_session_views} "
+    "objects={oodb_session_objects}\n"
+    "engine_runs={oodb_checker_engine_runs_total} "
+    "prefilter_rejections={oodb_prefilter_rejections_total}/"
+    "{oodb_prefilter_checks_total} memo_hits={oodb_memo_hits_total} "
+    "memo_misses={oodb_memo_misses_total} memo_entries={oodb_memo_entries} "
+    "pool_reuses={oodb_engine_pool_reuses_total}/"
+    "{oodb_engine_pool_acquires_total}";
+// Present once the session has classified.
+constexpr std::string_view kStatsClassifyLine =
+    "classify_concepts={oodb_classify_last_concepts} "
+    "classify_checks={oodb_classify_last_checks_performed}/"
+    "{oodb_classify_last_pairwise_checks} "
+    "classify_avoided={oodb_classify_last_checks_avoided} "
+    "classify_inserts={oodb_classify_inserts_total} "
+    "classify_removes={oodb_classify_removes_total}";
+
+// The value of one series, from the samples carrying `labels`.
+uint64_t Count(const std::vector<obs::Sample>& samples,
+               const std::string& series, const obs::Labels& labels = {}) {
+  return static_cast<uint64_t>(obs::SampleValue(samples, series, labels));
+}
+
+// Fills a STATS template from the snapshot.
+std::string FillStats(std::string_view line,
+                      const std::vector<obs::Sample>& samples,
+                      const obs::Labels& labels = {}) {
+  std::string text;
+  for (size_t open = line.find('{'); open != std::string_view::npos;
+       open = line.find('{')) {
+    const size_t close = line.find('}', open);
+    const std::string series(line.substr(open + 1, close - open - 1));
+    text += StrCat(line.substr(0, open), Count(samples, series, labels));
+    line.remove_prefix(close + 1);
+  }
+  text += line;
+  return text;
+}
+
+}  // namespace
+
 Reply Server::DispatchStats(const RequestView& request) {
-  ServerStats s = stats();
-  std::string text = StrCat(
-      "server: connections=", s.connections, " requests=", s.requests,
-      " ok=", s.ok, " err=", s.errors, " busy=", s.busy,
-      " deadline=", s.deadline_expired,
-      " pending=", admitted_.load(std::memory_order_relaxed),
-      " threads=", pool_->size(), " sessions=", s.sessions);
-  if (!s.per_verb.empty()) {
-    std::string verbs;
-    for (const ServerStats::VerbCount& v : s.per_verb) {
-      verbs = StrCat(verbs, verbs.empty() ? "" : " ", v.verb, "=", v.requests,
-                     "/", v.errors);
-    }
-    text = StrCat(text, "\nverbs: ", verbs);
+  const std::vector<obs::Sample> samples = registry_.Snapshot();
+  std::string text = FillStats(kStatsServerLine, samples);
+  std::string verbs;
+  for (const VerbInfo& info : kVerbTable) {
+    const obs::Labels labels = {{"verb", info.name}};
+    const uint64_t n =
+        Count(samples, "oodb_server_verb_requests_total", labels);
+    if (n == 0) continue;
+    verbs += StrCat(verbs.empty() ? "" : " ", info.name, "=", n, "/",
+                    Count(samples, "oodb_server_verb_errors_total", labels));
   }
+  if (!verbs.empty()) text += "\nverbs: " + verbs;
   if (ring_ != nullptr) {
-    // Cluster mode only: a single-node daemon's STATS text is unchanged.
-    const cluster::Replicator::Stats rs = replicator_->stats();
-    text = StrCat(
-        text, "\ncluster: nodes=", options_.cluster.nodes.size(),
-        " self=", options_.cluster.self,
-        " replicas=", options_.cluster.EffectiveReplicas(),
-        " forwards=", s.forwards, " forward_failures=", s.forward_failures,
-        " replica_reads=", s.replica_reads,
-        " repl_applies=", s.repl_applies, " repl_dups=", s.repl_dups,
-        " repl_gaps=", s.repl_gaps, " repl_sent=", rs.sent,
-        " repl_acked=", rs.acked, " repl_failures=", rs.failures,
-        " repl_resyncs=", rs.resyncs, " repl_max_lag=", rs.max_lag);
+    // Cluster mode only: a single-node daemon's STATS text has no
+    // cluster line.
+    text += StrCat("\ncluster: nodes=", options_.cluster.nodes.size(),
+                   " self=", options_.cluster.self,
+                   " replicas=", options_.cluster.EffectiveReplicas(), " ",
+                   FillStats(kStatsClusterCounters, samples));
   }
-  auto append = [&](const std::string& name,
-                    const std::shared_ptr<Session>& session) {
-    base::ReaderLock lock(&session->mu());
-    text = StrCat(text, "\nsession ", name, ": ", session->StatsText());
-  };
-  if (request.names_session()) {
-    const std::string_view name = request.args[0];
-    std::shared_ptr<Session> session = FindSession(name);
-    if (session == nullptr) {
-      return ErrReply("not_found", StrCat("no session '", name, "'"));
+  // Every session has a checks series, and the snapshot lists the
+  // sessions in name order.
+  bool found = false;
+  for (const obs::Sample& sample : samples) {
+    if (sample.name != "oodb_session_checks_total") continue;
+    const std::string& name = sample.labels.front().second;
+    if (request.names_session() && name != request.args[0]) continue;
+    found = true;
+    const obs::Labels labels = {{"session", name}};
+    text += StrCat("\nsession ", name, ": ",
+                   FillStats(kStatsSessionLines, samples, labels));
+    if (obs::SampleValue(samples, "oodb_classify_last_concepts", labels,
+                         -1) >= 0) {
+      text += "\n" + FillStats(kStatsClassifyLine, samples, labels);
     }
-    append(std::string(name), session);
-  } else {
-    std::vector<std::pair<std::string, std::shared_ptr<Session>>> all;
-    {
-      base::MutexLock lock(&sessions_mu_);
-      all.assign(sessions_.begin(), sessions_.end());
-    }
-    for (const auto& [name, session] : all) append(name, session);
+  }
+  if (request.names_session() && !found) {
+    return ErrReply("not_found",
+                    StrCat("no session '", request.args[0], "'"));
   }
   return OkReply(std::move(text));
 }
@@ -1199,35 +1269,6 @@ std::shared_ptr<Session> Server::FindSession(std::string_view name) {
   base::MutexLock lock(&sessions_mu_);
   auto it = sessions_.find(name);
   return it == sessions_.end() ? nullptr : it->second;
-}
-
-ServerStats Server::stats() const {
-  ServerStats s;
-  s.connections = connections_.load(std::memory_order_relaxed);
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.ok = ok_.load(std::memory_order_relaxed);
-  s.errors = errors_.load(std::memory_order_relaxed);
-  s.busy = busy_.load(std::memory_order_relaxed);
-  s.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
-  s.open_connections = open_conns_.load(std::memory_order_relaxed);
-  s.forwards = forwards_.load(std::memory_order_relaxed);
-  s.forward_failures = forward_failures_.load(std::memory_order_relaxed);
-  s.replica_reads = replica_reads_.load(std::memory_order_relaxed);
-  s.repl_applies = repl_applies_.load(std::memory_order_relaxed);
-  s.repl_dups = repl_dups_.load(std::memory_order_relaxed);
-  s.repl_gaps = repl_gaps_.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < kNumVerbs; ++i) {
-    const uint64_t n = verb_requests_[i].load(std::memory_order_relaxed);
-    if (n == 0) continue;
-    s.per_verb.push_back(
-        {VerbName(static_cast<Verb>(i)), n,
-         verb_errors_[i].load(std::memory_order_relaxed)});
-  }
-  {
-    base::MutexLock lock(&sessions_mu_);
-    s.sessions = sessions_.size();
-  }
-  return s;
 }
 
 void Server::RequestShutdown() {

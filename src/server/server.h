@@ -27,7 +27,6 @@
 
 #include "base/status.h"
 #include "base/sync.h"
-#include "calculus/subsumption.h"
 #include "cluster/membership.h"
 #include "cluster/replication.h"
 #include "cluster/ring.h"
@@ -51,57 +50,15 @@ struct ServerOptions {
   // Budget in milliseconds a request may wait in the admission queue
   // before it is answered `ERR deadline` instead of running. 0 = none.
   int64_t deadline_ms = 0;
-  // Upper bound on LOAD/STATE payload sizes.
-  size_t max_payload = size_t{8} << 20;
-  // Upper bound on live named sessions.
-  size_t max_sessions = 64;
-  // Pipelining bound: pooled requests in flight per connection. Frames
-  // beyond it stay in the connection's input buffer (backpressure via
-  // paused parsing, then paused reading), never dropped.
-  size_t max_inflight_per_conn = 256;
   // Requests whose total latency is >= this many milliseconds are traced
   // into the slow-query log (TRACE verb). 0 logs every request; negative
   // disables request tracing entirely.
   int64_t slow_threshold_ms = 100;
-  // Ring-buffer capacity of the slow-query log.
-  size_t slow_log_capacity = 128;
-  // Options for each session's shared checker (memo cache, pre-filter,
-  // engine pool).
-  calculus::CheckerOptions checker;
   // Cluster membership (docs/cluster.md). Empty = single-node mode, no
   // routing or replication. When set, `cluster.self` must be this
   // daemon's index in `cluster.nodes` (ports are static in cluster
   // mode, so the caller knows it before Start()).
   cluster::ClusterConfig cluster;
-};
-
-// Monotone server-wide counters (snapshot via Server::stats()).
-struct ServerStats {
-  uint64_t connections = 0;  // accepted over the server's lifetime
-  uint64_t requests = 0;     // frames parsed, including rejected ones
-  uint64_t ok = 0;
-  uint64_t errors = 0;
-  uint64_t busy = 0;              // BUSY replies (admission bound hit)
-  uint64_t deadline_expired = 0;  // ERR deadline replies
-  size_t sessions = 0;            // live named sessions
-  size_t open_connections = 0;    // connections currently registered
-
-  // Cluster-mode counters; all zero in single-node mode.
-  uint64_t forwards = 0;          // requests proxied to another node
-  uint64_t forward_failures = 0;  // proxies with no reachable peer
-  uint64_t replica_reads = 0;     // reads served from a replica copy
-  uint64_t repl_applies = 0;      // REPL mutations applied in sequence
-  uint64_t repl_dups = 0;         // REPL already-applied (dup) acks
-  uint64_t repl_gaps = 0;         // REPL gap rejections (resync trigger)
-
-  // Per-verb request/error counts, in Verb order, verbs with zero
-  // requests omitted.
-  struct VerbCount {
-    const char* verb;
-    uint64_t requests;
-    uint64_t errors;
-  };
-  std::vector<VerbCount> per_verb;
 };
 
 class Server {
@@ -126,9 +83,10 @@ class Server {
   void Shutdown() EXCLUDES(stop_mu_);
 
   int port() const { return port_; }
-  ServerStats stats() const EXCLUDES(sessions_mu_);
 
-  // The daemon's metrics registry (also served by the METRICS verb).
+  // The daemon's metrics registry: the one source of its counters, read
+  // by the METRICS and STATS verbs and by in-process callers through
+  // Snapshot().
   obs::MetricsRegistry& registry() { return registry_; }
   const obs::SlowQueryLog& slow_log() const { return slow_log_; }
 
@@ -238,13 +196,16 @@ class Server {
   // that answered is stamped into trace->peer.
   Reply ForwardToOwner(size_t owner, const RequestView& request,
                        obs::TraceContext* trace);
+  // The STATS verb body, rendered from one registry snapshot.
   Reply DispatchStats(const RequestView& request);
   // The HEALTH verb body: "status=ok|degraded|draining" plus, in
   // cluster mode, the degraded criteria (down peers, replica lag).
   std::string HealthText() const;
-  // Registers the per-verb latency histograms and the snapshot callback.
+  // Registers the server counters, the latency histograms and the
+  // snapshot callback.
   void RegisterMetrics();
-  // Snapshot callback: server counters + every session's metrics.
+  // Snapshot callback: server gauges, replication and peer stats, and
+  // every session's metrics.
   void AppendServerMetrics(obs::Collector& out) const
       EXCLUDES(sessions_mu_);
   std::shared_ptr<Session> FindSession(std::string_view name)
@@ -304,23 +265,27 @@ class Server {
   std::atomic<bool> stopping_{false};   // fast-path flag for request paths
   std::atomic<bool> loop_stop_{false};  // final wakeup for the event loop
 
-  mutable std::atomic<uint64_t> connections_{0};
-  mutable std::atomic<uint64_t> requests_{0};
-  mutable std::atomic<uint64_t> ok_{0};
-  mutable std::atomic<uint64_t> errors_{0};
-  mutable std::atomic<uint64_t> busy_{0};
-  mutable std::atomic<uint64_t> deadline_expired_{0};
-  mutable std::atomic<size_t> open_conns_{0};
-  mutable std::atomic<uint64_t> forwards_{0};
-  mutable std::atomic<uint64_t> forward_failures_{0};
-  mutable std::atomic<uint64_t> replica_reads_{0};
-  mutable std::atomic<uint64_t> repl_applies_{0};
-  mutable std::atomic<uint64_t> repl_dups_{0};
-  mutable std::atomic<uint64_t> repl_gaps_{0};
-  mutable std::array<std::atomic<uint64_t>, kNumVerbs> verb_requests_{};
-  mutable std::array<std::atomic<uint64_t>, kNumVerbs> verb_errors_{};
+  // Connections currently registered (loop-written; the
+  // oodb_loop_connections gauge).
+  std::atomic<size_t> open_conns_{0};
 
   obs::MetricsRegistry registry_;
+  // Request and reply counters (registry-owned, registered in
+  // RegisterMetrics). The cluster ones are null in single-node mode.
+  obs::Counter* connections_ = nullptr;
+  obs::Counter* requests_ = nullptr;
+  obs::Counter* ok_ = nullptr;
+  obs::Counter* errors_ = nullptr;
+  obs::Counter* busy_ = nullptr;
+  obs::Counter* deadline_expired_ = nullptr;
+  obs::Counter* forwards_ = nullptr;
+  obs::Counter* forward_failures_ = nullptr;
+  obs::Counter* replica_reads_ = nullptr;
+  obs::Counter* repl_applies_ = nullptr;
+  obs::Counter* repl_dups_ = nullptr;
+  obs::Counter* repl_gaps_ = nullptr;
+  std::array<obs::Counter*, kNumVerbs> verb_requests_{};
+  std::array<obs::Counter*, kNumVerbs> verb_errors_{};
   obs::SlowQueryLog slow_log_;
   std::atomic<uint64_t> trace_seq_{0};
   // Request-latency histograms by verb (registry-owned); null for the

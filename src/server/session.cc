@@ -11,9 +11,7 @@
 namespace oodb::server {
 
 Result<std::unique_ptr<Session>> Session::FromSource(
-    std::string_view dl_source,
-    const calculus::CheckerOptions& checker_options,
-    obs::TraceContext* trace) {
+    std::string_view dl_source, obs::TraceContext* trace) {
   // Not make_unique: the constructor is private.
   std::unique_ptr<Session> session(new Session());
   // The session is unpublished, so the lock is uncontended; it is taken
@@ -36,8 +34,8 @@ Result<std::unique_ptr<Session>> Session::FromSource(
     OODB_RETURN_IF_ERROR(
         session->translator_->BuildSchema(session->sigma_.get()));
   }
-  session->checker_ = std::make_unique<calculus::SubsumptionChecker>(
-      *session->sigma_, checker_options);
+  session->checker_ =
+      std::make_unique<calculus::SubsumptionChecker>(*session->sigma_);
   // An empty state up front: CHECK/CLASSIFY need none, and OPTIMIZE is
   // well-defined over zero objects (plans, not answers).
   session->database_ =
@@ -252,33 +250,6 @@ std::string Session::Summary() const {
                 " queries=", queries,
                 " axioms=", sigma_->inclusions().size() + sigma_->typings().size(),
                 " warnings=", warnings_.size());
-}
-
-std::string Session::StatsText() const {
-  const calculus::CheckerPerfStats perf = checker_->perf_stats();
-  std::string text = StrCat(
-      "checks=", checks_.load(std::memory_order_relaxed),
-      " classifies=", classifies_.load(std::memory_order_relaxed),
-      " optimizes=", optimizes_.load(std::memory_order_relaxed),
-      " undefines=", undefines_.load(std::memory_order_relaxed),
-      " views=", catalog_->views().size(),
-      " objects=", database_->num_objects(), "\n",
-      "engine_runs=", perf.engine_runs,
-      " prefilter_rejections=", perf.prefilter_rejections, "/",
-      perf.prefilter_checks, " memo_hits=", perf.cache.hits,
-      " memo_misses=", perf.cache.misses, " memo_entries=",
-      perf.cache.entries, " pool_reuses=", perf.pool_reuses, "/",
-      perf.pool_acquires);
-  base::MutexLock lock(&classify_mu_);
-  if (has_classified_) {
-    text = StrCat(text, "\nclassify_concepts=", last_classify_.concepts,
-                  " classify_checks=", last_classify_.checks_performed, "/",
-                  last_classify_.pairwise_checks,
-                  " classify_avoided=", last_classify_.checks_avoided,
-                  " classify_inserts=", taxonomy_inserts_,
-                  " classify_removes=", taxonomy_removes_);
-  }
-  return text;
 }
 
 void Session::AppendMetrics(obs::Collector& out,

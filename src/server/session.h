@@ -43,9 +43,7 @@ class Session {
   // Parses and translates a DL source into a fresh session with an empty
   // database state. Parser warnings are collected, not printed.
   static Result<std::unique_ptr<Session>> FromSource(
-      std::string_view dl_source,
-      const calculus::CheckerOptions& checker_options,
-      obs::TraceContext* trace = nullptr);
+      std::string_view dl_source, obs::TraceContext* trace = nullptr);
 
   // Replaces the database state from `.odb` text. Views defined against
   // the previous state are dropped (their extents are stale by
@@ -94,12 +92,9 @@ class Session {
   // One-line summary for the LOAD reply.
   std::string Summary() const;
 
-  // Multi-line per-session counters + CheckerPerfStats/ClassifyStats
-  // pass-through for STATS.
-  std::string StatsText() const REQUIRES_SHARED(mu_);
-
   // Appends this session's counters plus its checker's metrics to a
-  // snapshot. Callers hold at least the shared side of mu().
+  // snapshot (METRICS and STATS both render it). Callers hold at least
+  // the shared side of mu().
   void AppendMetrics(obs::Collector& out, const obs::Labels& labels) const
       REQUIRES_SHARED(mu_);
 

@@ -13,8 +13,10 @@
 #include <unistd.h>
 
 #include <memory>
+#include <regex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -225,6 +227,11 @@ server::Client MustConnect(int port) {
   return std::move(client).value();
 }
 
+// One series of a node's registry, from a fresh snapshot.
+double Series(server::Server& node, const std::string& name) {
+  return obs::SampleValue(node.registry().Snapshot(), name);
+}
+
 std::string TinyCorpus() {
   Rng rng(1234);
   gen::DlGenOptions options;
@@ -276,17 +283,28 @@ TEST(Cluster, TwoNodeFleetForwardsMutationsAndServesReplicaReads) {
 
   // The forwarder proxied the mutations; the replica served the reads
   // locally; the owner replicated the LOAD.
-  const server::ServerStats other_stats = fleet->servers[other]->stats();
-  EXPECT_GE(other_stats.forwards, 1u);
-  EXPECT_GE(other_stats.replica_reads, 1u);
-  EXPECT_GE(other_stats.repl_applies, 1u);
-  const server::ServerStats owner_stats = fleet->servers[owner]->stats();
-  EXPECT_EQ(owner_stats.forwards, 0u);
+  server::Server& other_node = *fleet->servers[other];
+  EXPECT_GE(Series(other_node, "oodb_server_forwards_total"), 1);
+  EXPECT_GE(Series(other_node, "oodb_server_replica_reads_total"), 1);
+  EXPECT_GE(Series(other_node, "oodb_server_repl_applies_total"), 1);
+  EXPECT_EQ(Series(*fleet->servers[owner], "oodb_server_forwards_total"), 0);
 
-  // STATS grows a cluster line in cluster mode.
+  // STATS grows a cluster line in cluster mode, its keys in this order.
   auto stats = via_owner.Stats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats->find("cluster: nodes=2"), std::string::npos) << *stats;
+  std::string cluster_line;
+  for (std::string_view line : StrSplit(*stats, '\n')) {
+    if (line.rfind("cluster: ", 0) == 0) cluster_line = std::string(line);
+  }
+  EXPECT_TRUE(std::regex_match(
+      cluster_line,
+      std::regex(StrCat(
+          "cluster: nodes=2 self=", owner,
+          " replicas=1 forwards=\\d+ forward_failures=\\d+ "
+          "replica_reads=\\d+ repl_applies=\\d+ repl_dups=\\d+ "
+          "repl_gaps=\\d+ repl_sent=\\d+ repl_acked=\\d+ "
+          "repl_failures=\\d+ repl_resyncs=\\d+ repl_max_lag=\\d+"))))
+      << *stats;
   fleet->ShutdownAll();
 }
 
@@ -331,10 +349,11 @@ TEST(Cluster, ReplAppliesInSequenceAcceptsDupsAndRejectsGaps) {
   r = client.Roundtrip("REPL 8 CHECK rs Q0 Q0");
   ASSERT_FALSE(r.ok());
 
-  const server::ServerStats stats = fleet->servers[0]->stats();
-  EXPECT_EQ(stats.repl_applies, 3u);
-  EXPECT_GE(stats.repl_dups, 1u);
-  EXPECT_GE(stats.repl_gaps, 1u);
+  const std::vector<obs::Sample> samples =
+      fleet->servers[0]->registry().Snapshot();
+  EXPECT_EQ(obs::SampleValue(samples, "oodb_server_repl_applies_total"), 3);
+  EXPECT_GE(obs::SampleValue(samples, "oodb_server_repl_dups_total"), 1);
+  EXPECT_GE(obs::SampleValue(samples, "oodb_server_repl_gaps_total"), 1);
   fleet->ShutdownAll();
 }
 
@@ -649,8 +668,11 @@ TEST(Cluster, EveryVerbAtEveryArityGetsExactlyOneReplyInAFleet) {
     }
   }
   for (const auto& server : fleet->servers) {
-    const server::ServerStats stats = server->stats();
-    EXPECT_EQ(stats.ok + stats.errors + stats.busy, stats.requests);
+    const std::vector<obs::Sample> samples = server->registry().Snapshot();
+    EXPECT_EQ(obs::SampleValue(samples, "oodb_server_ok_total") +
+                  obs::SampleValue(samples, "oodb_server_errors_total") +
+                  obs::SampleValue(samples, "oodb_server_busy_total"),
+              obs::SampleValue(samples, "oodb_server_requests_total"));
   }
   fleet->ShutdownAll();
 }

@@ -9,7 +9,9 @@
 #   5. it fails when a cluster/loop metric emitted in code loses its
 #      docs/observability.md row;
 #   6. it fails when a verb's on_loop flag in the verb table no longer
-#      matches the inline verbs docs/server.md lists.
+#      matches the inline verbs docs/server.md lists;
+#   7. it fails when code quotes an oodb_server_* metric name that
+#      docs/observability.md does not document.
 #
 # usage: lint_consistency_test.sh <repo_root>
 set -eu
@@ -80,6 +82,16 @@ if cmp -s "$ROOT/src/server/wire.h" "$TMP/src/server/wire.h"; then
 fi
 if python3 "$LINTER" --root "$TMP" 2>/dev/null; then
   echo "FAIL: linter passed with HEALTH's on_loop flag flipped" >&2
+  exit 1
+fi
+cp "$ROOT/src/server/wire.h" "$TMP/src/server/"
+
+# 7. A server metric named in code but missing from the catalog must fail.
+printf '%s\n' 'const char* kProbe = "oodb_server_undocumented_total";' \
+  >> "$TMP/src/server/server.cc"
+if python3 "$LINTER" --root "$TMP" 2>/dev/null; then
+  echo "FAIL: linter passed with oodb_server_undocumented_total" \
+       "undocumented" >&2
   exit 1
 fi
 

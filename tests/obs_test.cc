@@ -1,13 +1,16 @@
 // Unit tests of the observability layer: histogram bucket geometry and
 // quantile error bounds, concurrent increment stress (exercised under
-// TSan by CI), registry exposition round-trips through the parser, and
-// slow-query log ring/threshold semantics.
+// TSan by CI), registry exposition round-trips through the parser, the
+// registry mutex as a leaf lock, and slow-query log ring/threshold
+// semantics.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -205,6 +208,44 @@ TEST(MetricsRegistry, RenderedExpositionParsesAndRoundTrips) {
   const std::string human = RenderHumanSnapshot(*samples);
   EXPECT_NE(human.find("lat_seconds"), std::string::npos);
   EXPECT_NE(human.find("req_total"), std::string::npos);
+
+  // Snapshot() is the exposition before formatting: the same samples in
+  // the same order, equal to the 9 significant digits the text keeps.
+  const std::vector<Sample> snapshot = registry.Snapshot();
+  ASSERT_EQ(snapshot.size(), samples->size());
+  for (size_t i = 0; i < snapshot.size(); ++i) {
+    const Sample& got = snapshot[i];
+    const Sample& want = (*samples)[i];
+    EXPECT_EQ(got.name, want.name) << i;
+    EXPECT_EQ(got.labels, want.labels) << got.name;
+    EXPECT_NEAR(got.value, want.value, 5e-9 * std::fabs(want.value))
+        << got.name;
+  }
+}
+
+// Collect runs the callbacks after releasing the registry mutex, so a
+// callback that blocks (the daemon's takes session locks) never stalls
+// registration on another thread.
+TEST(MetricsRegistry, ACallbackParkedInCollectDoesNotBlockGetCounter) {
+  MetricsRegistry registry;
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  registry.AddCallback([&entered, released](Collector&) {
+    entered.set_value();
+    released.wait();
+  });
+  std::thread scrape([&registry] { registry.RenderPrometheus(); });
+  entered.get_future().wait();
+  auto registered = std::async(std::launch::async, [&registry] {
+    return registry.GetCounter("late_total", "registered mid-scrape");
+  });
+  const bool done = registered.wait_for(std::chrono::seconds(2)) ==
+                    std::future_status::ready;
+  release.set_value();
+  scrape.join();
+  EXPECT_TRUE(done) << "GetCounter waited for a callback to return";
+  EXPECT_NE(registered.get(), nullptr);
 }
 
 TEST(Exposition, RejectsMalformedLines) {

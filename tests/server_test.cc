@@ -88,6 +88,11 @@ Client MustConnect(int port) {
   return std::move(client).value();
 }
 
+// One series of the daemon's registry, from a fresh snapshot.
+double Series(Server& server, const std::string& name) {
+  return obs::SampleValue(server.registry().Snapshot(), name);
+}
+
 TEST(Server, PingStatsAndUnknownSession) {
   Server server;
   auto port = server.Start();
@@ -308,7 +313,7 @@ TEST(Server, BusyBackpressureUnderOverload) {
   // room again.
   auto after = client.Roundtrip("SLEEP 0");
   EXPECT_TRUE(after.ok()) << after.status();
-  EXPECT_GE(server.stats().busy, 1u);
+  EXPECT_GE(Series(server, "oodb_server_busy_total"), 1);
   server.Shutdown();
 }
 
@@ -335,7 +340,7 @@ TEST(Server, QueuedRequestsPastTheDeadlineAreRejected) {
   ASSERT_FALSE(expired.ok());
   EXPECT_NE(expired.status().message().find("deadline"), std::string::npos);
   blocker.join();
-  EXPECT_GE(server.stats().deadline_expired, 1u);
+  EXPECT_GE(Series(server, "oodb_server_deadline_expired_total"), 1);
   server.Shutdown();
 }
 
@@ -1175,7 +1180,7 @@ TEST(Server, BlankLinesBeyondTheInputCapDoNotStallTheConnection) {
   auto reply = client.Roundtrip(blanks + "PING");
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_EQ(*reply, "pong");
-  EXPECT_EQ(server.stats().requests, 1u);
+  EXPECT_EQ(Series(server, "oodb_server_requests_total"), 1);
   server.Shutdown();
 }
 
@@ -1253,8 +1258,11 @@ TEST(Server, EveryVerbAtEveryArityGetsExactlyOneReply) {
       EXPECT_EQ(*pong, "pong") << line;
     }
   }
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.ok + stats.errors + stats.busy, stats.requests);
+  const std::vector<obs::Sample> samples = server.registry().Snapshot();
+  EXPECT_EQ(obs::SampleValue(samples, "oodb_server_ok_total") +
+                obs::SampleValue(samples, "oodb_server_errors_total") +
+                obs::SampleValue(samples, "oodb_server_busy_total"),
+            obs::SampleValue(samples, "oodb_server_requests_total"));
   server.Shutdown();
 }
 
@@ -1318,6 +1326,62 @@ TEST(Server, BatchFramesDribbledInSevenByteSlicesMatchTheChecker) {
   server.Shutdown();
 }
 
+// STATS bytes are a contract: scripts scrape its keys. One fixed
+// single-client script on a fresh two-worker daemon must give these
+// exact replies.
+TEST(Server, StatsBytesOfAFixedScriptArePinned) {
+  ServerOptions options;
+  options.num_threads = 2;
+  Server server(options);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Client client = MustConnect(*port);
+  Rng rng(2024);
+  gen::DlGenOptions gen_options;
+  gen_options.num_queries = 4;
+  const gen::GeneratedDl dl = gen::GenerateDlSource(rng, gen_options);
+  ASSERT_TRUE(client.Load("pin", dl.source).ok());
+  ASSERT_TRUE(client.DefineView("pin", "Q1").ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(client.Check("pin", "Q0", "Q1").ok());
+  }
+  ASSERT_TRUE(
+      client.CheckBatch("pin", {{"Q0", "C0"}, {"Q2", "Q3"}, {"Q0", "Q1"}})
+          .ok());
+  ASSERT_TRUE(client.Classify("pin").ok());
+  ASSERT_TRUE(client.Optimize("pin", "Q0").ok());
+  ASSERT_TRUE(client.Undefine("pin", "Q3").ok());
+  EXPECT_FALSE(client.Roundtrip("CHECK pin Q0").ok());
+
+  auto all = client.Stats();
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(*all,
+            "server: connections=1 requests=10 ok=8 err=1 busy=0 deadline=0 "
+            "pending=1 threads=2 sessions=1\n"
+            "verbs: LOAD=1/0 VIEW=1/0 UNDEFINE=1/0 CHECK=3/1 BCHECK=1/0 "
+            "CLASSIFY=1/0 OPTIMIZE=1/0 STATS=1/0\n"
+            "session pin: checks=5 classifies=1 optimizes=1 undefines=1 "
+            "views=1 objects=0\n"
+            "engine_runs=28 prefilter_rejections=20/48 memo_hits=3 "
+            "memo_misses=48 memo_entries=48 pool_reuses=27/28\n"
+            "classify_concepts=9 classify_checks=46/72 classify_avoided=26 "
+            "classify_inserts=0 classify_removes=1");
+  auto one = client.Stats("pin");
+  ASSERT_TRUE(one.ok()) << one.status();
+  EXPECT_EQ(*one,
+            "server: connections=1 requests=11 ok=9 err=1 busy=0 deadline=0 "
+            "pending=1 threads=2 sessions=1\n"
+            "verbs: LOAD=1/0 VIEW=1/0 UNDEFINE=1/0 CHECK=3/1 BCHECK=1/0 "
+            "CLASSIFY=1/0 OPTIMIZE=1/0 STATS=2/0\n"
+            "session pin: checks=5 classifies=1 optimizes=1 undefines=1 "
+            "views=1 objects=0\n"
+            "engine_runs=28 prefilter_rejections=20/48 memo_hits=3 "
+            "memo_misses=48 memo_entries=48 pool_reuses=27/28\n"
+            "classify_concepts=9 classify_checks=46/72 classify_avoided=26 "
+            "classify_inserts=0 classify_removes=1");
+  server.Shutdown();
+}
+
 TEST(Server, ManyConcurrentConnectionsStayResponsive) {
   Server server;
   auto port = server.Start();
@@ -1331,8 +1395,7 @@ TEST(Server, ManyConcurrentConnectionsStayResponsive) {
   EXPECT_TRUE(clients.front().Ping().ok());
   EXPECT_TRUE(clients[128].Ping().ok());
   EXPECT_TRUE(clients.back().Ping().ok());
-  auto stats = server.stats();
-  EXPECT_GE(stats.open_connections, 256u);
+  EXPECT_GE(Series(server, "oodb_loop_connections"), 256);
   for (Client& c : clients) EXPECT_TRUE(c.Ping().ok());
   server.Shutdown();
 }

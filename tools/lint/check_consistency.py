@@ -40,10 +40,10 @@ Checks (each failure is one line on stderr; exit 1 if any):
      bench/bench_cluster.cc, and the checked-in baseline is a green run
      (zero verdict mismatches, transport errors and failover failures;
      1->4 scaling at or above the 2.5x acceptance gate).
-  10. Every `oodb_cluster_*` / `oodb_loop_*` metric name emitted by a
-     source file under src/ is documented in docs/observability.md
-     (the cluster-observability catalog, section 6) — fleet dashboards
-     are built from the docs, so an undocumented series is invisible.
+  10. Every quoted `oodb_*` metric name in a source file under src/ is
+     documented in docs/observability.md (the metric catalog) —
+     dashboards are built from the docs, so an undocumented series is
+     invisible.
 
 Run locally:  python3 tools/lint/check_consistency.py [--root DIR]
 """
@@ -248,13 +248,15 @@ def check_cluster_bench(root: pathlib.Path, errors: list[str]) -> None:
                       "re-run bench_cluster (full mode) for the baseline")
 
 
-def check_cluster_metrics_docs(root: pathlib.Path,
-                               errors: list[str]) -> None:
-    """Every oodb_cluster_*/oodb_loop_* name in src/ is in the docs."""
+def check_metrics_docs(root: pathlib.Path, errors: list[str]) -> None:
+    """Every quoted oodb_* name in src/ is in the docs."""
     obs_md = read(root, "docs/observability.md")
-    pattern = re.compile(r'"(oodb_(?:cluster|loop)_[a-z0-9_]+)"')
-    for source in sorted(root.glob("src/**/*.cc")):
-        for name in pattern.findall(source.read_text(encoding="utf-8")):
+    pattern = re.compile(r'"(oodb_[a-z0-9_]+)"')
+    for source in sorted(root.glob("src/**/*")):
+        if source.suffix not in (".cc", ".h"):
+            continue
+        text = source.read_text(encoding="utf-8")
+        for name in sorted(set(pattern.findall(text))):
             if name not in obs_md:
                 errors.append(
                     f"{source.relative_to(root)} emits metric {name}, "
@@ -274,7 +276,7 @@ def main() -> int:
     check_bench(args.root, errors)
     check_server_bench(args.root, errors)
     check_cluster_bench(args.root, errors)
-    check_cluster_metrics_docs(args.root, errors)
+    check_metrics_docs(args.root, errors)
 
     if errors:
         for error in errors:

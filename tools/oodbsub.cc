@@ -441,16 +441,19 @@ int CmdServe(const std::vector<std::string>& args) {
   std::printf("listening on 127.0.0.1:%d\n", *port);
   std::fflush(stdout);
   daemon.Wait();
-  const server::ServerStats stats = daemon.stats();
+  const std::vector<obs::Sample> samples = daemon.registry().Snapshot();
+  const auto count = [&samples](const char* series) {
+    return static_cast<unsigned long long>(obs::SampleValue(samples, series));
+  };
   std::fprintf(stderr,
                "drained: %llu requests (%llu ok, %llu err, %llu busy, "
                "%llu deadline) over %llu connections\n",
-               static_cast<unsigned long long>(stats.requests),
-               static_cast<unsigned long long>(stats.ok),
-               static_cast<unsigned long long>(stats.errors),
-               static_cast<unsigned long long>(stats.busy),
-               static_cast<unsigned long long>(stats.deadline_expired),
-               static_cast<unsigned long long>(stats.connections));
+               count("oodb_server_requests_total"),
+               count("oodb_server_ok_total"),
+               count("oodb_server_errors_total"),
+               count("oodb_server_busy_total"),
+               count("oodb_server_deadline_expired_total"),
+               count("oodb_server_connections_total"));
   return 0;
 }
 
