@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "base/rng.h"
 #include "base/strings.h"
@@ -53,7 +54,8 @@ void BM_SubsumptionChain(benchmark::State& state) {
 }
 BENCHMARK(BM_SubsumptionChain)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-// Random-instance subsumption at growing concept sizes.
+// Random-instance subsumption at growing concept sizes. Every iteration
+// runs a completion (SubsumesDetailed neither memoizes nor pre-filters).
 void BM_SubsumptionRandom(benchmark::State& state) {
   Rng rng(42);
   SymbolTable symbols;
@@ -65,12 +67,50 @@ void BM_SubsumptionRandom(benchmark::State& state) {
   ql::ConceptId c = gen::GenerateConcept(sig, &terms, rng, options);
   ql::ConceptId d = gen::WeakenConcept(sigma, &terms, c, rng, 2);
   calculus::SubsumptionChecker checker(sigma);
+  size_t individuals = 0;
   for (auto _ : state) {
-    auto verdict = checker.Subsumes(c, d);
-    benchmark::DoNotOptimize(verdict);
+    auto outcome = checker.SubsumesDetailed(c, d);
+    benchmark::DoNotOptimize(outcome);
+    individuals = outcome->stats.individuals;
   }
+  state.counters["individuals"] = static_cast<double>(individuals);
 }
 BENCHMARK(BM_SubsumptionRandom)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+// The OPTIMIZE kernel: one query against a 64-view catalog through
+// SubsumesBatch, with the verdict memo off, so every iteration runs the
+// pre-filter and one completion. Queries cycle through 256 that each
+// refine one view, so every batch has a subsuming view to find.
+void BM_SubsumesBatchCatalog(benchmark::State& state) {
+  Rng rng(1994);
+  SymbolTable symbols;
+  ql::TermFactory terms(&symbols);
+  schema::Schema sigma(&terms);
+  gen::GeneratedSchema sig = gen::GenerateSchema(&sigma, rng);
+  std::vector<ql::ConceptId> views;
+  for (int i = 0; i < 64; ++i) {
+    views.push_back(gen::GenerateConcept(sig, &terms, rng));
+  }
+  std::vector<ql::ConceptId> queries;
+  for (size_t i = 0; i < 256; ++i) {
+    queries.push_back(terms.And(views[i % views.size()],
+                                gen::GenerateConcept(sig, &terms, rng)));
+  }
+  calculus::SubsumptionChecker::Options options;
+  options.memoize = false;
+  calculus::SubsumptionChecker checker(sigma, options);
+  size_t next = 0;
+  size_t subsumed = 0;
+  for (auto _ : state) {
+    auto verdicts = checker.SubsumesBatch(queries[next], views);
+    benchmark::DoNotOptimize(verdicts);
+    for (bool v : *verdicts) subsumed += v ? 1 : 0;
+    next = (next + 1) % queries.size();
+  }
+  state.counters["subsuming_views"] = benchmark::Counter(
+      static_cast<double>(subsumed), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SubsumesBatchCatalog);
 
 // DL front end: tokenize + parse + analyze + translate the medical schema.
 void BM_DlFrontEnd(benchmark::State& state) {

@@ -8,21 +8,19 @@ namespace oodb::calculus {
 
 namespace {
 const std::vector<Ind> kNoInds;
-const std::vector<ql::ConceptId> kNoConcepts;
 }  // namespace
 
 IndTable::IndTable() = default;
 
 Ind IndTable::Constant(Symbol a) {
-  auto it = constants_.find(a);
-  if (it != constants_.end()) return it->second;
-  Ind i{static_cast<uint32_t>(infos_.size())};
+  auto [id, inserted] =
+      constants_.Insert(a.id(), static_cast<uint32_t>(infos_.size()));
+  if (!inserted) return Ind{id};
   Info info;
   info.is_constant = true;
   info.sym = a;
   infos_.push_back(std::move(info));
-  constants_.emplace(a, i);
-  return i;
+  return Ind{id};
 }
 
 Ind IndTable::FreshVar(const std::string& prefix) {
@@ -40,26 +38,44 @@ Ind IndTable::NamedVar(const std::string& name) {
 
 void IndTable::Clear() {
   infos_.clear();
-  constants_.clear();
+  constants_.Clear();
   num_variables_ = 0;
   var_counter_ = 0;
 }
 
+uint32_t ConstraintSystem::TargetListId(FlatIndex& index, uint64_t key) {
+  auto [id, inserted] =
+      index.Insert(key, static_cast<uint32_t>(target_lists_.size()));
+  if (inserted) target_lists_.New();
+  return id;
+}
+
+const std::vector<Ind>& ConstraintSystem::TargetListOrEmpty(
+    const FlatIndex& index, uint64_t key) const {
+  const uint32_t id = index.Find(key);
+  return id == FlatIndex::kAbsent ? kNoInds : target_lists_[id];
+}
+
 bool ConstraintSystem::AddMemb(Ind s, ql::ConceptId c) {
   assert(c != ql::kInvalidConcept);
-  if (!memb_set_.insert(MembKey(s, c)).second) return false;
+  const auto id = static_cast<uint32_t>(membs_.size());
+  if (!memb_index_.Insert(PackKey(s.id, c), id).second) return false;
   membs_.push_back(MembFact{s, c});
-  concepts_of_[s.id].push_back(c);
+  concepts_of_.At(s.id).push_back(c);
+  memb_ids_of_.At(s.id).push_back(id);
   return true;
 }
 
 bool ConstraintSystem::AddAttrPrim(Ind s, Symbol p, Ind t) {
-  if (!attr_set_.insert(AttrKey(s, p, t)).second) return false;
+  const uint32_t list = TargetListId(prim_fillers_, PackKey(s.id, p.id()));
+  const auto id = static_cast<uint32_t>(attrs_.size());
+  if (!attr_index_.Insert(PackKey(list, t.id), id).second) return false;
   attrs_.push_back(AttrFact{s, p, t});
-  prim_fillers_[PairKey(s, p.id())].push_back(t);
-  inv_fillers_[PairKey(t, p.id())].push_back(s);
-  neighbors_[s.id].push_back(t);
-  if (t != s) neighbors_[t.id].push_back(s);
+  target_lists_.At(list).push_back(t);
+  target_lists_.At(TargetListId(inv_fillers_, PackKey(t.id, p.id())))
+      .push_back(s);
+  neighbors_.At(s.id).push_back(t);
+  if (t != s) neighbors_.At(t.id).push_back(s);
   return true;
 }
 
@@ -70,18 +86,22 @@ bool ConstraintSystem::AddAttr(Ind s, const ql::Attr& r, Ind t) {
 
 bool ConstraintSystem::AddPath(Ind s, ql::PathId p, Ind t) {
   assert(p != ql::kEmptyPath);
-  if (!path_set_.insert(PathKey(s, p, t)).second) return false;
+  const uint32_t list = TargetListId(path_targets_, PackKey(s.id, p));
+  const auto id = static_cast<uint32_t>(paths_.size());
+  if (!path_index_.Insert(PackKey(list, t.id), id).second) return false;
   paths_.push_back(PathFact{s, p, t});
-  path_targets_[PairKey(s, p)].push_back(t);
+  target_lists_.At(list).push_back(t);
   return true;
 }
 
 bool ConstraintSystem::HasMemb(Ind s, ql::ConceptId c) const {
-  return memb_set_.count(MembKey(s, c)) > 0;
+  return memb_index_.Find(PackKey(s.id, c)) != FlatIndex::kAbsent;
 }
 
 bool ConstraintSystem::HasAttrPrim(Ind s, Symbol p, Ind t) const {
-  return attr_set_.count(AttrKey(s, p, t)) > 0;
+  const uint32_t list = prim_fillers_.Find(PackKey(s.id, p.id()));
+  return list != FlatIndex::kAbsent &&
+         attr_index_.Find(PackKey(list, t.id)) != FlatIndex::kAbsent;
 }
 
 bool ConstraintSystem::HasAttr(Ind s, const ql::Attr& r, Ind t) const {
@@ -90,62 +110,39 @@ bool ConstraintSystem::HasAttr(Ind s, const ql::Attr& r, Ind t) const {
 }
 
 bool ConstraintSystem::HasPath(Ind s, ql::PathId p, Ind t) const {
-  return path_set_.count(PathKey(s, p, t)) > 0;
+  const uint32_t list = path_targets_.Find(PackKey(s.id, p));
+  return list != FlatIndex::kAbsent &&
+         path_index_.Find(PackKey(list, t.id)) != FlatIndex::kAbsent;
 }
 
 bool ConstraintSystem::HasPathFrom(Ind s, ql::PathId p) const {
-  auto it = path_targets_.find(PairKey(s, p));
-  return it != path_targets_.end() && !it->second.empty();
-}
-
-const std::vector<ql::ConceptId>& ConstraintSystem::ConceptsOf(Ind s) const {
-  auto it = concepts_of_.find(s.id);
-  return it == concepts_of_.end() ? kNoConcepts : it->second;
+  return !PathTargets(s, p).empty();
 }
 
 const std::vector<Ind>& ConstraintSystem::Fillers(Ind s,
                                                   const ql::Attr& r) const {
-  if (!r.inverted) return PrimFillers(s, r.prim);
-  auto it = inv_fillers_.find(PairKey(s, r.prim.id()));
-  return it == inv_fillers_.end() ? kNoInds : it->second;
+  return TargetListOrEmpty(r.inverted ? inv_fillers_ : prim_fillers_,
+                           PackKey(s.id, r.prim.id()));
 }
 
 const std::vector<Ind>& ConstraintSystem::PrimFillers(Ind s, Symbol p) const {
-  auto it = prim_fillers_.find(PairKey(s, p.id()));
-  return it == prim_fillers_.end() ? kNoInds : it->second;
+  return TargetListOrEmpty(prim_fillers_, PackKey(s.id, p.id()));
 }
 
 bool ConstraintSystem::HasAnyPrimFiller(Ind s, Symbol p) const {
-  auto it = prim_fillers_.find(PairKey(s, p.id()));
-  return it != prim_fillers_.end() && !it->second.empty();
+  return !PrimFillers(s, p).empty();
 }
 
 const std::vector<Ind>& ConstraintSystem::PathTargets(Ind s,
                                                       ql::PathId p) const {
-  auto it = path_targets_.find(PairKey(s, p));
-  return it == path_targets_.end() ? kNoInds : it->second;
-}
-
-const std::vector<Ind>& ConstraintSystem::Neighbors(Ind s) const {
-  auto it = neighbors_.find(s.id);
-  return it == neighbors_.end() ? kNoInds : it->second;
+  return TargetListOrEmpty(path_targets_, PackKey(s.id, p));
 }
 
 void ConstraintSystem::Substitute(const std::function<Ind(Ind)>& map) {
   std::vector<MembFact> membs = std::move(membs_);
   std::vector<AttrFact> attrs = std::move(attrs_);
   std::vector<PathFact> paths = std::move(paths_);
-  membs_.clear();
-  attrs_.clear();
-  paths_.clear();
-  memb_set_.clear();
-  attr_set_.clear();
-  path_set_.clear();
-  concepts_of_.clear();
-  prim_fillers_.clear();
-  inv_fillers_.clear();
-  path_targets_.clear();
-  neighbors_.clear();
+  Clear();
   for (const MembFact& m : membs) AddMemb(map(m.s), m.c);
   for (const AttrFact& a : attrs) AddAttrPrim(map(a.s), a.p, map(a.t));
   for (const PathFact& p : paths) AddPath(map(p.s), p.p, map(p.t));
@@ -155,14 +152,16 @@ void ConstraintSystem::Clear() {
   membs_.clear();
   attrs_.clear();
   paths_.clear();
-  memb_set_.clear();
-  attr_set_.clear();
-  path_set_.clear();
-  concepts_of_.clear();
-  prim_fillers_.clear();
-  inv_fillers_.clear();
-  path_targets_.clear();
-  neighbors_.clear();
+  memb_index_.Clear();
+  attr_index_.Clear();
+  path_index_.Clear();
+  prim_fillers_.Clear();
+  inv_fillers_.Clear();
+  path_targets_.Clear();
+  target_lists_.Clear();
+  concepts_of_.Clear();
+  memb_ids_of_.Clear();
+  neighbors_.Clear();
 }
 
 }  // namespace oodb::calculus

@@ -13,11 +13,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "base/hash.h"
+#include "base/flat_index.h"
 #include "base/symbol.h"
 #include "ql/term.h"
 #include "ql/term_factory.h"
@@ -29,12 +27,6 @@ struct Ind {
   uint32_t id = 0;
   friend bool operator==(Ind a, Ind b) { return a.id == b.id; }
   friend bool operator!=(Ind a, Ind b) { return a.id != b.id; }
-};
-
-struct IndHash {
-  size_t operator()(Ind i) const noexcept {
-    return std::hash<uint32_t>()(i.id);
-  }
 };
 
 // Registry of the individuals of one completion run. Constants are
@@ -70,7 +62,7 @@ class IndTable {
     std::string name;
   };
   std::vector<Info> infos_;
-  std::unordered_map<Symbol, Ind> constants_;
+  FlatIndex constants_;  // symbol id → individual id
   size_t num_variables_ = 0;
   uint64_t var_counter_ = 0;
 };
@@ -94,7 +86,13 @@ struct PathFact {  // s p t with p a non-empty path.
 
 // One side (facts F or goals G) of a pair F:G. Insertion-ordered vectors
 // give the rules stable scans (appended constraints are picked up by the
-// same pass); hash sets give O(1) duplicate/presence checks.
+// same pass). Every presence test and index is keyed by the constraint
+// itself, never by a hash of it (see docs/calculus.md, "Data model"):
+//   s:C    by PackKey(s, C);
+//   (s, P) and (s, p) by PackKey(s, P) / PackKey(s, p), each naming one
+//          target list; s P t and s p t then by PackKey(list id, t).
+// The tables are flat and keep their capacity across Clear(), so a
+// pooled engine's next run reuses them.
 class ConstraintSystem {
  public:
   // Each Add* returns true iff the constraint was new.
@@ -116,12 +114,17 @@ class ConstraintSystem {
   const std::vector<PathFact>& paths() const { return paths_; }
 
   // Concepts C with s : C (insertion order).
-  const std::vector<ql::ConceptId>& ConceptsOf(Ind s) const;
+  const std::vector<ql::ConceptId>& ConceptsOf(Ind s) const {
+    return concepts_of_[s.id];
+  }
+  // Indexes into membs() of the memberships s : C, in the same order.
+  const std::vector<uint32_t>& MembIdsOf(Ind s) const {
+    return memb_ids_of_[s.id];
+  }
 
   // All t with s R t, following inverses through the canonical storage.
-  // The reference stays valid while no NEW attribute fact is added (map
-  // values are reference-stable under rehash; only growth of this exact
-  // filler list invalidates iteration).
+  // Every list this class returns stays valid, and is not reallocated,
+  // until a constraint is added under its own key.
   const std::vector<Ind>& Fillers(Ind s, const ql::Attr& r) const;
   // All t with s P t (primitive orientation only).
   const std::vector<Ind>& PrimFillers(Ind s, Symbol p) const;
@@ -134,7 +137,7 @@ class ConstraintSystem {
   // Attribute neighbors of s in either direction (with multiplicity):
   // the individuals whose goal conditions may change when facts about s
   // change. Used by the semi-naive scheduler's recheck triggers.
-  const std::vector<Ind>& Neighbors(Ind s) const;
+  const std::vector<Ind>& Neighbors(Ind s) const { return neighbors_[s.id]; }
 
   size_t size() const {
     return membs_.size() + attrs_.size() + paths_.size();
@@ -144,33 +147,29 @@ class ConstraintSystem {
   // collapsing duplicates. Rebuilds all indexes.
   void Substitute(const std::function<Ind(Ind)>& map);
 
-  // Drops every constraint but keeps the fact vectors' capacity and the
-  // index maps' bucket arrays (CompletionEngine::Reset scratch reuse).
+  // Drops every constraint but keeps the fact vectors' and the tables'
+  // capacity (CompletionEngine::Reset scratch reuse).
   void Clear();
 
  private:
-  static size_t MembKey(Ind s, ql::ConceptId c) {
-    return HashValues(1u, s.id, c);
-  }
-  static size_t AttrKey(Ind s, Symbol p, Ind t) {
-    return HashValues(2u, s.id, p.id(), t.id);
-  }
-  static size_t PathKey(Ind s, ql::PathId p, Ind t) {
-    return HashValues(3u, s.id, p, t.id);
-  }
-  static size_t PairKey(Ind s, uint32_t x) { return HashValues(s.id, x); }
+  // The id of the target list of `key` in `index`, created on first use.
+  uint32_t TargetListId(FlatIndex& index, uint64_t key);
+  const std::vector<Ind>& TargetListOrEmpty(const FlatIndex& index,
+                                            uint64_t key) const;
 
   std::vector<MembFact> membs_;
   std::vector<AttrFact> attrs_;
   std::vector<PathFact> paths_;
-  std::unordered_set<size_t> memb_set_;
-  std::unordered_set<size_t> attr_set_;
-  std::unordered_set<size_t> path_set_;
-  std::unordered_map<uint32_t, std::vector<ql::ConceptId>> concepts_of_;
-  std::unordered_map<size_t, std::vector<Ind>> prim_fillers_;   // (s,P) → t*
-  std::unordered_map<size_t, std::vector<Ind>> inv_fillers_;    // (t,P) → s*
-  std::unordered_map<size_t, std::vector<Ind>> path_targets_;   // (s,p) → t*
-  std::unordered_map<uint32_t, std::vector<Ind>> neighbors_;
+  FlatIndex memb_index_;    // (s, C) → index in membs_
+  FlatIndex attr_index_;    // (list of (s, P), t) → index in attrs_
+  FlatIndex path_index_;    // (list of (s, p), t) → index in paths_
+  FlatIndex prim_fillers_;  // (s, P) → list id of t*
+  FlatIndex inv_fillers_;   // (t, P) → list id of s*
+  FlatIndex path_targets_;  // (s, p) → list id of t*
+  ListPool<Ind> target_lists_;
+  ListPool<ql::ConceptId> concepts_of_;  // by individual id
+  ListPool<uint32_t> memb_ids_of_;       // by individual id
+  ListPool<Ind> neighbors_;              // by individual id
 };
 
 }  // namespace oodb::calculus

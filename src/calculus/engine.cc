@@ -18,6 +18,8 @@ using ql::Restriction;
 }  // namespace
 
 Status ValidateQlConcept(const ql::TermFactory& f, ql::ConceptId c) {
+  if (f.IsQl(c)) return Status::Ok();
+  // Not QL: find the offending subconcept for the message.
   for (ConceptId sub : f.Subconcepts(c)) {
     ConceptKind kind = f.node(sub).kind;
     if (kind == ConceptKind::kAll || kind == ConceptKind::kAtMostOne) {
@@ -60,6 +62,17 @@ void CompletionEngine::ResetAllMarks() {
   goal_marks_ = PassMarks{};
   comp_marks_ = PassMarks{};
   schema_marks_ = PassMarks{};
+  // Goal ids name positions in the goal store, so the composition
+  // triggers start over with it.
+  arm_marks_ = PassMarks{};
+  memb_watch_.Clear();
+  path_watch_.Clear();
+  step_watch_.Clear();
+  inv_step_watch_.Clear();
+  watch_lists_.Clear();
+  goal_steps_.clear();
+  armed_.clear();
+  armed_at_.clear();
 }
 
 void CompletionEngine::Union(Ind from, Ind to) {
@@ -622,11 +635,9 @@ bool CompletionEngine::ComposeForGoal(Ind s, ql::ConceptId goal_concept) {
           PathId tail = terms_->Suffix(n.path, 1);
           for (Ind t2 : facts_.Fillers(s, head.attr)) {
             if (!facts_.HasMemb(t2, head.filter)) continue;
-            // Scratch copy: AddPath inserts under (s, n.path), whose
-            // bucket key may collide with (t2, tail) in the index.
-            scratch_inds_.assign(facts_.PathTargets(t2, tail).begin(),
-                                 facts_.PathTargets(t2, tail).end());
-            for (Ind t : scratch_inds_) {
+            // No copy needed: AddPath appends only to the targets of
+            // (s, n.path), never to those of (t2, tail), a shorter path.
+            for (Ind t : facts_.PathTargets(t2, tail)) {
               if (facts_.AddPath(s, n.path, t)) {
                 changed = true;
                 OODB_TRACE(Rule::kC5,
@@ -662,27 +673,163 @@ bool CompletionEngine::ComposeForGoal(Ind s, ql::ConceptId goal_concept) {
   return changed;
 }
 
+// --------------------------------------------------------------------------
+// Composition triggers (semi-naive scheduling only)
+// --------------------------------------------------------------------------
+//
+// A goal is evaluated again only once a fact has arrived that can enable
+// one of its rules: for s:C⊓D a conjunct s:C or s:D (C1); for s:∃p or
+// s:∃p≐ε a path fact s p t (C3/C4); for a goal whose path starts with
+// (R:C) and goes on with q, a new filler s R t', or t':C or t' q t at a
+// filler t' (C5/C6). Such a fact "arms" the goal through the watch
+// tables; the visits of CompositionPass then evaluate only armed goals,
+// in the order the naive scheduler evaluates all of them. A goal that
+// is not armed would derive nothing new, so the productive evaluations,
+// and with them the facts and the trace, are the naive scheduler's.
+
+void CompletionEngine::Watch(FlatIndex& index, uint64_t key, uint32_t goal) {
+  auto [list, inserted] =
+      index.Insert(key, static_cast<uint32_t>(watch_lists_.size()));
+  if (inserted) watch_lists_.New();
+  watch_lists_.At(list).push_back(goal);
+}
+
+void CompletionEngine::WatchGoal(uint32_t goal) {
+  const MembFact g = goals_.membs()[goal];
+  // Copy: Suffix below may grow the path arena.
+  const ConceptNode n = terms_->node(g.c);
+  switch (n.kind) {
+    case ConceptKind::kAnd:
+      Watch(memb_watch_, PackKey(g.s.id, n.lhs), goal);
+      Watch(memb_watch_, PackKey(g.s.id, n.rhs), goal);
+      break;
+    case ConceptKind::kExists:
+    case ConceptKind::kAgree: {
+      if (n.path == ql::kEmptyPath) break;
+      Watch(path_watch_, PackKey(g.s.id, n.path), goal);
+      const Restriction head = terms_->path(n.path)[0];
+      goal_steps_[goal] = GoalStep{
+          head.filter, terms_->path_length(n.path) == 1
+                           ? ql::kEmptyPath
+                           : terms_->Suffix(n.path, 1)};
+      Watch(head.attr.inverted ? inv_step_watch_ : step_watch_,
+            PackKey(g.s.id, head.attr.prim.id()), goal);
+      for (Ind t : facts_.Fillers(g.s, head.attr)) WatchFiller(goal, t);
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+void CompletionEngine::WatchFiller(uint32_t goal, Ind t) {
+  const GoalStep& step = goal_steps_[goal];
+  Watch(memb_watch_, PackKey(t.id, step.filter), goal);
+  if (step.tail != ql::kEmptyPath) {
+    Watch(path_watch_, PackKey(t.id, step.tail), goal);
+  }
+}
+
+void CompletionEngine::Arm(uint32_t goal) {
+  if (armed_[goal]) return;
+  armed_[goal] = 1;
+  ++armed_at_[goals_.membs()[goal].s.id];
+}
+
+void CompletionEngine::Disarm(uint32_t goal) {
+  if (!armed_[goal]) return;
+  armed_[goal] = 0;
+  --armed_at_[goals_.membs()[goal].s.id];
+}
+
+void CompletionEngine::ArmWatchers(const FlatIndex& index, uint64_t key) {
+  const uint32_t list = index.Find(key);
+  if (list == FlatIndex::kAbsent) return;
+  for (uint32_t goal : watch_lists_[list]) Arm(goal);
+}
+
+void CompletionEngine::ArmFromNewFacts() {
+  while (arm_marks_.memb < facts_.membs().size()) {
+    const MembFact m = facts_.membs()[arm_marks_.memb++];
+    ArmWatchers(memb_watch_, PackKey(m.s.id, m.c));
+  }
+  while (arm_marks_.attr < facts_.attrs().size()) {
+    const AttrFact a = facts_.attrs()[arm_marks_.attr++];
+    // s P t is a new filler for the goals at s stepping P and for those
+    // at t stepping P⁻¹. Reference stays valid: WatchFiller appends to
+    // the membership and path watch lists only.
+    auto arm_for_filler = [&](const FlatIndex& index, Ind at, Ind filler) {
+      const uint32_t list = index.Find(PackKey(at.id, a.p.id()));
+      if (list == FlatIndex::kAbsent) return;
+      for (uint32_t goal : watch_lists_[list]) {
+        Arm(goal);
+        WatchFiller(goal, filler);
+      }
+    };
+    arm_for_filler(step_watch_, a.s, a.t);
+    arm_for_filler(inv_step_watch_, a.t, a.s);
+  }
+  while (arm_marks_.path < facts_.paths().size()) {
+    const PathFact p = facts_.paths()[arm_marks_.path++];
+    ArmWatchers(path_watch_, PackKey(p.s.id, p.p));
+  }
+}
+
+bool CompletionEngine::EvaluateGoal(uint32_t goal) {
+  Disarm(goal);
+  const MembFact g = goals_.membs()[goal];
+  if (!ComposeForGoal(g.s, g.c)) return false;
+  ArmFromNewFacts();
+  // What the goal just added cannot enable it again: its C5/C6 paths
+  // were read by its own C3/C4 test, and nothing else it adds is a fact
+  // it watches.
+  Disarm(goal);
+  return true;
+}
+
 bool CompletionEngine::RecheckGoalsAt(Ind u) {
   bool changed = false;
-  // Reference stays valid: compositions only ever add FACTS (C1–C6),
-  // never goal memberships, so the goal-concept list cannot grow here.
-  const std::vector<ConceptId>& goal_concepts = goals_.ConceptsOf(u);
-  for (ConceptId g : goal_concepts) changed |= ComposeForGoal(u, g);
+  if (!options_.semi_naive) {
+    // Reference stays valid: compositions only ever add FACTS (C1–C6),
+    // never goal memberships, so the goal-concept list cannot grow here.
+    for (ConceptId g : goals_.ConceptsOf(u)) changed |= ComposeForGoal(u, g);
+    return changed;
+  }
+  for (uint32_t goal : goals_.MembIdsOf(u)) {
+    if (armed_at_[u.id] == 0) break;
+    if (armed_[goal]) changed |= EvaluateGoal(goal);
+  }
   return changed;
 }
 
 bool CompletionEngine::CompositionPass() {
-  if (!options_.semi_naive) comp_marks_ = PassMarks{};
+  const bool semi_naive = options_.semi_naive;
+  if (!semi_naive) comp_marks_ = PassMarks{};
   bool changed = false;
+  if (semi_naive) {
+    // Only the goal and decomposition passes create goals and
+    // individuals, so the trigger state can be sized once per pass.
+    goal_steps_.resize(goals_.membs().size());
+    armed_.resize(goals_.membs().size());
+    armed_at_.resize(inds_.size());
+    ArmFromNewFacts();
+  }
 
   // Trigger: new goals — evaluate their conditions directly.
   while (comp_marks_.goal < goals_.membs().size()) {
-    const MembFact g = goals_.membs()[comp_marks_.goal++];
-    changed |= ComposeForGoal(g.s, g.c);
+    const auto goal = static_cast<uint32_t>(comp_marks_.goal++);
+    if (semi_naive) {
+      WatchGoal(goal);
+      changed |= EvaluateGoal(goal);
+    } else {
+      const MembFact g = goals_.membs()[goal];
+      changed |= ComposeForGoal(g.s, g.c);
+    }
   }
   // Trigger: new facts. A new membership or path fact at t' can enable
   // C1/C3/C4 at t' itself and C5/C6 at attribute-predecessors of t'; a
   // new attribute fact can enable compositions at both of its endpoints.
+  // Semi-naively a visit evaluates only the goals a fact has armed.
   while (comp_marks_.memb < facts_.membs().size()) {
     const MembFact m = facts_.membs()[comp_marks_.memb++];
     changed |= RecheckGoalsAt(m.s);

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "base/flat_index.h"
 #include "base/status.h"
 #include "calculus/constraint.h"
 #include "calculus/trace.h"
@@ -40,11 +41,13 @@ struct EngineOptions {
   bool eager_witnesses = false;
   // Semi-naive scheduling (default): each pass only examines constraints
   // appended since it last ran, with join rules triggered from both
-  // premise sides through the constraint-store indexes. Reaches the same
-  // pass fixpoints as the naive full-rescan mode (all rule conditions are
-  // monotonely disabled, never re-enabled), which remains available as
-  // the ablation/reference scheduler. The paper leaves "an optimal
-  // implementation technique" open — this is ours.
+  // premise sides through the constraint-store indexes, and a
+  // composition goal is evaluated again only after a fact arrives that
+  // can enable it. Reaches the same pass fixpoints as the naive
+  // full-rescan mode (all rule conditions are monotonely disabled, never
+  // re-enabled), which remains available as the ablation/reference
+  // scheduler and evaluates every goal on every visit. The paper leaves
+  // "an optimal implementation technique" open — this is ours.
   bool semi_naive = true;
 };
 
@@ -123,6 +126,17 @@ class CompletionEngine {
   bool ApplyGoalStepRules(Ind s, ql::ConceptId goal_concept);  // G2/G3
   bool ComposeForGoal(Ind s, ql::ConceptId goal_concept);      // C1–C6
   bool RecheckGoalsAt(Ind u);
+
+  // Composition triggers of the semi-naive scheduler (see engine.cc).
+  // `goal` is an index into goals_.membs().
+  void Watch(FlatIndex& index, uint64_t key, uint32_t goal);
+  void WatchGoal(uint32_t goal);
+  void WatchFiller(uint32_t goal, Ind t);  // t: a filler of the goal's step
+  void Arm(uint32_t goal);
+  void Disarm(uint32_t goal);
+  void ArmWatchers(const FlatIndex& index, uint64_t key);
+  void ArmFromNewFacts();
+  bool EvaluateGoal(uint32_t goal);
   bool ApplyS5For(Ind s, ql::ConceptId goal_concept);
   // S4 for one (s, P); kRestart on merge/clash, kNoChange otherwise.
   PassResult CheckFunctional(Ind s, Symbol p, Symbol concept_name);
@@ -161,13 +175,34 @@ class CompletionEngine {
   PassMarks comp_marks_;
   PassMarks schema_marks_;
 
+  // Composition triggers. Each watch table maps a fact key to the list
+  // of goals the fact can enable:
+  //   memb_watch_      (s, C): C1 goals at s with conjunct C, and C5/C6
+  //                    goals at predecessors of s with head filter C;
+  //   path_watch_      (s, p): C3/C4 goals at s with path p, and C5 goals
+  //                    at predecessors of s whose path goes on with p;
+  //   step_watch_,     (s, P): C5/C6 goals at s whose path starts with P,
+  //   inv_step_watch_          or with P⁻¹.
+  struct GoalStep {
+    ql::ConceptId filter = ql::kInvalidConcept;  // C of the first (R:C)
+    ql::PathId tail = ql::kEmptyPath;            // the path after it
+  };
+  PassMarks arm_marks_;  // facts already turned into arms
+  FlatIndex memb_watch_;
+  FlatIndex path_watch_;
+  FlatIndex step_watch_;
+  FlatIndex inv_step_watch_;
+  ListPool<uint32_t> watch_lists_;
+  std::vector<GoalStep> goal_steps_;  // by goal
+  std::vector<uint8_t> armed_;        // by goal
+  std::vector<uint32_t> armed_at_;    // by individual: its armed goals
+
   // Reusable scratch for the few scan loops whose source list can grow
   // (same-key append) while being iterated: copying into these reuses
   // their capacity instead of allocating a fresh vector per trigger.
   // Never borrowed across a nested rule call that could also use them.
   std::vector<ql::ConceptId> scratch_concepts_;
   std::vector<ql::ConceptId> scratch_goals_;
-  std::vector<Ind> scratch_inds_;
 };
 
 // Returns an error unless `c` is a pure QL concept (no ∀P.A / (≤1 P)

@@ -174,10 +174,13 @@ ConceptSignature StructuralPreFilter::ComputeTargetSignature(
 
 PreFilterVerdict StructuralPreFilter::Check(ql::ConceptId c,
                                             ql::ConceptId d) const {
-  if (c == ql::kInvalidConcept || d == ql::kInvalidConcept) {
-    return PreFilterVerdict::kUnknown;
-  }
-  const ConceptSignature& qs = QuerySignature(c);
+  if (c == ql::kInvalidConcept) return PreFilterVerdict::kUnknown;
+  return Check(QuerySignature(c), d);
+}
+
+PreFilterVerdict StructuralPreFilter::Check(const ConceptSignature& qs,
+                                            ql::ConceptId d) const {
+  if (d == ql::kInvalidConcept) return PreFilterVerdict::kUnknown;
   const ConceptSignature& ts = TargetSignature(d);
   if (!qs.filterable || !ts.filterable) return PreFilterVerdict::kUnknown;
   // Clash guard: with two or more distinct constants in C the completion

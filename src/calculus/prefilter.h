@@ -115,6 +115,10 @@ class StructuralPreFilter {
   // Necessary-condition test for C ⊑_Σ D (never rejects a true
   // subsumption; see the class comment for the argument).
   PreFilterVerdict Check(ql::ConceptId c, ql::ConceptId d) const;
+  // The same test against C's signature, looked up once by the caller
+  // (a batch checks one C against many D).
+  PreFilterVerdict Check(const ConceptSignature& query,
+                         ql::ConceptId d) const;
 
   // The memoized signatures (exposed for tests and diagnostics).
   const ConceptSignature& QuerySignature(ql::ConceptId c) const;

@@ -120,13 +120,14 @@ Result<std::vector<bool>> SubsumptionChecker::SubsumesBatch(
   // clash branch of Theorem 4.7 is live), so it need not join the run.
   std::vector<ql::ConceptId> live;
   std::vector<size_t> positions;
-  if (options_.prefilter) {
+  if (options_.prefilter && c != ql::kInvalidConcept) {
     obs::ScopedSpan span(trace, obs::Phase::kPrefilter);
     live.reserve(open.size());
     positions.reserve(open.size());
+    const ConceptSignature& query = prefilter_.QuerySignature(c);
     for (size_t i : open) {
       prefilter_checks_.fetch_add(1, kRelaxed);
-      if (prefilter_.Check(c, ds[i]) == PreFilterVerdict::kReject) {
+      if (prefilter_.Check(query, ds[i]) == PreFilterVerdict::kReject) {
         prefilter_rejections_.fetch_add(1, kRelaxed);
         if (options_.memoize) cache_.Insert(PairMemoKey(c, ds[i]), false);
         continue;

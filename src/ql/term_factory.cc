@@ -10,6 +10,7 @@ TermFactory::TermFactory(SymbolTable* symbols) : symbols_(symbols) {
   assert(symbols != nullptr);
   concepts_.push_back(ConceptNode{});  // id 0: invalid sentinel.
   sizes_.push_back(0);
+  is_ql_.push_back(false);
   paths_.push_back({});  // id 0: the empty path ε.
   path_index_.emplace(std::vector<Restriction>{}, kEmptyPath);
   ConceptNode top;
@@ -42,11 +43,31 @@ size_t TermFactory::ComputeSizeLocked(const ConceptNode& node) const {
   return 1;
 }
 
+bool TermFactory::ComputeIsQlLocked(const ConceptNode& node) const {
+  switch (node.kind) {
+    case ConceptKind::kAll:
+    case ConceptKind::kAtMostOne:
+      return false;
+    case ConceptKind::kAnd:
+      // Children are interned before their parents (see sizes_).
+      return is_ql_[node.lhs] && is_ql_[node.rhs];
+    case ConceptKind::kExists:
+    case ConceptKind::kAgree:
+      for (const Restriction& r : paths_[node.path]) {
+        if (!is_ql_[r.filter]) return false;
+      }
+      return true;
+    default:
+      return true;
+  }
+}
+
 ConceptId TermFactory::InternLocked(const ConceptNode& node) {
   auto it = concept_index_.find(node);
   if (it != concept_index_.end()) return it->second;
   ConceptId id = static_cast<ConceptId>(concepts_.size());
   sizes_.push_back(ComputeSizeLocked(node));
+  is_ql_.push_back(ComputeIsQlLocked(node));
   concepts_.push_back(node);
   concept_index_.emplace(node, id);
   return id;
@@ -220,6 +241,11 @@ std::pair<PathId, ConceptId> TermFactory::InvertPath(PathId q) {
 size_t TermFactory::ConceptSize(ConceptId id) const {
   assert(id != kInvalidConcept && id < concepts_.size());
   return sizes_[id];
+}
+
+bool TermFactory::IsQl(ConceptId id) const {
+  assert(id < concepts_.size());
+  return is_ql_[id];
 }
 
 std::vector<ConceptId> TermFactory::Subconcepts(ConceptId id) const {

@@ -20,12 +20,12 @@ namespace oodb::ql {
 //
 // Thread-safe: constructors (everything that may intern) serialize on an
 // internal mutex, while the id-dereferencing accessors node() / path() /
-// ConceptSize() — the calculus hot path — are lock-free. Interned nodes
-// live in chunked storage that never relocates (base/chunked.h), so
-// references handed out to one thread stay valid while other threads
-// intern. A reader may dereference any id it obtained from its own intern
-// calls or from before its thread started; both give the happens-before
-// edge the contract requires.
+// ConceptSize() / IsQl() — the calculus hot path — are lock-free.
+// Interned nodes live in chunked storage that never relocates
+// (base/chunked.h), so references handed out to one thread stay valid
+// while other threads intern. A reader may dereference any id it
+// obtained from its own intern calls or from before its thread started;
+// both give the happens-before edge the contract requires.
 //
 // Constructors apply only the semantics-preserving simplifications the
 // paper itself uses when rewriting agreements (Sect. 4 example):
@@ -107,6 +107,11 @@ class TermFactory {
   // Precomputed at intern time, so this is an O(1) lock-free read.
   size_t ConceptSize(ConceptId id) const;
 
+  // Whether `id` is a pure QL concept: no ∀P.A or (≤1 P) anywhere in it,
+  // path filters included (those belong to the schema language only).
+  // Computed at intern time, so this is an O(1) lock-free read.
+  bool IsQl(ConceptId id) const;
+
   // Collects every distinct concept id reachable from `id` (through ⊓,
   // path filters, and the ∀ filler), including `id` itself.
   std::vector<ConceptId> Subconcepts(ConceptId id) const;
@@ -117,6 +122,7 @@ class TermFactory {
   PathId InternPathLocked(std::vector<Restriction> restrictions)
       REQUIRES(mu_);
   size_t ComputeSizeLocked(const ConceptNode& node) const REQUIRES(mu_);
+  bool ComputeIsQlLocked(const ConceptNode& node) const REQUIRES(mu_);
 
   SymbolTable* symbols_;
   // Interned nodes; [0] is an invalid sentinel ([0] of paths_ is ε).
@@ -125,6 +131,7 @@ class TermFactory {
   ChunkedVector<ConceptNode> concepts_;
   ChunkedVector<std::vector<Restriction>> paths_;
   ChunkedVector<size_t> sizes_;  // ConceptSize, computed at intern time
+  ChunkedVector<bool> is_ql_;    // IsQl, computed at intern time
   mutable base::Mutex mu_;
   // Dedup indexes and the Suffix(p, 1) memo.
   std::unordered_map<ConceptNode, ConceptId, ConceptNodeHash> concept_index_

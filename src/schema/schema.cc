@@ -3,6 +3,7 @@
 #include <cassert>
 #include <deque>
 
+#include "base/flat_index.h"
 #include "base/strings.h"
 #include "ql/print.h"
 
@@ -10,7 +11,7 @@ namespace oodb::schema {
 
 namespace {
 
-size_t PairKey(Symbol a, Symbol b) { return HashValues(a.id(), b.id()); }
+uint64_t PairKey(Symbol a, Symbol b) { return PackKey(a.id(), b.id()); }
 
 const std::vector<Symbol> kNoSymbols;
 const std::vector<TypingAxiom> kNoTypings;
@@ -81,7 +82,7 @@ Status Schema::AddSimpleInclusion(Symbol a, ql::ConceptId d) {
       break;
   }
 
-  if (!seen_axioms_.insert(HashValues(a.id(), static_cast<size_t>(d))).second) {
+  if (!seen_axioms_.insert(PackKey(a.id(), d)).second) {
     return Status::Ok();  // Duplicate axiom; Σ is a set.
   }
   inclusions_.push_back(InclusionAxiom{a, d});

@@ -5,11 +5,11 @@
 #ifndef OODB_SCHEMA_SCHEMA_H_
 #define OODB_SCHEMA_SCHEMA_H_
 
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "base/hash.h"
 #include "base/status.h"
 #include "base/symbol.h"
 #include "ql/term.h"
@@ -110,15 +110,16 @@ class Schema {
   std::vector<TypingAxiom> typings_;
 
   std::unordered_map<Symbol, std::vector<Symbol>> supers_;
-  std::unordered_map<size_t, std::vector<Symbol>> value_restrictions_;
+  // Pair-keyed indexes use the exact key PackKey(lhs, rhs).
+  std::unordered_map<uint64_t, std::vector<Symbol>> value_restrictions_;
   std::unordered_map<Symbol, std::vector<std::pair<Symbol, Symbol>>>
       value_restrictions_by_class_;
   std::unordered_map<Symbol, std::vector<TypingAxiom>> typings_by_attr_;
-  std::unordered_set<size_t> functional_;
-  std::unordered_set<size_t> necessary_;
+  std::unordered_set<uint64_t> functional_;
+  std::unordered_set<uint64_t> necessary_;
   std::unordered_map<Symbol, std::vector<Symbol>> necessary_attrs_;
   std::unordered_map<Symbol, std::vector<Symbol>> functional_attrs_;
-  std::unordered_set<size_t> seen_axioms_;  // dedup of (lhs, rhs) pairs
+  std::unordered_set<uint64_t> seen_axioms_;  // dedup of (lhs, rhs) pairs
 };
 
 }  // namespace oodb::schema

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "base/rng.h"
+#include "base/strings.h"
 #include "calculus/subsumption.h"
 #include "gen/generators.h"
 #include "medical_fixture.h"
@@ -89,6 +90,49 @@ TEST(Scheduler, EquivalentOnBatches) {
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(*a, *b);
   }
+}
+
+TEST(Scheduler, EquivalentOnAFactoryPaddedPastTwoToTheSixteen) {
+  // A long-lived session's factory hands out concept, path and symbol
+  // ids past 2^16, where stores keyed by a hash of the fact collided.
+  // Every round adds a schema and concepts to the same factory, so ids
+  // keep growing.
+  Rng rng(65537);
+  SymbolTable symbols;
+  ql::TermFactory f(&symbols);
+  for (int i = 0; i < 70000; ++i) {
+    f.Primitive(symbols.Intern(StrCat("pad", i)));
+  }
+  ASSERT_GT(f.num_concepts(), size_t{1} << 16);
+  int subsumed = 0;
+  for (int round = 0; round < 120; ++round) {
+    schema::Schema sigma(&f);
+    gen::GeneratedSchema sig = gen::GenerateSchema(&sigma, rng);
+    ql::ConceptId c = gen::GenerateConcept(sig, &f, rng);
+    std::vector<ql::ConceptId> ds = {gen::WeakenConcept(sigma, &f, c, rng, 2),
+                                     gen::GenerateConcept(sig, &f, rng),
+                                     gen::GenerateConcept(sig, &f, rng)};
+    SubsumptionChecker semi(sigma);
+    SubsumptionChecker naive(sigma, NaiveOptions());
+    for (ql::ConceptId d : ds) {
+      auto a = semi.SubsumesDetailed(c, d);
+      auto b = naive.SubsumesDetailed(c, d);
+      ASSERT_TRUE(a.ok() && b.ok());
+      ASSERT_EQ(a->subsumed, b->subsumed)
+          << ql::ConceptToString(f, c) << "  vs  "
+          << ql::ConceptToString(f, d);
+      ASSERT_EQ(a->via_clash, b->via_clash);
+      ASSERT_EQ(a->stats.facts, b->stats.facts);
+      ASSERT_EQ(a->stats.goals, b->stats.goals);
+      ASSERT_EQ(a->stats.individuals, b->stats.individuals);
+      subsumed += a->subsumed ? 1 : 0;
+    }
+    auto a = semi.SubsumesBatch(c, ds);
+    auto b = naive.SubsumesBatch(c, ds);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(*a, *b);
+  }
+  EXPECT_GT(subsumed, 0);  // the sweep saw real positives
 }
 
 TEST(Scheduler, TraceIsIdenticalOnTheExample) {

@@ -145,5 +145,33 @@ TEST(Schema, MentionedSymbolsAndSize) {
   EXPECT_GT(fx.sigma.Size(), 0u);
 }
 
+// (7, 4093) and (2, 4) share a HashValues key, so an index keyed by the
+// hash of a pair would answer for both.
+TEST(Schema, PairIndexesAreKeyedByThePairItself) {
+  Fx fx;
+  ASSERT_TRUE(fx.sigma.AddNecessary(Symbol(7), Symbol(4093)).ok());
+  ASSERT_TRUE(fx.sigma.AddFunctional(Symbol(7), Symbol(4093)).ok());
+  ASSERT_TRUE(
+      fx.sigma.AddValueRestriction(Symbol(7), Symbol(4093), Symbol(9)).ok());
+  EXPECT_TRUE(fx.sigma.IsNecessaryFor(Symbol(7), Symbol(4093)));
+  EXPECT_TRUE(fx.sigma.IsFunctionalFor(Symbol(7), Symbol(4093)));
+  EXPECT_FALSE(fx.sigma.IsNecessaryFor(Symbol(2), Symbol(4)));
+  EXPECT_FALSE(fx.sigma.IsFunctionalFor(Symbol(2), Symbol(4)));
+  EXPECT_TRUE(fx.sigma.ValueRestrictions(Symbol(2), Symbol(4)).empty());
+}
+
+TEST(Schema, AxiomsWithCollidingHashesAreBothKept) {
+  Fx fx;
+  // Primitive(Symbol(i)) gets concept id i + 1 in a fresh factory.
+  for (uint32_t i = 1; i <= 4092; ++i) {
+    ASSERT_EQ(fx.f.Primitive(Symbol(i)), i + 1);
+  }
+  ASSERT_TRUE(fx.sigma.AddIsA(Symbol(7), Symbol(4092)).ok());  // (7, 4093)
+  ASSERT_TRUE(fx.sigma.AddIsA(Symbol(2), Symbol(3)).ok());     // (2, 4)
+  EXPECT_EQ(fx.sigma.inclusions().size(), 2u);
+  EXPECT_EQ(fx.sigma.SuperPrimitives(Symbol(2)),
+            std::vector<Symbol>{Symbol(3)});
+}
+
 }  // namespace
 }  // namespace oodb::schema
