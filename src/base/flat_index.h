@@ -57,8 +57,6 @@ class FlatIndex {
     }
   }
 
-  size_t size() const { return size_; }
-
   // Forgets every entry; keeps the slot array.
   void Clear() {
     size_ = 0;
