@@ -708,10 +708,11 @@ void CompletionEngine::WatchGoal(uint32_t goal) {
       if (n.path == ql::kEmptyPath) break;
       Watch(path_watch_, PackKey(g.s.id, n.path), goal);
       const Restriction head = terms_->path(n.path)[0];
-      goal_steps_[goal] = GoalStep{
-          head.filter, terms_->path_length(n.path) == 1
-                           ? ql::kEmptyPath
-                           : terms_->Suffix(n.path, 1)};
+      GoalStep& step = goal_steps_[goal];
+      step.filter = head.filter;
+      if (terms_->path_length(n.path) > 1) {
+        step.tail = terms_->Suffix(n.path, 1);
+      }
       Watch(head.attr.inverted ? inv_step_watch_ : step_watch_,
             PackKey(g.s.id, head.attr.prim.id()), goal);
       for (Ind t : facts_.Fillers(g.s, head.attr)) WatchFiller(goal, t);
