@@ -136,29 +136,51 @@ TEST(MemoCache, ClearEmptiesEveryShardWithoutCountingEvictions) {
 }
 
 TEST(MemoCache, ConcurrentMixedUseKeepsCountersConsistent) {
+  // Four threads look up overlapping keys and insert on a miss, and the
+  // churn overflows shards and clears them under the other threads. Whether
+  // a churn key is still cached when another thread looks it up depends on
+  // the interleaving (threads released together find almost none), so one
+  // shard is kept out of the churn: its keys are cached before the threads
+  // start, the shard never reaches capacity, and each lookup of them hits.
   ShardedMemoCache cache(size_t{1} << 12);
   const size_t kThreads = 4, kPerThread = 2000;
+  const size_t pinned_shard = ShardedMemoCache::ShardOf(PairKey(0, 0));
+  const std::vector<uint64_t> pinned = KeysInShard(pinned_shard, 32);
+  // Verdict is a pure function of the key, as in the checker.
+  auto verdict_of = [](uint64_t key) { return (key % 3) == 0; };
+  for (uint64_t key : pinned) cache.Insert(key, verdict_of(key));
+
+  std::vector<size_t> pinned_lookups(kThreads, 0);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
+    threads.emplace_back([&, t] {
       for (size_t i = 0; i < kPerThread; ++i) {
         uint64_t key = PairKey(static_cast<uint32_t>(i % 97),
                                static_cast<uint32_t>((i * 31 + t) % 89));
-        // Verdict is a pure function of the key, as in the checker.
-        bool verdict = (key % 3) == 0;
+        if (ShardedMemoCache::ShardOf(key) == pinned_shard) {
+          key = pinned[i % pinned.size()];
+          ++pinned_lookups[t];
+        }
         auto cached = cache.Lookup(key);
         if (cached.has_value()) {
-          EXPECT_EQ(*cached, verdict);
+          EXPECT_EQ(*cached, verdict_of(key));
         } else {
-          cache.Insert(key, verdict);
+          cache.Insert(key, verdict_of(key));
         }
       }
     });
   }
   for (std::thread& t : threads) t.join();
+  size_t pinned_total = 0;
+  for (size_t n : pinned_lookups) pinned_total += n;
   MemoCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kPerThread);
+  EXPECT_GT(pinned_total, 0u);
+  EXPECT_GE(stats.hits, pinned_total);
   EXPECT_GT(stats.hits, 0u);
+  // Each of the other 15 shards gets over 370 distinct churn keys against
+  // a capacity of 257, so the clears did run alongside the lookups.
+  EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.entries, 97u * 89u);
 }
 
