@@ -1,14 +1,23 @@
 // Shared helpers for the experiment binaries: wall-clock timing, aligned
-// table printing, and growth-rate estimation.
+// table printing, growth-rate estimation, quantiles, and JSON results
+// stamped with the host and build.
 #ifndef OODB_BENCH_BENCH_UTIL_H_
 #define OODB_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
+
+// bench/CMakeLists.txt defines it for every bench binary.
+#ifndef OODB_BUILD_TYPE
+#define OODB_BUILD_TYPE "unknown"
+#endif
 
 namespace oodb::bench {
 
@@ -92,6 +101,23 @@ inline double LogLogSlope(const std::vector<double>& xs,
   return (n * sxy - sx * sy) / (n * sxx - sx * sx);
 }
 
+// The q-quantile (0 ≤ q ≤ 1) of `values`, interpolating between the two
+// nearest ranks; 0 for an empty input.
+inline double Quantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double rank = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] +
+         (rank - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
+// Interquartile range: Quantile(0.75) − Quantile(0.25).
+inline double Iqr(const std::vector<double>& values) {
+  return Quantile(values, 0.75) - Quantile(values, 0.25);
+}
+
 inline void Section(const char* title) {
   std::printf("\n=== %s ===\n\n", title);
 }
@@ -155,6 +181,41 @@ class JsonWriter {
 
   std::vector<std::pair<std::string, std::string>> fields_;
 };
+
+// The first "model name" line of /proc/cpuinfo, or "unknown".
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      return colon == std::string::npos ? line : line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+// Stamps a results file with what produced it: the host's CPU count and
+// model, the compiler, the CMake build type and whether optimization was
+// on. A figure from an unoptimized build is not a baseline.
+inline void AddHostStamp(JsonWriter& json) {
+  json.Add("host_nproc",
+           static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  json.Add("host_cpu_model", CpuModel());
+#if defined(__clang__)
+  json.Add("compiler", std::string("clang ") + __clang_version__);
+#elif defined(__GNUC__)
+  json.Add("compiler", std::string("gcc ") + __VERSION__);
+#else
+  json.Add("compiler", std::string("unknown"));
+#endif
+  json.Add("build_type", std::string(OODB_BUILD_TYPE));
+#if defined(__OPTIMIZE__)
+  json.Add("optimized", true);
+#else
+  json.Add("optimized", false);
+#endif
+}
 
 }  // namespace oodb::bench
 

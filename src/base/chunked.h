@@ -6,7 +6,8 @@
 // completion). ChunkedVector lets the lookup side run without any lock:
 // elements live in fixed-size chunks that never move, so a reference
 // obtained for id i stays valid forever, and growing the container never
-// relocates published elements the way std::vector does.
+// relocates published elements the way std::vector does. ChunkedIdMap
+// gives the same lock-free reads to a map keyed by such ids.
 #ifndef OODB_BASE_CHUNKED_H_
 #define OODB_BASE_CHUNKED_H_
 
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 
 namespace oodb {
@@ -72,6 +74,58 @@ class ChunkedVector {
  private:
   std::array<std::atomic<T*>, kMaxChunks> chunks_{};
   std::atomic<size_t> size_{0};
+};
+
+// Maps dense 32-bit ids (a factory's concept ids) to 32-bit values, with
+// the same concurrency contract as ChunkedVector: Set() calls are
+// serialized externally, Find() is lock-free. The id itself picks the
+// slot, so a lookup is two dependent loads and no hash or probe. Pages of
+// slots are allocated when an id in their range is first set, so memory
+// follows the ids stored. Set publishes a value with a release store;
+// a Find that reads it acquires everything written before the Set.
+class ChunkedIdMap {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+  static constexpr size_t kPageBits = 10;
+  static constexpr size_t kPageSize = size_t{1} << kPageBits;
+  // Covers every id a ChunkedVector with default chunks can hand out.
+  static constexpr size_t kMaxPages = size_t{1} << 12;
+
+  ChunkedIdMap() = default;
+  ~ChunkedIdMap() {
+    for (auto& page : pages_) delete[] page.load(std::memory_order_relaxed);
+  }
+
+  ChunkedIdMap(const ChunkedIdMap&) = delete;
+  ChunkedIdMap& operator=(const ChunkedIdMap&) = delete;
+
+  // The value set for `id`, or kAbsent.
+  uint32_t Find(uint32_t id) const {
+    if ((id >> kPageBits) >= kMaxPages) return kAbsent;
+    const std::atomic<uint32_t>* page =
+        pages_[id >> kPageBits].load(std::memory_order_acquire);
+    if (page == nullptr) return kAbsent;
+    return page[id & (kPageSize - 1)].load(std::memory_order_acquire);
+  }
+
+  // Sets id → value (value != kAbsent). External serialization required.
+  void Set(uint32_t id, uint32_t value) {
+    assert((id >> kPageBits) < kMaxPages && "ChunkedIdMap id out of range");
+    assert(value != kAbsent);
+    std::atomic<std::atomic<uint32_t>*>& slot = pages_[id >> kPageBits];
+    std::atomic<uint32_t>* page = slot.load(std::memory_order_relaxed);
+    if (page == nullptr) {
+      page = new std::atomic<uint32_t>[kPageSize];
+      for (size_t i = 0; i < kPageSize; ++i) {
+        page[i].store(kAbsent, std::memory_order_relaxed);
+      }
+      slot.store(page, std::memory_order_release);
+    }
+    page[id & (kPageSize - 1)].store(value, std::memory_order_release);
+  }
+
+ private:
+  std::array<std::atomic<std::atomic<uint32_t>*>, kMaxPages> pages_{};
 };
 
 }  // namespace oodb

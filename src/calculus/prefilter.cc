@@ -15,28 +15,36 @@ using ql::Restriction;
 
 const ConceptSignature& StructuralPreFilter::QuerySignature(
     ql::ConceptId c) const {
-  return Memoize(&query_sigs_, c, /*query_side=*/true);
-}
-
-const ConceptSignature& StructuralPreFilter::TargetSignature(
-    ql::ConceptId d) const {
-  return Memoize(&target_sigs_, d, /*query_side=*/false);
-}
-
-const ConceptSignature& StructuralPreFilter::Memoize(
-    SignatureMap* map, ql::ConceptId id, bool query_side) const {
-  {
-    base::MutexLock lock(&mu_);
-    auto it = map->find(id);
-    if (it != map->end()) return *it->second;
+  uint32_t slot = query_index_.Find(c);
+  if (slot == ChunkedIdMap::kAbsent) {
+    // Compute outside the lock: signature construction walks the term
+    // arena and the schema indexes, both lock-free reads.
+    ConceptSignature sig = ComputeQuerySignature(c);
+    base::MutexLock lock(&publish_mu_);
+    slot = query_index_.Find(c);
+    if (slot == ChunkedIdMap::kAbsent) {
+      slot = static_cast<uint32_t>(query_sigs_.push_back(std::move(sig)));
+      query_index_.Set(c, slot);
+    }
   }
-  // Compute outside the lock: signature construction walks the term
-  // arena and the schema indexes, both lock-free reads.
-  auto sig = std::make_unique<const ConceptSignature>(
-      query_side ? ComputeQuerySignature(id) : ComputeTargetSignature(id));
-  base::MutexLock lock(&mu_);
-  auto [it, inserted] = map->emplace(id, std::move(sig));
-  return *it->second;
+  return query_sigs_[slot];
+}
+
+const TargetRecord& StructuralPreFilter::Target(ql::ConceptId d) const {
+  uint32_t slot = target_index_.Find(d);
+  if (slot == ChunkedIdMap::kAbsent) {
+    std::vector<uint32_t> ids;
+    TargetRecord record = ComputeTarget(d, &ids);
+    base::MutexLock lock(&publish_mu_);
+    slot = target_index_.Find(d);
+    if (slot == ChunkedIdMap::kAbsent) {
+      record.first = static_cast<uint32_t>(target_ids_.size());
+      for (uint32_t id : ids) target_ids_.push_back(id);
+      slot = static_cast<uint32_t>(targets_.push_back(record));
+      target_index_.Set(d, slot);
+    }
+  }
+  return targets_[slot];
 }
 
 ConceptSignature StructuralPreFilter::ComputeQuerySignature(
@@ -122,11 +130,22 @@ ConceptSignature StructuralPreFilter::ComputeQuerySignature(
   return sig;
 }
 
-ConceptSignature StructuralPreFilter::ComputeTargetSignature(
-    ql::ConceptId d) const {
+TargetRecord StructuralPreFilter::ComputeTarget(
+    ql::ConceptId d, std::vector<uint32_t>* ids) const {
   const ql::TermFactory& f = sigma_.terms();
-  ConceptSignature sig;
-  sig.filterable = true;
+  TargetRecord record;
+  record.filterable = true;
+  SymbolBitset prims;
+  SymbolBitset attrs;
+  SymbolBitset constants;
+  std::vector<uint32_t> attr_ids;
+  std::vector<uint32_t> constant_ids;
+  auto add = [](SymbolBitset& seen, std::vector<uint32_t>& out, Symbol s) {
+    if (!seen.Test(s)) {
+      seen.Set(s);
+      out.push_back(s.id());
+    }
+  };
 
   // Top-level conjuncts: x:D requires each one as a fact at the root
   // (D is either decomposed by D1 or composed by C1 — both directions
@@ -142,14 +161,14 @@ ConceptSignature StructuralPreFilter::ComputeTargetSignature(
         conjuncts.push_back(n.rhs);
         break;
       case ConceptKind::kPrimitive:
-        sig.prims.Set(n.sym);
+        add(prims, *ids, n.sym);
         break;
       case ConceptKind::kExists:
       case ConceptKind::kAgree:
         // x:∃p (or ∃p≐ε) with p ≠ ε needs an edge labeled with p's
         // first attribute at the root, in some orientation.
         if (n.path != ql::kEmptyPath) {
-          sig.attrs.Set(f.path(n.path)[0].attr.prim);
+          add(attrs, attr_ids, f.path(n.path)[0].attr.prim);
         }
         break;
       default:
@@ -163,13 +182,18 @@ ConceptSignature StructuralPreFilter::ComputeTargetSignature(
   for (ConceptId sub : f.Subconcepts(d)) {
     const ConceptNode& n = f.node(sub);
     if (n.kind == ConceptKind::kSingleton) {
-      sig.constants.Set(n.sym);
+      add(constants, constant_ids, n.sym);
     } else if (n.kind == ConceptKind::kAll ||
                n.kind == ConceptKind::kAtMostOne) {
-      sig.filterable = false;
+      record.filterable = false;
     }
   }
-  return sig;
+  record.num_prims = static_cast<uint32_t>(ids->size());
+  record.num_attrs = static_cast<uint32_t>(attr_ids.size());
+  record.num_constants = static_cast<uint32_t>(constant_ids.size());
+  ids->insert(ids->end(), attr_ids.begin(), attr_ids.end());
+  ids->insert(ids->end(), constant_ids.begin(), constant_ids.end());
+  return record;
 }
 
 PreFilterVerdict StructuralPreFilter::Check(ql::ConceptId c,
@@ -181,14 +205,29 @@ PreFilterVerdict StructuralPreFilter::Check(ql::ConceptId c,
 PreFilterVerdict StructuralPreFilter::Check(const ConceptSignature& qs,
                                             ql::ConceptId d) const {
   if (d == ql::kInvalidConcept) return PreFilterVerdict::kUnknown;
-  const ConceptSignature& ts = TargetSignature(d);
-  if (!qs.filterable || !ts.filterable) return PreFilterVerdict::kUnknown;
   // Clash guard: with two or more distinct constants in C the completion
   // could be Σ-unsatisfiable, which subsumes everything — abstain.
-  if (qs.num_constants >= 2) return PreFilterVerdict::kUnknown;
-  if (!ts.prims.SubsetOf(qs.prims)) return PreFilterVerdict::kReject;
-  if (!ts.attrs.SubsetOf(qs.attrs)) return PreFilterVerdict::kReject;
-  if (!ts.constants.SubsetOf(qs.constants)) return PreFilterVerdict::kReject;
+  if (!qs.filterable || qs.num_constants >= 2) {
+    return PreFilterVerdict::kUnknown;
+  }
+  const TargetRecord& ts = Target(d);
+  if (!ts.filterable) return PreFilterVerdict::kUnknown;
+  // Every required id must be in the matching query set.
+  auto all_in = [this](const SymbolBitset& have, uint32_t first,
+                       uint32_t count) {
+    for (uint32_t i = first; i < first + count; ++i) {
+      if (!have.Test(target_ids_[i])) return false;
+    }
+    return true;
+  };
+  uint32_t next = ts.first;
+  if (!all_in(qs.prims, next, ts.num_prims)) return PreFilterVerdict::kReject;
+  next += ts.num_prims;
+  if (!all_in(qs.attrs, next, ts.num_attrs)) return PreFilterVerdict::kReject;
+  next += ts.num_attrs;
+  if (!all_in(qs.constants, next, ts.num_constants)) {
+    return PreFilterVerdict::kReject;
+  }
   return PreFilterVerdict::kUnknown;
 }
 

@@ -5,7 +5,7 @@
 // classifiers (CLASSIC's structural normalization, Gottlob et al.'s
 // syntactic covers for candidate rewritings): almost every pair in a
 // catalog scan is a non-subsumption that can be refuted from signatures
-// alone. Per concept we compute, memoized in a side table:
+// alone. Per concept we compute, once, in lock-free side tables:
 //
 //   * query signature of C — an OVER-approximation of everything a
 //     completion of {x:C} can ever derive: the Σ-upward closure of the
@@ -13,9 +13,10 @@
 //     edges, S2 value-restriction ranges, S3/S6 typing domains/ranges
 //     and S5 necessary attributes), the set of attribute names that can
 //     ever label an edge, and the constants mentioned;
-//   * target signature of D — an UNDER-approximation of what x:D needs:
+//   * target record of D — an UNDER-approximation of what x:D needs:
 //     the primitive top-level conjuncts, the first-step attributes of
-//     its top-level ∃p / ∃p≐ε conjuncts, and every constant mentioned.
+//     its top-level ∃p / ∃p≐ε conjuncts, and every constant mentioned,
+//     kept as a compact run of ids rather than as bitsets.
 //
 // If any required set is not contained in the corresponding derivable
 // set, C ⊑_Σ D cannot hold via the goal branch of Theorem 4.7 — and the
@@ -30,10 +31,9 @@
 #define OODB_CALCULUS_PREFILTER_H_
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "base/chunked.h"
 #include "base/symbol.h"
 #include "base/sync.h"
 #include "ql/term.h"
@@ -43,8 +43,8 @@
 namespace oodb::calculus {
 
 // Dense bitset over symbol ids. Symbols are small (interned densely per
-// SymbolTable), so a word vector beats hash sets for the subset tests
-// the filter runs on every pair.
+// SymbolTable), so a word vector beats hash sets for the membership
+// probes the filter runs on every pair.
 class SymbolBitset {
  public:
   void Set(uint32_t id) {
@@ -61,39 +61,34 @@ class SymbolBitset {
   }
   bool Test(Symbol s) const { return Test(s.id()); }
 
-  // Whether every bit of *this is also set in `other`.
-  bool SubsetOf(const SymbolBitset& other) const {
-    for (size_t i = 0; i < words_.size(); ++i) {
-      uint64_t w = words_[i];
-      if (w == 0) continue;
-      if (i >= other.words_.size() || (w & ~other.words_[i]) != 0) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  size_t Count() const {
-    size_t n = 0;
-    for (uint64_t w : words_) n += static_cast<size_t>(__builtin_popcountll(w));
-    return n;
-  }
-
  private:
   std::vector<uint64_t> words_;
 };
 
-// One memoized per-concept signature (see file comment for the two
-// readings). Immutable after construction; shared across threads.
+// The query reading of a concept (see the file comment). Immutable after
+// construction; shared across threads.
 struct ConceptSignature {
   // False when the concept contains SL-only constructs (∀P.A, (≤1 P)):
   // the filter makes no claim and the engine reports the proper error.
   bool filterable = false;
-  SymbolBitset prims;      // query: derivable closure / target: required
-  SymbolBitset attrs;      // query: available edges / target: first steps
-  SymbolBitset constants;  // mentioned constants (both readings)
-  // Query side only: distinct constants mentioned (clash guard).
+  SymbolBitset prims;      // derivable closure
+  SymbolBitset attrs;      // available edge labels
+  SymbolBitset constants;  // mentioned constants
+  // Distinct constants mentioned (clash guard).
   uint32_t num_constants = 0;
+};
+
+// The target reading of a concept: the distinct primitive, attribute and
+// constant ids that x:D requires, stored as one run in the filter's id
+// arena (primitives first, then attributes, then constants). A batch
+// tests it against one query signature with a handful of bit probes.
+struct TargetRecord {
+  uint32_t first = 0;  // arena index of the first id
+  uint32_t num_prims = 0;
+  uint32_t num_attrs = 0;
+  uint32_t num_constants = 0;
+  // False when D contains SL-only constructs (as for the query reading).
+  bool filterable = false;
 };
 
 enum class PreFilterVerdict : uint8_t {
@@ -102,7 +97,7 @@ enum class PreFilterVerdict : uint8_t {
 };
 
 // Thread-safe signature index + pair test. One instance per checker;
-// signatures are computed lazily and cached forever (concept ids are
+// signatures are computed lazily and kept forever (concept ids are
 // stable for the lifetime of the term factory).
 class StructuralPreFilter {
  public:
@@ -120,28 +115,31 @@ class StructuralPreFilter {
   PreFilterVerdict Check(const ConceptSignature& query,
                          ql::ConceptId d) const;
 
-  // The memoized signatures (exposed for tests and diagnostics).
+  // C's query signature, computed on first use (exposed for batches,
+  // tests and diagnostics).
   const ConceptSignature& QuerySignature(ql::ConceptId c) const;
-  const ConceptSignature& TargetSignature(ql::ConceptId d) const;
 
  private:
-  using SignatureMap =
-      std::unordered_map<ql::ConceptId,
-                         std::unique_ptr<const ConceptSignature>>;
-
-  const ConceptSignature& Memoize(SignatureMap* map, ql::ConceptId id,
-                                  bool query_side) const;
+  const TargetRecord& Target(ql::ConceptId d) const;
   ConceptSignature ComputeQuerySignature(ql::ConceptId c) const;
-  ConceptSignature ComputeTargetSignature(ql::ConceptId d) const;
+  // D's requirements: the record's counts and filterable flag, and its
+  // ids in arena order.
+  TargetRecord ComputeTarget(ql::ConceptId d,
+                             std::vector<uint32_t>* ids) const;
 
   const schema::Schema& sigma_;
-  // Signatures are immutable once inserted and stored behind stable
-  // pointers, so the lock is held only for map lookup/insert — never
-  // across a computation. A racing duplicate compute inserts an equal
-  // value and one copy is dropped.
-  mutable base::Mutex mu_;
-  mutable SignatureMap query_sigs_ GUARDED_BY(mu_);
-  mutable SignatureMap target_sigs_ GUARDED_BY(mu_);
+  // Both readings are computed outside any lock and published under
+  // publish_mu_ (ChunkedVector and ChunkedIdMap serialize their writers
+  // that way); every read is lock-free, so a batch tests its targets
+  // without a lock, a hash probe or a heap bitset per target. A racing
+  // duplicate compute finds the published copy and drops its own.
+  mutable base::Mutex publish_mu_;
+  mutable ChunkedIdMap query_index_;  // concept id → query_sigs_ index
+  mutable ChunkedVector<ConceptSignature> query_sigs_;
+  mutable ChunkedIdMap target_index_;  // concept id → targets_ index
+  mutable ChunkedVector<TargetRecord> targets_;
+  // The records' id runs, in 16 KiB chunks (room for 16M ids).
+  mutable ChunkedVector<uint32_t, 12> target_ids_;
 };
 
 }  // namespace oodb::calculus

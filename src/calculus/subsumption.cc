@@ -126,15 +126,15 @@ Result<std::vector<bool>> SubsumptionChecker::SubsumesBatch(
     positions.reserve(open.size());
     const ConceptSignature& query = prefilter_.QuerySignature(c);
     for (size_t i : open) {
-      prefilter_checks_.fetch_add(1, kRelaxed);
       if (prefilter_.Check(query, ds[i]) == PreFilterVerdict::kReject) {
-        prefilter_rejections_.fetch_add(1, kRelaxed);
         if (options_.memoize) cache_.Insert(PairMemoKey(c, ds[i]), false);
         continue;
       }
       live.push_back(ds[i]);
       positions.push_back(i);
     }
+    prefilter_checks_.fetch_add(open.size(), kRelaxed);
+    prefilter_rejections_.fetch_add(open.size() - live.size(), kRelaxed);
   } else {
     live.reserve(open.size());
     for (size_t i : open) live.push_back(ds[i]);

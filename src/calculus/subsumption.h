@@ -39,7 +39,10 @@ struct CheckerOptions {
   bool record_trace = false;
   // Memoize (C, D) → verdict across calls. Sound because Σ and the term
   // factory are append-only for the checker's lifetime and concept ids
-  // are stable. Catalog scans and classification repeat many pairs.
+  // are stable. It pays where pairs repeat: CHECK and BCHECK traffic and
+  // classification. OPTIMIZE's catalog scan turns it off, because each
+  // query is usually planned once and its pairs are never read again
+  // (docs/optimizer.md, "Check avoidance").
   bool memoize = true;
   // Entry budget for the sharded memo cache (see memo_cache.h).
   size_t memo_capacity = size_t{1} << 20;

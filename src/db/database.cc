@@ -21,15 +21,6 @@ Result<ObjectId> Database::CreateObject(std::string_view name) {
   return o;
 }
 
-ObjectId Database::CreateAnonymousObject() {
-  Symbol s = symbols_->Fresh("obj");
-  ObjectId o = static_cast<ObjectId>(object_names_.size());
-  object_names_.push_back(s);
-  by_name_.emplace(s, o);
-  Touch();
-  return o;
-}
-
 std::optional<ObjectId> Database::FindObject(Symbol name) const {
   auto it = by_name_.find(name);
   if (it == by_name_.end()) return std::nullopt;
@@ -49,22 +40,15 @@ Status Database::AddToClass(ObjectId o, Symbol cls) {
         StrCat("query class '", symbols_->Name(cls),
                "' membership is derived, not asserted"));
   }
-  // Close under the isA hierarchy.
+  // Close under the isA hierarchy; count each member once.
   for (Symbol super : model_.SuperClosure(cls)) {
-    auto& ext = extents_[super];
-    if (ext.size() <= o) ext.resize(object_names_.size(), 0);
-    ext[o] = 1;
+    Extent& ext = extents_[super];
+    if (ext.members.size() <= o) ext.members.resize(object_names_.size(), 0);
+    if (ext.members[o] == 0) {
+      ext.members[o] = 1;
+      ++ext.size;
+    }
   }
-  Touch();
-  return Status::Ok();
-}
-
-Status Database::RemoveFromClass(ObjectId o, Symbol cls) {
-  auto it = extents_.find(cls);
-  if (it == extents_.end() || it->second.size() <= o || !it->second[o]) {
-    return NotFoundError("object is not a member of the class");
-  }
-  it->second[o] = 0;
   Touch();
   return Status::Ok();
 }
@@ -72,7 +56,8 @@ Status Database::RemoveFromClass(ObjectId o, Symbol cls) {
 bool Database::InClass(ObjectId o, Symbol cls) const {
   if (cls == model_.object_class) return o < object_names_.size();
   auto it = extents_.find(cls);
-  return it != extents_.end() && it->second.size() > o && it->second[o] != 0;
+  return it != extents_.end() && it->second.members.size() > o &&
+         it->second.members[o] != 0;
 }
 
 std::vector<ObjectId> Database::ClassExtent(Symbol cls) const {
@@ -80,10 +65,18 @@ std::vector<ObjectId> Database::ClassExtent(Symbol cls) const {
   if (cls == model_.object_class) return AllObjects();
   auto it = extents_.find(cls);
   if (it == extents_.end()) return out;
-  for (size_t o = 0; o < it->second.size(); ++o) {
-    if (it->second[o]) out.push_back(static_cast<ObjectId>(o));
+  const std::vector<char>& members = it->second.members;
+  out.reserve(it->second.size);
+  for (size_t o = 0; o < members.size(); ++o) {
+    if (members[o]) out.push_back(static_cast<ObjectId>(o));
   }
   return out;
+}
+
+size_t Database::ClassSize(Symbol cls) const {
+  if (cls == model_.object_class) return object_names_.size();
+  auto it = extents_.find(cls);
+  return it == extents_.end() ? 0 : it->second.size;
 }
 
 Status Database::AddAttr(ObjectId s, Symbol attr, ObjectId t) {

@@ -35,8 +35,6 @@ class Database {
 
   // Creates a named object (its name doubles as the DL constant).
   Result<ObjectId> CreateObject(std::string_view name);
-  // Creates an anonymous object (gets a generated name).
-  ObjectId CreateAnonymousObject();
   std::optional<ObjectId> FindObject(Symbol name) const;
   Symbol ObjectName(ObjectId o) const;
   size_t num_objects() const { return object_names_.size(); }
@@ -46,11 +44,13 @@ class Database {
   // Adds `o` to `cls` and, transitively, to its schema superclasses.
   // Query classes cannot be populated explicitly (their membership is
   // derived; paper Sect. 2.2).
+  // Memberships only grow, so the store keeps each class's size exact.
   Status AddToClass(ObjectId o, Symbol cls);
-  Status RemoveFromClass(ObjectId o, Symbol cls);  // direct membership only
   // Membership; every object is in the Object class.
   bool InClass(ObjectId o, Symbol cls) const;
   std::vector<ObjectId> ClassExtent(Symbol cls) const;
+  // ClassExtent(cls).size(), in O(1).
+  size_t ClassSize(Symbol cls) const;
 
   // --- Attributes -----------------------------------------------------------
 
@@ -80,6 +80,10 @@ class Database {
     std::vector<std::vector<ObjectId>> fwd;
     std::vector<std::vector<ObjectId>> bwd;
   };
+  struct Extent {
+    std::vector<char> members;  // members[o] != 0 iff o is in the class
+    size_t size = 0;            // number of members
+  };
 
   void Touch() { ++version_; }
 
@@ -87,7 +91,7 @@ class Database {
   SymbolTable* symbols_;
   std::vector<Symbol> object_names_;
   std::unordered_map<Symbol, ObjectId> by_name_;
-  std::unordered_map<Symbol, std::vector<char>> extents_;
+  std::unordered_map<Symbol, Extent> extents_;
   std::unordered_map<Symbol, Adjacency> attrs_;
   uint64_t version_ = 0;
 };

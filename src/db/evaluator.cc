@@ -26,22 +26,22 @@ bool WhereSatisfied(const dl::ClassDef& def,
 Result<std::vector<ObjectId>> QueryEvaluator::Evaluate(
     Symbol query_class, EvalStats* stats) const {
   // The candidate pool is the smallest extent among transitive schema
-  // superclasses (all objects if there is none).
-  std::vector<ObjectId> pool;
-  bool have_pool = false;
+  // superclasses (all objects if there is none); only that one extent is
+  // built.
+  Symbol smallest;
   for (Symbol super : db_.model().SuperClosure(query_class)) {
     const dl::ClassDef* def = db_.model().FindClass(super);
     if (def == nullptr || def->is_query || super == db_.model().object_class) {
       continue;
     }
-    std::vector<ObjectId> extent = db_.ClassExtent(super);
-    if (!have_pool || extent.size() < pool.size()) {
-      pool = std::move(extent);
-      have_pool = true;
+    if (!smallest.valid() || db_.ClassSize(super) < db_.ClassSize(smallest)) {
+      smallest = super;
     }
   }
-  if (!have_pool) pool = db_.AllObjects();
-  return EvaluateOver(query_class, pool, stats);
+  return EvaluateOver(query_class,
+                      smallest.valid() ? db_.ClassExtent(smallest)
+                                       : db_.AllObjects(),
+                      stats);
 }
 
 Result<std::vector<ObjectId>> QueryEvaluator::EvaluateOver(

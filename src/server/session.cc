@@ -221,13 +221,9 @@ Result<std::string> Session::Optimize(std::string_view query,
   if (def == nullptr || !def->is_query) {
     return NotFoundError(StrCat("no query class named '", query, "'"));
   }
-  views::QueryPlan plan;
-  {
-    // Plan choice runs subsumption checks internally; attribute it to the
-    // engine phase as one block.
-    obs::ScopedSpan span(trace, obs::Phase::kEngine);
-    OODB_ASSIGN_OR_RETURN(plan, optimizer_->ChoosePlan(s));
-  }
+  // Plan choice books its own translate, prefilter and engine phases.
+  OODB_ASSIGN_OR_RETURN(views::QueryPlan plan,
+                        optimizer_->ChoosePlan(s, trace));
   optimizes_.fetch_add(1, std::memory_order_relaxed);
   std::string text =
       StrCat("uses_view=", plan.uses_view ? "true" : "false", "\n",

@@ -226,17 +226,32 @@ const View* ViewCatalog::Find(Symbol name) const {
   return it == index_.end() ? nullptr : &views_[it->second];
 }
 
+namespace {
+
+calculus::CheckerOptions ScanOptions() {
+  calculus::CheckerOptions options;
+  options.memoize = false;
+  return options;
+}
+
+}  // namespace
+
 Optimizer::Optimizer(db::Database* database, ViewCatalog* catalog,
                      const schema::Schema& sigma, dl::Translator* translator)
     : db_(database),
       catalog_(catalog),
       translator_(translator),
-      checker_(sigma),
+      checker_(sigma, ScanOptions()),
       evaluator_(*database) {}
 
-Result<QueryPlan> Optimizer::ChoosePlan(Symbol query_class) {
-  OODB_ASSIGN_OR_RETURN(ql::ConceptId query_concept,
-                        translator_->QueryConcept(query_class));
+Result<QueryPlan> Optimizer::ChoosePlan(Symbol query_class,
+                                        obs::TraceContext* trace) {
+  ql::ConceptId query_concept = ql::kInvalidConcept;
+  {
+    obs::ScopedSpan span(trace, obs::Phase::kTranslate);
+    OODB_ASSIGN_OR_RETURN(query_concept,
+                          translator_->QueryConcept(query_class));
+  }
   QueryPlan plan;
   // Base-scan cost: smallest superclass extent (mirrors the evaluator).
   size_t base_pool = db_->num_objects();
@@ -245,7 +260,7 @@ Result<QueryPlan> Optimizer::ChoosePlan(Symbol query_class) {
     if (def == nullptr || def->is_query || super == db_->model().object_class) {
       continue;
     }
-    base_pool = std::min(base_pool, db_->ClassExtent(super).size());
+    base_pool = std::min(base_pool, db_->ClassSize(super));
   }
   plan.pool_size = base_pool;
   plan.explanation = StrCat("base scan over ", base_pool, " candidates");
@@ -261,7 +276,7 @@ Result<QueryPlan> Optimizer::ChoosePlan(Symbol query_class) {
     plan.subsumption_checks = 1;
     OODB_ASSIGN_OR_RETURN(verdicts,
                           checker_.SubsumesBatch(query_concept,
-                                                 view_concepts));
+                                                 view_concepts, trace));
   }
   // Every subsuming view's extent is a superset of the answers, so the
   // intersection of all of them is the smallest view-derived pool.

@@ -20,6 +20,7 @@
 #include "db/evaluator.h"
 #include "dl/model.h"
 #include "dl/translate.h"
+#include "obs/trace.h"
 #include "schema/schema.h"
 
 namespace oodb::views {
@@ -117,8 +118,11 @@ class Optimizer {
             const schema::Schema& sigma, dl::Translator* translator);
 
   // Chooses the cheapest plan: the smallest materialized extent among the
-  // views that Σ-subsume the query, else the base scan.
-  Result<QueryPlan> ChoosePlan(Symbol query_class);
+  // views that Σ-subsume the query, else the base scan. When a trace is
+  // supplied, the query's translation is booked as its translate phase
+  // and the catalog scan as prefilter and engine.
+  Result<QueryPlan> ChoosePlan(Symbol query_class,
+                               obs::TraceContext* trace = nullptr);
 
   // Plans and executes; refreshes stale views first (a view must be up to
   // date before its extent may replace the search space).
@@ -132,6 +136,8 @@ class Optimizer {
   db::Database* db_;
   ViewCatalog* catalog_;
   dl::Translator* translator_;
+  // Runs without the per-pair verdict memo: a cold query's catalog scan
+  // would insert one entry per view that no later scan reads.
   calculus::SubsumptionChecker checker_;
   db::QueryEvaluator evaluator_;
 };

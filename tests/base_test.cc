@@ -1,10 +1,12 @@
-// Unit tests for the base utilities: symbols, status, strings, rng.
+// Unit tests for the base utilities: symbols, status, strings, rng, and
+// the lock-free id map.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 #include <vector>
 
+#include "base/chunked.h"
 #include "base/rng.h"
 #include "base/status.h"
 #include "base/strings.h"
@@ -165,6 +167,33 @@ TEST(Rng, BernoulliExtremes) {
     EXPECT_FALSE(rng.Bernoulli(0.0));
     EXPECT_TRUE(rng.Bernoulli(1.0));
   }
+}
+
+TEST(ChunkedIdMap, FindsWhatWasSetAndNothingElse) {
+  ChunkedIdMap map;
+  EXPECT_EQ(map.Find(0), ChunkedIdMap::kAbsent);
+  EXPECT_EQ(map.Find(70000), ChunkedIdMap::kAbsent);
+  // Ids on one page, on far pages, and at a page boundary.
+  const std::vector<uint32_t> ids = {0, 1, 1023, 1024, 70000, 4000000};
+  for (size_t i = 0; i < ids.size(); ++i) {
+    map.Set(ids[i], static_cast<uint32_t>(10 * i));
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(map.Find(ids[i]), 10 * i) << ids[i];
+  }
+  EXPECT_EQ(map.Find(2), ChunkedIdMap::kAbsent);       // same page, unset
+  EXPECT_EQ(map.Find(70001), ChunkedIdMap::kAbsent);   // same page, unset
+  EXPECT_EQ(map.Find(500000), ChunkedIdMap::kAbsent);  // no page
+  EXPECT_EQ(map.Find(UINT32_MAX), ChunkedIdMap::kAbsent);  // out of range
+  map.Set(70000, 7);
+  EXPECT_EQ(map.Find(70000), 7u);
+  // Keys are exact: ids that agree in their low 16 bits stay distinct.
+  EXPECT_EQ(map.Find(70000 - 65536), ChunkedIdMap::kAbsent);
+  EXPECT_EQ(map.Find(4000000 % 65536), ChunkedIdMap::kAbsent);
+  map.Set(5, 1);
+  map.Set(5 + 65536, 2);
+  EXPECT_EQ(map.Find(5), 1u);
+  EXPECT_EQ(map.Find(5 + 65536), 2u);
 }
 
 }  // namespace

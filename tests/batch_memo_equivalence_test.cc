@@ -4,6 +4,8 @@
 //   * repeated queries through the sharded cache never change a verdict
 //     (the cache-poisoning regression the striped map could introduce).
 #include <algorithm>
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -130,6 +132,74 @@ TEST(BatchMemoEquivalence, TinyCapacityEvictionsStaySound) {
   calculus::MemoCacheStats stats = small_cache.cache_stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.entries, 6u * 12u);
+}
+
+TEST(BatchMemoEquivalence, ThreeThreadsBatchAgainstTargetsNoneHasMet) {
+  // The pre-filter computes a target's record the first time any thread
+  // meets it and publishes it for lock-free reads by every other thread.
+  // Three threads start together on one checker and meet each round's
+  // catalog at about the same time, so they race to publish and read the
+  // same records (and the same query signatures). Run under TSan in CI.
+  constexpr int kRounds = 12;
+  constexpr int kThreads = 3;
+  Rng rng(20261018);
+  Workload w;
+  gen::GeneratedSchema sig = gen::GenerateSchema(&w.sigma, rng);
+  std::vector<std::vector<ql::ConceptId>> queries(kRounds);
+  std::vector<std::vector<ql::ConceptId>> catalogs(kRounds);
+  for (int r = 0; r < kRounds; ++r) {
+    for (int i = 0; i < 3; ++i) {
+      queries[r].push_back(gen::GenerateConcept(sig, &w.f, rng));
+    }
+    for (int i = 0; i < 24; ++i) {
+      catalogs[r].push_back(
+          i % 3 == 0 ? gen::WeakenConcept(w.sigma, &w.f, queries[r][i % 3],
+                                          rng, 2)
+                     : gen::GenerateConcept(sig, &w.f, rng));
+    }
+  }
+  // Reference verdicts from a checker with no memo and no pre-filter.
+  calculus::CheckerOptions plain;
+  plain.memoize = false;
+  plain.prefilter = false;
+  calculus::SubsumptionChecker oracle(w.sigma, plain);
+  std::vector<std::vector<std::vector<bool>>> want(kRounds);
+  for (int r = 0; r < kRounds; ++r) {
+    for (ql::ConceptId q : queries[r]) {
+      auto verdicts = oracle.SubsumesBatch(q, catalogs[r]);
+      ASSERT_TRUE(verdicts.ok()) << verdicts.status();
+      want[r].push_back(*verdicts);
+    }
+  }
+
+  for (bool memoize : {false, true}) {
+    calculus::CheckerOptions options;
+    options.memoize = memoize;
+    calculus::SubsumptionChecker checker(w.sigma, options);
+    std::atomic<bool> go{false};
+    std::vector<std::vector<std::vector<std::vector<bool>>>> got(
+        kThreads, std::vector<std::vector<std::vector<bool>>>(kRounds));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        for (int r = 0; r < kRounds; ++r) {
+          for (ql::ConceptId q : queries[r]) {
+            auto verdicts = checker.SubsumesBatch(q, catalogs[r]);
+            got[t][r].push_back(verdicts.ok() ? *verdicts
+                                              : std::vector<bool>());
+          }
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(got[t], want) << "thread " << t << ", memoize " << memoize;
+    }
+    EXPECT_GT(checker.perf_stats().prefilter_rejections, 0u);
+  }
 }
 
 }  // namespace

@@ -6,11 +6,14 @@
 #include <algorithm>
 #include <memory>
 
+#include "base/rng.h"
 #include "db/database.h"
 #include "db/evaluator.h"
+#include "db/instance.h"
 #include "dl/analyzer.h"
 #include "dl/translate.h"
 #include "dl_fixture.h"
+#include "gen/dl_gen.h"
 #include "schema/schema.h"
 #include "views/views.h"
 
@@ -118,6 +121,38 @@ TEST(Database, ClassMembershipClosesUnderIsA) {
   EXPECT_TRUE(m.database->InClass(m.bob, m.S("Person")));
   // Everything is in Object.
   EXPECT_TRUE(m.database->InClass(m.flu, m.S("Object")));
+}
+
+TEST(Database, ClassSizesMatchExtentsOnRandomStates) {
+  // Memberships only grow, and AddToClass counts an object once per class
+  // (repeated and isA-implied assertions included), so every class's size
+  // is its extent's.
+  Rng rng(20261017);
+  for (int round = 0; round < 20; ++round) {
+    SymbolTable symbols;
+    gen::DlGenOptions dl_options;
+    dl_options.num_classes = 10;
+    dl_options.isa_prob = 0.7;
+    gen::GeneratedDl dl = gen::GenerateDlSource(rng, dl_options);
+    auto model = dl::ParseAndAnalyze(dl.source, &symbols);
+    ASSERT_TRUE(model.ok()) << model.status();
+    Database database(*model, &symbols);
+    gen::StateGenOptions state_options;
+    state_options.num_objects = 60;
+    state_options.membership_prob = 0.8;
+    std::string state = gen::GenerateDlState(dl, rng, state_options);
+    ASSERT_TRUE(db::LoadInstance(state, &database).ok()) << state;
+    // Assert some memberships a second time: the counts must not move.
+    for (ObjectId o = 0; o < database.num_objects(); o += 7) {
+      ASSERT_TRUE(
+          database.AddToClass(o, symbols.Find(rng.Pick(dl.class_names))).ok());
+    }
+    for (const dl::ClassDef& def : model->classes()) {
+      EXPECT_EQ(database.ClassSize(def.name),
+                database.ClassExtent(def.name).size())
+          << symbols.Name(def.name) << " in round " << round;
+    }
+  }
 }
 
 TEST(Database, RejectsQueryClassPopulation) {

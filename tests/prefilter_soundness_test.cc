@@ -7,6 +7,8 @@
 // a structurally "impossible" pair is still subsumed) and the non-QL
 // abstention.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -199,6 +201,74 @@ TEST(PreFilterSoundness, BatchMatchesUnfilteredBatch) {
   EXPECT_EQ(*want, *got);
   // The filter must actually have fired on this workload.
   EXPECT_GT(fast.perf_stats().prefilter_checks, 0u);
+}
+
+TEST(PreFilterSoundness, LargeConstantIdsAndPrimitiveFreeTargets) {
+  // Constants interned past 2^16, and targets with no primitive conjunct
+  // (only ∃ steps, some ending in a constant): the compact target records
+  // must keep every such id exact.
+  Rng rng(65539);
+  SymbolTable symbols;
+  for (int i = 0; i < 70000; ++i) symbols.Intern("pad" + std::to_string(i));
+  ql::TermFactory f(&symbols);
+  schema::Schema sigma(&f);
+  gen::SchemaGenOptions schema_options;
+  schema_options.num_constants = 6;
+  gen::GeneratedSchema sig = gen::GenerateSchema(&sigma, rng, schema_options);
+  for (Symbol k : sig.constants) ASSERT_GT(k.id(), uint32_t{1} << 16);
+  gen::ConceptGenOptions concept_options;
+  concept_options.singleton_prob = 0.4;
+
+  CheckerOptions plain;
+  plain.memoize = false;
+  plain.prefilter = false;
+  SubsumptionChecker oracle(sigma, plain);
+  CheckerOptions scan;  // the optimizer's configuration
+  scan.memoize = false;
+  SubsumptionChecker fast(sigma, scan);
+  auto any_attr = [&] {
+    return ql::Attr{sig.attrs[rng.Index(sig.attrs.size())],
+                    rng.Bernoulli(0.25)};
+  };
+  int subsumed = 0, rejected = 0;
+  for (int round = 0; round < 80; ++round) {
+    ql::ConceptId c = gen::GenerateConcept(sig, &f, rng, concept_options);
+    std::vector<ql::ConceptId> targets;
+    for (int k = 0; k < 16; ++k) {
+      switch (k % 4) {
+        case 0:
+          targets.push_back(gen::WeakenConcept(sigma, &f, c, rng, 2));
+          break;
+        case 1:
+          targets.push_back(f.Exists(f.Step(
+              any_attr(),
+              f.Singleton(sig.constants[rng.Index(sig.constants.size())]))));
+          break;
+        case 2:
+          targets.push_back(f.ExistsAttr(any_attr()));
+          break;
+        default:
+          targets.push_back(gen::GenerateConcept(sig, &f, rng,
+                                                 concept_options));
+      }
+    }
+    auto want = oracle.SubsumesBatch(c, targets);
+    auto got = fast.SubsumesBatch(c, targets);
+    if (!want.ok()) continue;  // resource caps hit both paths alike
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(*want, *got) << "round " << round;
+    for (size_t i = 0; i < targets.size(); ++i) {
+      const bool reject = fast.prefilter().Check(c, targets[i]) ==
+                          PreFilterVerdict::kReject;
+      EXPECT_FALSE((*want)[i] && reject)
+          << "FALSE REJECTION\n  C = " << ql::ConceptToString(f, c)
+          << "\n  D = " << ql::ConceptToString(f, targets[i]);
+      subsumed += (*want)[i] ? 1 : 0;
+      rejected += reject ? 1 : 0;
+    }
+  }
+  EXPECT_GT(subsumed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

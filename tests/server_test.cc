@@ -29,6 +29,7 @@
 #include "calculus/subsumption.h"
 #include "db/database.h"
 #include "db/instance.h"
+#include "dl_fixture.h"
 #include "dl/analyzer.h"
 #include "dl/translate.h"
 #include "gen/dl_gen.h"
@@ -846,6 +847,52 @@ TEST(Server, SlowQueryLogRecordsAllPhasesOfAnExpensiveCheck) {
   std::swap(check_line, load_line);
 
   EXPECT_GE(server.slow_log().recorded(), 2u);
+  server.Shutdown();
+}
+
+TEST(Server, OptimizeTraceBooksTranslatePrefilterAndEngine) {
+  ServerOptions options;
+  options.slow_threshold_ms = 0;  // log every request
+  Server server(options);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Client client = MustConnect(*port);
+
+  // ViewPatient subsumes QueryPatient (the paper's running example), so
+  // the plan's catalog scan passes the pre-filter and runs the engine.
+  ASSERT_TRUE(client.Load("med", oodb::testing::kMedicalDlSource).ok());
+  ASSERT_TRUE(client.DefineView("med", "ViewPatient").ok());
+  auto plan = client.Optimize("med", "QueryPatient");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(PlanField(*plan, "view"), "ViewPatient") << *plan;
+
+  auto lines = client.TraceLog(16);
+  ASSERT_TRUE(lines.ok()) << lines.status();
+  std::string line;
+  for (std::string_view candidate : StrSplit(*lines, '\n')) {
+    if (candidate.find("\"verb\":\"OPTIMIZE\"") != std::string::npos) {
+      line = std::string(candidate);
+      break;
+    }
+  }
+  ASSERT_FALSE(line.empty()) << *lines;
+  auto field = [&line](const std::string& key) -> uint64_t {
+    const std::string needle = StrCat("\"", key, "\":");
+    const size_t pos = line.find(needle);
+    if (pos == std::string::npos) return 0;
+    return std::strtoull(line.c_str() + pos + needle.size(), nullptr, 10);
+  };
+  EXPECT_GT(field("translate_ns"), 0u) << line;
+  EXPECT_GT(field("prefilter_ns"), 0u) << line;
+  EXPECT_GT(field("engine_ns"), 0u) << line;
+  // The optimizer's scan keeps no per-pair memo.
+  EXPECT_EQ(field("memo_ns"), 0u) << line;
+  // No phase is booked twice: together they fit in the request's total.
+  uint64_t phases = 0;
+  for (size_t i = 0; i < obs::kNumPhases; ++i) {
+    phases += field(StrCat(obs::PhaseName(static_cast<obs::Phase>(i)), "_ns"));
+  }
+  EXPECT_LE(phases, field("total_ns")) << line;
   server.Shutdown();
 }
 
