@@ -1,15 +1,16 @@
 // Experiment E15: concurrent optimizer throughput.
 //
 // One shared schema + view catalog (generated by src/gen), a stream of
-// incoming queries, and the ParallelClassifier fanning them over worker
-// threads. Reports single-thread vs N-thread throughput and the sharded
-// memo cache counters, and — the part that matters for correctness —
-// verifies that every multi-threaded verdict matrix is IDENTICAL to the
-// single-threaded oracle run. Speedup scales with available cores; on a
-// single-core host the numbers degenerate to ~1× while the equality check
-// still runs in full.
+// incoming queries, and a service::ThreadPool fanning them over worker
+// threads that share one SubsumptionChecker. Reports single-thread vs
+// N-thread throughput and the sharded memo cache counters, and — the part
+// that matters for correctness — verifies that every multi-threaded
+// verdict matrix is IDENTICAL to the single-threaded oracle run. Speedup
+// scales with available cores; on a single-core host the numbers
+// degenerate to ~1× while the equality check still runs in full.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,11 +21,43 @@
 #include "calculus/subsumption.h"
 #include "gen/generators.h"
 #include "schema/schema.h"
-#include "service/parallel_classifier.h"
+#include "service/thread_pool.h"
+
+namespace {
+
+using namespace oodb;
+
+// One query's verdicts in catalog order; nullopt when the query failed.
+using Row = std::optional<std::vector<bool>>;
+
+// Decides every query against the catalog on `pool`, every worker sharing
+// `checker`: one SubsumesBatch per query, or one Subsumes per pair.
+std::vector<Row> DecideAll(service::ThreadPool& pool,
+                           const calculus::SubsumptionChecker& checker,
+                           const std::vector<ql::ConceptId>& queries,
+                           const std::vector<ql::ConceptId>& catalog,
+                           bool per_pair) {
+  std::vector<Row> rows(queries.size());
+  pool.ParallelFor(queries.size(), [&](size_t i) {
+    if (!per_pair) {
+      auto verdicts = checker.SubsumesBatch(queries[i], catalog);
+      if (verdicts.ok()) rows[i] = std::move(*verdicts);
+      return;
+    }
+    std::vector<bool> row;
+    for (ql::ConceptId d : catalog) {
+      auto verdict = checker.Subsumes(queries[i], d);
+      if (!verdict.ok()) return;
+      row.push_back(*verdict);
+    }
+    rows[i] = std::move(row);
+  });
+  return rows;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
-  using namespace oodb;
-
   size_t max_threads = 8;
   if (argc > 1) max_threads = std::strtoul(argv[1], nullptr, 10);
 
@@ -62,17 +95,21 @@ int main(int argc, char** argv) {
               kQueries, kCatalog, std::thread::hardware_concurrency());
 
   // Single-threaded oracle (also the 1-thread baseline timing).
-  service::ParallelClassifierOptions serial_options;
-  serial_options.num_threads = 1;
-  service::ParallelClassifier serial(sigma, serial_options);
-  service::ClassificationReport oracle = serial.ClassifyBatch(queries, catalog);
-  const double base_ms =
-      static_cast<double>(oracle.wall.count()) / 1e6;
+  std::vector<Row> oracle;
+  double base_ms = 0;
+  {
+    calculus::SubsumptionChecker checker(sigma);
+    service::ThreadPool pool(1);
+    base_ms = bench::TimeUs([&] {
+                oracle = DecideAll(pool, checker, queries, catalog, false);
+              }) /
+              1000.0;
+  }
 
   size_t hits = 0, errors = 0;
-  for (const service::QueryVerdicts& v : oracle.per_query) {
-    if (!v.status.ok()) { ++errors; continue; }
-    for (bool b : v.subsumed_by) hits += b;
+  for (const Row& row : oracle) {
+    if (!row) { ++errors; continue; }
+    for (bool b : *row) hits += b;
   }
   std::printf("  oracle: %zu subsumption hits, %zu query errors\n\n", hits,
               errors);
@@ -81,26 +118,23 @@ int main(int argc, char** argv) {
   bool all_equal = true;
   double best_qps = 0.0;
   size_t best_threads = 1;
-  service::ClassificationReport last_report;
+  calculus::CheckerPerfStats last_perf;
   for (size_t threads = 1; threads <= max_threads; threads *= 2) {
-    service::ParallelClassifierOptions options;
-    options.num_threads = threads;
-    service::ParallelClassifier classifier(sigma, options);
-    service::ClassificationReport report =
-        classifier.ClassifyBatch(queries, catalog);
+    calculus::SubsumptionChecker checker(sigma);
+    service::ThreadPool pool(threads);
+    std::vector<Row> rows;
+    const double ms = bench::TimeUs([&] {
+                        rows = DecideAll(pool, checker, queries, catalog,
+                                         false);
+                      }) /
+                      1000.0;
 
     size_t mismatches = 0;
     for (size_t i = 0; i < queries.size(); ++i) {
-      const auto& got = report.per_query[i];
-      const auto& want = oracle.per_query[i];
-      if (got.status.ok() != want.status.ok()) { ++mismatches; continue; }
-      if (got.status.ok() && got.subsumed_by != want.subsumed_by) {
-        ++mismatches;
-      }
+      mismatches += rows[i] != oracle[i];
     }
     if (mismatches > 0) all_equal = false;
 
-    const double ms = static_cast<double>(report.wall.count()) / 1e6;
     const double qps = kQueries / (ms / 1000.0);
     if (qps > best_qps) {
       best_qps = qps;
@@ -109,29 +143,31 @@ int main(int argc, char** argv) {
     table.AddRow({std::to_string(threads), bench::Fmt(ms, 2),
                   bench::Fmt(qps, 0), bench::Fmt(base_ms / ms, 2) + "x",
                   std::to_string(mismatches)});
-    last_report = std::move(report);
+    last_perf = checker.perf_stats();
   }
   table.Print();
 
-  // Cache behaviour under the per-pair strategy (the point-lookup path).
-  service::ParallelClassifierOptions pp;
-  pp.num_threads = max_threads;
-  pp.use_batch = false;
-  service::ParallelClassifier point(sigma, pp);
-  point.ClassifyBatch(queries, catalog);
-  service::ClassificationReport warmed = point.ClassifyBatch(queries, catalog);
+  // Cache behaviour under per-pair checks (the point-lookup path): two
+  // passes over one shared checker, the second answered from the memo.
+  calculus::SubsumptionChecker point(sigma);
+  {
+    service::ThreadPool pool(max_threads);
+    for (int pass = 0; pass < 2; ++pass) {
+      DecideAll(pool, point, queries, catalog, true);
+    }
+  }
+  const calculus::MemoCacheStats warmed = point.cache_stats();
   std::printf("\n  sharded memo cache after 2 per-pair passes: "
               "%llu hits / %llu misses / %llu insertions / %llu evictions, "
               "%zu entries\n",
-              (unsigned long long)warmed.cache.hits,
-              (unsigned long long)warmed.cache.misses,
-              (unsigned long long)warmed.cache.insertions,
-              (unsigned long long)warmed.cache.evictions,
-              warmed.cache.entries);
+              (unsigned long long)warmed.hits,
+              (unsigned long long)warmed.misses,
+              (unsigned long long)warmed.insertions,
+              (unsigned long long)warmed.evictions,
+              warmed.entries);
 
   {
-    const uint64_t lookups = warmed.cache.hits + warmed.cache.misses;
-    const calculus::CheckerPerfStats& perf = last_report.perf;
+    const uint64_t lookups = warmed.hits + warmed.misses;
     bench::JsonWriter json;
     json.Add("experiment", std::string("E15_parallel"));
     json.Add("queries", kQueries);
@@ -139,12 +175,12 @@ int main(int argc, char** argv) {
     json.Add("baseline_ms", base_ms);
     json.Add("best_threads", best_threads);
     json.Add("best_queries_per_sec", best_qps);
-    json.Add("engine_runs", perf.engine_runs);
-    json.Add("prefilter_checks", perf.prefilter_checks);
-    json.Add("prefilter_rejections", perf.prefilter_rejections);
-    json.Add("pool_reuses", perf.pool_reuses);
+    json.Add("engine_runs", last_perf.engine_runs);
+    json.Add("prefilter_checks", last_perf.prefilter_checks);
+    json.Add("prefilter_rejections", last_perf.prefilter_rejections);
+    json.Add("pool_reuses", last_perf.pool_reuses);
     json.Add("memo_hit_rate_pct",
-             lookups == 0 ? 0.0 : 100.0 * warmed.cache.hits / lookups);
+             lookups == 0 ? 0.0 : 100.0 * warmed.hits / lookups);
     json.Add("verdicts_equal", all_equal);
     if (json.WriteFile("BENCH_parallel.json")) {
       std::printf("\n  wrote BENCH_parallel.json\n");

@@ -153,10 +153,7 @@ Status Classifier::Add(Symbol name, ql::ConceptId concept_id) {
   if (nodes_.count(name) > 0) {
     return AlreadyExistsError("concept name already classified");
   }
-  Node node;
-  node.concept_id = concept_id;
-  node.order = next_order_++;
-  nodes_.emplace(name, std::move(node));
+  nodes_.emplace(name, Node{concept_id, next_order_++, kPending});
   names_.push_back(name);
   return Status::Ok();
 }
@@ -166,7 +163,7 @@ Status Classifier::Classify() {
   // names already classified are untouched. Uniqueness of the transitive
   // reduction makes the result independent of how the DAG was grown.
   for (Symbol name : names_) {
-    if (class_of_.count(name) > 0) continue;
+    if (nodes_.at(name).klass != kPending) continue;
     OODB_RETURN_IF_ERROR(InsertIntoDag(name));
   }
   RefreshAggregateStats();
@@ -186,16 +183,12 @@ Status Classifier::Remove(Symbol name) {
   last_op_ = OpStats{};
   last_op_.classes_before = live_classes_;
   names_.erase(std::find(names_.begin(), names_.end(), name));
-
-  auto cit = class_of_.find(name);
-  if (cit == class_of_.end()) {  // pending Add(), never entered the DAG
-    nodes_.erase(nit);
+  const size_t k = nit->second.klass;
+  nodes_.erase(nit);
+  if (k == kPending) {  // pending Add(), never entered the DAG
     RefreshAggregateStats();
     return Status::Ok();
   }
-  const size_t k = cit->second;
-  class_of_.erase(cit);
-  nodes_.erase(nit);
   Class& klass = classes_[k];
   klass.members.erase(
       std::remove(klass.members.begin(), klass.members.end(), name),
@@ -203,11 +196,8 @@ Status Classifier::Remove(Symbol name) {
 
   if (!klass.members.empty()) {
     // The class survives; re-anchor its representative on a remaining
-    // Σ-equivalent member and rebuild the neighborhood's name lists.
+    // Σ-equivalent member.
     klass.rep = nodes_.at(klass.members.front()).concept_id;
-    RefreshClassMembers(k);
-    for (size_t p : klass.parents) RefreshClassMembers(p);
-    for (size_t ch : klass.children) RefreshClassMembers(ch);
     RefreshAggregateStats();
     return Status::Ok();
   }
@@ -256,8 +246,6 @@ Status Classifier::Remove(Symbol name) {
   klass = Class{};  // tombstone (alive == false)
   free_classes_.push_back(k);
   --live_classes_;
-  for (size_t p : parents) RefreshClassMembers(p);
-  for (size_t ch : children) RefreshClassMembers(ch);
   RefreshAggregateStats();
   return Status::Ok();
 }
@@ -289,6 +277,25 @@ std::vector<size_t> Classifier::TopoOrder() const {
   return topo;
 }
 
+Result<std::vector<char>> Classifier::TopSearch(
+    ql::ConceptId c, const std::vector<size_t>& topo, size_t* checks) const {
+  // Once a class is out, every class below it is out without a check
+  // (c ⊑ y and y ⊑ p give c ⊑ p).
+  const bool prune = mode_ == Mode::kEnhancedTraversal;
+  std::vector<char> up(classes_.size(), 0);
+  for (size_t y : topo) {
+    if (prune && std::any_of(classes_[y].parents.begin(),
+                             classes_[y].parents.end(),
+                             [&up](size_t p) { return !up[p]; })) {
+      continue;  // up[y] stays "no"
+    }
+    ++*checks;
+    OODB_ASSIGN_OR_RETURN(bool sub, checker_.Subsumes(c, classes_[y].rep));
+    up[y] = sub ? 1 : 0;
+  }
+  return up;
+}
+
 Status Classifier::InsertIntoDag(Symbol name) {
   // The DAG edges are always the transitive reduction of the strict
   // subsumption order on the classes present, so reachability answers
@@ -304,26 +311,12 @@ Status Classifier::InsertIntoDag(Symbol name) {
   // Topological order of the current DAG, parents before children.
   const std::vector<size_t> topo = TopoOrder();
 
-  // Top search: which classes subsume c? The subsumer set is upward
-  // closed (c ⊑ y and y ⊑ p give c ⊑ p), so once a class is out, every
-  // class below it is out without a check.
-  std::vector<char> up(m, 0);
-  for (size_t y : topo) {
-    if (prune) {
-      bool pruned = false;
-      for (size_t p : classes_[y].parents) {
-        if (!up[p]) {
-          pruned = true;
-          break;
-        }
-      }
-      if (pruned) continue;  // up[y] stays "no"
-    }
-    ++stats_.checks_performed;
-    ++last_op_.checks_performed;
-    OODB_ASSIGN_OR_RETURN(bool sub, checker_.Subsumes(c, classes_[y].rep));
-    up[y] = sub ? 1 : 0;
-  }
+  // Top search: which classes subsume c?
+  Result<std::vector<char>> top =
+      TopSearch(c, topo, &last_op_.checks_performed);
+  stats_.checks_performed += last_op_.checks_performed;
+  if (!top.ok()) return top.status();
+  const std::vector<char>& up = *top;
   // Direct parents = minimal subsumers = subsumer classes none of whose
   // DAG children also subsume.
   std::vector<size_t> direct_parents;
@@ -397,10 +390,7 @@ Status Classifier::InsertIntoDag(Symbol name) {
   for (size_t y : topo) {
     if (up[y] && down[y]) {
       classes_[y].members.push_back(name);
-      class_of_.emplace(name, y);
-      RefreshClassMembers(y);
-      for (size_t p : classes_[y].parents) RefreshClassMembers(p);
-      for (size_t ch : classes_[y].children) RefreshClassMembers(ch);
+      nodes_.at(name).klass = y;
       return Status::Ok();
     }
   }
@@ -436,7 +426,7 @@ Status Classifier::InsertIntoDag(Symbol name) {
   fresh.parents = direct_parents;
   fresh.children = direct_children;
   ++live_classes_;
-  class_of_.emplace(name, idx);
+  nodes_.at(name).klass = idx;
   last_op_.edges_added = direct_parents.size() + direct_children.size();
   auto erase_value = [](std::vector<size_t>* v, size_t value) {
     v->erase(std::remove(v->begin(), v->end(), value), v->end());
@@ -449,41 +439,23 @@ Status Classifier::InsertIntoDag(Symbol name) {
     classes_[ch].parents.push_back(idx);
   }
   for (size_t p : direct_parents) classes_[p].children.push_back(idx);
-
-  RefreshClassMembers(idx);
-  for (size_t p : direct_parents) RefreshClassMembers(p);
-  for (size_t ch : direct_children) RefreshClassMembers(ch);
   return Status::Ok();
 }
 
-void Classifier::RefreshClassMembers(size_t k) {
-  // Expand this class's corner of the DAG into per-name lists: every
-  // member of every adjacent class, ordered by Add() sequence (which is
-  // exactly names() order, and what a from-scratch run produces).
-  auto by_insertion = [this](std::vector<Symbol>* v) {
-    std::sort(v->begin(), v->end(), [this](Symbol a, Symbol b) {
-      return nodes_.at(a).order < nodes_.at(b).order;
-    });
-  };
-  const Class& klass = classes_[k];
-  for (Symbol name : klass.members) {
-    Node& node = nodes_.at(name);
-    node.equivalents.clear();
-    node.parents.clear();
-    node.children.clear();
-    for (Symbol other : klass.members) {
-      if (other != name) node.equivalents.push_back(other);
+std::vector<Symbol> Classifier::MembersOf(const std::vector<size_t>& ks,
+                                          Symbol skip) const {
+  // Ordered by Add() sequence: exactly names() order, and what a
+  // from-scratch run produces.
+  std::vector<Symbol> out;
+  for (size_t k : ks) {
+    for (Symbol member : classes_[k].members) {
+      if (member != skip) out.push_back(member);
     }
-    for (size_t p : klass.parents) {
-      for (Symbol other : classes_[p].members) node.parents.push_back(other);
-    }
-    for (size_t ch : klass.children) {
-      for (Symbol other : classes_[ch].members) node.children.push_back(other);
-    }
-    by_insertion(&node.equivalents);
-    by_insertion(&node.parents);
-    by_insertion(&node.children);
   }
+  std::sort(out.begin(), out.end(), [this](Symbol a, Symbol b) {
+    return nodes_.at(a).order < nodes_.at(b).order;
+  });
+  return out;
 }
 
 void Classifier::RefreshAggregateStats() {
@@ -502,82 +474,49 @@ ql::ConceptId Classifier::ConceptOf(Symbol name) const {
 
 std::vector<Symbol> Classifier::Parents(Symbol name) const {
   auto it = nodes_.find(name);
-  return it == nodes_.end() ? std::vector<Symbol>{} : it->second.parents;
+  if (it == nodes_.end() || it->second.klass == kPending) return {};
+  return MembersOf(classes_[it->second.klass].parents);
 }
 
 std::vector<Symbol> Classifier::Children(Symbol name) const {
   auto it = nodes_.find(name);
-  return it == nodes_.end() ? std::vector<Symbol>{} : it->second.children;
+  if (it == nodes_.end() || it->second.klass == kPending) return {};
+  return MembersOf(classes_[it->second.klass].children);
 }
 
 std::vector<Symbol> Classifier::Equivalents(Symbol name) const {
   auto it = nodes_.find(name);
-  return it == nodes_.end() ? std::vector<Symbol>{} : it->second.equivalents;
+  if (it == nodes_.end() || it->second.klass == kPending) return {};
+  return MembersOf({it->second.klass}, name);
 }
 
 Result<std::vector<Symbol>> Classifier::SubsumersOf(
     ql::ConceptId concept_id) const {
-  // Collect subsumers, then order children-before-parents so callers can
-  // take the first (most specific) hit.
+  const std::vector<size_t> topo = TopoOrder();
+  size_t checks = 0;
+  OODB_ASSIGN_OR_RETURN(std::vector<char> up,
+                        TopSearch(concept_id, topo, &checks));
+  // Children before parents: the reverse of the topological order.
   std::vector<Symbol> subsumers;
-  for (Symbol name : names_) {
-    OODB_ASSIGN_OR_RETURN(
-        bool sub, checker_.Subsumes(concept_id, nodes_.at(name).concept_id));
-    if (sub) subsumers.push_back(name);
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    if (!up[*it]) continue;
+    for (Symbol member : classes_[*it].members) subsumers.push_back(member);
   }
-  std::vector<Symbol> ordered;
-  std::unordered_map<Symbol, bool> placed;
-  // Repeatedly emit subsumers all of whose (subsumer-)children are placed.
-  while (ordered.size() < subsumers.size()) {
-    bool progress = false;
-    for (Symbol name : subsumers) {
-      if (placed[name]) continue;
-      bool ready = true;
-      for (Symbol child : nodes_.at(name).children) {
-        if (std::find(subsumers.begin(), subsumers.end(), child) !=
-                subsumers.end() &&
-            !placed[child]) {
-          ready = false;
-          break;
-        }
-      }
-      if (ready) {
-        ordered.push_back(name);
-        placed[name] = true;
-        progress = true;
-      }
-    }
-    if (!progress) {  // equivalence cycles: emit the rest in input order
-      for (Symbol name : subsumers) {
-        if (!placed[name]) {
-          ordered.push_back(name);
-          placed[name] = true;
-        }
-      }
-    }
-  }
-  return ordered;
+  return subsumers;
 }
 
 std::string Classifier::ToString(const SymbolTable& symbols) const {
+  auto names = [&symbols](const std::vector<Symbol>& list) {
+    return StrJoinMapped(list, ", ",
+                         [&symbols](Symbol s) { return symbols.Name(s); });
+  };
   std::string out;
   for (Symbol name : names_) {
-    const Node& node = nodes_.at(name);
     out += StrCat(symbols.Name(name), "\n");
-    if (!node.equivalents.empty()) {
-      out += StrCat("  ≡ ", StrJoinMapped(node.equivalents, ", ",
-                                          [&](Symbol s) {
-                                            return symbols.Name(s);
-                                          }),
-                    "\n");
-    }
-    out += StrCat("  parents: ",
-                  node.parents.empty()
-                      ? "⊤"
-                      : StrJoinMapped(node.parents, ", ",
-                                      [&](Symbol s) {
-                                        return symbols.Name(s);
-                                      }),
+    const std::vector<Symbol> equivalents = Equivalents(name);
+    if (!equivalents.empty()) out += StrCat("  ≡ ", names(equivalents), "\n");
+    const std::vector<Symbol> parents = Parents(name);
+    out += StrCat("  parents: ", parents.empty() ? "⊤" : names(parents),
                   "\n");
   }
   return out;

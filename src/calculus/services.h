@@ -142,8 +142,10 @@ class Classifier {
   std::vector<Symbol> Children(Symbol name) const;
   // Names whose concepts are Σ-equivalent to `name` (excluding itself).
   std::vector<Symbol> Equivalents(Symbol name) const;
-  // Every added name whose concept subsumes `concept_id`, most specific
-  // first (parents follow children).
+  // Every classified name whose concept subsumes `concept_id`, each
+  // before its DAG ancestors (most specific first), found by the top
+  // search Insert runs. Pending Add()s are not searched: call Classify()
+  // first. Adds nothing to the check counters.
   Result<std::vector<Symbol>> SubsumersOf(ql::ConceptId concept_id) const;
 
   bool Contains(Symbol name) const { return nodes_.count(name) > 0; }
@@ -161,12 +163,11 @@ class Classifier {
   std::string ToString(const SymbolTable& symbols) const;
 
  private:
+  static constexpr size_t kPending = ~size_t{0};
   struct Node {
     ql::ConceptId concept_id = ql::kInvalidConcept;
-    uint64_t order = 0;  // monotone Add() sequence number
-    std::vector<Symbol> parents;
-    std::vector<Symbol> children;
-    std::vector<Symbol> equivalents;
+    uint64_t order = 0;       // monotone Add() sequence number
+    size_t klass = kPending;  // index into classes_ once classified
   };
   // A Σ-equivalence class in the persistent DAG. Slots of removed
   // classes stay in `classes_` as dead tombstones (alive == false) and
@@ -182,11 +183,18 @@ class Classifier {
 
   // Classifies one name into the DAG (top/bottom search + splice).
   Status InsertIntoDag(Symbol name);
+  // Top search: up[y] for every live class y in `topo` whose
+  // representative subsumes `c`. With pruning a class is checked only
+  // once all its parents passed (the subsumer set is upward closed).
+  // Adds the checks it issues to `*checks`.
+  Result<std::vector<char>> TopSearch(ql::ConceptId c,
+                                      const std::vector<size_t>& topo,
+                                      size_t* checks) const;
   // Live classes, parents before children.
   std::vector<size_t> TopoOrder() const;
-  // Rebuilds the per-name lists of every member of class `k` (and only
-  // those) from the class adjacency.
-  void RefreshClassMembers(size_t k);
+  // The members of `ks`, except `skip`, in Add() order.
+  std::vector<Symbol> MembersOf(const std::vector<size_t>& ks,
+                                Symbol skip = Symbol()) const;
   void RefreshAggregateStats();
 
   const SubsumptionChecker& checker_;
@@ -197,7 +205,6 @@ class Classifier {
   std::unordered_map<Symbol, Node> nodes_;
   std::vector<Class> classes_;
   std::vector<size_t> free_classes_;
-  std::unordered_map<Symbol, size_t> class_of_;
   size_t live_classes_ = 0;
   uint64_t next_order_ = 0;
 };

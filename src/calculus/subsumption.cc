@@ -9,6 +9,8 @@ namespace oodb::calculus {
 
 namespace {
 constexpr auto kRelaxed = std::memory_order_relaxed;
+// Idle engines kept for reuse; enough for one per worker thread.
+constexpr size_t kEnginePoolCapacity = 64;
 
 uint64_t PairMemoKey(ql::ConceptId c, ql::ConceptId d) {
   return (static_cast<uint64_t>(c) << 32) | static_cast<uint64_t>(d);
@@ -36,41 +38,16 @@ SubsumptionChecker::EngineLease::EngineLease(
 
 SubsumptionChecker::EngineLease::~EngineLease() {
   base::MutexLock lock(&checker_->pool_mu_);
-  if (checker_->pool_.size() < checker_->options_.engine_pool_capacity) {
+  if (checker_->pool_.size() < kEnginePoolCapacity) {
     checker_->pool_.push_back(std::move(engine_));
   }
 }
 
 Result<bool> SubsumptionChecker::Subsumes(ql::ConceptId c, ql::ConceptId d,
                                           obs::TraceContext* trace) const {
-  const uint64_t key = PairMemoKey(c, d);
-  if (options_.memoize) {
-    obs::ScopedSpan span(trace, obs::Phase::kMemo);
-    if (std::optional<bool> cached = cache_.Lookup(key)) return *cached;
-  }
-  if (options_.prefilter) {
-    obs::ScopedSpan span(trace, obs::Phase::kPrefilter);
-    prefilter_checks_.fetch_add(1, kRelaxed);
-    if (prefilter_.Check(c, d) == PreFilterVerdict::kReject) {
-      prefilter_rejections_.fetch_add(1, kRelaxed);
-      if (options_.memoize) cache_.Insert(key, false);
-      return false;
-    }
-  }
-  bool subsumed = false;
-  {
-    obs::ScopedSpan span(trace, obs::Phase::kEngine);
-    EngineLease engine(this);
-    engine_runs_.fetch_add(1, kRelaxed);
-    OODB_RETURN_IF_ERROR(engine->Run(c, d));
-    subsumed = engine->clash() || engine->GoalFactHolds();
-    RecordEngineRun(engine->stats(), trace);
-  }
-  if (options_.memoize) {
-    obs::ScopedSpan span(trace, obs::Phase::kMemo);
-    cache_.Insert(key, subsumed);
-  }
-  return subsumed;
+  OODB_ASSIGN_OR_RETURN(std::vector<bool> verdicts,
+                        SubsumesBatch(c, {d}, trace));
+  return bool{verdicts[0]};
 }
 
 Result<SubsumptionOutcome> SubsumptionChecker::SubsumesDetailed(
@@ -127,7 +104,6 @@ Result<std::vector<bool>> SubsumptionChecker::SubsumesBatch(
     const ConceptSignature& query = prefilter_.QuerySignature(c);
     for (size_t i : open) {
       if (prefilter_.Check(query, ds[i]) == PreFilterVerdict::kReject) {
-        if (options_.memoize) cache_.Insert(PairMemoKey(c, ds[i]), false);
         continue;
       }
       live.push_back(ds[i]);
@@ -138,22 +114,23 @@ Result<std::vector<bool>> SubsumptionChecker::SubsumesBatch(
   } else {
     live.reserve(open.size());
     for (size_t i : open) live.push_back(ds[i]);
-    positions = std::move(open);
+    positions = open;
   }
-  if (live.empty()) return verdicts;
 
-  obs::ScopedSpan span(trace, obs::Phase::kEngine);
-  EngineLease engine(this);
-  engine_runs_.fetch_add(1, kRelaxed);
-  OODB_RETURN_IF_ERROR(engine->RunBatch(c, live));
-  RecordEngineRun(engine->stats(), trace);
-  for (size_t i = 0; i < live.size(); ++i) {
-    const bool subsumed =
-        engine->clash() || engine->GoalFactHoldsFor(live[i]);
-    verdicts[positions[i]] = subsumed;
-    if (options_.memoize) {
-      cache_.Insert(PairMemoKey(c, live[i]), subsumed);
+  if (!live.empty()) {
+    obs::ScopedSpan span(trace, obs::Phase::kEngine);
+    EngineLease engine(this);
+    engine_runs_.fetch_add(1, kRelaxed);
+    OODB_RETURN_IF_ERROR(engine->RunBatch(c, live));
+    RecordEngineRun(engine->stats(), trace);
+    for (size_t k = 0; k < live.size(); ++k) {
+      verdicts[positions[k]] =
+          engine->clash() || engine->GoalFactHoldsFor(live[k]);
     }
+  }
+  if (options_.memoize) {
+    obs::ScopedSpan span(trace, obs::Phase::kMemo);
+    for (size_t i : open) cache_.Insert(PairMemoKey(c, ds[i]), verdicts[i]);
   }
   return verdicts;
 }

@@ -51,8 +51,6 @@ struct CheckerOptions {
   // verdict (soundness pinned by tests/prefilter_soundness_test.cc);
   // disable only for oracle/ablation comparisons.
   bool prefilter = true;
-  // Upper bound on idle engines kept for reuse (see perf_stats()).
-  size_t engine_pool_capacity = 64;
   EngineOptions engine;
 };
 
@@ -87,16 +85,18 @@ class SubsumptionChecker {
         cache_(options.memo_capacity),
         prefilter_(sigma) {}
 
-  // Whether C ⊑_Σ D. Fails on non-QL inputs or resource caps. When a
-  // trace is supplied, the prefilter/memo/engine phases of this call are
-  // timed into it and the run's rule-application profile is appended.
+  // Whether C ⊑_Σ D: SubsumesBatch(c, {d}, trace). Fails on non-QL inputs
+  // or resource caps.
   Result<bool> Subsumes(ql::ConceptId c, ql::ConceptId d,
                         obs::TraceContext* trace = nullptr) const;
 
   // Decides C ⊑_Σ Dᵢ for every Dᵢ with a SINGLE completion run (the
   // catalog-scan fast path; see CompletionEngine::RunBatch for why this
-  // is sound). Pre-filtered Dᵢ are answered without entering the run.
-  // Returns one verdict per input, in order.
+  // is sound). Memoized pairs are answered from the memo and pre-filtered
+  // Dᵢ without entering the run; every other verdict is memoized after
+  // it. Returns one verdict per input, in order. When a trace is
+  // supplied, the memo/prefilter/engine phases of this call are timed
+  // into it and the run's rule-application profile is appended.
   Result<std::vector<bool>> SubsumesBatch(
       ql::ConceptId c, const std::vector<ql::ConceptId>& ds,
       obs::TraceContext* trace = nullptr) const;

@@ -162,24 +162,22 @@ ql::PathId Translator::PathOf(const ResolvedPath& path,
 }
 
 Result<ql::ConceptId> Translator::ClassConcept(Symbol cls) {
+  // Object and schema classes need no translation, so only a query class
+  // takes the lock that guards the translation cache.
+  if (cls == model_.object_class) return terms_->Top();
+  const ClassDef* def = model_.FindClass(cls);
+  if (def == nullptr) {
+    return NotFoundError(
+        StrCat("no class named '", terms_->symbols().Name(cls), "'"));
+  }
+  if (!def->is_query) return terms_->Primitive(cls);
   base::MutexLock lock(&mu_);
-  return ClassConceptLocked(cls);
+  return QueryConceptLocked(cls);
 }
 
 Result<ql::ConceptId> Translator::QueryConcept(Symbol query_class) {
   base::MutexLock lock(&mu_);
   return QueryConceptLocked(query_class);
-}
-
-Result<ql::ConceptId> Translator::ClassConceptLocked(Symbol cls) {
-  if (cls == model_.object_class) return terms_->Top();
-  const ClassDef* def = model_.FindClass(cls);
-  if (def == nullptr) {
-    return NotFoundError(StrCat("unknown class '",
-                                terms_->symbols().Name(cls), "'"));
-  }
-  if (def->is_query) return QueryConceptLocked(cls);
-  return terms_->Primitive(cls);
 }
 
 Result<ql::ConceptId> Translator::QueryConceptLocked(Symbol query_class) {
@@ -197,7 +195,11 @@ Result<ql::ConceptId> Translator::QueryConceptLocked(Symbol query_class) {
   std::unordered_map<Symbol, Symbol> skolems;
   std::vector<ql::ConceptId> conjuncts;
   for (Symbol super : def->supers) {
-    OODB_ASSIGN_OR_RETURN(ql::ConceptId c, ClassConceptLocked(super));
+    if (super == model_.object_class) {
+      conjuncts.push_back(terms_->Top());
+      continue;
+    }
+    OODB_ASSIGN_OR_RETURN(ql::ConceptId c, QueryConceptLocked(super));
     conjuncts.push_back(c);
   }
 

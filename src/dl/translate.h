@@ -53,7 +53,8 @@ class Translator {
   Result<ql::ConceptId> QueryConcept(Symbol query_class) EXCLUDES(mu_);
 
   // The concept of any class name: ⊤ for Object, the primitive concept
-  // for schema classes, QueryConcept for query classes.
+  // for schema classes, QueryConcept for query classes; kNotFound for a
+  // name that is no class. Only query classes take the lock.
   Result<ql::ConceptId> ClassConcept(Symbol cls) EXCLUDES(mu_);
 
   // Figure 2: the FOL formulas of one schema class / attribute declaration
@@ -73,7 +74,6 @@ class Translator {
   // filters may name other query classes).
   Result<ql::ConceptId> QueryConceptLocked(Symbol query_class)
       REQUIRES(mu_);
-  Result<ql::ConceptId> ClassConceptLocked(Symbol cls) REQUIRES(mu_);
   ql::ConceptId FilterConcept(const ResolvedFilter& filter,
                               std::unordered_map<Symbol, Symbol>* skolems)
       REQUIRES(mu_);

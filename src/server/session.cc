@@ -118,12 +118,8 @@ Result<std::string> Session::UndefineView(std::string_view name) {
 
 Result<ql::ConceptId> Session::ConceptOf(std::string_view name) {
   Symbol s = symbols_.Find(name);
-  const dl::ClassDef* def = s.valid() ? model_->FindClass(s) : nullptr;
-  if (def == nullptr) {
-    return NotFoundError(StrCat("no class named '", name, "'"));
-  }
-  if (!def->is_query) return terms_->Primitive(s);
-  return translator_->QueryConcept(s);
+  if (!s.valid()) return NotFoundError(StrCat("no class named '", name, "'"));
+  return translator_->ClassConcept(s);
 }
 
 Result<bool> Session::Check(std::string_view c, std::string_view d,
@@ -183,11 +179,9 @@ Status Session::EnsureClassifierLocked(obs::TraceContext* trace) {
     for (const dl::ClassDef& def : model_->classes()) {
       if (def.name == model_->object_class) continue;
       if (taxonomy_excluded_.count(def.name) > 0) continue;
-      auto concept_id =
-          def.is_query ? translator_->QueryConcept(def.name)
-                       : Result<ql::ConceptId>(terms_->Primitive(def.name));
-      if (!concept_id.ok()) return concept_id.status();
-      OODB_RETURN_IF_ERROR(classifier->Add(def.name, *concept_id));
+      OODB_ASSIGN_OR_RETURN(ql::ConceptId concept_id,
+                            translator_->ClassConcept(def.name));
+      OODB_RETURN_IF_ERROR(classifier->Add(def.name, concept_id));
     }
   }
   {

@@ -109,8 +109,7 @@ class Session {
   // sites; RETURN_CAPABILITY ties the result to mu_ for the analysis.
   base::SharedMutex& mu() RETURN_CAPABILITY(mu_) { return mu_; }
 
-  // Resolves a class name to its QL concept (query classes are
-  // translated; schema classes are primitive concepts).
+  // Resolves a class name to its QL concept (dl::Translator::ClassConcept).
   Result<ql::ConceptId> ConceptOf(std::string_view name);
 
   // Builds the resident classifier over schema + query classes (minus

@@ -36,7 +36,7 @@ class ThreadPool {
 
   // Blocks until every submitted task has finished. Multiple threads may
   // Submit concurrently, but Wait assumes no new Submits race with it
-  // (callers coordinate one batch at a time, as ParallelClassifier does).
+  // (callers coordinate one batch at a time, as ParallelFor does).
   void Wait() EXCLUDES(mu_);
 
   // Graceful shutdown, distinct from the destructor's stop: rejects all

@@ -278,27 +278,13 @@ Result<QueryPlan> Optimizer::ChoosePlan(Symbol query_class,
                           checker_.SubsumesBatch(query_concept,
                                                  view_concepts, trace));
   }
-  // Every subsuming view's extent is a superset of the answers, so the
-  // intersection of all of them is the smallest view-derived pool.
-  std::vector<db::ObjectId> pool;
-  bool have_pool = false;
-  for (size_t i = 0; i < catalog_->views().size(); ++i) {
-    const View& view = catalog_->views()[i];
-    if (!verdicts[i]) continue;
-    if (!have_pool) {
-      pool = view.extent;
-      have_pool = true;
-    } else {
-      std::vector<db::ObjectId> merged;
-      std::set_intersection(pool.begin(), pool.end(), view.extent.begin(),
-                            view.extent.end(), std::back_inserter(merged));
-      pool = std::move(merged);
-    }
-    plan.views_used.push_back(view.name);
+  for (size_t i = 0; i < verdicts.size(); ++i) {
+    if (verdicts[i]) plan.views_used.push_back(catalog_->views()[i].name);
   }
+  const std::vector<db::ObjectId> pool = PlanPool(plan);
   // Intersecting (ties prefer views: their candidates are pre-filtered by
   // the subsuming conditions).
-  if (have_pool && pool.size() <= plan.pool_size) {
+  if (!plan.views_used.empty() && pool.size() <= plan.pool_size) {
     plan.uses_view = true;
     plan.view = plan.views_used[0];
     plan.pool_size = pool.size();
@@ -315,7 +301,9 @@ Result<QueryPlan> Optimizer::ChoosePlan(Symbol query_class,
   return plan;
 }
 
-// Intersection of the used views' (sorted) extents.
+// Intersection of the used views' (sorted) extents. Every subsuming
+// view's extent is a superset of the answers, so the intersection of all
+// of them is the smallest view-derived pool.
 std::vector<db::ObjectId> Optimizer::PlanPool(const QueryPlan& plan) const {
   std::vector<db::ObjectId> pool;
   bool first = true;

@@ -2,8 +2,10 @@
 // queries against one shared checker / factory / memo cache, with every
 // verdict compared against a single-threaded oracle run. Built (in CI)
 // with -fsanitize=thread, which turns any missing happens-before edge in
-// SymbolTable, TermFactory or ShardedMemoCache into a hard failure.
+// SymbolTable, TermFactory, ShardedMemoCache or ThreadPool into a hard
+// failure.
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,7 +16,6 @@
 #include "calculus/subsumption.h"
 #include "gen/generators.h"
 #include "schema/schema.h"
-#include "service/parallel_classifier.h"
 #include "service/thread_pool.h"
 
 namespace oodb {
@@ -58,67 +59,86 @@ std::vector<std::vector<bool>> OracleMatrix(const Workload& w) {
   return matrix;
 }
 
-TEST(ParallelClassifier, BatchModeMatchesSerialOracle) {
+// One query's verdicts on the pool; nullopt when the query failed.
+using Row = std::optional<std::vector<bool>>;
+
+// Decides every query against the catalog on `pool`, every worker sharing
+// `checker`: one SubsumesBatch per query, or one Subsumes per pair.
+std::vector<Row> DecideAll(service::ThreadPool& pool,
+                           const calculus::SubsumptionChecker& checker,
+                           const Workload& w, bool per_pair) {
+  std::vector<Row> rows(w.queries.size());
+  pool.ParallelFor(w.queries.size(), [&](size_t i) {
+    if (!per_pair) {
+      auto verdicts = checker.SubsumesBatch(w.queries[i], w.catalog);
+      if (verdicts.ok()) rows[i] = std::move(*verdicts);
+      return;
+    }
+    std::vector<bool> row;
+    for (ql::ConceptId d : w.catalog) {
+      auto verdict = checker.Subsumes(w.queries[i], d);
+      if (!verdict.ok()) return;
+      row.push_back(*verdict);
+    }
+    rows[i] = std::move(row);
+  });
+  return rows;
+}
+
+TEST(ConcurrentChecker, BatchPerQueryMatchesSerialOracle) {
   Workload w;
   FillWorkload(&w, 20260810, 24, 10);
   const auto oracle = OracleMatrix(w);
 
-  service::ParallelClassifierOptions options;
-  options.num_threads = kThreads;
-  service::ParallelClassifier classifier(w.sigma, options);
-  service::ClassificationReport report =
-      classifier.ClassifyBatch(w.queries, w.catalog);
+  calculus::SubsumptionChecker shared(w.sigma);
+  service::ThreadPool pool(kThreads);
+  const std::vector<Row> rows = DecideAll(pool, shared, w, false);
 
-  ASSERT_EQ(report.per_query.size(), w.queries.size());
-  EXPECT_EQ(report.threads_used, kThreads);
+  ASSERT_EQ(rows.size(), w.queries.size());
+  EXPECT_EQ(pool.size(), kThreads);
   for (size_t i = 0; i < oracle.size(); ++i) {
-    const service::QueryVerdicts& got = report.per_query[i];
     if (oracle[i].empty()) {
-      EXPECT_FALSE(got.status.ok()) << "query " << i;
+      EXPECT_FALSE(rows[i].has_value()) << "query " << i;
       continue;
     }
-    ASSERT_TRUE(got.status.ok()) << "query " << i << ": "
-                                 << got.status.ToString();
-    EXPECT_EQ(got.subsumed_by, oracle[i]) << "query " << i;
+    ASSERT_TRUE(rows[i].has_value()) << "query " << i;
+    EXPECT_EQ(*rows[i], oracle[i]) << "query " << i;
   }
 }
 
-TEST(ParallelClassifier, PerPairModeMatchesOracleAndWarmsCache) {
+TEST(ConcurrentChecker, PerPairChecksMatchOracleAndWarmCache) {
   Workload w;
   FillWorkload(&w, 20260811, 16, 8);
   const auto oracle = OracleMatrix(w);
 
-  service::ParallelClassifierOptions options;
-  options.num_threads = kThreads;
-  options.use_batch = false;
-  service::ParallelClassifier classifier(w.sigma, options);
+  calculus::SubsumptionChecker shared(w.sigma);
+  service::ThreadPool pool(kThreads);
 
-  service::ClassificationReport first =
-      classifier.ClassifyBatch(w.queries, w.catalog);
+  const std::vector<Row> first = DecideAll(pool, shared, w, true);
+  const calculus::MemoCacheStats first_cache = shared.cache_stats();
   for (size_t i = 0; i < oracle.size(); ++i) {
     if (oracle[i].empty()) continue;
-    ASSERT_TRUE(first.per_query[i].status.ok());
-    EXPECT_EQ(first.per_query[i].subsumed_by, oracle[i]) << "query " << i;
+    ASSERT_TRUE(first[i].has_value());
+    EXPECT_EQ(*first[i], oracle[i]) << "query " << i;
   }
-  EXPECT_GT(first.cache.insertions, 0u);
+  EXPECT_GT(first_cache.insertions, 0u);
 
-  // Re-running the same batch must be answered from the sharded cache —
+  // Re-running the same checks must be answered from the sharded cache —
   // same verdicts, hits grow by one full matrix.
-  service::ClassificationReport second =
-      classifier.ClassifyBatch(w.queries, w.catalog);
+  const std::vector<Row> second = DecideAll(pool, shared, w, true);
   for (size_t i = 0; i < oracle.size(); ++i) {
     if (oracle[i].empty()) continue;
-    EXPECT_EQ(second.per_query[i].subsumed_by, oracle[i]) << "query " << i;
+    EXPECT_EQ(second[i], oracle[i]) << "query " << i;
   }
-  EXPECT_GE(second.cache.hits,
-            first.cache.hits + w.queries.size() * w.catalog.size() -
+  EXPECT_GE(shared.cache_stats().hits,
+            first_cache.hits + w.queries.size() * w.catalog.size() -
                 w.catalog.size());
 }
 
 // The rawest form of the tentpole claim: many threads hammering ONE
 // shared SubsumptionChecker with point queries, each thread walking the
 // pair space in a different order so cache fills race with lookups.
-TEST(ParallelClassifier, SharedCheckerPointQueriesUnderContention) {
+TEST(ConcurrentChecker, SharedCheckerPointQueriesUnderContention) {
   Workload w;
   FillWorkload(&w, 20260812, 12, 8);
   const auto oracle = OracleMatrix(w);
@@ -166,7 +186,7 @@ TEST(ParallelClassifier, SharedCheckerPointQueriesUnderContention) {
 // Concurrent interning: threads build overlapping concepts through one
 // shared factory while others resolve names. Hash-consing must stay
 // consistent (same term → same id) across all interleavings.
-TEST(ParallelClassifier, ConcurrentInterningIsConsistent) {
+TEST(ConcurrentChecker, ConcurrentInterningIsConsistent) {
   SymbolTable symbols;
   ql::TermFactory f(&symbols);
   constexpr size_t kNames = 64;

@@ -5,6 +5,7 @@
 // surviving names, after EVERY mutation, in both classifier modes.
 // Failures print the seed and the step index, which reproduce the
 // interleaving exactly (the whole round is a pure function of the seed).
+#include <algorithm>
 #include <numeric>
 #include <unordered_map>
 #include <vector>
@@ -173,6 +174,89 @@ TEST(IncrementalClassify, RandomizedInterleavingsMatchOracleA) {
 TEST(IncrementalClassify, RandomizedInterleavingsMatchOracleB) {
   for (uint64_t seed = 260; seed < 520; ++seed) {
     ASSERT_NO_FATAL_FAILURE(RunInterleaving(seed));
+  }
+}
+
+// Every name above `name` in the DAG, through Parents().
+std::vector<Symbol> Ancestors(const Classifier& classifier, Symbol name) {
+  std::vector<Symbol> out;
+  std::vector<Symbol> stack = {name};
+  while (!stack.empty()) {
+    const Symbol y = stack.back();
+    stack.pop_back();
+    for (Symbol p : classifier.Parents(y)) {
+      if (std::find(out.begin(), out.end(), p) != out.end()) continue;
+      out.push_back(p);
+      stack.push_back(p);
+    }
+  }
+  return out;
+}
+
+// SubsumersOf runs Insert's top search over the classified DAG. On the
+// interleaving generator's catalogs it returns exactly the classified
+// names a flat scan finds, each before its DAG ancestors, and adds
+// nothing to the check counters; a pending Add() is not searched.
+TEST(IncrementalClassify, SubsumersOfMatchesFlatScanChildrenFirst) {
+  for (uint64_t seed = 0; seed < 64; ++seed) {
+    SCOPED_TRACE(StrCat("seed=", seed));
+    SymbolTable symbols;
+    ql::TermFactory f(&symbols);
+    schema::Schema sigma(&f);
+    Rng rng(seed);
+    gen::GeneratedSchema sig = gen::GenerateSchema(&sigma, rng);
+    gen::CatalogGenOptions copt;
+    copt.num_concepts = 12;
+    copt.num_roots = 2;
+    copt.fan_out = 2;
+    copt.depth = 3;
+    copt.noise_fraction = 0.2;
+    gen::GeneratedCatalog cat = gen::GenerateCatalog(sig, &f, rng, copt);
+    std::vector<ql::ConceptId> queries = cat.concepts;
+    for (size_t i = 0; i < 4; ++i) {
+      queries.push_back(gen::GenerateConcept(sig, &f, rng));
+    }
+    SubsumptionChecker checker(sigma);
+
+    for (Classifier::Mode mode : {Classifier::Mode::kEnhancedTraversal,
+                                  Classifier::Mode::kPairwise}) {
+      Classifier classifier(checker, mode);
+      std::vector<Symbol> classified;
+      for (size_t i = 0; i < cat.names.size(); ++i) {
+        if (!rng.Bernoulli(0.7)) continue;
+        ASSERT_TRUE(classifier.Add(cat.names[i], cat.concepts[i]).ok());
+        classified.push_back(cat.names[i]);
+      }
+      ASSERT_TRUE(classifier.Classify().ok());
+      // ⊤ subsumes every query, but it is pending, so it is not found.
+      ASSERT_TRUE(classifier.Add(symbols.Intern("Pending"), f.Top()).ok());
+      const size_t checks = classifier.classify_stats().checks_performed;
+
+      for (ql::ConceptId q : queries) {
+        auto got = classifier.SubsumersOf(q);
+        ASSERT_TRUE(got.ok()) << got.status();
+        std::vector<Symbol> want;
+        for (Symbol name : classified) {
+          auto sub = checker.Subsumes(q, classifier.ConceptOf(name));
+          ASSERT_TRUE(sub.ok()) << sub.status();
+          if (*sub) want.push_back(name);
+        }
+        std::vector<Symbol> got_set = *got;
+        auto by_id = [](Symbol a, Symbol b) { return a.id() < b.id(); };
+        std::sort(got_set.begin(), got_set.end(), by_id);
+        std::sort(want.begin(), want.end(), by_id);
+        ASSERT_EQ(got_set, want);
+        for (size_t i = 0; i < got->size(); ++i) {
+          for (Symbol ancestor : Ancestors(classifier, (*got)[i])) {
+            auto pos = std::find(got->begin(), got->end(), ancestor);
+            ASSERT_GT(pos - got->begin(), static_cast<ptrdiff_t>(i))
+                << symbols.Name(ancestor) << " precedes its descendant "
+                << symbols.Name((*got)[i]);
+          }
+        }
+      }
+      EXPECT_EQ(classifier.classify_stats().checks_performed, checks);
+    }
   }
 }
 

@@ -1063,6 +1063,40 @@ TEST(Server, BatchCheckValidatesItsFrame) {
   server.Shutdown();
 }
 
+// `Object` contains every object (docs/dl_language.md), so it subsumes
+// every class and is subsumed by none but itself. CHECK and BCHECK
+// resolve it, like every class name, through the translator, which maps
+// it to ⊤ — in both framings.
+TEST(Server, CheckAndBatchCheckResolveObjectToTop) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Client text = MustConnect(*port);
+  Client binary = MustConnect(*port);
+  ASSERT_TRUE(binary.EnableBinary().ok());
+  ASSERT_TRUE(text.Load("s", oodb::testing::kMedicalDlSource).ok());
+
+  for (Client* client : {&text, &binary}) {
+    auto up = client->Check("s", "Patient", "Object");
+    ASSERT_TRUE(up.ok()) << up.status();
+    EXPECT_TRUE(*up);
+    auto down = client->Check("s", "Object", "Patient");
+    ASSERT_TRUE(down.ok()) << down.status();
+    EXPECT_FALSE(*down);
+    auto batch = client->CheckBatch("s", {{"Patient", "Object"},
+                                          {"Doctor", "Object"},
+                                          {"Object", "Patient"},
+                                          {"Object", "Object"}});
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_EQ(*batch, (std::vector<bool>{true, true, false, true}));
+    EXPECT_FALSE(client->Check("s", "Object", "NoSuchClass").ok());
+  }
+  auto line = text.Roundtrip("BCHECK s Patient Object Doctor Object");
+  ASSERT_TRUE(line.ok()) << line.status();
+  EXPECT_EQ(*line, "subsumed=true,true");
+  server.Shutdown();
+}
+
 TEST(Server, BinaryModeServesEveryVerbAndSharesSessionsWithText) {
   Server server;
   auto port = server.Start();

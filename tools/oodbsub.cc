@@ -20,6 +20,7 @@
 //   oodbsub stats <host:port> [session]
 //       human-readable snapshot of a running daemon's stats + metrics
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -50,7 +51,7 @@
 #include "schema/schema.h"
 #include "server/client.h"
 #include "server/server.h"
-#include "service/parallel_classifier.h"
+#include "service/thread_pool.h"
 #include "views/views.h"
 
 namespace {
@@ -94,10 +95,8 @@ struct Session {
 
   Result<ql::ConceptId> Concept(const std::string& name) {
     Symbol s = symbols.Find(name);
-    if (!s.valid() || model->FindClass(s) == nullptr) {
-      return NotFoundError(StrCat("no class named '", name, "'"));
-    }
-    return translator->QueryConcept(s);
+    if (!s.valid()) return NotFoundError(StrCat("no class named '", name, "'"));
+    return translator->ClassConcept(s);
   }
 };
 
@@ -193,36 +192,38 @@ int CmdClassify(Session& session, size_t threads, bool stats) {
   std::vector<std::pair<Symbol, ql::ConceptId>> concepts;
   for (const dl::ClassDef& def : session.model->classes()) {
     if (def.name == session.model->object_class) continue;
-    auto concept_id = def.is_query
-                          ? session.translator->QueryConcept(def.name)
-                          : Result<ql::ConceptId>(
-                                session.terms->Primitive(def.name));
+    auto concept_id = session.translator->ClassConcept(def.name);
     if (!concept_id.ok()) return Fail(concept_id.status());
     concepts.emplace_back(def.name, *concept_id);
   }
 
-  // With --threads=N, precompute the full pairwise verdict matrix on the
-  // service's worker pool; the classifier below then answers every one of
-  // its checks from the shared sharded memo cache. Output is identical to
-  // the single-threaded run by construction (and pinned by tests).
-  service::ParallelClassifierOptions options;
-  options.num_threads = threads;
-  options.use_batch = false;  // per-pair mode fills the verdict cache
-  service::ParallelClassifier parallel(*session.sigma, options);
+  // With --threads=N, warm the memo on a worker pool first: one batch per
+  // concept against every concept, each deciding all its pairs with at
+  // most one completion and memoizing every verdict. The classifier below
+  // then answers each of its checks from the memo, so the output is that
+  // of the single-threaded run.
+  calculus::SubsumptionChecker checker(*session.sigma);
   if (threads > 1) {
     std::vector<ql::ConceptId> ids;
     ids.reserve(concepts.size());
     for (const auto& [name, id] : concepts) ids.push_back(id);
-    service::ClassificationReport report = parallel.ClassifyBatch(ids, ids);
+    service::ThreadPool pool(threads);
+    const auto start = std::chrono::steady_clock::now();
+    pool.ParallelFor(ids.size(), [&](size_t i) {
+      // A failed batch memoizes nothing; the classifier reports its error.
+      (void)checker.SubsumesBatch(ids[i], ids);
+    });
+    const std::chrono::duration<double, std::milli> wall =
+        std::chrono::steady_clock::now() - start;
     std::fprintf(stderr,
                  "note: warmed %zu x %zu verdicts on %zu threads in %.1f ms "
                  "(%llu cache insertions)\n",
-                 ids.size(), ids.size(), report.threads_used,
-                 static_cast<double>(report.wall.count()) / 1e6,
-                 static_cast<unsigned long long>(report.cache.insertions));
+                 ids.size(), ids.size(), pool.size(), wall.count(),
+                 static_cast<unsigned long long>(
+                     checker.cache_stats().insertions));
   }
 
-  calculus::Classifier classifier(parallel.checker());
+  calculus::Classifier classifier(checker);
   for (const auto& [name, id] : concepts) {
     if (auto s = classifier.Add(name, id); !s.ok()) return Fail(s);
   }
@@ -235,7 +236,7 @@ int CmdClassify(Session& session, size_t threads, bool stats) {
                 "by traversal)\n",
                 cs.concepts, cs.checks_performed, cs.pairwise_checks,
                 cs.checks_avoided);
-    PrintPerfStats(parallel.checker().perf_stats());
+    PrintPerfStats(checker.perf_stats());
   }
   return 0;
 }
