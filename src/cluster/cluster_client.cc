@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "base/strings.h"
@@ -154,10 +153,7 @@ Result<size_t> ClusterClient::DefineView(const std::string& session,
   OODB_ASSIGN_OR_RETURN(
       std::string body,
       Call(StrCat("VIEW ", session, " ", query_class)));
-  if (body.rfind("extent=", 0) != 0) {
-    return InternalError(StrCat("malformed VIEW reply '", body, "'"));
-  }
-  return static_cast<size_t>(std::strtoull(body.c_str() + 7, nullptr, 10));
+  return server::ParseExtent(body);
 }
 
 Result<std::string> ClusterClient::Undefine(const std::string& session,
@@ -170,9 +166,9 @@ Result<bool> ClusterClient::Check(const std::string& session,
                                   const std::string& d) {
   OODB_ASSIGN_OR_RETURN(std::string body,
                         Call(StrCat("CHECK ", session, " ", c, " ", d)));
-  if (body == "subsumed=true") return true;
-  if (body == "subsumed=false") return false;
-  return InternalError(StrCat("malformed CHECK reply '", body, "'"));
+  OODB_ASSIGN_OR_RETURN(std::vector<bool> verdicts,
+                        server::ParseBatchVerdicts(body, 1));
+  return bool{verdicts[0]};
 }
 
 Result<std::vector<bool>> ClusterClient::CheckBatch(

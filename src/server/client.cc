@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <utility>
 
 #include "base/strings.h"
@@ -311,6 +310,16 @@ Result<std::vector<bool>> ParseBatchVerdicts(const std::string& body,
   return verdicts;
 }
 
+Result<size_t> ParseExtent(const std::string& body) {
+  constexpr std::string_view kPrefix = "extent=";
+  uint64_t extent = 0;
+  if (body.rfind(kPrefix, 0) != 0 ||
+      !ParseSize(std::string_view(body).substr(kPrefix.size()), &extent)) {
+    return InternalError(StrCat("malformed VIEW reply '", body, "'"));
+  }
+  return static_cast<size_t>(extent);
+}
+
 Status Client::Ping() { return Roundtrip("PING").status(); }
 
 Result<std::string> Client::Load(const std::string& session,
@@ -329,10 +338,7 @@ Result<size_t> Client::DefineView(const std::string& session,
                                   const std::string& query_class) {
   OODB_ASSIGN_OR_RETURN(std::string body,
                         Roundtrip(StrCat("VIEW ", session, " ", query_class)));
-  if (body.rfind("extent=", 0) != 0) {
-    return InternalError(StrCat("malformed VIEW reply '", body, "'"));
-  }
-  return static_cast<size_t>(std::strtoull(body.c_str() + 7, nullptr, 10));
+  return ParseExtent(body);
 }
 
 Result<std::string> Client::Undefine(const std::string& session,
@@ -350,9 +356,9 @@ Result<bool> Client::Check(const std::string& session, const std::string& c,
     OODB_ASSIGN_OR_RETURN(
         body, Roundtrip(StrCat("CHECK ", session, " ", c, " ", d)));
   }
-  if (body == "subsumed=true") return true;
-  if (body == "subsumed=false") return false;
-  return InternalError(StrCat("malformed CHECK reply '", body, "'"));
+  OODB_ASSIGN_OR_RETURN(std::vector<bool> verdicts,
+                        ParseBatchVerdicts(body, 1));
+  return bool{verdicts[0]};
 }
 
 Result<std::vector<bool>> Client::CheckBatch(

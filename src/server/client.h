@@ -157,10 +157,14 @@ class Client {
   std::map<uint64_t, Reply> pending_;
 };
 
-// Parses a `subsumed=true,false,...` BCHECK reply body into verdicts.
-// `expected` is the pair count the request carried.
+// Parses a `subsumed=true,false,...` BCHECK reply body into verdicts;
+// a CHECK reply is the body of a one-pair BCHECK. `expected` is the
+// pair count the request carried.
 Result<std::vector<bool>> ParseBatchVerdicts(const std::string& body,
                                              size_t expected);
+
+// Parses an `extent=<n>` VIEW reply body into the extent size.
+Result<size_t> ParseExtent(const std::string& body);
 
 }  // namespace oodb::server
 

@@ -58,10 +58,6 @@ constexpr size_t kMaxInflightPerConn = 256;
 // Ring-buffer capacity of the slow-query log.
 constexpr size_t kSlowLogCapacity = 128;
 
-Reply StatusReply(const Status& status) {
-  return ErrReply(StatusCodeName(status.code()), status.message());
-}
-
 }  // namespace
 
 // Per-connection state machine, owned by the event-loop thread. A
@@ -99,7 +95,10 @@ Server::Server(ServerOptions options)
       slow_log_(kSlowLogCapacity, options_.slow_threshold_ms) {
   size_t threads = options_.num_threads;
   if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
+  // A cluster node needs two workers: a forwarded mutation parks one on
+  // the roundtrip to the owner while the owner's replication push back
+  // here needs another (docs/cluster.md §6).
+  threads = std::max<size_t>(threads, options_.cluster.enabled() ? 2 : 1);
   pool_ = std::make_unique<service::ThreadPool>(threads);
   // The input cap must admit the largest legal frame in one piece: a
   // text LOAD/STATE payload or a binary frame, plus header slack.
@@ -271,10 +270,9 @@ void Server::AppendServerMetrics(obs::Collector& out) const {
     all.assign(sessions_.begin(), sessions_.end());
   }
   out.AddGauge("oodb_server_sessions", "Live named sessions", {}, all.size());
+  // sessions_mu_ is released first, then each session takes its own
+  // shared lock in turn (docs/concurrency.md).
   for (const auto& [name, session] : all) {
-    // sessions_mu_ is released first, then each session's shared lock is
-    // taken in turn (docs/concurrency.md).
-    base::ReaderLock lock(&session->mu());
     session->AppendMetrics(out, {{"session", name}});
   }
 }
@@ -1019,7 +1017,7 @@ Reply Server::DispatchLocal(const RequestView& request,
       // Parse/translate outside any lock — LOAD of a big schema must not
       // stall requests against other sessions.
       auto session = Session::FromSource(request.payload, trace);
-      if (!session.ok()) return StatusReply(session.status());
+      if (!session.ok()) return ErrReply(session.status());
       std::string summary = (*session)->Summary();
       base::MutexLock lock(&sessions_mu_);
       if (sessions_.find(args[0]) == sessions_.end() &&
@@ -1031,18 +1029,6 @@ Reply Server::DispatchLocal(const RequestView& request,
       // against the old session via their shared_ptr.
       sessions_[std::string(args[0])] = std::move(*session);
       return OkReply(StrCat("session=", args[0], " ", summary));
-    }
-    case Verb::kState: {
-      std::shared_ptr<Session> session = FindSession(args[0]);
-      if (session == nullptr) {
-        return ErrReply("not_found", StrCat("no session '", args[0], "'"));
-      }
-      base::WriterLock lock(&session->mu());
-      obs::ScopedSpan span(trace, obs::Phase::kParse);
-      if (Status s = session->LoadState(request.payload); !s.ok()) {
-        return StatusReply(s);
-      }
-      return OkReply("state loaded (views reset, re-issue VIEW)");
     }
     case Verb::kStats:
       return DispatchStats(request);
@@ -1060,70 +1046,19 @@ Reply Server::DispatchLocal(const RequestView& request,
       break;
   }
 
-  // Everything below addresses a named session.
-  std::shared_ptr<Session> session;
-  if (request.info().session == SessionArg::kRequired) {
-    session = FindSession(args[0]);
-    if (session == nullptr) {
-      return ErrReply("not_found", StrCat("no session '", args[0],
-                                          "' (LOAD one first)"));
-    }
+  // Every other verb a client can send here names a session, which runs
+  // it. An on_loop verb wrapped in FORWARD reaches here, possibly with no
+  // arguments, and is no command here.
+  if (request.info().session != SessionArg::kRequired) {
+    return ErrReply(kErrProto,
+                    StrCat("unknown command '", request.info().name, "'"));
   }
-  switch (request.verb) {
-    case Verb::kView: {
-      base::WriterLock lock(&session->mu());
-      // Extent materialization evaluates the view body over the database;
-      // attribute it to the engine phase as one block.
-      obs::ScopedSpan span(trace, obs::Phase::kEngine);
-      auto extent = session->DefineView(args[1]);
-      if (!extent.ok()) return StatusReply(extent.status());
-      return OkReply(StrCat("extent=", *extent));
-    }
-    case Verb::kUndefine: {
-      base::WriterLock lock(&session->mu());
-      // Taxonomy repair is pure graph surgery (no subsumption checks), but
-      // it is still session mutation; attribute it to the engine phase.
-      obs::ScopedSpan span(trace, obs::Phase::kEngine);
-      auto summary = session->UndefineView(args[1]);
-      if (!summary.ok()) return StatusReply(summary.status());
-      return OkReply(std::move(*summary));
-    }
-    case Verb::kCheck: {
-      base::ReaderLock lock(&session->mu());
-      auto verdict = session->Check(args[1], args[2], trace);
-      if (!verdict.ok()) return StatusReply(verdict.status());
-      return OkReply(StrCat("subsumed=", *verdict ? "true" : "false"));
-    }
-    case Verb::kBcheck: {
-      // Batched CHECK: N pairs, one verdict per pair, in order. One frame
-      // buys one dispatch, one session lock, and grouped SubsumesBatch
-      // runs instead of N full round trips.
-      base::ReaderLock lock(&session->mu());
-      auto verdicts = session->CheckBatch(args.From(1), trace);
-      if (!verdicts.ok()) return StatusReply(verdicts.status());
-      std::string text = "subsumed=";
-      for (size_t i = 0; i < verdicts->size(); ++i) {
-        if (i > 0) text += ',';
-        text += (*verdicts)[i] ? "true" : "false";
-      }
-      return OkReply(std::move(text));
-    }
-    case Verb::kClassify: {
-      base::ReaderLock lock(&session->mu());
-      auto hierarchy = session->Classify(trace);
-      if (!hierarchy.ok()) return StatusReply(hierarchy.status());
-      return OkReply(std::move(*hierarchy));
-    }
-    case Verb::kOptimize: {
-      base::ReaderLock lock(&session->mu());
-      auto plan = session->Optimize(args[1], trace);
-      if (!plan.ok()) return StatusReply(plan.status());
-      return OkReply(std::move(*plan));
-    }
-    default:
-      return ErrReply(kErrProto,
-                      StrCat("unknown command '", request.info().name, "'"));
+  std::shared_ptr<Session> session = FindSession(args[0]);
+  if (session == nullptr) {
+    return ErrReply("not_found",
+                    StrCat("no session '", args[0], "' (LOAD one first)"));
   }
+  return session->Handle(request, trace);
 }
 
 namespace {

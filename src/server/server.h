@@ -42,7 +42,8 @@ struct ServerOptions {
   // TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (read it
   // back from port()).
   uint16_t port = 0;
-  // Worker threads; 0 means std::thread::hardware_concurrency().
+  // Worker threads; 0 means std::thread::hardware_concurrency(). A
+  // cluster node runs at least 2 (docs/cluster.md §6).
   size_t num_threads = 0;
   // Admission bound: requests admitted (queued or running) at once.
   // Requests beyond it are answered BUSY.
@@ -180,7 +181,9 @@ class Server {
   // reads), runs it locally, and replicates it if it mutated.
   Reply Execute(const RequestView& request, obs::TraceContext* trace,
                 Route route);
-  // The single-node dispatch body: no routing, no replication.
+  // The single-node dispatch body, no routing and no replication: runs
+  // LOAD, STATS and SLEEP, and hands every other verb to the session it
+  // names (Session::Handle).
   Reply DispatchLocal(const RequestView& request, obs::TraceContext* trace);
   // REPL <seq> <verb> <session> ...: apply one replicated mutation if it
   // is next in sequence (serialized per daemon by repl_mu_).

@@ -1,6 +1,7 @@
 #include "server/session.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "base/strings.h"
@@ -38,82 +39,156 @@ Result<std::unique_ptr<Session>> Session::FromSource(
       std::make_unique<calculus::SubsumptionChecker>(*session->sigma_);
   // An empty state up front: CHECK/CLASSIFY need none, and OPTIMIZE is
   // well-defined over zero objects (plans, not answers).
-  session->database_ =
-      std::make_unique<db::Database>(*session->model_, &session->symbols_);
-  session->catalog_ = std::make_unique<views::ViewCatalog>(
-      session->database_.get(), session->translator_.get());
-  session->optimizer_ = std::make_unique<views::Optimizer>(
-      session->database_.get(), session->catalog_.get(), *session->sigma_,
-      session->translator_.get());
+  session->ResetState(
+      std::make_unique<db::Database>(*session->model_, &session->symbols_));
   return session;
 }
 
-Status Session::LoadState(std::string_view odb_source) {
-  // A fresh database invalidates every materialized extent, so the
-  // catalog and optimizer are rebuilt; clients re-issue VIEW afterwards.
-  auto database =
-      std::make_unique<db::Database>(*model_, &symbols_);
-  OODB_RETURN_IF_ERROR(db::LoadInstance(odb_source, database.get()).status());
+void Session::ResetState(std::unique_ptr<db::Database> database) {
   database_ = std::move(database);
   catalog_ = std::make_unique<views::ViewCatalog>(database_.get(),
                                                   translator_.get());
   optimizer_ = std::make_unique<views::Optimizer>(
       database_.get(), catalog_.get(), *sigma_, translator_.get());
-  return Status::Ok();
 }
 
-Result<size_t> Session::DefineView(std::string_view name) {
-  Symbol s = symbols_.Find(name);
-  if (!s.valid() || model_->FindClass(s) == nullptr) {
-    return NotFoundError(StrCat("no class named '", name, "'"));
-  }
-  OODB_RETURN_IF_ERROR(catalog_->DefineView(s));
-  {
-    // Keep the resident taxonomy in sync: a class UNDEFINEd out of it
-    // re-enters on DEFINE, by incremental insertion if the DAG is warm.
-    base::MutexLock lock(&classify_mu_);
-    taxonomy_excluded_.erase(s);
-    if (classifier_ != nullptr && !classifier_->Contains(s)) {
-      OODB_ASSIGN_OR_RETURN(ql::ConceptId concept_id, ConceptOf(name));
-      OODB_RETURN_IF_ERROR(classifier_->Insert(s, concept_id));
-      ++taxonomy_inserts_;
-      last_classify_ = classifier_->classify_stats();
-      has_classified_ = true;
-    }
-  }
-  return catalog_->Find(s)->extent.size();
+namespace {
+
+Reply ReplyOf(Result<std::string> text) {
+  return text.ok() ? OkReply(std::move(*text)) : ErrReply(text.status());
 }
 
-Result<std::string> Session::UndefineView(std::string_view name) {
-  Symbol s = symbols_.Find(name);
-  const dl::ClassDef* def = s.valid() ? model_->FindClass(s) : nullptr;
-  if (def == nullptr || !def->is_query) {
-    return NotFoundError(StrCat("no query class named '", name, "'"));
+Status NotASessionVerb(const RequestView& request) {
+  return InternalError(StrCat(request.info().name, " is no session verb"));
+}
+
+}  // namespace
+
+Reply Session::Handle(const RequestView& request, obs::TraceContext* trace) {
+  if (request.info().mutates) {
+    base::WriterLock lock(&mu_);
+    return ReplyOf(Mutate(request, trace));
   }
-  bool view_dropped = false;
-  if (catalog_->Find(s) != nullptr) {
-    OODB_RETURN_IF_ERROR(catalog_->DropView(s));
-    view_dropped = true;
-  }
-  bool taxonomy_removed = false;
-  {
-    base::MutexLock lock(&classify_mu_);
-    if (classifier_ != nullptr && classifier_->Contains(s)) {
-      OODB_RETURN_IF_ERROR(classifier_->Remove(s));
-      taxonomy_removed = true;
-      ++taxonomy_removes_;
-      last_classify_ = classifier_->classify_stats();
-      has_classified_ = true;
+  base::ReaderLock lock(&mu_);
+  return ReplyOf(Read(request, trace));
+}
+
+Result<std::string> Session::Mutate(const RequestView& request,
+                                    obs::TraceContext* trace) {
+  switch (request.verb) {
+    case Verb::kState: {
+      // A fresh database invalidates every materialized extent, so the
+      // catalog and optimizer are rebuilt; clients re-issue VIEW.
+      obs::ScopedSpan span(trace, obs::Phase::kParse);
+      auto database = std::make_unique<db::Database>(*model_, &symbols_);
+      OODB_RETURN_IF_ERROR(
+          db::LoadInstance(request.payload, database.get()).status());
+      ResetState(std::move(database));
+      return std::string("state loaded (views reset, re-issue VIEW)");
     }
-    // Recorded even when the taxonomy is cold, so a later first CLASSIFY
-    // builds without the class.
-    taxonomy_excluded_.insert(s);
+    case Verb::kView: {
+      // Extent materialization evaluates the view body over the
+      // database; attribute it to the engine phase as one block.
+      obs::ScopedSpan span(trace, obs::Phase::kEngine);
+      const std::string_view name = request.args[1];
+      Symbol s = symbols_.Find(name);
+      if (!s.valid() || model_->FindClass(s) == nullptr) {
+        return NotFoundError(StrCat("no class named '", name, "'"));
+      }
+      OODB_RETURN_IF_ERROR(catalog_->DefineView(s));
+      {
+        // Keep the resident taxonomy in sync: a class UNDEFINEd out of it
+        // re-enters on VIEW, by incremental insertion if the DAG is warm.
+        base::MutexLock lock(&classify_mu_);
+        taxonomy_excluded_.erase(s);
+        if (classifier_ != nullptr && !classifier_->Contains(s)) {
+          OODB_ASSIGN_OR_RETURN(ql::ConceptId concept_id, ConceptOf(name));
+          OODB_RETURN_IF_ERROR(classifier_->Insert(s, concept_id));
+          ++taxonomy_inserts_;
+        }
+      }
+      return StrCat("extent=", catalog_->Find(s)->extent.size());
+    }
+    case Verb::kUndefine: {
+      // Taxonomy repair is pure graph surgery (no subsumption checks), but
+      // it is still session mutation; attribute it to the engine phase.
+      obs::ScopedSpan span(trace, obs::Phase::kEngine);
+      const std::string_view name = request.args[1];
+      Symbol s = symbols_.Find(name);
+      const dl::ClassDef* def = s.valid() ? model_->FindClass(s) : nullptr;
+      if (def == nullptr || !def->is_query) {
+        return NotFoundError(StrCat("no query class named '", name, "'"));
+      }
+      bool view_dropped = false;
+      if (catalog_->Find(s) != nullptr) {
+        OODB_RETURN_IF_ERROR(catalog_->DropView(s));
+        view_dropped = true;
+      }
+      bool taxonomy_removed = false;
+      {
+        base::MutexLock lock(&classify_mu_);
+        if (classifier_ != nullptr && classifier_->Contains(s)) {
+          OODB_RETURN_IF_ERROR(classifier_->Remove(s));
+          taxonomy_removed = true;
+          ++taxonomy_removes_;
+        }
+        // Recorded even when the taxonomy is cold, so a later first
+        // CLASSIFY builds without the class.
+        taxonomy_excluded_.insert(s);
+      }
+      undefines_.fetch_add(1, std::memory_order_relaxed);
+      return StrCat("undefined=", name,
+                    " view_dropped=", view_dropped ? "true" : "false",
+                    " taxonomy_removed=", taxonomy_removed ? "true" : "false",
+                    " views=", catalog_->views().size());
+    }
+    default:
+      return NotASessionVerb(request);
   }
-  undefines_.fetch_add(1, std::memory_order_relaxed);
-  return StrCat("undefined=", name,
-                " view_dropped=", view_dropped ? "true" : "false",
-                " taxonomy_removed=", taxonomy_removed ? "true" : "false",
-                " views=", catalog_->views().size());
+}
+
+Result<std::string> Session::Read(const RequestView& request,
+                                  obs::TraceContext* trace) {
+  switch (request.verb) {
+    case Verb::kCheck:
+    case Verb::kBcheck:
+      return CheckBatch(request.args.From(1), trace);
+    case Verb::kClassify: {
+      // Mirrors `oodbsub classify`: query classes join the schema
+      // hierarchy (paper Sect. 5). The first call classifies from scratch
+      // over the shared warm checker; later calls render the DAG that
+      // VIEW/UNDEFINE keep current — a warm CLASSIFY issues no checks.
+      base::MutexLock lock(&classify_mu_);
+      OODB_RETURN_IF_ERROR(EnsureClassifierLocked(trace));
+      classifies_.fetch_add(1, std::memory_order_relaxed);
+      return classifier_->ToString(symbols_);
+    }
+    case Verb::kOptimize: {
+      const std::string_view query = request.args[1];
+      Symbol s = symbols_.Find(query);
+      const dl::ClassDef* def = s.valid() ? model_->FindClass(s) : nullptr;
+      if (def == nullptr || !def->is_query) {
+        return NotFoundError(StrCat("no query class named '", query, "'"));
+      }
+      // Plan choice books its own translate, prefilter and engine phases.
+      OODB_ASSIGN_OR_RETURN(views::QueryPlan plan,
+                            optimizer_->ChoosePlan(s, trace));
+      optimizes_.fetch_add(1, std::memory_order_relaxed);
+      return StrCat(
+          "uses_view=", plan.uses_view ? "true" : "false", "\n",
+          "view=", plan.uses_view ? symbols_.Name(plan.view) : "-", "\n",
+          "views_used=",
+          plan.views_used.empty()
+              ? "-"
+              : StrJoinMapped(plan.views_used, ",",
+                              [&](Symbol v) { return symbols_.Name(v); }),
+          "\n", "pool=", plan.pool_size, "\n",
+          "checks=", plan.subsumption_checks, "\n",
+          "plan=", plan.explanation);
+    }
+    default:
+      return NotASessionVerb(request);
+  }
 }
 
 Result<ql::ConceptId> Session::ConceptOf(std::string_view name) {
@@ -122,53 +197,42 @@ Result<ql::ConceptId> Session::ConceptOf(std::string_view name) {
   return translator_->ClassConcept(s);
 }
 
-Result<bool> Session::Check(std::string_view c, std::string_view d,
-                            obs::TraceContext* trace) {
-  ql::ConceptId cc = ql::kInvalidConcept;
-  ql::ConceptId dd = ql::kInvalidConcept;
-  {
-    obs::ScopedSpan span(trace, obs::Phase::kTranslate);
-    OODB_ASSIGN_OR_RETURN(cc, ConceptOf(c));
-    OODB_ASSIGN_OR_RETURN(dd, ConceptOf(d));
-  }
-  checks_.fetch_add(1, std::memory_order_relaxed);
-  return checker_->Subsumes(cc, dd, trace);
-}
-
-Result<std::vector<bool>> Session::CheckBatch(Args operands,
-                                              obs::TraceContext* trace) {
+Result<std::string> Session::CheckBatch(Args operands,
+                                        obs::TraceContext* trace) {
   const size_t num_pairs = operands.size() / 2;
-  std::vector<ql::ConceptId> lhs(num_pairs);
-  std::vector<ql::ConceptId> rhs(num_pairs);
+  std::vector<ql::ConceptId> concepts(operands.size());  // C₁ D₁ C₂ D₂ ...
   {
     obs::ScopedSpan span(trace, obs::Phase::kTranslate);
-    for (size_t i = 0; i < num_pairs; ++i) {
-      OODB_ASSIGN_OR_RETURN(lhs[i], ConceptOf(operands[2 * i]));
-      OODB_ASSIGN_OR_RETURN(rhs[i], ConceptOf(operands[2 * i + 1]));
+    for (size_t i = 0; i < operands.size(); ++i) {
+      OODB_ASSIGN_OR_RETURN(concepts[i], ConceptOf(operands[i]));
     }
   }
-  // Group pair indices by left operand, preserving first-seen order, so
-  // each distinct C costs one SubsumesBatch call over all its Ds.
-  std::unordered_map<ql::ConceptId, size_t> group_of;
-  std::vector<std::pair<ql::ConceptId, std::vector<size_t>>> groups;
-  for (size_t i = 0; i < num_pairs; ++i) {
-    auto [it, inserted] = group_of.emplace(lhs[i], groups.size());
-    if (inserted) groups.push_back({lhs[i], {}});
-    groups[it->second].second.push_back(i);
-  }
+  // Pair indices sorted stably by left operand, so each distinct C is one
+  // run of `order` and costs one SubsumesBatch call over all its Ds.
+  std::vector<size_t> order(num_pairs);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return concepts[2 * a] < concepts[2 * b];
+  });
   std::vector<bool> verdicts(num_pairs);
-  for (const auto& [c, indices] : groups) {
-    std::vector<ql::ConceptId> ds;
-    ds.reserve(indices.size());
-    for (size_t i : indices) ds.push_back(rhs[i]);
-    OODB_ASSIGN_OR_RETURN(std::vector<bool> group_verdicts,
-                          checker_->SubsumesBatch(c, ds, trace));
-    for (size_t k = 0; k < indices.size(); ++k) {
-      verdicts[indices[k]] = group_verdicts[k];
+  std::vector<ql::ConceptId> ds;
+  for (size_t first = 0, last = 0; first < num_pairs; first = last) {
+    const ql::ConceptId c = concepts[2 * order[first]];
+    ds.clear();
+    for (; last < num_pairs && concepts[2 * order[last]] == c; ++last) {
+      ds.push_back(concepts[2 * order[last] + 1]);
     }
+    OODB_ASSIGN_OR_RETURN(std::vector<bool> group,
+                          checker_->SubsumesBatch(c, ds, trace));
+    for (size_t k = first; k < last; ++k) verdicts[order[k]] = group[k - first];
   }
   checks_.fetch_add(num_pairs, std::memory_order_relaxed);
-  return verdicts;
+  std::string text = "subsumed=";
+  for (size_t i = 0; i < num_pairs; ++i) {
+    if (i > 0) text += ',';
+    text += verdicts[i] ? "true" : "false";
+  }
+  return text;
 }
 
 Status Session::EnsureClassifierLocked(obs::TraceContext* trace) {
@@ -194,45 +258,6 @@ Status Session::EnsureClassifierLocked(obs::TraceContext* trace) {
   return Status::Ok();
 }
 
-Result<std::string> Session::Classify(obs::TraceContext* trace) {
-  // Mirrors `oodbsub classify`: query classes join the schema hierarchy
-  // (paper Sect. 5). The taxonomy is resident: the first call classifies
-  // from scratch over the shared warm checker, later calls render the
-  // DAG that DefineView/UndefineView keep current incrementally — a warm
-  // CLASSIFY issues zero subsumption checks.
-  base::MutexLock lock(&classify_mu_);
-  OODB_RETURN_IF_ERROR(EnsureClassifierLocked(trace));
-  classifies_.fetch_add(1, std::memory_order_relaxed);
-  last_classify_ = classifier_->classify_stats();
-  has_classified_ = true;
-  return classifier_->ToString(symbols_);
-}
-
-Result<std::string> Session::Optimize(std::string_view query,
-                                      obs::TraceContext* trace) {
-  Symbol s = symbols_.Find(query);
-  const dl::ClassDef* def = s.valid() ? model_->FindClass(s) : nullptr;
-  if (def == nullptr || !def->is_query) {
-    return NotFoundError(StrCat("no query class named '", query, "'"));
-  }
-  // Plan choice books its own translate, prefilter and engine phases.
-  OODB_ASSIGN_OR_RETURN(views::QueryPlan plan,
-                        optimizer_->ChoosePlan(s, trace));
-  optimizes_.fetch_add(1, std::memory_order_relaxed);
-  std::string text =
-      StrCat("uses_view=", plan.uses_view ? "true" : "false", "\n",
-             "view=", plan.uses_view ? symbols_.Name(plan.view) : "-", "\n",
-             "views_used=",
-             plan.views_used.empty()
-                 ? "-"
-                 : StrJoinMapped(plan.views_used, ",",
-                                 [&](Symbol v) { return symbols_.Name(v); }),
-             "\n", "pool=", plan.pool_size, "\n",
-             "checks=", plan.subsumption_checks, "\n",
-             "plan=", plan.explanation);
-  return text;
-}
-
 std::string Session::Summary() const {
   size_t queries = 0;
   for (const dl::ClassDef& def : model_->classes()) queries += def.is_query;
@@ -244,6 +269,7 @@ std::string Session::Summary() const {
 
 void Session::AppendMetrics(obs::Collector& out,
                             const obs::Labels& labels) const {
+  base::ReaderLock session_lock(&mu_);
   out.AddCounter("oodb_session_checks_total", "CHECK requests served", labels,
                  checks_.load(std::memory_order_relaxed));
   out.AddCounter("oodb_session_classifies_total", "CLASSIFY requests served",
@@ -258,22 +284,24 @@ void Session::AppendMetrics(obs::Collector& out,
                labels, database_->num_objects());
   checker_->AppendMetrics(out, labels);
   base::MutexLock lock(&classify_mu_);
-  if (has_classified_) {
+  if (classifier_ != nullptr) {
+    const calculus::Classifier::ClassifyStats& stats =
+        classifier_->classify_stats();
     out.AddGauge("oodb_classify_last_concepts",
                  "Concepts in the most recent classification", labels,
-                 last_classify_.concepts);
+                 stats.concepts);
     out.AddGauge("oodb_classify_last_checks_performed",
                  "Subsumption checks performed by the most recent "
                  "classification",
-                 labels, last_classify_.checks_performed);
+                 labels, stats.checks_performed);
     out.AddGauge("oodb_classify_last_pairwise_checks",
                  "Pairwise-oracle check count of the most recent "
                  "classification",
-                 labels, last_classify_.pairwise_checks);
+                 labels, stats.pairwise_checks);
     out.AddGauge("oodb_classify_last_checks_avoided",
                  "Checks avoided by enhanced traversal in the most recent "
                  "classification",
-                 labels, last_classify_.checks_avoided);
+                 labels, stats.checks_avoided);
     out.AddCounter("oodb_classify_inserts_total",
                    "Incremental taxonomy insertions (DEFINE on a warm DAG)",
                    labels, taxonomy_inserts_);

@@ -31,13 +31,13 @@
 
 namespace oodb::server {
 
-// Thread compatibility: LOAD/STATE/VIEW/UNDEFINE mutate the session and
-// require the exclusive side of mu(); CHECK/CLASSIFY/OPTIMIZE/STATS only
-// read session structure (the checker and the translator — whose
-// query-concept memo these verbs populate — are internally thread-safe)
-// and run under the shared side. The resident taxonomy (see Classify) is
-// additionally guarded by classify_mu_, always acquired after mu(). The
-// server enforces this locking.
+// Thread compatibility: Handle holds mu_ exclusively for the verbs the
+// verb table marks `mutates` (STATE/VIEW/UNDEFINE) and shared for the
+// rest (CHECK/BCHECK/CLASSIFY/OPTIMIZE only read session structure; the
+// checker and the translator — whose query-concept memo these verbs
+// populate — are internally thread-safe). AppendMetrics holds it
+// shared. The resident taxonomy (CLASSIFY) is additionally guarded by
+// classify_mu_, always acquired after mu_.
 class Session {
  public:
   // Parses and translates a DL source into a fresh session with an empty
@@ -45,69 +45,40 @@ class Session {
   static Result<std::unique_ptr<Session>> FromSource(
       std::string_view dl_source, obs::TraceContext* trace = nullptr);
 
-  // Replaces the database state from `.odb` text. Views defined against
-  // the previous state are dropped (their extents are stale by
-  // construction); callers re-issue VIEW after STATE.
-  Status LoadState(std::string_view odb_source) REQUIRES(mu_);
-
-  // Defines and materializes the named query class as a view. Returns
-  // the extent size. If the resident taxonomy is built and the class was
-  // previously UNDEFINEd out of it, it is re-inserted incrementally.
-  Result<size_t> DefineView(std::string_view name) REQUIRES(mu_);
-
-  // Undefines a query class: drops its materialized view (if any) and
-  // removes it from the resident taxonomy via incremental DAG repair.
-  // The exclusion survives STATE (the taxonomy is Σ-level, not
-  // data-level) and lasts until a DEFINE re-inserts the class or a LOAD
-  // replaces the session. Returns a `key=value` summary line.
-  Result<std::string> UndefineView(std::string_view name) REQUIRES(mu_);
-
-  // C ⊑_Σ D for two named classes, through the shared warm checker.
-  Result<bool> Check(std::string_view c, std::string_view d,
-                     obs::TraceContext* trace = nullptr)
-      REQUIRES_SHARED(mu_);
-
-  // Cᵢ ⊑_Σ Dᵢ for every pair, one verdict per pair in order (the BCHECK
-  // verb). `operands` holds the pairs flat: C₁ D₁ C₂ D₂ ... Pairs sharing
-  // a left operand are grouped onto a single SubsumesBatch call — the
-  // catalog-scan fast path one completion run decides — so a
-  // query-vs-view-catalog batch costs one engine run.
-  Result<std::vector<bool>> CheckBatch(Args operands,
-                                       obs::TraceContext* trace = nullptr)
-      REQUIRES_SHARED(mu_);
-
-  // Classifies schema + query classes; returns the hierarchy rendering.
-  // The taxonomy is RESIDENT: the first call classifies from scratch,
-  // later calls only render the incrementally-maintained DAG (DEFINE
-  // inserts, UNDEFINE removes — no reclassification on a warm session).
-  Result<std::string> Classify(obs::TraceContext* trace = nullptr)
-      REQUIRES_SHARED(mu_);
-
-  // Runs the optimizer's plan choice for a named query class and renders
-  // the plan as `key=value` lines (see docs/server.md).
-  Result<std::string> Optimize(std::string_view query,
-                               obs::TraceContext* trace = nullptr)
-      REQUIRES_SHARED(mu_);
+  // Runs one verb whose args[0] names this session — STATE, VIEW,
+  // UNDEFINE, CHECK, BCHECK, CLASSIFY or OPTIMIZE — to its reply
+  // (docs/server.md §2); a library error is answered `ERR <code> ...`.
+  Reply Handle(const RequestView& request, obs::TraceContext* trace)
+      EXCLUDES(mu_);
 
   // One-line summary for the LOAD reply.
   std::string Summary() const;
 
   // Appends this session's counters plus its checker's metrics to a
-  // snapshot (METRICS and STATS both render it). Callers hold at least
-  // the shared side of mu().
+  // snapshot (METRICS and STATS both render it).
   void AppendMetrics(obs::Collector& out, const obs::Labels& labels) const
-      REQUIRES_SHARED(mu_);
+      EXCLUDES(mu_);
 
  private:
-  // The server is the only caller allowed to lock a session: it picks the
-  // side of mu_ per verb (see the class comment) through mu() below.
-  friend class Server;
-
   Session() = default;
 
-  // The session-wide lock, exposed to the server's Reader/WriterLock
-  // sites; RETURN_CAPABILITY ties the result to mu_ for the analysis.
-  base::SharedMutex& mu() RETURN_CAPABILITY(mu_) { return mu_; }
+  // Handle's verb bodies under each side of mu_; each returns its
+  // verb's reply text.
+  Result<std::string> Mutate(const RequestView& request,
+                             obs::TraceContext* trace) REQUIRES(mu_);
+  Result<std::string> Read(const RequestView& request,
+                           obs::TraceContext* trace) REQUIRES_SHARED(mu_);
+
+  // Installs a database state (empty, or loaded by STATE) with an empty
+  // view catalog; views of the previous state are stale, so they go.
+  void ResetState(std::unique_ptr<db::Database> database) REQUIRES(mu_);
+
+  // BCHECK, and CHECK as a batch of one: Cᵢ ⊑_Σ Dᵢ for the flat pairs
+  // C₁ D₁ C₂ D₂ ..., one verdict per pair in order. Pairs sharing a left
+  // operand share one SubsumesBatch call — the catalog-scan fast path
+  // one completion run decides.
+  Result<std::string> CheckBatch(Args operands, obs::TraceContext* trace)
+      REQUIRES_SHARED(mu_);
 
   // Resolves a class name to its QL concept (dl::Translator::ClassConcept).
   Result<ql::ConceptId> ConceptOf(std::string_view name);
@@ -124,7 +95,7 @@ class Session {
   std::unique_ptr<dl::Translator> translator_;
   std::unique_ptr<calculus::SubsumptionChecker> checker_;
   // The database state and everything derived from it are replaced
-  // wholesale by LoadState, so they live under mu_ (exclusive to swap,
+  // wholesale by ResetState, so they live under mu_ (exclusive to swap,
   // shared to read). Members above are set once before the session is
   // published and never change.
   std::unique_ptr<db::Database> database_ GUARDED_BY(mu_);
@@ -138,16 +109,15 @@ class Session {
   std::atomic<uint64_t> optimizes_{0};
   std::atomic<uint64_t> undefines_{0};
   // classify_mu_ guards the resident incrementally maintained
-  // classifier, the set of query classes UNDEFINEd out of it,
-  // insert/remove accounting, and the stats snapshot. Lock order:
+  // classifier, the set of query classes UNDEFINEd out of it (until a
+  // VIEW or LOAD; STATE keeps it, the taxonomy being Σ-level), and
+  // insert/remove accounting. Lock order:
   // mu_ (either side) before classify_mu_ — declared on mu_ below.
   mutable base::Mutex classify_mu_;
   std::unique_ptr<calculus::Classifier> classifier_ GUARDED_BY(classify_mu_);
   std::unordered_set<Symbol> taxonomy_excluded_ GUARDED_BY(classify_mu_);
   uint64_t taxonomy_inserts_ GUARDED_BY(classify_mu_) = 0;
   uint64_t taxonomy_removes_ GUARDED_BY(classify_mu_) = 0;
-  calculus::Classifier::ClassifyStats last_classify_ GUARDED_BY(classify_mu_);
-  bool has_classified_ GUARDED_BY(classify_mu_) = false;
 
   mutable base::SharedMutex mu_ ACQUIRED_BEFORE(classify_mu_);
 };

@@ -27,6 +27,10 @@ Reply ErrReply(std::string_view code, std::string_view message) {
   return reply;
 }
 
+Reply ErrReply(const Status& status) {
+  return ErrReply(StatusCodeName(status.code()), status.message());
+}
+
 std::string EncodeReply(const Reply& reply) {
   switch (reply.kind) {
     case Reply::Kind::kBusy:

@@ -21,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "base/status.h"
+
 namespace oodb::server {
 
 // Status line sent when the admission queue is full (backpressure).
@@ -91,16 +93,18 @@ enum class SessionArg : uint8_t { kNone, kRequired, kOptional };
 inline constexpr uint8_t kAnyArgs = 0xff;
 
 // One row of the verb table: everything the parser, the event loop, the
-// dispatcher, replication and the cluster client need to know about a
-// verb. Arity counts the arguments after the verb (for FORWARD/REPL,
-// after the envelope: the wrapped request is checked against its own row).
+// dispatcher, the sessions, replication and the cluster client need to
+// know about a verb. Arity counts the arguments after the verb (for
+// FORWARD/REPL, after the envelope: the wrapped request is checked
+// against its own row).
 struct VerbInfo {
   Verb verb;
   const char* name;    // wire name ("?" for kOther)
   bool on_loop;        // answered inline by the event loop: bypasses
                        // admission and has no latency histogram
   SessionArg session;  // args[0] names a session
-  bool mutates;        // changes session state; the owner replicates it
+  bool mutates;        // changes session state: the owner replicates it,
+                       // and the session takes its lock exclusively
   bool idempotent;     // safe to resend and to serve from a replica
   bool payload;        // ends with <nbytes>; a payload follows (LOAD/STATE)
   bool envelope;       // wraps another request (FORWARD/REPL)
@@ -312,6 +316,8 @@ struct Reply {
 
 Reply OkReply(std::string payload);
 Reply ErrReply(std::string_view code, std::string_view message);
+// The reply to a library error: its StatusCodeName is the code.
+Reply ErrReply(const Status& status);
 
 // Serializes a reply into its on-wire text byte form.
 std::string EncodeReply(const Reply& reply);

@@ -638,6 +638,40 @@ TEST(Cluster, ForwardedLoadOrStateWithoutASessionIsAnErrNotACrash) {
   fleet->ShutdownAll();
 }
 
+// The table's on_loop verbs are answered on the loop only when bare.
+// Inside FORWARD they reach the dispatcher, PING and SHUTDOWN with no
+// arguments: they are no command there, and no session lookup reads
+// past their empty argument list.
+TEST(Cluster, ForwardedLoopVerbsAreUnknownCommands) {
+  auto fleet = Fleet::Start(2, 1);
+  ASSERT_NE(fleet, nullptr);
+  server::Client client = MustConnect(fleet->config.nodes[0].port);
+  ASSERT_TRUE(client.SetDeadline(5000).ok());
+  for (const server::VerbInfo& info : server::kVerbTable) {
+    if (!info.on_loop) continue;
+    auto reply = client.Roundtrip(StrCat("FORWARD ", info.name));
+    ASSERT_FALSE(reply.ok()) << info.name;
+    EXPECT_EQ(reply.status().message(),
+              StrCat("proto: unknown command '", info.name, "'"));
+    EXPECT_TRUE(client.Ping().ok()) << info.name;
+  }
+  fleet->ShutdownAll();
+}
+
+// A cluster node needs two workers (docs/cluster.md §6): the daemon
+// raises a smaller pool to two, and leaves a single node's alone.
+TEST(Cluster, ANodeRunsAtLeastTwoWorkers) {
+  server::ServerOptions options;
+  options.num_threads = 1;
+  options.cluster.nodes = {NodeAddr{"127.0.0.1", 1}, NodeAddr{"127.0.0.1", 2}};
+  options.cluster.self = 0;
+  server::Server node(options);
+  EXPECT_EQ(Series(node, "oodb_server_threads"), 2);
+  options.cluster = ClusterConfig();
+  server::Server single(options);
+  EXPECT_EQ(Series(single, "oodb_server_threads"), 1);
+}
+
 // Every verb but SHUTDOWN (plus an unknown one) with 0 to 5 arguments,
 // bare, inside FORWARD and inside REPL, over both framings of a 2-node
 // fleet: each request gets exactly one reply and both nodes stay up.

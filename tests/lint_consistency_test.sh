@@ -11,7 +11,9 @@
 #   6. it fails when a verb's on_loop flag in the verb table no longer
 #      matches the inline verbs docs/server.md lists;
 #   7. it fails when code quotes an oodb_server_* metric name that
-#      docs/observability.md does not document.
+#      docs/observability.md does not document;
+#   8. it fails when a verb's mutates flag in the verb table no longer
+#      matches the lock sides docs/server.md lists.
 #
 # usage: lint_consistency_test.sh <repo_root>
 set -eu
@@ -92,6 +94,19 @@ printf '%s\n' 'const char* kProbe = "oodb_server_undocumented_total";' \
 if python3 "$LINTER" --root "$TMP" 2>/dev/null; then
   echo "FAIL: linter passed with oodb_server_undocumented_total" \
        "undocumented" >&2
+  exit 1
+fi
+cp "$ROOT/src/server/server.cc" "$TMP/src/server/"
+
+# 8. VIEW no longer marked mutates in the verb table must fail.
+sed 's/"VIEW", false, kSession, true,/"VIEW", false, kSession, false,/' \
+  "$ROOT/src/server/wire.h" > "$TMP/src/server/wire.h"
+if cmp -s "$ROOT/src/server/wire.h" "$TMP/src/server/wire.h"; then
+  echo "FAIL: could not edit the VIEW row of kVerbTable" >&2
+  exit 1
+fi
+if python3 "$LINTER" --root "$TMP" 2>/dev/null; then
+  echo "FAIL: linter passed with VIEW's mutates flag flipped" >&2
   exit 1
 fi
 

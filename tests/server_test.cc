@@ -1097,6 +1097,107 @@ TEST(Server, CheckAndBatchCheckResolveObjectToTop) {
   server.Shutdown();
 }
 
+// One text request on a fresh connection: the reply's bytes as they
+// arrive (the status line, plus an OK reply's payload and terminator).
+std::string TextReplyBytes(int port, const std::string& line) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  std::string bytes;
+  std::string status;
+  std::string payload;
+  uint64_t n = 0;
+  FrameReader reader(fd);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      WriteFully(fd, line + "\n") && reader.ReadLine(&status)) {
+    bytes = status + "\n";
+    if (status.rfind("OK ", 0) == 0 &&
+        ParseSize(std::string_view(status).substr(3), &n) &&
+        reader.ReadPayload(n, &payload)) {
+      bytes += payload + "\n";
+    }
+  }
+  ::close(fd);
+  return bytes;
+}
+
+// CHECK is a one-pair BCHECK. In the text framing, and in the binary
+// framing as a LINE frame or under the verb's own opcode, the two verbs
+// answer a subsumed pair, a refuted pair, an unknown class and an
+// unknown session with the same bytes; each answered pair moves the
+// session's check counter by exactly one, and each error by none.
+TEST(Server, CheckRepliesAreTheBytesOfAOnePairBatchCheck) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Client client = MustConnect(*port);
+  ASSERT_TRUE(
+      client.Load("s", "Class A with end A\nClass B isA A with end B\n").ok());
+  const auto checks = [&server] {
+    return obs::SampleValue(server.registry().Snapshot(),
+                            "oodb_session_checks_total", {{"session", "s"}});
+  };
+
+  struct Case {
+    std::string session, c, d, reply;
+    double counted;
+  };
+  const Case cases[] = {
+      {"s", "B", "A", "OK 13\nsubsumed=true\n", 1},
+      {"s", "A", "B", "OK 14\nsubsumed=false\n", 1},
+      {"s", "B", "Nope", "ERR not_found no class named 'Nope'\n", 0},
+      {"gone", "B", "A",
+       "ERR not_found no session 'gone' (LOAD one first)\n", 0},
+  };
+  for (const Case& k : cases) {
+    const std::string args = StrCat(k.session, " ", k.c, " ", k.d);
+    for (const std::string& line : {"CHECK " + args, "BCHECK " + args}) {
+      const double before = checks();
+      EXPECT_EQ(TextReplyBytes(*port, line), k.reply) << line;
+      EXPECT_EQ(checks() - before, k.counted) << line;
+    }
+    RawBinaryConn conn = RawBinaryConn::Open(*port);
+    for (const std::string& frame :
+         {EncodeBinaryLineRequest(9, "CHECK " + args),
+          EncodeBinaryLineRequest(9, "BCHECK " + args),
+          EncodeBinaryCheckRequest(9, k.session, k.c, k.d),
+          EncodeBinaryBatchCheckRequest(9, k.session, {{k.c, k.d}})}) {
+      const double before = checks();
+      ASSERT_TRUE(WriteFully(conn.fd, frame));
+      auto reply = conn.ReadReply();
+      ASSERT_TRUE(reply.ok()) << reply.status();
+      // Same id, same reply: the same frame bytes.
+      EXPECT_EQ(reply->id, 9u);
+      EXPECT_EQ(EncodeReply(reply->reply), k.reply) << args;
+      EXPECT_EQ(checks() - before, k.counted) << args;
+    }
+  }
+  server.Shutdown();
+}
+
+// Every verb that names a session answers an unknown one alike, STATE
+// included.
+TEST(Server, EverySessionVerbAnswersAnUnknownSessionAlike) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Client client = MustConnect(*port);
+  const std::string empty;
+  for (const char* line :
+       {"STATE gone 0", "VIEW gone Q", "UNDEFINE gone Q", "CHECK gone C D",
+        "BCHECK gone C D", "CLASSIFY gone", "OPTIMIZE gone Q"}) {
+    const bool payload = std::string_view(line).rfind("STATE", 0) == 0;
+    auto reply = client.Roundtrip(line, payload ? &empty : nullptr);
+    ASSERT_FALSE(reply.ok()) << line;
+    EXPECT_EQ(reply.status().message(),
+              "not_found: no session 'gone' (LOAD one first)")
+        << line;
+  }
+  server.Shutdown();
+}
+
 TEST(Server, BinaryModeServesEveryVerbAndSharesSessionsWithText) {
   Server server;
   auto port = server.Start();

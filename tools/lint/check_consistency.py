@@ -18,7 +18,9 @@ Checks (each failure is one line on stderr; exit 1 if any):
   3. Every wire verb is accounted for in metrics: the pool times every
      verb the table does not mark on_loop, and the verbs docs/server.md
      §3 lists as "answered inline" and as bypassing admission are
-     exactly the table's on_loop verbs.
+     exactly the table's on_loop verbs. The verbs §3 says "take the
+     exclusive lock" are exactly the table's `mutates` rows, and those
+     it says "hold the shared lock" are the other session verbs.
   4. Every wire verb is mentioned in tests/server_test.cc or
      tests/cluster_test.cc (case-insensitive — the test client wraps
      verbs in methods; the cluster verbs REPL/FORWARD live in the
@@ -69,15 +71,17 @@ def parse_verb_enum(wire_h: str) -> list[str]:
     return [n for n in names if n != "kCount"]
 
 
-def parse_verb_table(wire_h: str) -> dict[str, tuple[str, bool]]:
-    """Mapping enumerator -> (wire name, on_loop) from kVerbTable."""
+def parse_verb_table(wire_h: str) -> dict[str, tuple[str, bool, str, bool]]:
+    """Mapping enumerator -> (wire name, on_loop, session, mutates) from
+    kVerbTable."""
     m = re.search(r"kVerbTable\[\]\s*=\s*\{(.*?)\n\};", wire_h, re.S)
     if not m:
         sys.exit("check_consistency: cannot find kVerbTable "
                  "in src/server/wire.h")
-    rows = re.findall(r'\{Verb::(k\w+),\s*"([A-Z?]+)",\s*(true|false),',
-                      m.group(1))
-    return {enum: (name, on_loop == "true") for enum, name, on_loop in rows}
+    rows = re.findall(r'\{Verb::(k\w+),\s*"([A-Z?]+)",\s*(true|false),'
+                      r'\s*([\w:]+),\s*(true|false),', m.group(1))
+    return {enum: (name, on_loop == "true", session, mutates == "true")
+            for enum, name, on_loop, session, mutates in rows}
 
 
 def parse_doc_inline_lists(server_md: str) -> list[set[str]]:
@@ -91,6 +95,20 @@ def parse_doc_inline_lists(server_md: str) -> list[set[str]]:
         if not m:
             sys.exit("check_consistency: cannot find the inline-verb list "
                      f"/{pattern}/ in docs/server.md")
+        lists.append(set(re.findall(r"`([A-Z]+)`", m.group(1))))
+    return lists
+
+
+def parse_doc_lock_lists(server_md: str) -> list[set[str]]:
+    """Verbs docs/server.md section 3 says take the exclusive session
+    lock, and those it says hold the shared one."""
+    lists = []
+    for side in (r"take\s+the\s+exclusive", r"hold\s+the\s+shared"):
+        m = re.search(r"((?:`[A-Z]+`(?:,\s+|\s+and\s+)?)+)\s+" + side +
+                      r"\s+lock", server_md)
+        if not m:
+            sys.exit("check_consistency: cannot find the lock-side list "
+                     f"/{side} lock/ in docs/server.md")
         lists.append(set(re.findall(r"`([A-Z]+)`", m.group(1))))
     return lists
 
@@ -113,7 +131,10 @@ def check_wire(root: pathlib.Path, errors: list[str]) -> None:
     enumerators = parse_verb_enum(wire_h)
     table = parse_verb_table(wire_h)
     documented = parse_doc_verbs(server_md)
-    on_loop = {name for name, inline in table.values() if inline}
+    on_loop = {row[0] for row in table.values() if row[1]}
+    exclusive = {row[0] for row in table.values() if row[3]}
+    shared = {row[0] for row in table.values() if not row[3] and
+              row[2] in ("kSession", "SessionArg::kRequired")}
 
     for enumerator in enumerators:
         if enumerator not in table:
@@ -141,7 +162,19 @@ def check_wire(root: pathlib.Path, errors: list[str]) -> None:
                           "answered inline, but kVerbTable runs it on the "
                           "pool")
 
-    implemented = {name for name, _ in table.values()}
+    for listed, side, verbs in zip(parse_doc_lock_lists(server_md),
+                                   ("exclusive", "shared"),
+                                   (exclusive, shared)):
+        for verb in sorted(verbs - listed):
+            errors.append(f"kVerbTable's mutates column puts {verb} on the "
+                          f"{side} side of the session lock, but "
+                          "docs/server.md section 3 does not list it there")
+        for verb in sorted(listed - verbs):
+            errors.append(f"docs/server.md section 3 lists {verb} as taking "
+                          f"the {side} session lock, but kVerbTable's "
+                          "mutates column says otherwise")
+
+    implemented = {row[0] for row in table.values()}
     for verb in sorted(documented - implemented):
         errors.append(f"docs/server.md documents command {verb} which is "
                       "not a wire verb in src/server/wire.h")

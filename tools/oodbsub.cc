@@ -27,7 +27,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -426,13 +425,6 @@ int CmdServe(const std::vector<std::string>& args) {
     options.cluster.nodes = std::move(*nodes);
     options.cluster.self = self;
     options.cluster.replicas = replicas;
-    // A cluster node needs ≥2 workers: a forwarded mutation parks one
-    // worker on the roundtrip to the owner while the owner's replication
-    // push back here needs another (docs/cluster.md §6).
-    const size_t resolved = options.num_threads != 0
-                                ? options.num_threads
-                                : std::thread::hardware_concurrency();
-    options.num_threads = std::max<size_t>(resolved, 2);
   }
   server::Server daemon(options);
   auto port = daemon.Start();
