@@ -103,6 +103,10 @@ class CAPABILITY("shared_mutex") SharedMutex {
   void Unlock() RELEASE() { mu_.unlock(); }
   void LockShared() ACQUIRE_SHARED() { mu_.lock_shared(); }
   void UnlockShared() RELEASE_SHARED() { mu_.unlock_shared(); }
+  // The reader side without waiting: false while a writer holds it.
+  bool TryLockShared() TRY_ACQUIRE_SHARED(true) {
+    return mu_.try_lock_shared();
+  }
 
  private:
   std::shared_mutex mu_;

@@ -45,16 +45,27 @@ class ShardedMemoCache {
   explicit ShardedMemoCache(size_t capacity = size_t{1} << 20)
       : shard_capacity_(capacity / kNumShards + 1) {}
 
+  // The cached verdict, counted as a hit or a miss.
   std::optional<bool> Lookup(uint64_t key) const {
+    const std::optional<bool> verdict = Peek(key);
+    CountLookups(verdict.has_value() ? 1 : 0, verdict.has_value() ? 0 : 1);
+    return verdict;
+  }
+
+  // The cached verdict, counted as nothing: a caller that acts on a run
+  // of peeks books them with one CountLookups, and one that discards
+  // them books none.
+  std::optional<bool> Peek(uint64_t key) const {
     Shard& shard = shards_[ShardOf(key)];
     base::MutexLock lock(&shard.mu);
     auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    if (it == shard.map.end()) return std::nullopt;
     return it->second;
+  }
+
+  void CountLookups(uint64_t hits, uint64_t misses) const {
+    if (hits > 0) hits_.fetch_add(hits, std::memory_order_relaxed);
+    if (misses > 0) misses_.fetch_add(misses, std::memory_order_relaxed);
   }
 
   void Insert(uint64_t key, bool verdict) {

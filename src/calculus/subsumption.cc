@@ -79,13 +79,8 @@ Result<std::vector<bool>> SubsumptionChecker::SubsumesBatch(
   if (options_.memoize) {
     obs::ScopedSpan span(trace, obs::Phase::kMemo);
     open.reserve(ds.size());
-    for (size_t i = 0; i < ds.size(); ++i) {
-      if (std::optional<bool> cached = cache_.Lookup(PairMemoKey(c, ds[i]))) {
-        verdicts[i] = *cached;
-      } else {
-        open.push_back(i);
-      }
-    }
+    const size_t hits = PeekMemo(c, ds, &verdicts, &open);
+    cache_.CountLookups(hits, open.size());
   } else {
     open.resize(ds.size());
     for (size_t i = 0; i < ds.size(); ++i) open[i] = i;
@@ -133,6 +128,33 @@ Result<std::vector<bool>> SubsumptionChecker::SubsumesBatch(
     for (size_t i : open) cache_.Insert(PairMemoKey(c, ds[i]), verdicts[i]);
   }
   return verdicts;
+}
+
+bool SubsumptionChecker::SettleFromMemo(ql::ConceptId c,
+                                        const std::vector<ql::ConceptId>& ds,
+                                        std::vector<bool>* verdicts,
+                                        obs::TraceContext* trace) const {
+  verdicts->assign(ds.size(), false);
+  obs::ScopedSpan span(trace, obs::Phase::kMemo);
+  return PeekMemo(c, ds, verdicts, nullptr) == ds.size();
+}
+
+size_t SubsumptionChecker::PeekMemo(ql::ConceptId c,
+                                    const std::vector<ql::ConceptId>& ds,
+                                    std::vector<bool>* verdicts,
+                                    std::vector<size_t>* open) const {
+  size_t hits = 0;
+  for (size_t i = 0; i < ds.size(); ++i) {
+    if (std::optional<bool> cached = cache_.Peek(PairMemoKey(c, ds[i]))) {
+      (*verdicts)[i] = *cached;
+      ++hits;
+    } else if (open != nullptr) {
+      open->push_back(i);
+    } else {
+      break;
+    }
+  }
+  return hits;
 }
 
 Result<bool> SubsumptionChecker::Satisfiable(ql::ConceptId c) const {

@@ -101,6 +101,20 @@ class SubsumptionChecker {
       ql::ConceptId c, const std::vector<ql::ConceptId>& ds,
       obs::TraceContext* trace = nullptr) const;
 
+  // The memo-only settle: when the memo holds C ⊑_Σ Dᵢ for every Dᵢ,
+  // writes those verdicts into *verdicts (one per input, in order) and
+  // returns true; returns false at the first pair it does not hold. It
+  // never runs the pre-filter or an engine, and it counts nothing: a
+  // caller that answers from the verdicts books them with
+  // CountMemoHits, so one that gives up and retries through
+  // SubsumesBatch counts each lookup once. The lookups are the memo
+  // phase of `trace`.
+  bool SettleFromMemo(ql::ConceptId c, const std::vector<ql::ConceptId>& ds,
+                      std::vector<bool>* verdicts,
+                      obs::TraceContext* trace = nullptr) const;
+  // Books `n` memo hits that SettleFromMemo answered.
+  void CountMemoHits(uint64_t n) const { cache_.CountLookups(n, 0); }
+
   // Subsumes with statistics and optional trace. Always performs the
   // full completion (no pre-filter short-cut, fresh engine): this is the
   // explanation path and the reference oracle.
@@ -161,6 +175,14 @@ class SubsumptionChecker {
   // rule-application counters. Costs one relaxed load when obs is disabled
   // and no trace is attached.
   void RecordEngineRun(const RunStats& stats, obs::TraceContext* trace) const;
+
+  // The memo lookup of both SubsumesBatch and SettleFromMemo: peeks
+  // (c, dᵢ) in order and writes each hit into (*verdicts)[i]; a miss is
+  // appended to *open or, when `open` is null, ends the lookup. Counts
+  // nothing. Returns the number of hits.
+  size_t PeekMemo(ql::ConceptId c, const std::vector<ql::ConceptId>& ds,
+                  std::vector<bool>* verdicts,
+                  std::vector<size_t>* open) const;
 
   const schema::Schema& sigma_;
   Options options_;

@@ -131,7 +131,7 @@ ql::ConceptId Translator::FilterConcept(
       // sound (the membership condition is merely weakened).
       const ClassDef* def = model_.FindClass(filter.name);
       if (def != nullptr && def->is_query && !in_progress_[filter.name]) {
-        auto inlined = QueryConceptLocked(filter.name);
+        auto inlined = ClassConceptLocked(filter.name);
         if (inlined.ok()) return *inlined;
       }
       return terms_->Primitive(filter.name);
@@ -161,71 +161,93 @@ ql::PathId Translator::PathOf(const ResolvedPath& path,
   return terms_->MakePath(std::move(restrictions));
 }
 
+Translator::Translator(const Model& model, ql::TermFactory* terms)
+    : model_(model), terms_(terms) {
+  class_names_.reserve(model_.classes().size());
+  for (const ClassDef& def : model_.classes()) {
+    class_names_.emplace(terms_->symbols().Name(def.name), def.name);
+  }
+}
+
+Symbol Translator::FindClass(std::string_view name) const {
+  const auto it = class_names_.find(name);
+  return it == class_names_.end() ? Symbol() : it->second;
+}
+
+ql::ConceptId Translator::ResolvedConcept(std::string_view name) const {
+  const Symbol cls = FindClass(name);
+  if (!cls.valid()) return ql::kInvalidConcept;
+  const uint32_t published = concepts_.Find(cls.id());
+  return published == ChunkedIdMap::kAbsent ? ql::kInvalidConcept
+                                            : published;
+}
+
 Result<ql::ConceptId> Translator::ClassConcept(Symbol cls) {
-  // Object and schema classes need no translation, so only a query class
-  // takes the lock that guards the translation cache.
-  if (cls == model_.object_class) return terms_->Top();
+  const uint32_t published = concepts_.Find(cls.id());
+  if (published != ChunkedIdMap::kAbsent) return published;
+  base::MutexLock lock(&mu_);
+  return ClassConceptLocked(cls);
+}
+
+Result<ql::ConceptId> Translator::ClassConcept(std::string_view name) {
+  const Symbol cls = FindClass(name);
+  if (!cls.valid()) {
+    return NotFoundError(StrCat("no class named '", name, "'"));
+  }
+  return ClassConcept(cls);
+}
+
+Result<ql::ConceptId> Translator::ClassConceptLocked(Symbol cls) {
+  const uint32_t published = concepts_.Find(cls.id());
+  if (published != ChunkedIdMap::kAbsent) return published;
   const ClassDef* def = model_.FindClass(cls);
   if (def == nullptr) {
     return NotFoundError(
         StrCat("no class named '", terms_->symbols().Name(cls), "'"));
   }
-  if (!def->is_query) return terms_->Primitive(cls);
-  base::MutexLock lock(&mu_);
-  return QueryConceptLocked(cls);
-}
-
-Result<ql::ConceptId> Translator::QueryConcept(Symbol query_class) {
-  base::MutexLock lock(&mu_);
-  return QueryConceptLocked(query_class);
-}
-
-Result<ql::ConceptId> Translator::QueryConceptLocked(Symbol query_class) {
-  auto cached = query_cache_.find(query_class);
-  if (cached != query_cache_.end()) return cached->second;
-
-  const ClassDef* def = model_.FindClass(query_class);
-  if (def == nullptr) {
-    return NotFoundError(StrCat("unknown query class '",
-                                terms_->symbols().Name(query_class), "'"));
+  ql::ConceptId concept_id = ql::kInvalidConcept;
+  if (cls == model_.object_class) {
+    concept_id = terms_->Top();
+  } else if (!def->is_query) {
+    concept_id = terms_->Primitive(cls);
+  } else {
+    OODB_ASSIGN_OR_RETURN(concept_id, TranslateQuery(*def));
   }
-  if (!def->is_query) return terms_->Primitive(query_class);
+  concepts_.Set(cls.id(), concept_id);
+  return concept_id;
+}
 
-  in_progress_[query_class] = true;
+Result<ql::ConceptId> Translator::TranslateQuery(const ClassDef& def) {
+  in_progress_[def.name] = true;
   std::unordered_map<Symbol, Symbol> skolems;
   std::vector<ql::ConceptId> conjuncts;
-  for (Symbol super : def->supers) {
-    if (super == model_.object_class) {
-      conjuncts.push_back(terms_->Top());
-      continue;
-    }
-    OODB_ASSIGN_OR_RETURN(ql::ConceptId c, QueryConceptLocked(super));
+  for (Symbol super : def.supers) {
+    OODB_ASSIGN_OR_RETURN(ql::ConceptId c, ClassConceptLocked(super));
     conjuncts.push_back(c);
   }
 
   // Labels equated in the where clause contribute a path agreement; all
   // other derived paths contribute plain existentials.
   std::unordered_map<Symbol, const ResolvedPath*> by_label;
-  for (const ResolvedPath& path : def->derived) {
+  for (const ResolvedPath& path : def.derived) {
     if (path.label.valid()) by_label.emplace(path.label, &path);
   }
   std::unordered_set<Symbol> in_where;
-  for (const auto& [l, r] : def->where) {
+  for (const auto& [l, r] : def.where) {
     in_where.insert(l);
     in_where.insert(r);
   }
-  for (const ResolvedPath& path : def->derived) {
+  for (const ResolvedPath& path : def.derived) {
     if (path.label.valid() && in_where.count(path.label) > 0) continue;
     conjuncts.push_back(terms_->Exists(PathOf(path, &skolems)));
   }
-  for (const auto& [l, r] : def->where) {
+  for (const auto& [l, r] : def.where) {
     conjuncts.push_back(terms_->AgreePair(PathOf(*by_label.at(l), &skolems),
                                           PathOf(*by_label.at(r), &skolems)));
   }
 
   ql::ConceptId concept_id = terms_->AndAll(conjuncts);
-  in_progress_[query_class] = false;
-  query_cache_.emplace(query_class, concept_id);
+  in_progress_[def.name] = false;
   return concept_id;
 }
 

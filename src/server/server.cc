@@ -14,6 +14,7 @@
 #include <cerrno>
 #include <chrono>
 #include <deque>
+#include <optional>
 #include <utility>
 
 #include "base/strings.h"
@@ -57,6 +58,12 @@ constexpr size_t kMaxInflightPerConn = 256;
 
 // Ring-buffer capacity of the slow-query log.
 constexpr size_t kSlowLogCapacity = 128;
+
+// Inline budget: (C, D) pairs one parse pass over a connection may
+// answer from the memo on the loop. A frame larger than what is left
+// goes to the pool, so one burst cannot stall the loop's other
+// connections for long.
+constexpr size_t kLoopPairsPerPass = 1024;
 
 }  // namespace
 
@@ -141,8 +148,15 @@ void Server::RegisterMetrics() {
     if (info.on_loop || info.verb == Verb::kOther) continue;
     latency_[static_cast<size_t>(info.verb)] = registry_.GetHistogram(
         "oodb_server_request_seconds",
-        "End-to-end request latency (admission to reply written)",
+        "Request latency, from admission (or, for a check the loop answers "
+        "from the memo, from the parsed frame) to the reply encoded",
         {{"verb", info.name}}, 1e-9);
+  }
+  for (const Verb verb : {Verb::kCheck, Verb::kBcheck}) {
+    loop_answers_[static_cast<size_t>(verb)] = registry_.GetCounter(
+        "oodb_server_loop_answers_total",
+        "Requests the event loop answered from the memo, by verb",
+        {{"verb", VerbName(verb)}});
   }
   loop_batch_hist_ = registry_.GetHistogram(
       "oodb_loop_ready_batch", "Ready events per epoll_wait return", {}, 1);
@@ -474,6 +488,7 @@ void Server::HandleWritable(Connection& conn) { FlushOutput(conn); }
 
 void Server::ParseFrames(Connection& conn) {
   if (!conn.preamble_decided) return;
+  loop_pairs_left_ = kLoopPairsPerPass;
   while (!conn.discard_input) {
     if (conn.out_bytes > kMaxOutBuffer) break;
     if (conn.binary ? conn.inflight >= kMaxInflightPerConn
@@ -537,6 +552,9 @@ void Server::HandleFrame(Connection& conn, uint64_t request_id,
     return QueueReply(conn, request_id,
                       ErrReply(kErrShutdown, "server is draining"), verb);
   }
+  // A memo-warm check is answered here and, like the on_loop verbs,
+  // bypasses admission.
+  if (AnswerFromMemo(conn, request_id, request)) return;
 
   // Bounded admission: reply BUSY instead of queueing without limit.
   if (admitted_.fetch_add(1, std::memory_order_acq_rel) >=
@@ -568,6 +586,43 @@ void Server::HandleFrame(Connection& conn, uint64_t request_id,
   work.enqueued = std::chrono::steady_clock::now();
   work.request = std::move(request);
   pending_work_.push_back(std::move(work));
+}
+
+bool Server::AnswerFromMemo(Connection& conn, uint64_t request_id,
+                            const Request& request) {
+  const Verb verb = request.verb();
+  // An earlier frame staged or in flight would be overtaken: its reply
+  // comes back later, and it may be a LOAD or a writer the check must
+  // follow.
+  if ((verb != Verb::kCheck && verb != Verb::kBcheck) || conn.inflight > 0) {
+    return false;
+  }
+  const RequestView view = request.view();
+  const size_t pairs = view.args.size() / 2;  // args: session, C₁ D₁ ...
+  if (pairs > loop_pairs_left_) return false;
+  const Placement placement = PlaceClientRequest(view);
+  if (placement == Placement::kOwner) return false;
+  const std::shared_ptr<Session> session = FindSession(view.args[0]);
+  if (session == nullptr) return false;
+
+  const auto start = std::chrono::steady_clock::now();
+  std::optional<obs::TraceContext> trace;
+  if (obs::Enabled() && slow_log_.enabled()) trace.emplace();
+  std::optional<Reply> reply =
+      session->AnswerFromMemo(view, trace ? &*trace : nullptr);
+  if (!reply) return false;
+
+  loop_pairs_left_ -= pairs;
+  loop_answers_[static_cast<size_t>(verb)]->Add();
+  if (placement == Placement::kReplicaRead) replica_reads_->Add();
+  if (trace) {
+    trace->id = trace_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+    trace->verb = VerbName(verb);
+    trace->session = view.args[0];
+  }
+  AppendOutput(conn, FinishRequest(request_id, conn.binary, verb, *reply,
+                                   start, trace ? &*trace : nullptr));
+  return true;
 }
 
 Reply Server::AnswerInline(Connection& conn, const Request& request) {
@@ -712,18 +767,23 @@ Server::Completion Server::FinalizeOnWorker(uint64_t conn_id, bool binary,
     reply = Dispatch(work.request, work.trace.get());
   }
   admitted_.fetch_sub(1, std::memory_order_acq_rel);
+  return Completion{conn_id,
+                    FinishRequest(work.request_id, binary, work.request.verb(),
+                                  reply, work.enqueued, work.trace.get())};
+}
 
-  const Verb verb = work.request.verb();
-  const std::shared_ptr<obs::TraceContext>& trace = work.trace;
+std::string Server::FinishRequest(uint64_t request_id, bool binary, Verb verb,
+                                  const Reply& reply,
+                                  std::chrono::steady_clock::time_point start,
+                                  obs::TraceContext* trace) {
   CountReply(reply, verb);
   std::string bytes;
   {
-    obs::ScopedSpan span(trace.get(), obs::Phase::kReply);
-    bytes = binary ? EncodeBinaryReply(work.request_id, reply)
-                   : EncodeReply(reply);
+    obs::ScopedSpan span(trace, obs::Phase::kReply);
+    bytes = binary ? EncodeBinaryReply(request_id, reply) : EncodeReply(reply);
   }
   if (obs::Enabled()) {
-    const auto elapsed = std::chrono::steady_clock::now() - work.enqueued;
+    const auto elapsed = std::chrono::steady_clock::now() - start;
     const auto ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
     const uint64_t total_ns = ns > 0 ? static_cast<uint64_t>(ns) : 1;
@@ -736,7 +796,7 @@ Server::Completion Server::FinalizeOnWorker(uint64_t conn_id, bool binary,
       slow_log_.Finish(std::move(*trace));
     }
   }
-  return Completion{conn_id, std::move(bytes)};
+  return bytes;
 }
 
 void Server::PushCompletions(std::vector<Completion> batch) {
@@ -875,23 +935,36 @@ void Server::StampEnvelope(const Envelope& envelope, const char* route,
   }
 }
 
+Server::Placement Server::PlaceClientRequest(
+    const RequestView& request) const {
+  if (ring_ == nullptr || !request.names_session()) return Placement::kHere;
+  // Ownership: a session verb from an ordinary client on a node that
+  // does not own the session is served here only when this node
+  // replicates it (reads), otherwise proxied to the owner.
+  const std::string_view session = request.args[0];
+  if (ring_->OwnerOf(session) == options_.cluster.self) {
+    return Placement::kHere;
+  }
+  const bool replica_read =
+      !request.info().mutates &&
+      ring_->IsReplicaOf(session, options_.cluster.self,
+                         options_.cluster.EffectiveReplicas());
+  return replica_read ? Placement::kReplicaRead : Placement::kOwner;
+}
+
 Reply Server::Execute(const RequestView& request, obs::TraceContext* trace,
                       Route route) {
   const VerbInfo& info = request.info();
-  // Ownership: a session verb arriving from an ordinary client on a
-  // node that does not own the session is served locally only when this
-  // node replicates it (reads), otherwise proxied to the owner.
-  if (ring_ != nullptr && route == Route::kClient &&
-      request.names_session()) {
-    const std::string_view session = request.args[0];
-    const size_t owner = ring_->OwnerOf(session);
-    if (owner != options_.cluster.self) {
-      const bool replica_read =
-          !info.mutates &&
-          ring_->IsReplicaOf(session, options_.cluster.self,
-                             options_.cluster.EffectiveReplicas());
-      if (!replica_read) return ForwardToOwner(owner, request, trace);
-      replica_reads_->Add();
+  if (route == Route::kClient) {
+    switch (PlaceClientRequest(request)) {
+      case Placement::kHere:
+        break;
+      case Placement::kReplicaRead:
+        replica_reads_->Add();
+        break;
+      case Placement::kOwner:
+        return ForwardToOwner(ring_->OwnerOf(request.args[0]), request,
+                              trace);
     }
   }
 
@@ -1019,6 +1092,7 @@ Reply Server::DispatchLocal(const RequestView& request,
       auto session = Session::FromSource(request.payload, trace);
       if (!session.ok()) return ErrReply(session.status());
       std::string summary = (*session)->Summary();
+      std::shared_ptr<Session> replaced;  // destroyed after the lock
       base::MutexLock lock(&sessions_mu_);
       if (sessions_.find(args[0]) == sessions_.end() &&
           sessions_.size() >= kMaxSessions) {
@@ -1026,8 +1100,10 @@ Reply Server::DispatchLocal(const RequestView& request,
                         StrCat("session limit (", kMaxSessions, ") reached"));
       }
       // Replacing is atomic for new requests; in-flight requests finish
-      // against the old session via their shared_ptr.
-      sessions_[std::string(args[0])] = std::move(*session);
+      // against the old session via their shared_ptr. The old session is
+      // released after the lock, which the event loop also takes.
+      replaced = std::exchange(sessions_[std::string(args[0])],
+                               std::move(*session));
       return OkReply(StrCat("session=", args[0], " ", summary));
     }
     case Verb::kStats:

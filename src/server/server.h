@@ -7,8 +7,10 @@
 // sockets, partial reads and writes resumed); the work runs on a shared
 // service::ThreadPool behind a bounded admission counter (BUSY when
 // full, `ERR deadline` past the queue-wait budget), and encoded replies
-// come back through a completion queue plus an eventfd. SHUTDOWN drains
-// the admitted work, flushes, and closes. See docs/server.md §3.
+// come back through a completion queue plus an eventfd. The loop
+// answers a CHECK or BCHECK itself when its session settles every pair
+// from the memo. SHUTDOWN drains the admitted work, flushes, and
+// closes. See docs/server.md §3.
 #ifndef OODB_SERVER_SERVER_H_
 #define OODB_SERVER_SERVER_H_
 
@@ -16,6 +18,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -125,10 +128,17 @@ class Server {
   // Parses and handles one frame in the connection's framing; false when
   // no progress is possible.
   bool ParseFrame(Connection& conn);
-  // Counts one parsed request and routes it: malformed requests and the
-  // table's on_loop verbs are answered on the loop, everything else is
-  // admitted onto the pool.
+  // Counts one parsed request and routes it: malformed requests, the
+  // table's on_loop verbs and the memo-warm checks AnswerFromMemo takes
+  // are answered on the loop, everything else is admitted onto the pool.
   void HandleFrame(Connection& conn, uint64_t request_id, Request request);
+  // The loop path: answers a CHECK or BCHECK on the loop when nothing of
+  // the connection is staged or in flight, this node runs it, the pass
+  // has inline pair budget left, and the session settles every pair
+  // from the memo without waiting for its lock. False leaves the request
+  // to the pool path, with nothing counted.
+  bool AnswerFromMemo(Connection& conn, uint64_t request_id,
+                      const Request& request);
   // The reply to a verb the table flags on_loop (PING, HEALTH, METRICS,
   // TRACE, SHUTDOWN), computed on the loop thread.
   Reply AnswerInline(Connection& conn, const Request& request);
@@ -157,9 +167,17 @@ class Server {
   // Best-effort flush of every connection's pending output at teardown.
   void FinalFlush();
 
+  // Counts the reply to a request that ran (on a worker, or from the
+  // memo on the loop), encodes it as the reply phase, and records its
+  // latency since `start` and its trace. Returns the encoded bytes.
+  std::string FinishRequest(uint64_t request_id, bool binary, Verb verb,
+                            const Reply& reply,
+                            std::chrono::steady_clock::time_point start,
+                            obs::TraceContext* trace);
+
   // ---- Worker side ----
   // Runs one admitted request to its encoded reply: deadline check,
-  // Dispatch, per-verb stats, histogram and trace finalization.
+  // Dispatch, then FinishRequest.
   Completion FinalizeOnWorker(uint64_t conn_id, bool binary, PooledWork work);
   // Publishes a burst of encoded replies to the loop: one lock, and one
   // eventfd wakeup per empty→non-empty transition of the queue.
@@ -173,6 +191,12 @@ class Server {
   //   but still replicate mutations.
   // kReplica: a REPL apply; skip both (never re-replicate).
   enum class Route : uint8_t { kClient, kForwarded, kReplica };
+
+  // Where a client's request runs: here (single-node mode, a verb that
+  // names no session, or this node owns the session), here as a read of
+  // a session this node replicates, or on the owner it is proxied to.
+  enum class Placement : uint8_t { kHere, kReplicaRead, kOwner };
+  Placement PlaceClientRequest(const RequestView& request) const;
 
   // Runs one admitted request: FORWARD unwraps to its inner request,
   // REPL to a replica apply, anything else goes to Execute.
@@ -257,6 +281,9 @@ class Server {
   // Burst under assembly by the current ParseFrames pass (loop-confined;
   // always empty between passes).
   std::vector<PooledWork> pending_work_;
+  // Pairs the current ParseFrames pass may still answer on the loop
+  // (loop-confined; reset by each pass).
+  size_t loop_pairs_left_ = 0;
   uint64_t next_conn_id_ = 2;  // 0 = listen tag, 1 = eventfd tag
   std::thread loop_;
 
@@ -289,10 +316,13 @@ class Server {
   obs::Counter* repl_gaps_ = nullptr;
   std::array<obs::Counter*, kNumVerbs> verb_requests_{};
   std::array<obs::Counter*, kNumVerbs> verb_errors_{};
+  // Requests the loop answered from the memo; null but for CHECK/BCHECK.
+  std::array<obs::Counter*, kNumVerbs> loop_answers_{};
   obs::SlowQueryLog slow_log_;
   std::atomic<uint64_t> trace_seq_{0};
   // Request-latency histograms by verb (registry-owned); null for the
-  // verb table's on_loop verbs and for kOther.
+  // verb table's on_loop verbs and for kOther. A CHECK or BCHECK the
+  // loop answers from the memo is timed in its verb's histogram too.
   std::array<obs::Histogram*, kNumVerbs> latency_{};
 
   // Event-loop self-instrumentation (registry-owned; docs/observability

@@ -73,6 +73,16 @@ Reply Session::Handle(const RequestView& request, obs::TraceContext* trace) {
   return ReplyOf(Read(request, trace));
 }
 
+std::optional<Reply> Session::AnswerFromMemo(const RequestView& request,
+                                             obs::TraceContext* trace) {
+  if (!mu_.TryLockShared()) return std::nullopt;
+  Result<Settled> text =
+      CheckBatch(request.args.From(1), Settle::kMemoOnly, trace);
+  mu_.UnlockShared();
+  if (!text.ok() || !text->has_value()) return std::nullopt;
+  return OkReply(std::move(**text));
+}
+
 Result<std::string> Session::Mutate(const RequestView& request,
                                     obs::TraceContext* trace) {
   switch (request.verb) {
@@ -91,8 +101,8 @@ Result<std::string> Session::Mutate(const RequestView& request,
       // database; attribute it to the engine phase as one block.
       obs::ScopedSpan span(trace, obs::Phase::kEngine);
       const std::string_view name = request.args[1];
-      Symbol s = symbols_.Find(name);
-      if (!s.valid() || model_->FindClass(s) == nullptr) {
+      const Symbol s = translator_->FindClass(name);
+      if (!s.valid()) {
         return NotFoundError(StrCat("no class named '", name, "'"));
       }
       OODB_RETURN_IF_ERROR(catalog_->DefineView(s));
@@ -102,7 +112,8 @@ Result<std::string> Session::Mutate(const RequestView& request,
         base::MutexLock lock(&classify_mu_);
         taxonomy_excluded_.erase(s);
         if (classifier_ != nullptr && !classifier_->Contains(s)) {
-          OODB_ASSIGN_OR_RETURN(ql::ConceptId concept_id, ConceptOf(name));
+          OODB_ASSIGN_OR_RETURN(ql::ConceptId concept_id,
+                                translator_->ClassConcept(s));
           OODB_RETURN_IF_ERROR(classifier_->Insert(s, concept_id));
           ++taxonomy_inserts_;
         }
@@ -114,7 +125,7 @@ Result<std::string> Session::Mutate(const RequestView& request,
       // it is still session mutation; attribute it to the engine phase.
       obs::ScopedSpan span(trace, obs::Phase::kEngine);
       const std::string_view name = request.args[1];
-      Symbol s = symbols_.Find(name);
+      const Symbol s = translator_->FindClass(name);
       const dl::ClassDef* def = s.valid() ? model_->FindClass(s) : nullptr;
       if (def == nullptr || !def->is_query) {
         return NotFoundError(StrCat("no query class named '", name, "'"));
@@ -151,8 +162,13 @@ Result<std::string> Session::Read(const RequestView& request,
                                   obs::TraceContext* trace) {
   switch (request.verb) {
     case Verb::kCheck:
-    case Verb::kBcheck:
-      return CheckBatch(request.args.From(1), trace);
+    case Verb::kBcheck: {
+      // kDecide always settles.
+      OODB_ASSIGN_OR_RETURN(
+          Settled text,
+          CheckBatch(request.args.From(1), Settle::kDecide, trace));
+      return std::move(text).value();
+    }
     case Verb::kClassify: {
       // Mirrors `oodbsub classify`: query classes join the schema
       // hierarchy (paper Sect. 5). The first call classifies from scratch
@@ -165,7 +181,7 @@ Result<std::string> Session::Read(const RequestView& request,
     }
     case Verb::kOptimize: {
       const std::string_view query = request.args[1];
-      Symbol s = symbols_.Find(query);
+      const Symbol s = translator_->FindClass(query);
       const dl::ClassDef* def = s.valid() ? model_->FindClass(s) : nullptr;
       if (def == nullptr || !def->is_query) {
         return NotFoundError(StrCat("no query class named '", query, "'"));
@@ -191,20 +207,21 @@ Result<std::string> Session::Read(const RequestView& request,
   }
 }
 
-Result<ql::ConceptId> Session::ConceptOf(std::string_view name) {
-  Symbol s = symbols_.Find(name);
-  if (!s.valid()) return NotFoundError(StrCat("no class named '", name, "'"));
-  return translator_->ClassConcept(s);
-}
-
-Result<std::string> Session::CheckBatch(Args operands,
-                                        obs::TraceContext* trace) {
+Result<Session::Settled> Session::CheckBatch(Args operands, Settle settle,
+                                             obs::TraceContext* trace) {
+  const bool memo_only = settle == Settle::kMemoOnly;
   const size_t num_pairs = operands.size() / 2;
   std::vector<ql::ConceptId> concepts(operands.size());  // C₁ D₁ C₂ D₂ ...
   {
     obs::ScopedSpan span(trace, obs::Phase::kTranslate);
     for (size_t i = 0; i < operands.size(); ++i) {
-      OODB_ASSIGN_OR_RETURN(concepts[i], ConceptOf(operands[i]));
+      if (memo_only) {
+        concepts[i] = translator_->ResolvedConcept(operands[i]);
+        if (concepts[i] == ql::kInvalidConcept) return Settled();
+      } else {
+        OODB_ASSIGN_OR_RETURN(concepts[i],
+                              translator_->ClassConcept(operands[i]));
+      }
     }
   }
   // Pair indices sorted stably by left operand, so each distinct C is one
@@ -216,23 +233,28 @@ Result<std::string> Session::CheckBatch(Args operands,
   });
   std::vector<bool> verdicts(num_pairs);
   std::vector<ql::ConceptId> ds;
+  std::vector<bool> group;
   for (size_t first = 0, last = 0; first < num_pairs; first = last) {
     const ql::ConceptId c = concepts[2 * order[first]];
     ds.clear();
     for (; last < num_pairs && concepts[2 * order[last]] == c; ++last) {
       ds.push_back(concepts[2 * order[last] + 1]);
     }
-    OODB_ASSIGN_OR_RETURN(std::vector<bool> group,
-                          checker_->SubsumesBatch(c, ds, trace));
+    if (memo_only) {
+      if (!checker_->SettleFromMemo(c, ds, &group, trace)) return Settled();
+    } else {
+      OODB_ASSIGN_OR_RETURN(group, checker_->SubsumesBatch(c, ds, trace));
+    }
     for (size_t k = first; k < last; ++k) verdicts[order[k]] = group[k - first];
   }
+  if (memo_only) checker_->CountMemoHits(num_pairs);
   checks_.fetch_add(num_pairs, std::memory_order_relaxed);
   std::string text = "subsumed=";
   for (size_t i = 0; i < num_pairs; ++i) {
     if (i > 0) text += ',';
     text += verdicts[i] ? "true" : "false";
   }
-  return text;
+  return Settled(std::move(text));
 }
 
 Status Session::EnsureClassifierLocked(obs::TraceContext* trace) {

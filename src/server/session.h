@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -34,9 +35,10 @@ namespace oodb::server {
 // Thread compatibility: Handle holds mu_ exclusively for the verbs the
 // verb table marks `mutates` (STATE/VIEW/UNDEFINE) and shared for the
 // rest (CHECK/BCHECK/CLASSIFY/OPTIMIZE only read session structure; the
-// checker and the translator — whose query-concept memo these verbs
-// populate — are internally thread-safe). AppendMetrics holds it
-// shared. The resident taxonomy (CLASSIFY) is additionally guarded by
+// checker and the translator — whose concept cache these verbs
+// populate — are internally thread-safe). AnswerFromMemo takes the
+// shared side only if it is free, and AppendMetrics holds it shared.
+// The resident taxonomy (CLASSIFY) is additionally guarded by
 // classify_mu_, always acquired after mu_.
 class Session {
  public:
@@ -49,6 +51,15 @@ class Session {
   // UNDEFINE, CHECK, BCHECK, CLASSIFY or OPTIMIZE — to its reply
   // (docs/server.md §2); a library error is answered `ERR <code> ...`.
   Reply Handle(const RequestView& request, obs::TraceContext* trace)
+      EXCLUDES(mu_);
+
+  // A CHECK or BCHECK answered from the memo alone, as Handle would
+  // answer it; nullopt when it cannot be — a writer holds mu_, a class
+  // name is unresolved, or a pair is not memoized. Never blocks,
+  // translates or runs an engine, and moves no counter unless it
+  // answers. The event loop calls it (docs/server.md §3).
+  std::optional<Reply> AnswerFromMemo(const RequestView& request,
+                                      obs::TraceContext* trace)
       EXCLUDES(mu_);
 
   // One-line summary for the LOAD reply.
@@ -73,15 +84,22 @@ class Session {
   // view catalog; views of the previous state are stale, so they go.
   void ResetState(std::unique_ptr<db::Database> database) REQUIRES(mu_);
 
-  // BCHECK, and CHECK as a batch of one: Cᵢ ⊑_Σ Dᵢ for the flat pairs
-  // C₁ D₁ C₂ D₂ ..., one verdict per pair in order. Pairs sharing a left
-  // operand share one SubsumesBatch call — the catalog-scan fast path
-  // one completion run decides.
-  Result<std::string> CheckBatch(Args operands, obs::TraceContext* trace)
-      REQUIRES_SHARED(mu_);
+  // How CheckBatch settles its pairs. kDecide resolves every name and
+  // decides every pair (translation, pre-filter and engine as needed);
+  // kMemoOnly reads only resolved names and memoized verdicts.
+  enum class Settle : uint8_t { kDecide, kMemoOnly };
+  // CheckBatch's reply text; nullopt when kMemoOnly could not settle.
+  using Settled = std::optional<std::string>;
 
-  // Resolves a class name to its QL concept (dl::Translator::ClassConcept).
-  Result<ql::ConceptId> ConceptOf(std::string_view name);
+  // BCHECK, and CHECK as a batch of one: Cᵢ ⊑_Σ Dᵢ for the flat pairs
+  // C₁ D₁ C₂ D₂ ..., one verdict per pair in order, in four steps:
+  // resolve the names, group the pairs by left operand, decide each
+  // group (one SubsumesBatch call — the catalog-scan fast path one
+  // completion run decides), render. kMemoOnly stops at the first
+  // unresolved name or memo miss and returns nullopt ("unsettled", not
+  // an error), having counted nothing.
+  Result<Settled> CheckBatch(Args operands, Settle settle,
+                             obs::TraceContext* trace) REQUIRES_SHARED(mu_);
 
   // Builds the resident classifier over schema + query classes (minus
   // taxonomy exclusions) if absent.

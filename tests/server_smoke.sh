@@ -12,6 +12,9 @@ BIN="$1"
 DATA="$2"
 TMP="${TMPDIR:-/tmp}/oodbsub_server_smoke.$$"
 mkdir -p "$TMP"
+# The background job opens serve.out only after it forks; create it
+# here, so that the port scrape below never reads a missing file.
+: >"$TMP/serve.out"
 
 "$BIN" serve --port=0 --threads=2 --max-pending=32 \
   >"$TMP/serve.out" 2>"$TMP/serve.err" &

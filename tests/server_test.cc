@@ -12,12 +12,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -1579,6 +1582,486 @@ TEST(Server, ManyConcurrentConnectionsStayResponsive) {
   EXPECT_TRUE(clients.back().Ping().ok());
   EXPECT_GE(Series(server, "oodb_loop_connections"), 256);
   for (Client& c : clients) EXPECT_TRUE(c.Ping().ok());
+  server.Shutdown();
+}
+
+// ---- The loop path: memo-warm CHECK/BCHECK answered on the event loop ----
+
+// One request of a pipeline: a command line, plus the payload of a
+// LOAD/STATE (empty otherwise).
+struct Piped {
+  std::string line;
+  std::string payload;
+};
+
+// Writes `requests` in one write on a fresh connection of either framing
+// (binary: one LINE frame each, ids 1..n) and returns their replies'
+// text-framing bytes in request order.
+std::vector<std::string> Pipeline(int port, bool binary,
+                                  const std::vector<Piped>& requests) {
+  std::vector<std::string> replies(requests.size());
+  if (binary) {
+    RawBinaryConn conn = RawBinaryConn::Open(port);
+    std::string wire;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      wire += EncodeBinaryLineRequest(i + 1, requests[i].line,
+                                      requests[i].payload);
+    }
+    EXPECT_TRUE(WriteFully(conn.fd, wire));
+    for (size_t n = 0; n < requests.size(); ++n) {
+      auto reply = conn.ReadReply();
+      if (!reply.ok() || reply->id < 1 || reply->id > requests.size()) {
+        ADD_FAILURE() << "no reply to request " << n;
+        break;
+      }
+      replies[reply->id - 1] = EncodeReply(reply->reply);
+    }
+    return replies;
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::string wire;
+  for (const Piped& request : requests) {
+    wire += request.line + "\n";
+    if (!request.payload.empty()) wire += request.payload + "\n";
+  }
+  EXPECT_TRUE(WriteFully(fd, wire));
+  FrameReader reader(fd);
+  for (std::string& bytes : replies) {
+    std::string status;
+    std::string payload;
+    uint64_t n = 0;
+    if (!reader.ReadLine(&status)) {
+      ADD_FAILURE() << "connection closed before every reply";
+      break;
+    }
+    bytes = status + "\n";
+    if (status.rfind("OK ", 0) == 0 &&
+        ParseSize(std::string_view(status).substr(3), &n) &&
+        reader.ReadPayload(n, &payload)) {
+      bytes += payload + "\n";
+    }
+  }
+  ::close(fd);
+  return replies;
+}
+
+Piped LoadRequest(const std::string& session, const std::string& source) {
+  return {StrCat("LOAD ", session, " ", source.size()), source};
+}
+
+constexpr const char* kASubsumedByB =
+    "Class B with end B\nClass A isA B with end A\n";
+constexpr const char* kANotSubsumedByB =
+    "Class B with end B\nClass A with end A\n";
+
+// A memo-warm CHECK, a LOAD that refutes it, and the same CHECK, in one
+// write: the replies follow the requests, and the second CHECK reads the
+// new session. The first CHECK is answered on the loop, so the LOAD and
+// the check behind it must not be overtaken.
+TEST(Server, ChecksPipelinedAroundALoadFollowIt) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  for (const bool binary : {false, true}) {
+    const std::vector<std::string> warm = Pipeline(
+        *port, binary, {LoadRequest("s", kASubsumedByB), {"CHECK s A B", ""}});
+    ASSERT_EQ(warm[1], "OK 13\nsubsumed=true\n") << binary;
+    const std::vector<std::string> replies =
+        Pipeline(*port, binary,
+                 {{"CHECK s A B", ""},
+                  LoadRequest("s", kANotSubsumedByB),
+                  {"CHECK s A B", ""}});
+    EXPECT_EQ(replies[0], "OK 13\nsubsumed=true\n") << binary;
+    EXPECT_EQ(replies[1].rfind("OK ", 0), 0u) << binary << replies[1];
+    EXPECT_NE(replies[1].find("session=s "), std::string::npos) << replies[1];
+    EXPECT_EQ(replies[2], "OK 14\nsubsumed=false\n") << binary;
+  }
+  server.Shutdown();
+}
+
+// A session replaced by LOAD never answers from its predecessor's memo:
+// after a warm check and a reload, a new connection's check is decided
+// by the new session, and its repeat is a hit in the new memo.
+TEST(Server, AReloadedSessionNeverAnswersFromTheOldMemo) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  const auto memo = [&server](const char* series) {
+    return obs::SampleValue(server.registry().Snapshot(), series,
+                            {{"session", "s"}});
+  };
+  for (const bool binary : {false, true}) {
+    Client first = MustConnect(*port);
+    if (binary) {
+      ASSERT_TRUE(first.EnableBinary().ok());
+    }
+    ASSERT_TRUE(first.Load("s", kASubsumedByB).ok());
+    for (int i = 0; i < 2; ++i) {
+      auto warm = first.Check("s", "A", "B");
+      ASSERT_TRUE(warm.ok()) << warm.status();
+      EXPECT_TRUE(*warm);
+    }
+    ASSERT_TRUE(first.Load("s", kANotSubsumedByB).ok());
+    Client second = MustConnect(*port);
+    if (binary) {
+      ASSERT_TRUE(second.EnableBinary().ok());
+    }
+    for (int i = 0; i < 2; ++i) {
+      auto verdict = second.Check("s", "A", "B");
+      ASSERT_TRUE(verdict.ok()) << verdict.status();
+      EXPECT_FALSE(*verdict) << binary;
+    }
+    // The new session's own counters: one miss decided it, one hit
+    // repeated it.
+    EXPECT_EQ(memo("oodb_memo_misses_total"), 1) << binary;
+    EXPECT_EQ(memo("oodb_memo_hits_total"), 1) << binary;
+  }
+  server.Shutdown();
+}
+
+// The series a CHECK or BCHECK moves, in one snapshot.
+using CheckCounters = std::array<double, 9>;
+constexpr const char* kCheckCounterNames[] = {
+    "requests", "ok",     "errors",        "verb_requests",
+    "checks",   "hits",   "misses",        "request_seconds_count",
+    "loop_answers"};
+
+CheckCounters ReadCheckCounters(Server& server, const std::string& verb) {
+  const std::vector<obs::Sample> samples = server.registry().Snapshot();
+  const obs::Labels by_verb = {{"verb", verb}};
+  const obs::Labels by_session = {{"session", "s"}};
+  return {obs::SampleValue(samples, "oodb_server_requests_total"),
+          obs::SampleValue(samples, "oodb_server_ok_total"),
+          obs::SampleValue(samples, "oodb_server_errors_total"),
+          obs::SampleValue(samples, "oodb_server_verb_requests_total",
+                           by_verb),
+          obs::SampleValue(samples, "oodb_session_checks_total", by_session),
+          obs::SampleValue(samples, "oodb_memo_hits_total", by_session),
+          obs::SampleValue(samples, "oodb_memo_misses_total", by_session),
+          obs::SampleValue(samples, "oodb_server_request_seconds_count",
+                           by_verb),
+          obs::SampleValue(samples, "oodb_server_loop_answers_total",
+                           by_verb)};
+}
+
+CheckCounters Minus(const CheckCounters& a, const CheckCounters& b) {
+  CheckCounters d{};
+  for (size_t i = 0; i < d.size(); ++i) d[i] = a[i] - b[i];
+  return d;
+}
+
+std::string Describe(const CheckCounters& c) {
+  std::string text;
+  for (size_t i = 0; i < c.size(); ++i) {
+    text += StrCat(kCheckCounterNames[i], "=", c[i], " ");
+  }
+  return text;
+}
+
+// The replies and counters of one CHECK or BCHECK do not depend on
+// which path runs it. Each case goes cold (the pool decides it), warm
+// behind a request that forces the pool path, and warm alone (the loop
+// answers it when it may), in both framings: the reply bytes are the
+// same, and each run moves the counters by what the case predicts — the
+// two warm runs by the same amounts.
+TEST(Server, LoopAndPoolAnswerWithTheSameBytesAndCounts) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  const std::string source =
+      "Class A with end A\nClass B isA A with end B\n"
+      "Class C with end C\nClass D isA C with end D\n";
+  // One pair over the loop's inline budget of 1024 pairs a pass.
+  std::string over_budget = "BCHECK s";
+  std::string over_budget_reply = "subsumed=";
+  for (size_t i = 0; i < 1025; ++i) {
+    over_budget += i % 2 == 0 ? " D C" : " C D";
+    over_budget_reply += i == 0 ? "" : ",";
+    over_budget_reply += i % 2 == 0 ? "true" : "false";
+  }
+  over_budget_reply =
+      StrCat("OK ", over_budget_reply.size(), "\n", over_budget_reply, "\n");
+
+  struct Case {
+    std::string line;
+    std::string reply;
+    size_t pairs;
+    bool loop;  // answered on the loop when warm
+  };
+  const Case cases[] = {
+      {"CHECK s B A", "OK 13\nsubsumed=true\n", 1, true},
+      {"CHECK s A B", "OK 14\nsubsumed=false\n", 1, true},
+      {"CHECK s B Object", "OK 13\nsubsumed=true\n", 1, true},
+      {"CHECK s Object B", "OK 14\nsubsumed=false\n", 1, true},
+      {"BCHECK s A A D A A Object", "OK 24\nsubsumed=true,false,true\n", 3,
+       true},
+      {"CHECK s B Nope", "ERR not_found no class named 'Nope'\n", 1, false},
+      {"CHECK gone B A",
+       "ERR not_found no session 'gone' (LOAD one first)\n", 1, false},
+      {"BCHECK s", "OK 9\nsubsumed=\n", 0, true},
+      {over_budget, over_budget_reply, 1025, false},
+  };
+  for (const bool binary : {false, true}) {
+    ASSERT_EQ(Pipeline(*port, binary, {LoadRequest("s", source)})[0].rfind(
+                  "OK ", 0),
+              0u);
+    for (const Case& k : cases) {
+      const std::string verb = k.line.substr(0, k.line.find(' '));
+      const bool ok = k.reply.rfind("OK ", 0) == 0;
+      const std::string where =
+          StrCat(binary ? "binary " : "text ", k.line.substr(0, 40));
+      // What one run of the case moves: `warm` decides hits or misses,
+      // `loop` whether the loop answered it.
+      const auto predicted = [&](bool warm, bool loop) {
+        const double pairs = ok ? static_cast<double>(k.pairs) : 0;
+        return CheckCounters{1, ok ? 1.0 : 0, ok ? 0 : 1.0, 1, pairs,
+                             warm ? pairs : 0, warm ? 0 : pairs, 1,
+                             loop ? 1.0 : 0};
+      };
+      const auto run = [&](const std::vector<Piped>& requests,
+                           const std::vector<Piped>& prefix) {
+        // The prefix alone, then prefix + case: the difference is the
+        // case's share.
+        CheckCounters before = ReadCheckCounters(server, verb);
+        if (!prefix.empty()) Pipeline(*port, binary, prefix);
+        const CheckCounters prefix_delta =
+            Minus(ReadCheckCounters(server, verb), before);
+        before = ReadCheckCounters(server, verb);
+        const std::vector<std::string> replies =
+            Pipeline(*port, binary, requests);
+        return std::make_pair(
+            replies.back(),
+            Minus(Minus(ReadCheckCounters(server, verb), before),
+                  prefix_delta));
+      };
+
+      // Cold: names unresolved or pairs unmemoized, so the pool decides
+      // it — except a batch with no pairs, which has nothing to decide.
+      const bool vacuous = ok && k.pairs == 0;
+      const auto [cold_reply, cold] = run({{k.line, ""}}, {});
+      EXPECT_EQ(cold_reply, k.reply) << where;
+      EXPECT_EQ(cold, predicted(false, vacuous))
+          << where << "\n" << Describe(cold);
+
+      // Warm through the pool: behind a SLEEP still in flight (binary),
+      // or behind a warm batch that spends the pass's inline budget
+      // (text; a batch with no pairs fits in any budget, so a text
+      // connection never pools it).
+      const std::vector<Piped> prefix =
+          binary ? std::vector<Piped>{{"SLEEP 20", ""}}
+                 : std::vector<Piped>{{StrCat("BCHECK s", [] {
+                      std::string pairs;
+                      for (int i = 0; i < 1024; ++i) pairs += " B A";
+                      return pairs;
+                    }()), ""}};
+      std::optional<CheckCounters> pooled;
+      if (binary || k.pairs > 0) {
+        std::vector<Piped> requests = prefix;
+        requests.push_back({k.line, ""});
+        const auto [pooled_reply, delta] = run(requests, prefix);
+        EXPECT_EQ(pooled_reply, k.reply) << where;
+        EXPECT_EQ(delta, predicted(true, false))
+            << where << "\n" << Describe(delta);
+        pooled = delta;
+      }
+
+      // Warm alone: the loop answers it when it is eligible.
+      const auto [loop_reply, loop] = run({{k.line, ""}}, {});
+      EXPECT_EQ(loop_reply, k.reply) << where;
+      EXPECT_EQ(loop, predicted(true, k.loop))
+          << where << "\n" << Describe(loop);
+      if (pooled.has_value()) {
+        CheckCounters same = loop;
+        same.back() = pooled->back();  // the loop counter tells them apart
+        EXPECT_EQ(same, *pooled) << where;
+      }
+    }
+  }
+  server.Shutdown();
+}
+
+// With a 0 ms threshold every request is traced, a loop answer included:
+// its TRACE line books the translate, memo and reply phases and nothing
+// of the pre-filter or the engine.
+TEST(Server, LoopAnswersAreTracedWithTheirPhases) {
+  ServerOptions options;
+  options.slow_threshold_ms = 0;
+  Server server(options);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Client client = MustConnect(*port);
+  ASSERT_TRUE(client.Load("s", kASubsumedByB).ok());
+  const auto loop_answers = [&server](const char* verb) {
+    return obs::SampleValue(server.registry().Snapshot(),
+                            "oodb_server_loop_answers_total",
+                            {{"verb", verb}});
+  };
+  for (const char* verb : {"CHECK", "BCHECK"}) {
+    // A pair of its own for each verb, so its first run is cold.
+    const std::string line =
+        StrCat(verb, std::string_view(verb) == "CHECK" ? " s A B" : " s B A");
+    for (int i = 0; i < 2; ++i) ASSERT_TRUE(client.Roundtrip(line).ok());
+    EXPECT_EQ(loop_answers(verb), 1) << verb;
+    auto trace = client.TraceLog(1);
+    ASSERT_TRUE(trace.ok()) << trace.status();
+    const std::string& entry = *trace;
+    EXPECT_NE(entry.find(StrCat("\"verb\":\"", verb, "\"")),
+              std::string::npos)
+        << entry;
+    EXPECT_NE(entry.find("\"session\":\"s\""), std::string::npos) << entry;
+    EXPECT_NE(entry.find("\"ok\":true"), std::string::npos) << entry;
+    const auto field = [&entry](const std::string& key) -> uint64_t {
+      const std::string needle = StrCat("\"", key, "\":");
+      const size_t pos = entry.find(needle);
+      if (pos == std::string::npos) return 0;
+      return std::strtoull(entry.c_str() + pos + needle.size(), nullptr, 10);
+    };
+    EXPECT_GT(field("translate_ns"), 0u) << entry;
+    EXPECT_GT(field("memo_ns"), 0u) << entry;
+    EXPECT_GT(field("reply_ns"), 0u) << entry;
+    EXPECT_EQ(field("prefilter_ns"), 0u) << entry;
+    EXPECT_EQ(field("engine_ns"), 0u) << entry;
+    EXPECT_GE(field("total_ns"), field("translate_ns") + field("memo_ns") +
+                                      field("reply_ns"))
+        << entry;
+  }
+  server.Shutdown();
+}
+
+// Writers and loop readers on one session, for over a second: one
+// connection cycles VIEW, UNDEFINE and STATE while others send
+// memo-warm CHECK and BCHECK frames and OPTIMIZE. Every reply is OK and
+// every verdict is the in-process checker's. A check the loop cannot
+// answer because a writer holds the session lock falls back to the
+// pool; the test reports how many did.
+TEST(Server, WritersOverlapLoopReadersOnOneSession) {
+  ServerOptions options;
+  options.num_threads = 4;
+  Server server(options);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+
+  Rng rng(31);
+  gen::DlGenOptions gen_options;
+  gen_options.num_queries = 8;
+  const gen::GeneratedDl dl = gen::GenerateDlSource(rng, gen_options);
+  const std::string state = gen::GenerateDlState(dl, rng);
+  auto ref = Reference::FromSource(dl.source);
+  ASSERT_NE(ref, nullptr);
+  Client admin = MustConnect(*port);
+  ASSERT_TRUE(admin.Load("rw", dl.source).ok());
+  ASSERT_TRUE(admin.LoadState("rw", state).ok());
+  std::string view;
+  for (const std::string& q : dl.query_names) {
+    if (admin.DefineView("rw", q).ok()) {
+      view = q;
+      break;
+    }
+  }
+  ASSERT_FALSE(view.empty()) << "no view-definable query";
+  ASSERT_TRUE(admin.Undefine("rw", view).ok());
+
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (const std::string& c : dl.query_names) {
+    for (const std::string& d : dl.query_names) pairs.emplace_back(c, d);
+    for (size_t i = 0; i < 2 && i < dl.class_names.size(); ++i) {
+      pairs.emplace_back(c, dl.class_names[i]);
+    }
+  }
+  std::vector<bool> expected;
+  for (const auto& [c, d] : pairs) {
+    auto verdict = ref->Check(c, d);
+    ASSERT_TRUE(verdict.ok()) << verdict.status();
+    expected.push_back(*verdict);
+  }
+  auto warm = admin.CheckBatch("rw", pairs);  // every later check is a hit
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  ASSERT_EQ(*warm, expected);
+
+  const auto loop_answers = [&server] {
+    const std::vector<obs::Sample> samples = server.registry().Snapshot();
+    return obs::SampleValue(samples, "oodb_server_loop_answers_total",
+                            {{"verb", "CHECK"}}) +
+           obs::SampleValue(samples, "oodb_server_loop_answers_total",
+                            {{"verb", "BCHECK"}});
+  };
+  const double loop_before = loop_answers();
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> checks{0};
+  std::atomic<uint64_t> writes{0};
+  std::thread writer([&] {
+    Client w = MustConnect(*port);
+    while (!stop.load()) {
+      auto defined = w.DefineView("rw", view);
+      EXPECT_TRUE(defined.ok()) << defined.status();
+      auto undefined = w.Undefine("rw", view);
+      EXPECT_TRUE(undefined.ok()) << undefined.status();
+      auto reset = w.LoadState("rw", state);
+      EXPECT_TRUE(reset.ok()) << reset.status();
+      writes.fetch_add(3);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Client r = MustConnect(*port);
+      if (t > 0) {
+        ASSERT_TRUE(r.EnableBinary().ok());
+      }
+      for (size_t i = static_cast<size_t>(t); !stop.load(); ++i) {
+        const size_t k = i % pairs.size();
+        if (i % 8 == 0) {
+          std::vector<std::pair<std::string, std::string>> batch;
+          std::vector<bool> want;
+          for (size_t j = 0; j < 16; ++j) {
+            batch.push_back(pairs[(k + j) % pairs.size()]);
+            want.push_back(expected[(k + j) % pairs.size()]);
+          }
+          auto verdicts = r.CheckBatch("rw", batch);
+          ASSERT_TRUE(verdicts.ok()) << verdicts.status();
+          EXPECT_EQ(*verdicts, want);
+        } else {
+          auto verdict = r.Check("rw", pairs[k].first, pairs[k].second);
+          ASSERT_TRUE(verdict.ok()) << verdict.status();
+          EXPECT_EQ(*verdict, expected[k])
+              << pairs[k].first << " ⊑? " << pairs[k].second;
+        }
+        checks.fetch_add(1);
+        if (i % 16 == 5) {
+          auto plan =
+              r.Optimize("rw", dl.query_names[i % dl.query_names.size()]);
+          EXPECT_TRUE(plan.ok()) << plan.status();
+        }
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+  stop.store(true);
+  writer.join();
+  for (std::thread& r : readers) r.join();
+
+  // Every check was warm and sent with nothing else in flight on its
+  // connection, so each one the loop did not answer met a writer.
+  const double answered = loop_answers() - loop_before;
+  const double fallbacks = static_cast<double>(checks.load()) - answered;
+  ::testing::Test::RecordProperty("checks", static_cast<int>(checks.load()));
+  ::testing::Test::RecordProperty("writes", static_cast<int>(writes.load()));
+  ::testing::Test::RecordProperty("try_lock_fallbacks",
+                                  static_cast<int>(fallbacks));
+  std::printf("checks=%llu writes=%llu loop_answers=%.0f "
+              "try_lock_fallbacks=%.0f\n",
+              static_cast<unsigned long long>(checks.load()),
+              static_cast<unsigned long long>(writes.load()), answered,
+              fallbacks);
+  EXPECT_GT(writes.load(), 0u);
+  EXPECT_GT(answered, 0);
+  EXPECT_GE(fallbacks, 0);
   server.Shutdown();
 }
 

@@ -93,9 +93,7 @@ struct Session {
   }
 
   Result<ql::ConceptId> Concept(const std::string& name) {
-    Symbol s = symbols.Find(name);
-    if (!s.valid()) return NotFoundError(StrCat("no class named '", name, "'"));
-    return translator->ClassConcept(s);
+    return translator->ClassConcept(name);
   }
 };
 
