@@ -169,6 +169,7 @@ int main(int argc, char** argv) {
     json.Add("memo_hit_rate_pct", hit_rate);
     json.Add("pool_reuses", perf.pool_reuses);
     json.Add("dag_equal", divergences == 0);
+    bench::AddHostStamp(json);
     if (json.WriteFile("BENCH_classify.json")) {
       std::printf("  wrote BENCH_classify.json\n");
     } else {

@@ -74,9 +74,7 @@ namespace oodb::base {
 
 class CondVar;
 
-// Exclusive mutex. Prefer the scoped MutexLock; the raw Lock/Unlock
-// entry points exist for hand-over-hand code (ThreadPool's worker loop,
-// Server::Wait) where a scope does not match the critical section.
+// Exclusive mutex. Prefer the scoped MutexLock over raw Lock/Unlock.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;

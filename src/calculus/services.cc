@@ -149,12 +149,32 @@ Result<std::optional<ql::ConceptId>> ResidualFilter(
   return std::optional<ql::ConceptId>(terms->AndAll(residual));
 }
 
+namespace {
+
+// A walk's mark for a class that passed its check. Below it, a mark
+// counts the near neighbours that are done.
+constexpr uint32_t kPassed = ~uint32_t{0};
+
+}  // namespace
+
+void Classifier::Marks::Start(size_t n) {
+  if (++pass == 0) {  // wrapped (once in 65535 passes): forget them all
+    std::fill(passes.begin(), passes.end(), 0);
+    pass = 1;
+  }
+  if (passes.size() < n) {
+    passes.resize(n, 0);
+    values.resize(n);
+  }
+}
+
 Status Classifier::Add(Symbol name, ql::ConceptId concept_id) {
   if (nodes_.count(name) > 0) {
     return AlreadyExistsError("concept name already classified");
   }
   nodes_.emplace(name, Node{concept_id, next_order_++, kPending});
   names_.push_back(name);
+  pending_.push_back(name);
   return Status::Ok();
 }
 
@@ -162,9 +182,9 @@ Status Classifier::Classify() {
   // Pending names join the persistent DAG one by one, in Add() order;
   // names already classified are untouched. Uniqueness of the transitive
   // reduction makes the result independent of how the DAG was grown.
-  for (Symbol name : names_) {
-    if (nodes_.at(name).klass != kPending) continue;
-    OODB_RETURN_IF_ERROR(InsertIntoDag(name));
+  while (!pending_.empty()) {
+    OODB_RETURN_IF_ERROR(InsertIntoDag(pending_.front()));
+    pending_.pop_front();
   }
   RefreshAggregateStats();
   return Status::Ok();
@@ -181,18 +201,17 @@ Status Classifier::Remove(Symbol name) {
     return NotFoundError("concept name not classified");
   }
   last_op_ = OpStats{};
-  last_op_.classes_before = live_classes_;
+  last_op_.classes_before = num_classes();
   names_.erase(std::find(names_.begin(), names_.end(), name));
   const size_t k = nit->second.klass;
   nodes_.erase(nit);
   if (k == kPending) {  // pending Add(), never entered the DAG
+    pending_.erase(std::find(pending_.begin(), pending_.end(), name));
     RefreshAggregateStats();
     return Status::Ok();
   }
   Class& klass = classes_[k];
-  klass.members.erase(
-      std::remove(klass.members.begin(), klass.members.end(), name),
-      klass.members.end());
+  std::erase(klass.members, name);
 
   if (!klass.members.empty()) {
     // The class survives; re-anchor its representative on a remaining
@@ -207,188 +226,151 @@ Status Classifier::Remove(Symbol name) {
   // a direct parent p of the deleted class, and (c, p) is needed exactly
   // when p is unreachable from c through the remaining edges — witness
   // paths never use other candidate edges, because direct children are
-  // mutually incomparable (and so are direct parents).
+  // mutually incomparable (and so are direct parents). An orphan's edge
+  // to ⊤ joins no names, so it is not counted.
   const std::vector<size_t> parents = klass.parents;
   const std::vector<size_t> children = klass.children;
-  auto erase_value = [](std::vector<size_t>* v, size_t value) {
-    v->erase(std::remove(v->begin(), v->end(), value), v->end());
-  };
-  for (size_t p : parents) erase_value(&classes_[p].children, k);
-  for (size_t ch : children) erase_value(&classes_[ch].parents, k);
+  for (size_t p : parents) std::erase(classes_[p].children, k);
+  for (size_t ch : children) std::erase(classes_[ch].parents, k);
 
   std::vector<std::pair<size_t, size_t>> missing;  // (child, parent)
-  std::vector<char> reach(classes_.size(), 0);
-  std::vector<size_t> stack;
+  std::vector<size_t> ancestors;
   for (size_t ch : children) {
-    std::fill(reach.begin(), reach.end(), 0);
-    reach[ch] = 1;
-    stack.push_back(ch);
-    while (!stack.empty()) {
-      size_t y = stack.back();
-      stack.pop_back();
-      for (size_t p : classes_[y].parents) {
-        if (!reach[p]) {
-          reach[p] = 1;
-          stack.push_back(p);
-        }
-      }
-    }
+    Reach(ch, &Class::parents, &ancestors);
     for (size_t p : parents) {
-      if (!reach[p]) missing.emplace_back(ch, p);
+      if (!seen_.Has(p)) missing.emplace_back(ch, p);
     }
   }
   for (const auto& [ch, p] : missing) {
     classes_[ch].parents.push_back(p);
     classes_[p].children.push_back(ch);
-    ++last_op_.edges_added;
+    if (p != kTop) ++last_op_.edges_added;
   }
 
-  klass = Class{};  // tombstone (alive == false)
+  klass = Class{};  // tombstone: no members, no edges
   free_classes_.push_back(k);
-  --live_classes_;
   RefreshAggregateStats();
   return Status::Ok();
 }
 
-std::vector<size_t> Classifier::TopoOrder() const {
-  std::vector<size_t> topo;
-  topo.reserve(live_classes_);
-  std::vector<char> done(classes_.size(), 0);
-  std::vector<size_t> stack;
-  for (size_t start = 0; start < classes_.size(); ++start) {
-    if (done[start] || !classes_[start].alive) continue;
-    stack.push_back(start);
-    while (!stack.empty()) {
-      size_t y = stack.back();
-      bool ready = true;
-      for (size_t p : classes_[y].parents) {
-        if (!done[p]) {
-          stack.push_back(p);
-          ready = false;
-        }
-      }
-      if (!ready) continue;
-      stack.pop_back();
-      if (done[y]) continue;
-      done[y] = 1;
-      topo.push_back(y);
+template <typename Test>
+Result<std::vector<size_t>> Classifier::Walk(std::vector<size_t> ready,
+                                             Edges near, Edges far,
+                                             const Marks* region, Test test,
+                                             Marks* verdicts) const {
+  // Kahn's algorithm over the edges, with `ready` as its queue. Pruning
+  // is transitivity: past a failed class y nothing can pass (going down,
+  // c ⊑ p ⊑ y would force c ⊑ y; going up, ch ⊑ y ⊑ c would force
+  // ch ⊑ c).
+  const bool prune = mode_ == Mode::kEnhancedTraversal;
+  verdicts->Start(classes_.size());
+  std::vector<size_t> passed;
+  for (size_t i = 0; i < ready.size(); ++i) {
+    const size_t y = ready[i];
+    bool pass = true;  // ⊤ subsumes every concept
+    if (y != kTop) {
+      OODB_ASSIGN_OR_RETURN(pass, test(classes_[y].rep));
+    }
+    if (pass) {
+      verdicts->Set(y, kPassed);
+      passed.push_back(y);
+    } else if (prune) {
+      continue;
+    }
+    for (size_t z : classes_[y].*far) {
+      if (z == kTop || (region != nullptr && !region->Has(z))) continue;
+      const uint32_t done = verdicts->Get(z) + 1;
+      verdicts->Set(z, done);
+      if (done == (classes_[z].*near).size()) ready.push_back(z);
     }
   }
-  return topo;
+  return passed;
 }
 
-Result<std::vector<char>> Classifier::TopSearch(
-    ql::ConceptId c, const std::vector<size_t>& topo, size_t* checks) const {
-  // Once a class is out, every class below it is out without a check
-  // (c ⊑ y and y ⊑ p give c ⊑ p).
-  const bool prune = mode_ == Mode::kEnhancedTraversal;
-  std::vector<char> up(classes_.size(), 0);
-  for (size_t y : topo) {
-    if (prune && std::any_of(classes_[y].parents.begin(),
-                             classes_[y].parents.end(),
-                             [&up](size_t p) { return !up[p]; })) {
-      continue;  // up[y] stays "no"
+void Classifier::Reach(size_t from, Edges edges,
+                       std::vector<size_t>* reached) {
+  seen_.Start(classes_.size());
+  seen_.Set(from, 1);
+  reached->assign(1, from);
+  for (size_t i = 0; i < reached->size(); ++i) {
+    for (size_t next : classes_[(*reached)[i]].*edges) {
+      if (seen_.Has(next)) continue;
+      seen_.Set(next, 1);
+      reached->push_back(next);
     }
-    ++*checks;
-    OODB_ASSIGN_OR_RETURN(bool sub, checker_.Subsumes(c, classes_[y].rep));
-    up[y] = sub ? 1 : 0;
   }
-  return up;
+}
+
+std::vector<size_t> Classifier::MarkRegionBelow(
+    const std::vector<size_t>& tops) {
+  std::vector<size_t> region;
+  Reach(tops.front(), &Class::children, &region);
+  std::vector<size_t> below;
+  for (size_t i = 1; i < tops.size(); ++i) {
+    Reach(tops[i], &Class::children, &below);
+    std::erase_if(region, [this](size_t y) { return !seen_.Has(y); });
+  }
+  region_.Start(classes_.size());
+  std::vector<size_t> leaves;
+  for (size_t y : region) {
+    region_.Set(y, 1);
+    if (classes_[y].children.empty() && y != kTop) leaves.push_back(y);
+  }
+  return leaves;
 }
 
 Status Classifier::InsertIntoDag(Symbol name) {
   // The DAG edges are always the transitive reduction of the strict
-  // subsumption order on the classes present, so reachability answers
-  // "is this pair already decided?" for free — the source of the check
-  // avoidance in kEnhancedTraversal. kPairwise runs the same searches
-  // without pruning (every live class checked in both directions).
+  // subsumption order on the classes present, with ⊤ above them all, so
+  // reachability answers "is this pair already decided?" for free — the
+  // source of the check avoidance in kEnhancedTraversal. kPairwise runs
+  // the same walks without pruning (every class checked both ways).
   const ql::ConceptId c = nodes_.at(name).concept_id;
-  const size_t m = classes_.size();
   const bool prune = mode_ == Mode::kEnhancedTraversal;
   last_op_ = OpStats{};
-  last_op_.classes_before = live_classes_;
-
-  // Topological order of the current DAG, parents before children.
-  const std::vector<size_t> topo = TopoOrder();
-
-  // Top search: which classes subsume c?
-  Result<std::vector<char>> top =
-      TopSearch(c, topo, &last_op_.checks_performed);
-  stats_.checks_performed += last_op_.checks_performed;
-  if (!top.ok()) return top.status();
-  const std::vector<char>& up = *top;
-  // Direct parents = minimal subsumers = subsumer classes none of whose
-  // DAG children also subsume.
-  std::vector<size_t> direct_parents;
-  for (size_t y : topo) {
-    if (!up[y]) continue;
-    bool minimal = true;
-    for (size_t ch : classes_[y].children) {
-      if (up[ch]) {
-        minimal = false;
-        break;
-      }
-    }
-    if (minimal) direct_parents.push_back(y);
-  }
-
-  // Bottom search: which classes does c subsume? Any subsumee sits
-  // (weakly) below EVERY direct parent, so only the intersection of
-  // their down-sets is live; within it, a class whose child already
-  // failed fails too (ch ⊑ y ⊑ c would force ch ⊑ c).
-  std::vector<char> candidate(m, 0);
-  if (!prune || direct_parents.empty()) {
-    for (size_t y : topo) candidate[y] = 1;
-  } else {
-    std::vector<char> reach(m, 0);
-    std::vector<size_t> stack;
-    for (size_t p : direct_parents) {
-      std::fill(reach.begin(), reach.end(), 0);
-      reach[p] = 1;
-      stack.push_back(p);
-      while (!stack.empty()) {
-        size_t y = stack.back();
-        stack.pop_back();
-        for (size_t ch : classes_[y].children) {
-          if (!reach[ch]) {
-            reach[ch] = 1;
-            stack.push_back(ch);
-          }
-        }
-      }
-      for (size_t y = 0; y < m; ++y) {
-        if (p == direct_parents.front()) {
-          candidate[y] = reach[y];
-        } else {
-          candidate[y] = candidate[y] && reach[y];
-        }
-      }
-    }
-  }
-  std::vector<char> down(m, 0);
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    size_t y = *it;
-    if (!candidate[y]) continue;  // y ⋢ some parent of c ⟹ y ⋢ c
-    if (prune) {
-      bool pruned = false;
-      for (size_t ch : classes_[y].children) {
-        if (!down[ch]) {
-          pruned = true;
-          break;
-        }
-      }
-      if (pruned) continue;
-    }
+  last_op_.classes_before = num_classes();
+  auto check = [this](ql::ConceptId sub, ql::ConceptId super) {
     ++stats_.checks_performed;
     ++last_op_.checks_performed;
-    OODB_ASSIGN_OR_RETURN(bool sub, checker_.Subsumes(classes_[y].rep, c));
-    down[y] = sub ? 1 : 0;
-  }
+    return checker_.Subsumes(sub, super);
+  };
+  // The passing classes none of whose `far` neighbours passed too.
+  auto frontier = [this](const std::vector<size_t>& passed, Edges far,
+                         const Marks& verdicts) {
+    std::vector<size_t> out;
+    for (size_t y : passed) {
+      const std::vector<size_t>& next = classes_[y].*far;
+      if (std::none_of(next.begin(), next.end(), [&](size_t z) {
+            return verdicts.Get(z) == kPassed;
+          })) {
+        out.push_back(y);
+      }
+    }
+    return out;
+  };
+
+  // Top walk, down from ⊤: which classes subsume c?
+  OODB_ASSIGN_OR_RETURN(
+      const std::vector<size_t> above,
+      Walk({kTop}, &Class::parents, &Class::children, nullptr,
+           [&](ql::ConceptId rep) { return check(c, rep); }, &up_));
+  // Direct parents = minimal subsumers; ⊤ when no class subsumes c.
+  const std::vector<size_t> direct_parents =
+      frontier(above, &Class::children, up_);
+
+  // Bottom walk, up from the leaves: which classes does c subsume? Any
+  // subsumee sits (weakly) below EVERY direct parent, so only the region
+  // below all of them is live.
+  OODB_ASSIGN_OR_RETURN(
+      const std::vector<size_t> below,
+      Walk(MarkRegionBelow(prune ? direct_parents : std::vector<size_t>{kTop}),
+           &Class::children, &Class::parents, &region_,
+           [&](ql::ConceptId rep) { return check(rep, c); }, &down_));
 
   // Equivalence: a class both above and below c absorbs the name (there
   // can be at most one — distinct classes are never mutually subsuming).
-  for (size_t y : topo) {
-    if (up[y] && down[y]) {
+  for (size_t y : below) {
+    if (up_.Get(y) == kPassed) {
       classes_[y].members.push_back(name);
       nodes_.at(name).klass = y;
       return Status::Ok();
@@ -398,18 +380,8 @@ Status Classifier::InsertIntoDag(Symbol name) {
   // New class: link to the direct parents and the maximal subsumees,
   // then drop the parent↔child edges the new class now mediates (keeping
   // the DAG transitively reduced).
-  std::vector<size_t> direct_children;
-  for (size_t y : topo) {
-    if (!down[y]) continue;
-    bool maximal = true;
-    for (size_t p : classes_[y].parents) {
-      if (down[p]) {
-        maximal = false;
-        break;
-      }
-    }
-    if (maximal) direct_children.push_back(y);
-  }
+  const std::vector<size_t> direct_children =
+      frontier(below, &Class::parents, down_);
   size_t idx;
   if (!free_classes_.empty()) {
     idx = free_classes_.back();
@@ -418,27 +390,24 @@ Status Classifier::InsertIntoDag(Symbol name) {
     classes_.emplace_back();
     idx = classes_.size() - 1;
   }
-  Class& fresh = classes_[idx];
-  fresh = Class{};
-  fresh.alive = true;
-  fresh.members.push_back(name);
-  fresh.rep = c;
-  fresh.parents = direct_parents;
-  fresh.children = direct_children;
-  ++live_classes_;
+  classes_[idx] = Class{{name}, c, direct_parents, direct_children};
   nodes_.at(name).klass = idx;
-  last_op_.edges_added = direct_parents.size() + direct_children.size();
-  auto erase_value = [](std::vector<size_t>* v, size_t value) {
-    v->erase(std::remove(v->begin(), v->end(), value), v->end());
-  };
+  last_op_.edges_added =
+      direct_children.size() +
+      (direct_parents.front() == kTop ? 0 : direct_parents.size());
+  // The parents of a direct child that subsume c are exactly the direct
+  // parents, and the children of a direct parent that c subsumes exactly
+  // the direct children: any other would make its edge redundant.
   for (size_t ch : direct_children) {
-    for (size_t p : direct_parents) {
-      erase_value(&classes_[ch].parents, p);
-      erase_value(&classes_[p].children, ch);
-    }
+    std::erase_if(classes_[ch].parents,
+                  [this](size_t p) { return up_.Get(p) == kPassed; });
     classes_[ch].parents.push_back(idx);
   }
-  for (size_t p : direct_parents) classes_[p].children.push_back(idx);
+  for (size_t p : direct_parents) {
+    std::erase_if(classes_[p].children,
+                  [this](size_t ch) { return down_.Get(ch) == kPassed; });
+    classes_[p].children.push_back(idx);
+  }
   return Status::Ok();
 }
 
@@ -490,16 +459,16 @@ std::vector<Symbol> Classifier::Equivalents(Symbol name) const {
   return MembersOf({it->second.klass}, name);
 }
 
-Result<std::vector<Symbol>> Classifier::SubsumersOf(
-    ql::ConceptId concept_id) const {
-  const std::vector<size_t> topo = TopoOrder();
-  size_t checks = 0;
-  OODB_ASSIGN_OR_RETURN(std::vector<char> up,
-                        TopSearch(concept_id, topo, &checks));
-  // Children before parents: the reverse of the topological order.
+Result<std::vector<Symbol>> Classifier::SubsumersOf(ql::ConceptId c) const {
+  Marks verdicts;
+  OODB_ASSIGN_OR_RETURN(
+      const std::vector<size_t> above,
+      Walk({kTop}, &Class::parents, &Class::children, nullptr,
+           [&](ql::ConceptId rep) { return checker_.Subsumes(c, rep); },
+           &verdicts));
+  // Children before parents: the reverse of the walk order.
   std::vector<Symbol> subsumers;
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    if (!up[*it]) continue;
+  for (auto it = above.rbegin(); it != above.rend(); ++it) {
     for (Symbol member : classes_[*it].members) subsumers.push_back(member);
   }
   return subsumers;

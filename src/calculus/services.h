@@ -7,6 +7,7 @@
 #define OODB_CALCULUS_SERVICES_H_
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -157,41 +158,65 @@ class Classifier {
   const ClassifyStats& classify_stats() const { return stats_; }
   const OpStats& last_op_stats() const { return last_op_; }
   // Number of Σ-equivalence classes currently in the DAG.
-  size_t num_classes() const { return live_classes_; }
+  size_t num_classes() const {
+    return classes_.size() - 1 - free_classes_.size();  // not ⊤, no tombstone
+  }
 
   // Multi-line rendering of the hierarchy.
   std::string ToString(const SymbolTable& symbols) const;
 
  private:
   static constexpr size_t kPending = ~size_t{0};
+  // classes_[kTop] is ⊤, the parent of every root. It has no members, so
+  // it is never checked and never listed.
+  static constexpr size_t kTop = 0;
   struct Node {
     ql::ConceptId concept_id = ql::kInvalidConcept;
     uint64_t order = 0;       // monotone Add() sequence number
     size_t klass = kPending;  // index into classes_ once classified
   };
   // A Σ-equivalence class in the persistent DAG. Slots of removed
-  // classes stay in `classes_` as dead tombstones (alive == false) and
-  // are recycled through `free_classes_`, so indices held in edge lists
-  // remain stable.
+  // classes stay in `classes_` as edge-less tombstones and are recycled
+  // through `free_classes_`, so indices held in edge lists remain stable.
   struct Class {
     std::vector<Symbol> members;  // in Add() order
     ql::ConceptId rep = ql::kInvalidConcept;
     std::vector<size_t> parents;   // direct super-classes
     std::vector<size_t> children;  // direct sub-classes
-    bool alive = false;
+  };
+  using Edges = std::vector<size_t> Class::*;
+  // One value per class slot for one pass over the DAG, 0 until the pass
+  // sets it: a slot counts only while it carries the pass's number, so
+  // starting a pass clears nothing.
+  struct Marks {
+    std::vector<uint16_t> passes;  // dense: Has() is the hot test
+    std::vector<uint32_t> values;
+    uint16_t pass = 0;
+    void Start(size_t n);
+    bool Has(size_t k) const { return passes[k] == pass; }
+    uint32_t Get(size_t k) const { return Has(k) ? values[k] : 0; }
+    void Set(size_t k, uint32_t value) {
+      passes[k] = pass;
+      values[k] = value;
+    }
   };
 
-  // Classifies one name into the DAG (top/bottom search + splice).
+  // Classifies one name into the DAG (top/bottom walk + splice).
   Status InsertIntoDag(Symbol name);
-  // Top search: up[y] for every live class y in `topo` whose
-  // representative subsumes `c`. With pruning a class is checked only
-  // once all its parents passed (the subsumer set is upward closed).
-  // Adds the checks it issues to `*checks`.
-  Result<std::vector<char>> TopSearch(ql::ConceptId c,
-                                      const std::vector<size_t>& topo,
-                                      size_t* checks) const;
-  // Live classes, parents before children.
-  std::vector<size_t> TopoOrder() const;
+  // Kahn walk from `ready` along `far` edges: a class is checked with
+  // `test` once every `near` neighbour has passed (kPairwise: has been
+  // checked). ⊤ passes unchecked and is never entered, nor is a class
+  // outside a given `region`. Returns the passing classes in walk order.
+  template <typename Test>
+  Result<std::vector<size_t>> Walk(std::vector<size_t> ready, Edges near,
+                                   Edges far, const Marks* region,
+                                   Test test, Marks* verdicts) const;
+  // Marks in `region_` the classes below every class in `tops`; returns
+  // the region's leaves.
+  std::vector<size_t> MarkRegionBelow(const std::vector<size_t>& tops);
+  // Sets `*reached` to `from` and every class it reaches along `edges`,
+  // and marks them in `seen_`.
+  void Reach(size_t from, Edges edges, std::vector<size_t>* reached);
   // The members of `ks`, except `skip`, in Add() order.
   std::vector<Symbol> MembersOf(const std::vector<size_t>& ks,
                                 Symbol skip = Symbol()) const;
@@ -202,11 +227,12 @@ class Classifier {
   ClassifyStats stats_;
   OpStats last_op_;
   std::vector<Symbol> names_;
+  std::deque<Symbol> pending_;  // Add()ed, not yet classified, in order
   std::unordered_map<Symbol, Node> nodes_;
-  std::vector<Class> classes_;
+  std::vector<Class> classes_ = std::vector<Class>(1);  // [kTop] is ⊤
   std::vector<size_t> free_classes_;
-  size_t live_classes_ = 0;
   uint64_t next_order_ = 0;
+  Marks up_, down_, region_, seen_;  // the walks' and Reach's scratch
 };
 
 }  // namespace oodb::calculus

@@ -174,9 +174,8 @@ Result<bool> ClusterClient::Check(const std::string& session,
 Result<std::vector<bool>> ClusterClient::CheckBatch(
     const std::string& session,
     const std::vector<std::pair<std::string, std::string>>& pairs) {
-  std::string line = StrCat("BCHECK ", session);
-  for (const auto& [c, d] : pairs) line = StrCat(line, " ", c, " ", d);
-  OODB_ASSIGN_OR_RETURN(std::string body, Call(line));
+  OODB_ASSIGN_OR_RETURN(std::string body,
+                        Call(server::BatchCheckLine(session, pairs)));
   return server::ParseBatchVerdicts(body, pairs.size());
 }
 

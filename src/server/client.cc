@@ -280,6 +280,14 @@ Result<std::string> Client::Roundtrip(const std::string& line,
   return body;
 }
 
+std::string BatchCheckLine(
+    const std::string& session,
+    const std::vector<std::pair<std::string, std::string>>& pairs) {
+  std::string line = StrCat("BCHECK ", session);
+  for (const auto& [c, d] : pairs) line += StrCat(" ", c, " ", d);
+  return line;
+}
+
 Result<std::vector<bool>> ParseBatchVerdicts(const std::string& body,
                                              size_t expected) {
   constexpr std::string_view kPrefix = "subsumed=";
@@ -369,9 +377,7 @@ Result<std::vector<bool>> Client::CheckBatch(
     OODB_ASSIGN_OR_RETURN(uint64_t id, SubmitCheckBatch(session, pairs));
     OODB_ASSIGN_OR_RETURN(body, Await(id));
   } else {
-    std::string line = StrCat("BCHECK ", session);
-    for (const auto& [c, d] : pairs) line = StrCat(line, " ", c, " ", d);
-    OODB_ASSIGN_OR_RETURN(body, Roundtrip(line));
+    OODB_ASSIGN_OR_RETURN(body, Roundtrip(BatchCheckLine(session, pairs)));
   }
   return ParseBatchVerdicts(body, pairs.size());
 }

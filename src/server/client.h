@@ -157,6 +157,12 @@ class Client {
   std::map<uint64_t, Reply> pending_;
 };
 
+// The text-framed request line `BCHECK <session> C1 D1 C2 D2 ...`,
+// appended in place (linear in its length).
+std::string BatchCheckLine(
+    const std::string& session,
+    const std::vector<std::pair<std::string, std::string>>& pairs);
+
 // Parses a `subsumed=true,false,...` BCHECK reply body into verdicts;
 // a CHECK reply is the body of a one-pair BCHECK. `expected` is the
 // pair count the request carried.

@@ -88,9 +88,7 @@ struct Server::Connection {
   size_t out_head = 0;   // write cursor into outq.front()
   size_t out_bytes = 0;  // unwritten bytes across the whole queue
 
-  size_t inflight = 0;        // pooled requests outstanding
-  bool text_waiting = false;  // text: one pooled request at a time
-                              // (replies must stay in request order)
+  size_t inflight = 0;        // pooled requests outstanding; text: <= 1
   bool rd_eof = false;        // peer half-closed; no more input
   bool closing = false;       // finish inflight + flush, then close
   bool discard_input = false;  // stream unrecoverable: parse no more
@@ -491,10 +489,7 @@ void Server::ParseFrames(Connection& conn) {
   loop_pairs_left_ = kLoopPairsPerPass;
   while (!conn.discard_input) {
     if (conn.out_bytes > kMaxOutBuffer) break;
-    if (conn.binary ? conn.inflight >= kMaxInflightPerConn
-                    : conn.text_waiting) {
-      break;
-    }
+    if (conn.inflight >= (conn.binary ? kMaxInflightPerConn : 1)) break;
     if (!ParseFrame(conn)) break;
   }
   // Compact once the consumed prefix dominates the buffer.
@@ -579,7 +574,6 @@ void Server::HandleFrame(Connection& conn, uint64_t request_id,
   }
 
   conn.inflight++;
-  if (!conn.binary) conn.text_waiting = true;
   PooledWork work;
   work.request_id = request_id;
   work.trace = std::move(trace);
@@ -676,7 +670,6 @@ void Server::SubmitPooled(Connection& conn) {
     for (const auto& [request_id, verb] : staged) {
       admitted_.fetch_sub(1, std::memory_order_acq_rel);
       conn.inflight--;
-      conn.text_waiting = false;
       QueueReply(conn, request_id,
                  ErrReply(kErrShutdown, "server is draining"), verb);
     }
@@ -825,7 +818,6 @@ void Server::DrainCompletions() {
     Connection& conn = *it->second;
     AppendOutput(conn, std::move(c.bytes));
     if (conn.inflight > 0) conn.inflight--;
-    conn.text_waiting = false;
     if (touched.empty() || touched.back() != c.conn_id) {
       touched.push_back(c.conn_id);
     }
@@ -1292,25 +1284,13 @@ void Server::RequestShutdown() {
 }
 
 void Server::Wait() {
-  // Hand-over-hand: the lock is dropped across Teardown(), so the scoped
-  // guard does not fit — raw Lock/Unlock, balanced on every path.
-  stop_mu_.Lock();
-  while (!stop_requested_) stop_cv_.Wait(stop_mu_);
-  if (torn_down_) {
-    // Another thread owns the teardown; wait for it to finish so the
-    // caller may destroy the server afterwards.
-    while (!teardown_done_) stop_cv_.Wait(stop_mu_);
-    stop_mu_.Unlock();
-    return;
-  }
-  torn_down_ = true;
-  stop_mu_.Unlock();
-  Teardown();
   {
-    base::MutexLock guard(&stop_mu_);
-    teardown_done_ = true;
+    base::MutexLock lock(&stop_mu_);
+    while (!stop_requested_) stop_cv_.Wait(stop_mu_);
   }
-  stop_cv_.NotifyAll();
+  // The first caller tears down; the others wait until it is done, so
+  // every caller may destroy the server afterwards.
+  std::call_once(teardown_once_, [this] { Teardown(); });
 }
 
 void Server::Shutdown() {

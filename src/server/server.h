@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -290,8 +291,7 @@ class Server {
   base::Mutex stop_mu_;
   base::CondVar stop_cv_;
   bool stop_requested_ GUARDED_BY(stop_mu_) = false;
-  bool torn_down_ GUARDED_BY(stop_mu_) = false;
-  bool teardown_done_ GUARDED_BY(stop_mu_) = false;
+  std::once_flag teardown_once_;
   std::atomic<bool> stopping_{false};   // fast-path flag for request paths
   std::atomic<bool> loop_stop_{false};  // final wakeup for the event loop
 

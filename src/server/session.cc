@@ -65,6 +65,9 @@ Status NotASessionVerb(const RequestView& request) {
 }  // namespace
 
 Reply Session::Handle(const RequestView& request, obs::TraceContext* trace) {
+  if (request.verb == Verb::kState) {
+    return ReplyOf(LoadState(request.payload, trace));
+  }
   if (request.info().mutates) {
     base::WriterLock lock(&mu_);
     return ReplyOf(Mutate(request, trace));
@@ -83,19 +86,26 @@ std::optional<Reply> Session::AnswerFromMemo(const RequestView& request,
   return OkReply(std::move(**text));
 }
 
+Result<std::string> Session::LoadState(std::string_view payload,
+                                       obs::TraceContext* trace) {
+  // Parsed before the writer lock (model_ never changes, symbols_ interns
+  // thread-safely), so readers keep the session meanwhile and a payload
+  // that fails to parse changes nothing.
+  auto database = std::make_unique<db::Database>(*model_, &symbols_);
+  {
+    obs::ScopedSpan span(trace, obs::Phase::kParse);
+    OODB_RETURN_IF_ERROR(db::LoadInstance(payload, database.get()).status());
+  }
+  // A fresh database invalidates every materialized extent, so the
+  // catalog and optimizer are rebuilt; clients re-issue VIEW.
+  base::WriterLock lock(&mu_);
+  ResetState(std::move(database));
+  return std::string("state loaded (views reset, re-issue VIEW)");
+}
+
 Result<std::string> Session::Mutate(const RequestView& request,
                                     obs::TraceContext* trace) {
   switch (request.verb) {
-    case Verb::kState: {
-      // A fresh database invalidates every materialized extent, so the
-      // catalog and optimizer are rebuilt; clients re-issue VIEW.
-      obs::ScopedSpan span(trace, obs::Phase::kParse);
-      auto database = std::make_unique<db::Database>(*model_, &symbols_);
-      OODB_RETURN_IF_ERROR(
-          db::LoadInstance(request.payload, database.get()).status());
-      ResetState(std::move(database));
-      return std::string("state loaded (views reset, re-issue VIEW)");
-    }
     case Verb::kView: {
       // Extent materialization evaluates the view body over the
       // database; attribute it to the engine phase as one block.
@@ -292,7 +302,8 @@ std::string Session::Summary() const {
 void Session::AppendMetrics(obs::Collector& out,
                             const obs::Labels& labels) const {
   base::ReaderLock session_lock(&mu_);
-  out.AddCounter("oodb_session_checks_total", "CHECK requests served", labels,
+  out.AddCounter("oodb_session_checks_total",
+                 "Pairs checked (CHECK, and every pair of a BCHECK)", labels,
                  checks_.load(std::memory_order_relaxed));
   out.AddCounter("oodb_session_classifies_total", "CLASSIFY requests served",
                  labels, classifies_.load(std::memory_order_relaxed));

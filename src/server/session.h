@@ -33,7 +33,8 @@
 namespace oodb::server {
 
 // Thread compatibility: Handle holds mu_ exclusively for the verbs the
-// verb table marks `mutates` (STATE/VIEW/UNDEFINE) and shared for the
+// verb table marks `mutates` (STATE/VIEW/UNDEFINE; STATE only for the
+// swap, after parsing its payload unlocked) and shared for the
 // rest (CHECK/BCHECK/CLASSIFY/OPTIMIZE only read session structure; the
 // checker and the translator — whose concept cache these verbs
 // populate — are internally thread-safe). AnswerFromMemo takes the
@@ -73,7 +74,10 @@ class Session {
  private:
   Session() = default;
 
-  // Handle's verb bodies under each side of mu_; each returns its
+  // STATE: parses `payload`, then installs it under mu_ (ResetState).
+  Result<std::string> LoadState(std::string_view payload,
+                                obs::TraceContext* trace) EXCLUDES(mu_);
+  // Handle's other verb bodies under each side of mu_; each returns its
   // verb's reply text.
   Result<std::string> Mutate(const RequestView& request,
                              obs::TraceContext* trace) REQUIRES(mu_);

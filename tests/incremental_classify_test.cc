@@ -320,6 +320,81 @@ TEST(IncrementalClassify, RemoveReconnectsChildrenToGrandparents) {
   EXPECT_EQ(inc.last_op_stats().edges_added, 0u);
 }
 
+// Names whose concept is ⊤ sit above every root: no parents, the former
+// roots as children, each other's equivalents. They are ordinary named
+// classes, whether they join before or after the catalog, and removing
+// them leaves the roots parentless again.
+TEST(IncrementalClassify, TopNamesSitAboveEveryRoot) {
+  Fx fx;
+  ASSERT_TRUE(fx.sigma.AddIsA(fx.S("C1"), fx.S("C2")).ok());
+  ASSERT_TRUE(fx.sigma.AddIsA(fx.S("D1"), fx.S("D2")).ok());
+  SubsumptionChecker checker(fx.sigma);
+  const std::vector<std::pair<Symbol, ql::ConceptId>> catalog = {
+      {fx.S("V1"), fx.f.Primitive("C1")},
+      {fx.S("V2"), fx.f.Primitive("C2")},
+      {fx.S("W1"), fx.f.Primitive("D1")},
+      {fx.S("W2"), fx.f.Primitive("D2")},
+  };
+  const std::vector<Symbol> roots = {fx.S("V2"), fx.S("W2")};
+  const Symbol t1 = fx.S("T1");
+  const Symbol t2 = fx.S("T2");
+  std::unordered_map<Symbol, ql::ConceptId> concept_of = {
+      {t1, fx.f.Top()}, {t2, fx.f.Top()}, {fx.S("E"), fx.f.Primitive("E")}};
+  for (const auto& [name, id] : catalog) concept_of[name] = id;
+
+  for (Classifier::Mode mode : {Classifier::Mode::kEnhancedTraversal,
+                                Classifier::Mode::kPairwise}) {
+    for (const bool tops_first : {true, false}) {
+      SCOPED_TRACE(StrCat("pairwise=", mode == Classifier::Mode::kPairwise,
+                          " tops_first=", tops_first));
+      Classifier inc(checker, mode);
+      auto insert = [&](Symbol name) {
+        ASSERT_TRUE(inc.Insert(name, concept_of.at(name)).ok());
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectMatchesFreshOracle(inc, checker, concept_of));
+      };
+      if (tops_first) {
+        ASSERT_NO_FATAL_FAILURE(insert(t1));
+        ASSERT_NO_FATAL_FAILURE(insert(t2));
+      }
+      for (const auto& entry : catalog) {
+        ASSERT_NO_FATAL_FAILURE(insert(entry.first));
+      }
+      if (!tops_first) {
+        ASSERT_NO_FATAL_FAILURE(insert(t1));
+        EXPECT_EQ(inc.last_op_stats().edges_added, roots.size());
+        ASSERT_NO_FATAL_FAILURE(insert(t2));
+        EXPECT_EQ(inc.last_op_stats().edges_added, 0u);
+      }
+      EXPECT_EQ(inc.num_classes(), catalog.size() + 1);
+      for (Symbol t : {t1, t2}) {
+        EXPECT_TRUE(inc.Parents(t).empty());
+        EXPECT_EQ(inc.Children(t), roots);
+      }
+      EXPECT_EQ(inc.Equivalents(t1), std::vector<Symbol>{t2});
+      const std::vector<Symbol> tops = {t1, t2};
+      for (Symbol root : roots) EXPECT_EQ(inc.Parents(root), tops);
+
+      ASSERT_TRUE(inc.Remove(t1).ok());
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectMatchesFreshOracle(inc, checker, concept_of));
+      for (Symbol root : roots) {
+        EXPECT_EQ(inc.Parents(root), std::vector<Symbol>{t2});
+      }
+      ASSERT_TRUE(inc.Remove(t2).ok());
+      EXPECT_EQ(inc.last_op_stats().edges_added, 0u);
+      EXPECT_EQ(inc.num_classes(), catalog.size());
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectMatchesFreshOracle(inc, checker, concept_of));
+      for (Symbol root : roots) EXPECT_TRUE(inc.Parents(root).empty());
+      // The DAG is still whole: a new root joins beside the old ones.
+      ASSERT_NO_FATAL_FAILURE(insert(fx.S("E")));
+      EXPECT_TRUE(inc.Parents(fx.S("E")).empty());
+      EXPECT_TRUE(inc.Children(fx.S("E")).empty());
+    }
+  }
+}
+
 TEST(IncrementalClassify, RemoveInDiamondAddsNoRedundantEdge) {
   Fx fx;
   ASSERT_TRUE(fx.sigma.AddIsA(fx.S("C1"), fx.S("C2")).ok());

@@ -450,6 +450,56 @@ TEST(Server, LoadReplacesSessionAndStateResetsViews) {
   server.Shutdown();
 }
 
+// A STATE whose payload fails to parse is an ERR that changes nothing:
+// the objects, the views and the plans of the earlier state stay.
+TEST(Server, MalformedStateLeavesTheSessionAsItWas) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Client client = MustConnect(*port);
+
+  Rng rng(7);
+  const gen::GeneratedDl dl = gen::GenerateDlSource(rng);
+  const std::string state = gen::GenerateDlState(dl, rng);
+  ASSERT_TRUE(client.Load("s", dl.source).ok());
+  ASSERT_TRUE(client.LoadState("s", state).ok());
+  std::string view;
+  for (const std::string& q : dl.query_names) {
+    if (client.DefineView("s", q).ok()) {
+      view = q;
+      break;
+    }
+  }
+  ASSERT_FALSE(view.empty()) << "no view-definable query";
+  auto plan = client.Optimize("s", view);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(PlanField(*plan, "uses_view"), "true") << *plan;
+
+  // One STATS field of session `s`, e.g. "objects=12".
+  auto session_field = [&client](const std::string& key) {
+    auto stats = client.Stats("s");
+    EXPECT_TRUE(stats.ok()) << stats.status();
+    if (!stats.ok()) return std::string();
+    const size_t at = stats->find(" " + key + "=");
+    if (at == std::string::npos) return std::string();
+    return stats->substr(at + 1, stats->find_first_of(" \n", at + 1) - at - 1);
+  };
+  const std::string objects = session_field("objects");
+  const std::string views = session_field("views");
+  ASSERT_NE(objects, "objects=0");
+  ASSERT_EQ(views, "views=1");
+
+  // Valid objects first, then a truncated one: the parse fails late.
+  auto bad = client.LoadState("s", state + "Object truncated\n");
+  EXPECT_FALSE(bad.ok());
+  EXPECT_EQ(session_field("objects"), objects);
+  EXPECT_EQ(session_field("views"), views);
+  auto again = client.Optimize("s", view);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(*again, *plan);
+  server.Shutdown();
+}
+
 TEST(Server, MetricsExpositionParsesAndCountersAreMonotone) {
   Server server;
   auto port = server.Start();
@@ -1064,6 +1114,12 @@ TEST(Server, BatchCheckValidatesItsFrame) {
   ASSERT_TRUE(verdicts.ok()) << verdicts.status();
   EXPECT_EQ(*verdicts, (std::vector<bool>{true, true, false}));
   server.Shutdown();
+}
+
+TEST(Server, BatchCheckLineListsTheSessionThenEveryPair) {
+  EXPECT_EQ(BatchCheckLine("s", {}), "BCHECK s");
+  EXPECT_EQ(BatchCheckLine("s", {{"B", "A"}, {"Q1", "Object"}}),
+            "BCHECK s B A Q1 Object");
 }
 
 // `Object` contains every object (docs/dl_language.md), so it subsumes
