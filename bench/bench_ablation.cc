@@ -23,8 +23,7 @@
 #include "db/concept_eval.h"
 #include "db/database.h"
 #include "db/evaluator.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "ql/print.h"
 #include "schema/schema.h"
 #include "views/views.h"
@@ -167,16 +166,14 @@ void RunA2() {
 
   Rng rng(11);
   for (size_t patients : {1000u, 4000u, 16000u}) {
-    SymbolTable symbols;
-    ql::TermFactory terms(&symbols);
-    schema::Schema sigma(&terms);
-    auto model_result = dl::ParseAndAnalyze(kSchema, &symbols);
-    dl::Model model = std::move(model_result).value();
-    dl::Translator translator(model, &terms);
-    (void)translator.BuildSchema(&sigma);
-    db::Database database(model, &symbols);
+    dl::Frontend front;
+    (void)front.Load(kSchema);
+    ql::TermFactory& terms = *front.terms;
+    const schema::Schema& sigma = *front.sigma;
+    dl::Translator& translator = *front.translator;
+    db::Database database(*front.model, &front.symbols);
 
-    auto S = [&](const char* s) { return symbols.Intern(s); };
+    auto S = [&](const char* s) { return front.symbols.Intern(s); };
     size_t num_doctors = std::max<size_t>(4, patients / 20);
     std::vector<db::ObjectId> diseases, doctors;
     // Few diseases: ~1/3 of the patients join with their doctor's skill,

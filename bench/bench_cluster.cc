@@ -24,11 +24,6 @@
 // failure, or (full mode) 1→4 scaling below 2.5x.
 //
 // usage: bench_cluster [--quick] [--pad-ms=N] [--out=path]
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -42,15 +37,10 @@
 #include "base/status.h"
 #include "base/strings.h"
 #include "bench_util.h"
-#include "calculus/subsumption.h"
 #include "cluster/cluster_client.h"
 #include "cluster/membership.h"
 #include "cluster/ring.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
 #include "gen/dl_gen.h"
-#include "ql/term_factory.h"
-#include "schema/schema.h"
 #include "server/server.h"
 
 namespace oodb {
@@ -59,67 +49,9 @@ namespace {
 constexpr size_t kSessions = 8;
 constexpr size_t kBatchSize = 256;
 
-// The same parse → translate → check pipeline the daemons run.
-struct Reference {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
-  std::unique_ptr<calculus::SubsumptionChecker> checker;
-
-  static std::unique_ptr<Reference> FromSource(const std::string& source) {
-    auto ref = std::make_unique<Reference>();
-    ref->terms = std::make_unique<ql::TermFactory>(&ref->symbols);
-    ref->sigma = std::make_unique<schema::Schema>(ref->terms.get());
-    auto parsed = dl::ParseAndAnalyze(source, &ref->symbols);
-    if (!parsed.ok()) return nullptr;
-    ref->model = std::make_unique<dl::Model>(*std::move(parsed));
-    ref->translator =
-        std::make_unique<dl::Translator>(*ref->model, ref->terms.get());
-    if (!ref->translator->BuildSchema(ref->sigma.get()).ok()) return nullptr;
-    ref->checker = std::make_unique<calculus::SubsumptionChecker>(*ref->sigma);
-    return ref;
-  }
-
-  Result<bool> Check(const std::string& c, const std::string& d) {
-    auto concept_of = [this](const std::string& name) -> Result<ql::ConceptId> {
-      Symbol s = symbols.Find(name);
-      const dl::ClassDef* def = s.valid() ? model->FindClass(s) : nullptr;
-      if (def == nullptr) return NotFoundError("no class");
-      if (!def->is_query) return terms->Primitive(s);
-      return translator->QueryConcept(s);
-    };
-    OODB_ASSIGN_OR_RETURN(ql::ConceptId cc, concept_of(c));
-    OODB_ASSIGN_OR_RETURN(ql::ConceptId dd, concept_of(d));
-    return checker->Subsumes(cc, dd);
-  }
-};
-
 int Fail(const char* what) {
   std::fprintf(stderr, "bench_cluster: %s\n", what);
   return 1;
-}
-
-// Binds an ephemeral loopback port and releases it for a daemon to
-// rebind (static membership needs every port known before Start()).
-int GrabPort() {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  socklen_t len = sizeof(addr);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  ::close(fd);
-  return ntohs(addr.sin_port);
 }
 
 struct Fleet {
@@ -129,7 +61,7 @@ struct Fleet {
   static std::unique_ptr<Fleet> Start(size_t n, size_t replicas) {
     auto fleet = std::make_unique<Fleet>();
     for (size_t i = 0; i < n; ++i) {
-      const int port = GrabPort();
+      const int port = bench::GrabPort();
       if (port < 0) return nullptr;
       fleet->config.nodes.push_back(cluster::NodeAddr{"127.0.0.1", port});
     }
@@ -205,7 +137,7 @@ int Run(int argc, char** argv) {
   gen_options.num_attrs = 4;
   gen_options.num_queries = 8;
   gen::GeneratedDl dl = gen::GenerateDlSource(rng, gen_options);
-  auto ref = Reference::FromSource(dl.source);
+  auto ref = bench::Reference::FromSource(dl.source);
   if (ref == nullptr) return Fail("generated schema failed to parse");
 
   std::vector<std::pair<std::string, std::string>> pairs;

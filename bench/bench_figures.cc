@@ -10,8 +10,7 @@
 
 #include "bench_util.h"
 #include "calculus/subsumption.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "ql/fol.h"
 #include "ql/print.h"
 #include "schema/schema.h"
@@ -115,19 +114,15 @@ end CoQueryPatient
 int main() {
   using namespace oodb;
 
-  SymbolTable symbols;
-  ql::TermFactory terms(&symbols);
-  schema::Schema sigma(&terms);
-  auto model = dl::ParseAndAnalyze(kMedicalSource, &symbols);
-  if (!model.ok()) {
-    std::printf("parse error: %s\n", model.status().ToString().c_str());
+  dl::Frontend front;
+  if (auto s = front.Load(kMedicalSource); !s.ok()) {
+    std::printf("front end error: %s\n", s.ToString().c_str());
     return 1;
   }
-  dl::Translator translator(*model, &terms);
-  if (auto s = translator.BuildSchema(&sigma); !s.ok()) {
-    std::printf("translation error: %s\n", s.ToString().c_str());
-    return 1;
-  }
+  const SymbolTable& symbols = front.symbols;
+  const ql::TermFactory& terms = *front.terms;
+  const schema::Schema& sigma = *front.sigma;
+  dl::Translator& translator = *front.translator;
 
   bench::Section("Figure 2: declarations of Patient and skilled_in in logic");
   for (const char* name : {"Patient"}) {

@@ -11,8 +11,7 @@
 #include "base/strings.h"
 #include "calculus/subsumption.h"
 #include "cq/cq.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "gen/generators.h"
 #include "interp/eval.h"
 #include "interp/model_gen.h"
@@ -137,13 +136,9 @@ QueryClass Q isA Patient with
 end Q
 )";
   for (auto _ : state) {
-    SymbolTable symbols;
-    ql::TermFactory terms(&symbols);
-    schema::Schema sigma(&terms);
-    auto model = dl::ParseAndAnalyze(kSource, &symbols);
-    dl::Translator translator(*model, &terms);
-    (void)translator.BuildSchema(&sigma);
-    auto q = translator.QueryConcept(symbols.Find("Q"));
+    dl::Frontend front;
+    (void)front.Load(kSource);
+    auto q = front.translator->QueryConcept(front.symbols.Find("Q"));
     benchmark::DoNotOptimize(q);
   }
 }

@@ -16,11 +16,6 @@
 // Writes BENCH_obs.json always, and exits non-zero if the measured
 // enabled-vs-disabled overhead exceeds its budget — 3% single-node,
 // 5% cluster (CI runs `bench_obs --quick` as a Release-mode gate).
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -44,27 +39,6 @@
 
 namespace {
 
-// Binds an ephemeral loopback port and releases it for a daemon to
-// rebind (static membership needs every port known before Start()).
-int GrabPort() {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  socklen_t len = sizeof(addr);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  ::close(fd);
-  return ntohs(addr.sin_port);
-}
-
 // The E20 fixture shape: an in-process fleet on a shared static ring.
 struct ClusterFixture {
   oodb::cluster::ClusterConfig config;  // self = kNotAMember (client view)
@@ -73,7 +47,7 @@ struct ClusterFixture {
   static std::unique_ptr<ClusterFixture> Start(size_t n, size_t replicas) {
     auto fleet = std::make_unique<ClusterFixture>();
     for (size_t i = 0; i < n; ++i) {
-      const int port = GrabPort();
+      const int port = oodb::bench::GrabPort();
       if (port < 0) return nullptr;
       fleet->config.nodes.push_back(
           oodb::cluster::NodeAddr{"127.0.0.1", port});
@@ -353,39 +327,32 @@ int main(int argc, char** argv) {
       "\n  cluster overhead: %+.2f%% median of paired ratios (budget 5%%)\n\n",
       cluster_overhead_pct);
 
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
+  bench::JsonWriter json;
+  json.Add("bench", std::string("obs_overhead"));
+  json.Add("quick", quick);
+  json.Add("workload", std::string("classify_enhanced"));
+  json.Add("catalog_concepts", concepts.size());
+  json.Add("repeats", kRepeats);
+  json.Add("classify_off_ms", off_ms);
+  json.Add("classify_on_ms", on_ms);
+  json.Add("overhead_pct", overhead_pct);
+  json.Add("budget_pct", 3.0);
+  json.Add("histogram_record_ns", hist_on_ns);
+  json.Add("counter_add_ns", counter_on_ns);
+  json.Add("disabled_record_ns", hist_off_ns);
+  json.Add("cluster_nodes", 3);
+  json.Add("cluster_forwarded_batches", kForwardedBatches);
+  json.Add("cluster_batch_pairs", kBatchPairs);
+  json.Add("cluster_repeats", kClusterRepeats);
+  json.Add("cluster_off_ms", cluster_off_ms);
+  json.Add("cluster_on_ms", cluster_on_ms);
+  json.Add("cluster_overhead_pct", cluster_overhead_pct);
+  json.Add("cluster_budget_pct", 5.0);
+  bench::AddHostStamp(json);
+  if (!json.WriteFile(out_path)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"obs_overhead\",\n"
-               "  \"quick\": %s,\n"
-               "  \"workload\": \"classify_enhanced\",\n"
-               "  \"catalog_concepts\": %zu,\n"
-               "  \"repeats\": %d,\n"
-               "  \"classify_off_ms\": %.3f,\n"
-               "  \"classify_on_ms\": %.3f,\n"
-               "  \"overhead_pct\": %.2f,\n"
-               "  \"budget_pct\": 3.0,\n"
-               "  \"histogram_record_ns\": %.1f,\n"
-               "  \"counter_add_ns\": %.1f,\n"
-               "  \"disabled_record_ns\": %.1f,\n"
-               "  \"cluster_nodes\": 3,\n"
-               "  \"cluster_forwarded_batches\": %zu,\n"
-               "  \"cluster_batch_pairs\": %zu,\n"
-               "  \"cluster_repeats\": %d,\n"
-               "  \"cluster_off_ms\": %.3f,\n"
-               "  \"cluster_on_ms\": %.3f,\n"
-               "  \"cluster_overhead_pct\": %.2f,\n"
-               "  \"cluster_budget_pct\": 5.0\n"
-               "}\n",
-               quick ? "true" : "false", concepts.size(), kRepeats, off_ms,
-               on_ms, overhead_pct, hist_on_ns, counter_on_ns, hist_off_ns,
-               kForwardedBatches, kBatchPairs, kClusterRepeats,
-               cluster_off_ms, cluster_on_ms, cluster_overhead_pct);
-  std::fclose(out);
   std::printf("  wrote %s\n", out_path.c_str());
 
   if (overhead_pct > 3.0) {

@@ -12,9 +12,7 @@
 #include "calculus/subsumption.h"
 #include "db/database.h"
 #include "db/evaluator.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
-#include "schema/schema.h"
+#include "dl/frontend.h"
 #include "views/views.h"
 
 namespace {
@@ -96,21 +94,11 @@ QueryClass ViewPatient isA Patient with
 end ViewPatient
 )";
 
-struct Workload {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
+struct Workload : dl::Frontend {
   std::unique_ptr<db::Database> database;
 
   explicit Workload(size_t num_patients, Rng& rng) {
-    terms = std::make_unique<ql::TermFactory>(&symbols);
-    sigma = std::make_unique<schema::Schema>(terms.get());
-    auto m = dl::ParseAndAnalyze(kSchemaSource, &symbols);
-    model = std::make_unique<dl::Model>(std::move(m).value());
-    translator = std::make_unique<dl::Translator>(*model, terms.get());
-    (void)translator->BuildSchema(sigma.get());
+    (void)Load(kSchemaSource);
     database = std::make_unique<db::Database>(*model, &symbols);
 
     auto S = [&](const char* s) { return symbols.Intern(s); };
@@ -202,18 +190,12 @@ void RunWorkloadSynthesis() {
     )";
     // The workload queries were not part of the original schema source;
     // reparse the combined source.
-    SymbolTable symbols;
-    ql::TermFactory terms(&symbols);
-    schema::Schema sigma(&terms);
-    std::string combined = StrCat(kSchemaSource, extra);
-    auto model_result = dl::ParseAndAnalyze(combined, &symbols);
-    dl::Model model = std::move(model_result).value();
-    dl::Translator translator(model, &terms);
-    (void)translator.BuildSchema(&sigma);
-    db::Database database(model, &symbols);
+    dl::Frontend front;
+    (void)front.Load(StrCat(kSchemaSource, extra));
+    db::Database database(*front.model, &front.symbols);
     // Populate directly (same generator logic as Workload).
     Rng prng(33);
-    auto S = [&](const char* s) { return symbols.Intern(s); };
+    auto S = [&](const char* s) { return front.symbols.Intern(s); };
     size_t num_doctors = std::max<size_t>(4, patients / 20);
     size_t num_diseases = std::max<size_t>(4, patients / 50);
     std::vector<db::ObjectId> diseases, doctors;
@@ -260,16 +242,17 @@ void RunWorkloadSynthesis() {
 
     // Synthesize one view from the workload concepts and answer through
     // the optimizer.
-    calculus::SubsumptionChecker checker(sigma);
+    calculus::SubsumptionChecker checker(*front.sigma);
     std::vector<ql::ConceptId> concepts;
     for (const char* q : workload) {
-      concepts.push_back(*translator.QueryConcept(S(q)));
+      concepts.push_back(*front.translator->QueryConcept(S(q)));
     }
     auto subsumer =
-        *calculus::CommonSubsumer(checker, &terms, concepts);
-    views::ViewCatalog catalog(&database, &translator);
+        *calculus::CommonSubsumer(checker, front.terms.get(), concepts);
+    views::ViewCatalog catalog(&database, front.translator.get());
     (void)catalog.DefineConceptView(S("WorkloadView"), subsumer);
-    views::Optimizer optimizer(&database, &catalog, sigma, &translator);
+    views::Optimizer optimizer(&database, &catalog, *front.sigma,
+                               front.translator.get());
     double via_view_us = bench::TimeUs([&] {
       for (const char* q : workload) {
         auto answers = optimizer.Execute(S(q));

@@ -16,9 +16,7 @@
 #include "db/evaluator.h"
 #include "db/instance.h"
 #include "db/path_index.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
-#include "schema/schema.h"
+#include "dl/frontend.h"
 #include "views/views.h"
 
 namespace {
@@ -67,16 +65,12 @@ int main() {
                       "view refresh(us)"});
   Rng rng(5);
   for (size_t patients : {1000u, 4000u, 16000u}) {
-    SymbolTable symbols;
-    ql::TermFactory terms(&symbols);
-    schema::Schema sigma(&terms);
-    auto model_result = dl::ParseAndAnalyze(kSchema, &symbols);
-    dl::Model model = std::move(model_result).value();
-    dl::Translator translator(model, &terms);
-    (void)translator.BuildSchema(&sigma);
-    db::Database database(model, &symbols);
+    dl::Frontend front;
+    (void)front.Load(kSchema);
+    ql::TermFactory& terms = *front.terms;
+    db::Database database(*front.model, &front.symbols);
 
-    auto S = [&](const char* s) { return symbols.Intern(s); };
+    auto S = [&](const char* s) { return front.symbols.Intern(s); };
     std::vector<db::ObjectId> diseases, doctors;
     for (size_t i = 0; i < 8; ++i) {
       auto o = *database.CreateObject(StrCat("disease", i));
@@ -99,7 +93,7 @@ int main() {
     }
 
     ql::ConceptId query_concept =
-        *translator.QueryConcept(S("Referred"));
+        *front.translator->QueryConcept(S("Referred"));
     ql::PathId chain = terms.MakePath(
         {{ql::Attr{S("consults"), false}, terms.Primitive("Doctor")},
          {ql::Attr{S("skilled_in"), false}, terms.Primitive("Disease")}});
@@ -129,7 +123,7 @@ int main() {
     });
 
     // 3. Materialized view of the whole query.
-    views::ViewCatalog catalog(&database, &translator);
+    views::ViewCatalog catalog(&database, front.translator.get());
     double view_build_us = bench::TimeUs([&] {
       (void)catalog.DefineView(S("Referred"));
     });

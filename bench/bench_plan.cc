@@ -39,8 +39,7 @@
 #include "calculus/subsumption.h"
 #include "db/database.h"
 #include "db/instance.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "gen/dl_gen.h"
 #include "schema/schema.h"
 #include "views/views.h"
@@ -137,21 +136,15 @@ int main(int argc, char** argv) {
   state_options.num_edges = 2000;
   const std::string state = gen::GenerateDlState(dl, rng, state_options);
 
-  SymbolTable symbols;
-  ql::TermFactory terms(&symbols);
-  schema::Schema sigma(&terms);
-  auto model = dl::ParseAndAnalyze(dl.source, &symbols);
-  if (!model.ok()) {
-    std::fprintf(stderr, "generated DL does not parse: %s\n",
-                 model.status().ToString().c_str());
+  dl::Frontend front;
+  if (Status s = front.Load(dl.source); !s.ok()) {
+    std::fprintf(stderr, "generated DL: %s\n", s.ToString().c_str());
     return 1;
   }
-  dl::Translator translator(*model, &terms);
-  if (Status s = translator.BuildSchema(&sigma); !s.ok()) {
-    std::fprintf(stderr, "schema: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  db::Database database(*model, &symbols);
+  const SymbolTable& symbols = front.symbols;
+  const schema::Schema& sigma = *front.sigma;
+  dl::Translator& translator = *front.translator;
+  db::Database database(*front.model, &front.symbols);
   if (auto loaded = db::LoadInstance(state, &database); !loaded.ok()) {
     std::fprintf(stderr, "state: %s\n", loaded.status().ToString().c_str());
     return 1;

@@ -37,56 +37,13 @@
 #include "base/status.h"
 #include "base/strings.h"
 #include "bench_util.h"
-#include "calculus/subsumption.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
 #include "gen/dl_gen.h"
 #include "obs/exposition.h"
-#include "ql/term_factory.h"
-#include "schema/schema.h"
 #include "server/client.h"
 #include "server/server.h"
 
 namespace oodb {
 namespace {
-
-// The same parse → translate → check pipeline the daemon runs, used to
-// precompute the expected verdict for every request in the replay.
-struct Reference {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
-  std::unique_ptr<calculus::SubsumptionChecker> checker;
-
-  static std::unique_ptr<Reference> FromSource(const std::string& source) {
-    auto ref = std::make_unique<Reference>();
-    ref->terms = std::make_unique<ql::TermFactory>(&ref->symbols);
-    ref->sigma = std::make_unique<schema::Schema>(ref->terms.get());
-    auto parsed = dl::ParseAndAnalyze(source, &ref->symbols);
-    if (!parsed.ok()) return nullptr;
-    ref->model = std::make_unique<dl::Model>(*std::move(parsed));
-    ref->translator =
-        std::make_unique<dl::Translator>(*ref->model, ref->terms.get());
-    if (!ref->translator->BuildSchema(ref->sigma.get()).ok()) return nullptr;
-    ref->checker = std::make_unique<calculus::SubsumptionChecker>(*ref->sigma);
-    return ref;
-  }
-
-  Result<bool> Check(const std::string& c, const std::string& d) {
-    auto concept_of = [this](const std::string& name) -> Result<ql::ConceptId> {
-      Symbol s = symbols.Find(name);
-      const dl::ClassDef* def = s.valid() ? model->FindClass(s) : nullptr;
-      if (def == nullptr) return NotFoundError("no class");
-      if (!def->is_query) return terms->Primitive(s);
-      return translator->QueryConcept(s);
-    };
-    OODB_ASSIGN_OR_RETURN(ql::ConceptId cc, concept_of(c));
-    OODB_ASSIGN_OR_RETURN(ql::ConceptId dd, concept_of(d));
-    return checker->Subsumes(cc, dd);
-  }
-};
 
 struct Request {
   std::string c, d;  // operand class names
@@ -164,7 +121,7 @@ int Run(int argc, char** argv) {
   gen_options.num_attrs = 4;
   gen_options.num_queries = 8;
   gen::GeneratedDl dl = gen::GenerateDlSource(rng, gen_options);
-  auto ref = Reference::FromSource(dl.source);
+  auto ref = bench::Reference::FromSource(dl.source);
   if (ref == nullptr) return Fail("generated schema failed to parse");
 
   std::vector<Request> corpus;

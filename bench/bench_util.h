@@ -1,8 +1,14 @@
 // Shared helpers for the experiment binaries: wall-clock timing, aligned
-// table printing, growth-rate estimation, quantiles, and JSON results
-// stamped with the host and build.
+// table printing, growth-rate estimation, quantiles, JSON results
+// stamped with the host and build, loopback ports for in-process fleets,
+// and the in-process verdict reference of the daemon benches.
 #ifndef OODB_BENCH_BENCH_UTIL_H_
 #define OODB_BENCH_BENCH_UTIL_H_
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -10,9 +16,14 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "base/status.h"
+#include "calculus/subsumption.h"
+#include "dl/frontend.h"
 
 // bench/CMakeLists.txt defines it for every bench binary.
 #ifndef OODB_BUILD_TYPE
@@ -216,6 +227,55 @@ inline void AddHostStamp(JsonWriter& json) {
   json.Add("optimized", false);
 #endif
 }
+
+// Binds an ephemeral loopback port and releases it for a daemon to
+// rebind (static membership needs every port known before Start());
+// -1 when no port could be had.
+inline int GrabPort() {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  socklen_t len = sizeof(addr);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  ::close(fd);
+  return ntohs(addr.sin_port);
+}
+
+// The same parse → translate → check pipeline the daemons run, built
+// directly against the library; the daemon benches check every verdict
+// they receive against it.
+struct Reference : dl::Frontend {
+  std::unique_ptr<calculus::SubsumptionChecker> checker;
+
+  static std::unique_ptr<Reference> FromSource(const std::string& source) {
+    auto ref = std::make_unique<Reference>();
+    if (!ref->Load(source).ok()) return nullptr;
+    ref->checker = std::make_unique<calculus::SubsumptionChecker>(*ref->sigma);
+    return ref;
+  }
+
+  Result<bool> Check(const std::string& c, const std::string& d) {
+    auto concept_of = [this](const std::string& name) -> Result<ql::ConceptId> {
+      Symbol s = symbols.Find(name);
+      const dl::ClassDef* def = s.valid() ? model->FindClass(s) : nullptr;
+      if (def == nullptr) return NotFoundError("no class");
+      if (!def->is_query) return terms->Primitive(s);
+      return translator->QueryConcept(s);
+    };
+    OODB_ASSIGN_OR_RETURN(ql::ConceptId cc, concept_of(c));
+    OODB_ASSIGN_OR_RETURN(ql::ConceptId dd, concept_of(d));
+    return checker->Subsumes(cc, dd);
+  }
+};
 
 }  // namespace oodb::bench
 

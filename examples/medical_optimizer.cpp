@@ -6,9 +6,7 @@
 
 #include "db/database.h"
 #include "db/evaluator.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
-#include "schema/schema.h"
+#include "dl/frontend.h"
 #include "views/views.h"
 
 namespace {
@@ -68,20 +66,15 @@ end ViewPatient
 int main() {
   using namespace oodb;
 
-  SymbolTable symbols;
-  auto model = dl::ParseAndAnalyze(kSource, &symbols);
-  if (!model.ok()) {
-    std::printf("error: %s\n", model.status().ToString().c_str());
+  dl::Frontend front;
+  if (auto s = front.Load(kSource); !s.ok()) {
+    std::printf("error: %s\n", s.ToString().c_str());
     return 1;
   }
-  ql::TermFactory terms(&symbols);
-  schema::Schema sigma(&terms);
-  dl::Translator translator(*model, &terms);
-  (void)translator.BuildSchema(&sigma);
 
   // Populate a small hospital.
-  db::Database database(*model, &symbols);
-  auto S = [&](const char* s) { return symbols.Intern(s); };
+  db::Database database(*front.model, &front.symbols);
+  auto S = [&](const char* s) { return front.symbols.Intern(s); };
   auto obj = [&](const char* name, const char* cls) {
     db::ObjectId o = *database.CreateObject(name);
     (void)database.AddToClass(o, S(cls));
@@ -128,7 +121,7 @@ int main() {
               violations.empty() ? "yes" : violations[0].c_str());
 
   // Materialize the view and plan the query.
-  views::ViewCatalog catalog(&database, &translator);
+  views::ViewCatalog catalog(&database, front.translator.get());
   if (auto s = catalog.DefineView(S("ViewPatient")); !s.ok()) {
     std::printf("error: %s\n", s.ToString().c_str());
     return 1;
@@ -136,18 +129,19 @@ int main() {
   const views::View* view = catalog.Find(S("ViewPatient"));
   std::printf("materialized ViewPatient = {");
   for (db::ObjectId o : view->extent) {
-    std::printf(" %s", symbols.Name(database.ObjectName(o)).c_str());
+    std::printf(" %s", front.symbols.Name(database.ObjectName(o)).c_str());
   }
   std::printf(" }\n");
 
-  views::Optimizer optimizer(&database, &catalog, sigma, &translator);
+  views::Optimizer optimizer(&database, &catalog, *front.sigma,
+                             front.translator.get());
   views::QueryPlan plan;
   db::EvalStats stats;
   auto answers = optimizer.Execute(S("QueryPatient"), &plan, &stats);
   std::printf("plan: %s\n", plan.explanation.c_str());
   std::printf("QueryPatient = {");
   for (db::ObjectId o : *answers) {
-    std::printf(" %s", symbols.Name(database.ObjectName(o)).c_str());
+    std::printf(" %s", front.symbols.Name(database.ObjectName(o)).c_str());
   }
   std::printf(" }   (%zu candidates examined)\n", stats.candidates_examined);
 
@@ -158,7 +152,7 @@ int main() {
   view = catalog.Find(S("ViewPatient"));
   std::printf("refreshed ViewPatient = {");
   for (db::ObjectId o : view->extent) {
-    std::printf(" %s", symbols.Name(database.ObjectName(o)).c_str());
+    std::printf(" %s", front.symbols.Name(database.ObjectName(o)).c_str());
   }
   std::printf(" }\n");
   return 0;

@@ -6,10 +6,8 @@
 #include <cstdio>
 
 #include "calculus/subsumption.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "ql/print.h"
-#include "schema/schema.h"
 
 int main() {
   using namespace oodb;
@@ -67,33 +65,26 @@ int main() {
     end ViewPatient
   )";
 
-  // 2. Parse and resolve. Classes like Male/Female/Drug that are used but
-  //    not declared are implicitly declared (with warnings).
-  SymbolTable symbols;
-  auto model = dl::ParseAndAnalyze(source, &symbols);
-  if (!model.ok()) {
-    std::printf("error: %s\n", model.status().ToString().c_str());
-    return 1;
-  }
-  for (const std::string& warning : model->warnings()) {
-    std::printf("note: %s\n", warning.c_str());
-  }
-
-  // 3. Translate: structural schema → SL axioms, queries → QL concepts.
-  ql::TermFactory terms(&symbols);
-  schema::Schema sigma(&terms);
-  dl::Translator translator(*model, &terms);
-  if (auto s = translator.BuildSchema(&sigma); !s.ok()) {
+  // 2. The front end: parse and resolve, then translate the structural
+  //    schema into SL axioms Σ. Classes like Male/Female/Drug that are
+  //    used but not declared are implicitly declared (with warnings).
+  dl::Frontend front;
+  if (auto s = front.Load(source); !s.ok()) {
     std::printf("error: %s\n", s.ToString().c_str());
     return 1;
   }
-  ql::ConceptId query = *translator.QueryConcept(symbols.Find("QueryPatient"));
-  ql::ConceptId view = *translator.QueryConcept(symbols.Find("ViewPatient"));
-  std::printf("\nC_Q = %s\n", ql::ConceptToString(terms, query).c_str());
-  std::printf("D_V = %s\n\n", ql::ConceptToString(terms, view).c_str());
+  for (const std::string& warning : front.model->warnings()) {
+    std::printf("note: %s\n", warning.c_str());
+  }
+
+  // 3. Translate the queries into QL concepts.
+  ql::ConceptId query = *front.translator->ClassConcept("QueryPatient");
+  ql::ConceptId view = *front.translator->ClassConcept("ViewPatient");
+  std::printf("\nC_Q = %s\n", ql::ConceptToString(*front.terms, query).c_str());
+  std::printf("D_V = %s\n\n", ql::ConceptToString(*front.terms, view).c_str());
 
   // 4. Decide subsumption (polynomial time, Theorem 4.9).
-  calculus::SubsumptionChecker checker(sigma);
+  calculus::SubsumptionChecker checker(*front.sigma);
   auto outcome = checker.SubsumesDetailed(query, view);
   std::printf("QueryPatient ⊑_Σ ViewPatient?  %s\n",
               outcome->subsumed ? "YES" : "no");

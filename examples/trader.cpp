@@ -11,9 +11,7 @@
 
 #include "db/database.h"
 #include "db/evaluator.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
-#include "schema/schema.h"
+#include "dl/frontend.h"
 #include "views/views.h"
 
 namespace {
@@ -75,19 +73,14 @@ end ProductReports
 int main() {
   using namespace oodb;
 
-  SymbolTable symbols;
-  auto model = dl::ParseAndAnalyze(kSource, &symbols);
-  if (!model.ok()) {
-    std::printf("error: %s\n", model.status().ToString().c_str());
+  dl::Frontend front;
+  if (auto s = front.Load(kSource); !s.ok()) {
+    std::printf("error: %s\n", s.ToString().c_str());
     return 1;
   }
-  ql::TermFactory terms(&symbols);
-  schema::Schema sigma(&terms);
-  dl::Translator translator(*model, &terms);
-  (void)translator.BuildSchema(&sigma);
 
-  db::Database database(*model, &symbols);
-  auto S = [&](const char* s) { return symbols.Intern(s); };
+  db::Database database(*front.model, &front.symbols);
+  auto S = [&](const char* s) { return front.symbols.Intern(s); };
   auto obj = [&](const char* name, const char* cls) {
     db::ObjectId o = *database.CreateObject(name);
     (void)database.AddToClass(o, S(cls));
@@ -122,8 +115,9 @@ int main() {
 
   // The trader: every structural query that had to be evaluated from
   // scratch is memorized as a materialized view for later users.
-  views::ViewCatalog catalog(&database, &translator);
-  views::Optimizer optimizer(&database, &catalog, sigma, &translator);
+  views::ViewCatalog catalog(&database, front.translator.get());
+  views::Optimizer optimizer(&database, &catalog, *front.sigma,
+                             front.translator.get());
 
   auto serve = [&](const char* query) {
     Symbol q = S(query);
@@ -133,7 +127,7 @@ int main() {
     std::printf("user asks %-20s → %s\n", query, plan.explanation.c_str());
     std::printf("  answers: {");
     for (db::ObjectId o : *answers) {
-      std::printf(" %s", symbols.Name(database.ObjectName(o)).c_str());
+      std::printf(" %s", front.symbols.Name(database.ObjectName(o)).c_str());
     }
     std::printf(" }\n");
     if (!plan.uses_view) {

@@ -233,10 +233,15 @@ Status Classifier::Remove(Symbol name) {
   for (size_t p : parents) std::erase(classes_[p].children, k);
   for (size_t ch : children) std::erase(classes_[ch].parents, k);
 
+  // A child's ancestor walk ends once it has met every direct parent
+  // (marked in region_); only a child that cannot reach one of them walks
+  // all its ancestors.
+  region_.Start(classes_.size());
+  for (size_t p : parents) region_.Set(p, 1);
   std::vector<std::pair<size_t, size_t>> missing;  // (child, parent)
   std::vector<size_t> ancestors;
   for (size_t ch : children) {
-    Reach(ch, &Class::parents, &ancestors);
+    Reach(ch, &Class::parents, &ancestors, parents.size());
     for (size_t p : parents) {
       if (!seen_.Has(p)) missing.emplace_back(ch, p);
     }
@@ -287,8 +292,8 @@ Result<std::vector<size_t>> Classifier::Walk(std::vector<size_t> ready,
   return passed;
 }
 
-void Classifier::Reach(size_t from, Edges edges,
-                       std::vector<size_t>* reached) {
+void Classifier::Reach(size_t from, Edges edges, std::vector<size_t>* reached,
+                       size_t targets) {
   seen_.Start(classes_.size());
   seen_.Set(from, 1);
   reached->assign(1, from);
@@ -297,6 +302,7 @@ void Classifier::Reach(size_t from, Edges edges,
       if (seen_.Has(next)) continue;
       seen_.Set(next, 1);
       reached->push_back(next);
+      if (targets > 0 && region_.Has(next) && --targets == 0) return;
     }
   }
 }

@@ -215,8 +215,10 @@ class Classifier {
   // the region's leaves.
   std::vector<size_t> MarkRegionBelow(const std::vector<size_t>& tops);
   // Sets `*reached` to `from` and every class it reaches along `edges`,
-  // and marks them in `seen_`.
-  void Reach(size_t from, Edges edges, std::vector<size_t>* reached);
+  // and marks them in `seen_`. Given `targets` > 0, it stops as soon as
+  // it has reached that many classes marked in `region_`.
+  void Reach(size_t from, Edges edges, std::vector<size_t>* reached,
+             size_t targets = 0);
   // The members of `ks`, except `skip`, in Add() order.
   std::vector<Symbol> MembersOf(const std::vector<size_t>& ks,
                                 Symbol skip = Symbol()) const;

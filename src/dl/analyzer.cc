@@ -44,9 +44,8 @@ std::vector<Symbol> Model::SuperClosure(Symbol cls) const {
 
 class Analyzer {
  public:
-  Analyzer(const ast::File& file, SymbolTable* symbols,
-           const AnalyzeOptions& options)
-      : file_(file), symbols_(symbols), options_(options) {}
+  Analyzer(const ast::File& file, SymbolTable* symbols)
+      : file_(file), symbols_(symbols) {}
 
   Result<Model> Run() {
     model_.object_class = symbols_->Intern("Object");
@@ -128,10 +127,6 @@ class Analyzer {
   Result<Symbol> ResolveClass(const std::string& name, int line) {
     Symbol s = symbols_->Intern(name);
     if (model_.class_index_.count(s) > 0) return s;
-    if (!options_.allow_implicit_declarations) {
-      return NotFoundError(
-          StrCat("line ", line, ": unknown class '", name, "'"));
-    }
     AddClass(s, /*is_query=*/false, /*implicit=*/true);
     model_.warnings_.push_back(
         StrCat("line ", line, ": class '", name, "' implicitly declared"));
@@ -147,10 +142,6 @@ class Analyzer {
           StrCat("line ", line, ": inverse synonym '", name,
                  "' may not occur in a schema declaration"));
     }
-    if (!options_.allow_implicit_declarations) {
-      return NotFoundError(
-          StrCat("line ", line, ": unknown attribute '", name, "'"));
-    }
     AddAttribute(s, /*implicit=*/true);
     model_.warnings_.push_back(
         StrCat("line ", line, ": attribute '", name, "' implicitly declared"));
@@ -160,10 +151,6 @@ class Analyzer {
   Result<ql::Attr> ResolvePathAttr(const std::string& name, int line) {
     Symbol s = symbols_->Intern(name);
     if (auto attr = model_.ResolveAttrName(s)) return *attr;
-    if (!options_.allow_implicit_declarations) {
-      return NotFoundError(
-          StrCat("line ", line, ": unknown attribute '", name, "'"));
-    }
     AddAttribute(s, /*implicit=*/true);
     model_.warnings_.push_back(
         StrCat("line ", line, ": attribute '", name, "' implicitly declared"));
@@ -411,20 +398,17 @@ class Analyzer {
 
   const ast::File& file_;
   SymbolTable* symbols_;
-  AnalyzeOptions options_;
   Model model_;
 };
 
-Result<Model> Analyze(const ast::File& file, SymbolTable* symbols,
-                      const AnalyzeOptions& options) {
-  Analyzer analyzer(file, symbols, options);
+Result<Model> Analyze(const ast::File& file, SymbolTable* symbols) {
+  Analyzer analyzer(file, symbols);
   return analyzer.Run();
 }
 
-Result<Model> ParseAndAnalyze(std::string_view source, SymbolTable* symbols,
-                              const AnalyzeOptions& options) {
+Result<Model> ParseAndAnalyze(std::string_view source, SymbolTable* symbols) {
   OODB_ASSIGN_OR_RETURN(ast::File file, ParseFile(source));
-  return Analyze(file, symbols, options);
+  return Analyze(file, symbols);
 }
 
 }  // namespace oodb::dl

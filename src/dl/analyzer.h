@@ -13,19 +13,18 @@ namespace oodb::dl {
 
 // Resolves `file` against `symbols`. Checks performed:
 //  * duplicate class/attribute/synonym declarations
-//  * unknown references (error, or implicit declaration in lenient mode)
+//  * unknown references: declared implicitly, with a warning in
+//    Model::warnings() (footnote 2: a complete schema declares them)
 //  * schema classes must not have derived/where sections
 //  * attribute synonyms must not occur in schema declarations
 //  * labels are unique per query and appear at most once in `where`
 //    (footnote 5) and must be declared in `derived`
 //  * the isA graph is acyclic
 //  * constraint formulas only reference visible variables/labels/classes
-Result<Model> Analyze(const ast::File& file, SymbolTable* symbols,
-                      const AnalyzeOptions& options = AnalyzeOptions());
+Result<Model> Analyze(const ast::File& file, SymbolTable* symbols);
 
 // Convenience: parse + analyze in one step.
-Result<Model> ParseAndAnalyze(std::string_view source, SymbolTable* symbols,
-                              const AnalyzeOptions& options = AnalyzeOptions());
+Result<Model> ParseAndAnalyze(std::string_view source, SymbolTable* symbols);
 
 }  // namespace oodb::dl
 

@@ -124,13 +124,6 @@ class Model {
   std::vector<std::string> warnings_;
 };
 
-struct AnalyzeOptions {
-  // When true (default), classes and attributes that are referenced but
-  // not declared are implicitly declared (with a warning), mirroring the
-  // paper's footnote that a complete schema declares everything.
-  bool allow_implicit_declarations = true;
-};
-
 }  // namespace oodb::dl
 
 #endif  // OODB_DL_MODEL_H_

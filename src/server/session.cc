@@ -7,7 +7,6 @@
 #include "base/strings.h"
 #include "base/sync.h"
 #include "db/instance.h"
-#include "dl/analyzer.h"
 
 namespace oodb::server {
 
@@ -19,37 +18,22 @@ Result<std::unique_ptr<Session>> Session::FromSource(
   // anyway because database_/catalog_/optimizer_ are written below and
   // the analysis (rightly) has no notion of "not yet shared".
   base::WriterLock init_lock(&session->mu_);
-  session->terms_ = std::make_unique<ql::TermFactory>(&session->symbols_);
-  session->sigma_ = std::make_unique<schema::Schema>(session->terms_.get());
-  {
-    obs::ScopedSpan span(trace, obs::Phase::kParse);
-    OODB_ASSIGN_OR_RETURN(dl::Model parsed,
-                          dl::ParseAndAnalyze(dl_source, &session->symbols_));
-    session->model_ = std::make_unique<dl::Model>(std::move(parsed));
-  }
-  session->warnings_ = session->model_->warnings();
-  {
-    obs::ScopedSpan span(trace, obs::Phase::kTranslate);
-    session->translator_ = std::make_unique<dl::Translator>(
-        *session->model_, session->terms_.get());
-    OODB_RETURN_IF_ERROR(
-        session->translator_->BuildSchema(session->sigma_.get()));
-  }
+  OODB_RETURN_IF_ERROR(session->dl_.Load(dl_source, trace));
   session->checker_ =
-      std::make_unique<calculus::SubsumptionChecker>(*session->sigma_);
+      std::make_unique<calculus::SubsumptionChecker>(*session->dl_.sigma);
   // An empty state up front: CHECK/CLASSIFY need none, and OPTIMIZE is
   // well-defined over zero objects (plans, not answers).
-  session->ResetState(
-      std::make_unique<db::Database>(*session->model_, &session->symbols_));
+  session->ResetState(std::make_unique<db::Database>(*session->dl_.model,
+                                                     &session->dl_.symbols));
   return session;
 }
 
 void Session::ResetState(std::unique_ptr<db::Database> database) {
   database_ = std::move(database);
   catalog_ = std::make_unique<views::ViewCatalog>(database_.get(),
-                                                  translator_.get());
+                                                  dl_.translator.get());
   optimizer_ = std::make_unique<views::Optimizer>(
-      database_.get(), catalog_.get(), *sigma_, translator_.get());
+      database_.get(), catalog_.get(), *dl_.sigma, dl_.translator.get());
 }
 
 namespace {
@@ -88,10 +72,10 @@ std::optional<Reply> Session::AnswerFromMemo(const RequestView& request,
 
 Result<std::string> Session::LoadState(std::string_view payload,
                                        obs::TraceContext* trace) {
-  // Parsed before the writer lock (model_ never changes, symbols_ interns
+  // Parsed before the writer lock (the model never changes, symbols interns
   // thread-safely), so readers keep the session meanwhile and a payload
   // that fails to parse changes nothing.
-  auto database = std::make_unique<db::Database>(*model_, &symbols_);
+  auto database = std::make_unique<db::Database>(*dl_.model, &dl_.symbols);
   {
     obs::ScopedSpan span(trace, obs::Phase::kParse);
     OODB_RETURN_IF_ERROR(db::LoadInstance(payload, database.get()).status());
@@ -111,7 +95,7 @@ Result<std::string> Session::Mutate(const RequestView& request,
       // database; attribute it to the engine phase as one block.
       obs::ScopedSpan span(trace, obs::Phase::kEngine);
       const std::string_view name = request.args[1];
-      const Symbol s = translator_->FindClass(name);
+      const Symbol s = dl_.translator->FindClass(name);
       if (!s.valid()) {
         return NotFoundError(StrCat("no class named '", name, "'"));
       }
@@ -123,7 +107,7 @@ Result<std::string> Session::Mutate(const RequestView& request,
         taxonomy_excluded_.erase(s);
         if (classifier_ != nullptr && !classifier_->Contains(s)) {
           OODB_ASSIGN_OR_RETURN(ql::ConceptId concept_id,
-                                translator_->ClassConcept(s));
+                                dl_.translator->ClassConcept(s));
           OODB_RETURN_IF_ERROR(classifier_->Insert(s, concept_id));
           ++taxonomy_inserts_;
         }
@@ -135,8 +119,8 @@ Result<std::string> Session::Mutate(const RequestView& request,
       // it is still session mutation; attribute it to the engine phase.
       obs::ScopedSpan span(trace, obs::Phase::kEngine);
       const std::string_view name = request.args[1];
-      const Symbol s = translator_->FindClass(name);
-      const dl::ClassDef* def = s.valid() ? model_->FindClass(s) : nullptr;
+      const Symbol s = dl_.translator->FindClass(name);
+      const dl::ClassDef* def = s.valid() ? dl_.model->FindClass(s) : nullptr;
       if (def == nullptr || !def->is_query) {
         return NotFoundError(StrCat("no query class named '", name, "'"));
       }
@@ -187,12 +171,12 @@ Result<std::string> Session::Read(const RequestView& request,
       base::MutexLock lock(&classify_mu_);
       OODB_RETURN_IF_ERROR(EnsureClassifierLocked(trace));
       classifies_.fetch_add(1, std::memory_order_relaxed);
-      return classifier_->ToString(symbols_);
+      return classifier_->ToString(dl_.symbols);
     }
     case Verb::kOptimize: {
       const std::string_view query = request.args[1];
-      const Symbol s = translator_->FindClass(query);
-      const dl::ClassDef* def = s.valid() ? model_->FindClass(s) : nullptr;
+      const Symbol s = dl_.translator->FindClass(query);
+      const dl::ClassDef* def = s.valid() ? dl_.model->FindClass(s) : nullptr;
       if (def == nullptr || !def->is_query) {
         return NotFoundError(StrCat("no query class named '", query, "'"));
       }
@@ -202,12 +186,12 @@ Result<std::string> Session::Read(const RequestView& request,
       optimizes_.fetch_add(1, std::memory_order_relaxed);
       return StrCat(
           "uses_view=", plan.uses_view ? "true" : "false", "\n",
-          "view=", plan.uses_view ? symbols_.Name(plan.view) : "-", "\n",
+          "view=", plan.uses_view ? dl_.symbols.Name(plan.view) : "-", "\n",
           "views_used=",
           plan.views_used.empty()
               ? "-"
               : StrJoinMapped(plan.views_used, ",",
-                              [&](Symbol v) { return symbols_.Name(v); }),
+                              [&](Symbol v) { return dl_.symbols.Name(v); }),
           "\n", "pool=", plan.pool_size, "\n",
           "checks=", plan.subsumption_checks, "\n",
           "plan=", plan.explanation);
@@ -226,11 +210,11 @@ Result<Session::Settled> Session::CheckBatch(Args operands, Settle settle,
     obs::ScopedSpan span(trace, obs::Phase::kTranslate);
     for (size_t i = 0; i < operands.size(); ++i) {
       if (memo_only) {
-        concepts[i] = translator_->ResolvedConcept(operands[i]);
+        concepts[i] = dl_.translator->ResolvedConcept(operands[i]);
         if (concepts[i] == ql::kInvalidConcept) return Settled();
       } else {
         OODB_ASSIGN_OR_RETURN(concepts[i],
-                              translator_->ClassConcept(operands[i]));
+                              dl_.translator->ClassConcept(operands[i]));
       }
     }
   }
@@ -272,11 +256,11 @@ Status Session::EnsureClassifierLocked(obs::TraceContext* trace) {
   auto classifier = std::make_unique<calculus::Classifier>(*checker_);
   {
     obs::ScopedSpan span(trace, obs::Phase::kTranslate);
-    for (const dl::ClassDef& def : model_->classes()) {
-      if (def.name == model_->object_class) continue;
+    for (const dl::ClassDef& def : dl_.model->classes()) {
+      if (def.name == dl_.model->object_class) continue;
       if (taxonomy_excluded_.count(def.name) > 0) continue;
       OODB_ASSIGN_OR_RETURN(ql::ConceptId concept_id,
-                            translator_->ClassConcept(def.name));
+                            dl_.translator->ClassConcept(def.name));
       OODB_RETURN_IF_ERROR(classifier->Add(def.name, concept_id));
     }
   }
@@ -292,11 +276,12 @@ Status Session::EnsureClassifierLocked(obs::TraceContext* trace) {
 
 std::string Session::Summary() const {
   size_t queries = 0;
-  for (const dl::ClassDef& def : model_->classes()) queries += def.is_query;
-  return StrCat("classes=", model_->classes().size() - queries,
+  for (const dl::ClassDef& def : dl_.model->classes()) queries += def.is_query;
+  return StrCat("classes=", dl_.model->classes().size() - queries,
                 " queries=", queries,
-                " axioms=", sigma_->inclusions().size() + sigma_->typings().size(),
-                " warnings=", warnings_.size());
+                " axioms=",
+                dl_.sigma->inclusions().size() + dl_.sigma->typings().size(),
+                " warnings=", dl_.model->warnings().size());
 }
 
 void Session::AppendMetrics(obs::Collector& out,

@@ -13,7 +13,6 @@
 #include <string_view>
 #include <unordered_set>
 #include <utility>
-#include <vector>
 
 #include "base/status.h"
 #include "base/symbol.h"
@@ -21,12 +20,9 @@
 #include "calculus/services.h"
 #include "calculus/subsumption.h"
 #include "db/database.h"
-#include "dl/model.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "ql/term_factory.h"
-#include "schema/schema.h"
 #include "server/wire.h"
 #include "views/views.h"
 
@@ -110,11 +106,7 @@ class Session {
   Status EnsureClassifierLocked(obs::TraceContext* trace)
       REQUIRES(classify_mu_);
 
-  SymbolTable symbols_;
-  std::unique_ptr<ql::TermFactory> terms_;
-  std::unique_ptr<schema::Schema> sigma_;
-  std::unique_ptr<dl::Model> model_;
-  std::unique_ptr<dl::Translator> translator_;
+  dl::Frontend dl_;
   std::unique_ptr<calculus::SubsumptionChecker> checker_;
   // The database state and everything derived from it are replaced
   // wholesale by ResetState, so they live under mu_ (exclusive to swap,
@@ -123,7 +115,6 @@ class Session {
   std::unique_ptr<db::Database> database_ GUARDED_BY(mu_);
   std::unique_ptr<views::ViewCatalog> catalog_ GUARDED_BY(mu_);
   std::unique_ptr<views::Optimizer> optimizer_ GUARDED_BY(mu_);
-  std::vector<std::string> warnings_;
 
   // Request counters tick under the shared lock, so they are atomic.
   std::atomic<uint64_t> checks_{0};

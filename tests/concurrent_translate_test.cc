@@ -14,8 +14,7 @@
 
 #include "base/strings.h"
 #include "calculus/subsumption.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 
 namespace oodb::calculus {
 namespace {
@@ -56,15 +55,10 @@ std::string MakeDl() {
 }
 
 TEST(ConcurrentTranslate, BatchChecksWhileAnotherThreadTranslates) {
-  SymbolTable symbols;
-  ql::TermFactory terms(&symbols);
-  schema::Schema sigma(&terms);
-  auto model = dl::ParseAndAnalyze(MakeDl(), &symbols);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  dl::Translator translator(*model, &terms);
-  ASSERT_TRUE(translator.BuildSchema(&sigma).ok());
+  dl::Frontend front;
+  ASSERT_EQ(front.Load(MakeDl()), Status::Ok());
   auto translate = [&](int q) {
-    auto c = translator.QueryConcept(symbols.Find(StrCat("Q", q)));
+    auto c = front.translator->ClassConcept(StrCat("Q", q));
     return c.ok() ? *c : ql::kInvalidConcept;
   };
   std::vector<ql::ConceptId> views;
@@ -77,7 +71,7 @@ TEST(ConcurrentTranslate, BatchChecksWhileAnotherThreadTranslates) {
   // Every batch runs the engine: no memo.
   SubsumptionChecker::Options options;
   options.memoize = false;
-  SubsumptionChecker checker(sigma, options);
+  SubsumptionChecker checker(*front.sigma, options);
   std::vector<std::vector<bool>> expected;
   int subsumed = 0;
   for (ql::ConceptId c : queries) {
@@ -116,7 +110,7 @@ TEST(ConcurrentTranslate, BatchChecksWhileAnotherThreadTranslates) {
   ASSERT_EQ(fresh.size(), static_cast<size_t>(kQueries - kChecked));
   for (ql::ConceptId c : fresh) {
     ASSERT_NE(c, ql::kInvalidConcept);
-    EXPECT_TRUE(terms.IsQl(c));
+    EXPECT_TRUE(front.terms->IsQl(c));
   }
   // The views still answer for a query translated during the run.
   EXPECT_TRUE(checker.SubsumesBatch(fresh.back(), views).ok());

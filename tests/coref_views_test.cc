@@ -8,8 +8,7 @@
 #include "calculus/subsumption.h"
 #include "db/database.h"
 #include "db/evaluator.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "ql/print.h"
 #include "schema/schema.h"
 #include "views/views.h"
@@ -64,22 +63,11 @@ Attribute knows with
 end knows
 )";
 
-struct Fx {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
+struct Fx : dl::Frontend {
   std::unique_ptr<db::Database> database;
 
   Fx() {
-    terms = std::make_unique<ql::TermFactory>(&symbols);
-    sigma = std::make_unique<schema::Schema>(terms.get());
-    auto m = dl::ParseAndAnalyze(kSource, &symbols);
-    EXPECT_TRUE(m.ok()) << m.status();
-    model = std::make_unique<dl::Model>(std::move(m).value());
-    translator = std::make_unique<dl::Translator>(*model, terms.get());
-    EXPECT_TRUE(translator->BuildSchema(sigma.get()).ok());
+    EXPECT_EQ(Load(kSource), Status::Ok());
     database = std::make_unique<db::Database>(*model, &symbols);
   }
 
@@ -123,24 +111,13 @@ QueryClass JoinPatient isA Patient with
 end JoinPatient
 )";
 
-struct CorefFx {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
+struct CorefFx : dl::Frontend {
   std::unique_ptr<db::Database> database;
 
   db::ObjectId alice, bert, pat1, pat2, flu, cough;
 
   CorefFx() {
-    terms = std::make_unique<ql::TermFactory>(&symbols);
-    sigma = std::make_unique<schema::Schema>(terms.get());
-    auto m = dl::ParseAndAnalyze(kCorefSource, &symbols);
-    EXPECT_TRUE(m.ok()) << m.status();
-    model = std::make_unique<dl::Model>(std::move(m).value());
-    translator = std::make_unique<dl::Translator>(*model, terms.get());
-    EXPECT_TRUE(translator->BuildSchema(sigma.get()).ok());
+    EXPECT_EQ(Load(kCorefSource), Status::Ok());
     database = std::make_unique<db::Database>(*model, &symbols);
 
     auto S = [&](const char* s) { return symbols.Intern(s); };

@@ -11,7 +11,7 @@
 #include "db/evaluator.h"
 #include "db/instance.h"
 #include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "dl_fixture.h"
 #include "gen/dl_gen.h"
 #include "schema/schema.h"
@@ -32,12 +32,7 @@ using db::QueryEvaluator;
 //   frank: Male Patient, suffers cough, consults alice → neither (alice is
 //          not skilled in cough)
 //   alice: Female Doctor skilled in flu.
-struct MedicalDb {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
+struct MedicalDb : dl::Frontend {
   std::unique_ptr<Database> database;
 
   ObjectId alice, bob, carol, frank, gus;
@@ -59,13 +54,7 @@ struct MedicalDb {
   }
 
   MedicalDb() {
-    terms = std::make_unique<ql::TermFactory>(&symbols);
-    sigma = std::make_unique<schema::Schema>(terms.get());
-    auto m = dl::ParseAndAnalyze(testing::kMedicalDlSource, &symbols);
-    EXPECT_TRUE(m.ok()) << m.status();
-    model = std::make_unique<dl::Model>(std::move(m).value());
-    translator = std::make_unique<dl::Translator>(*model, terms.get());
-    EXPECT_TRUE(translator->BuildSchema(sigma.get()).ok());
+    EXPECT_EQ(Load(testing::kMedicalDlSource), Status::Ok());
     database = std::make_unique<Database>(*model, &symbols);
 
     flu = Obj("flu");

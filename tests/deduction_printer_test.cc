@@ -10,9 +10,9 @@
 #include "db/database.h"
 #include "db/deduction.h"
 #include "dl/analyzer.h"
+#include "dl/frontend.h"
 #include "dl/parser.h"
 #include "dl/printer.h"
-#include "dl/translate.h"
 #include "dl_fixture.h"
 #include "ql/print.h"
 #include "schema/schema.h"
@@ -110,18 +110,12 @@ TEST(Printer, MedicalModelRoundTrips) {
 TEST(Printer, RoundTripPreservesSubsumption) {
   Fx fx;
   std::string printed = dl::ModelToSource(*fx.model, fx.symbols);
-  SymbolTable symbols2;
-  auto reparsed = dl::ParseAndAnalyze(printed, &symbols2);
-  ASSERT_TRUE(reparsed.ok());
-
-  ql::TermFactory terms(&symbols2);
-  schema::Schema sigma(&terms);
-  dl::Translator translator(*reparsed, &terms);
-  ASSERT_TRUE(translator.BuildSchema(&sigma).ok());
-  auto q = translator.QueryConcept(symbols2.Find("QueryPatient"));
-  auto v = translator.QueryConcept(symbols2.Find("ViewPatient"));
+  dl::Frontend reparsed;
+  ASSERT_EQ(reparsed.Load(printed), Status::Ok());
+  auto q = reparsed.translator->ClassConcept("QueryPatient");
+  auto v = reparsed.translator->ClassConcept("ViewPatient");
   ASSERT_TRUE(q.ok() && v.ok());
-  calculus::SubsumptionChecker checker(sigma);
+  calculus::SubsumptionChecker checker(*reparsed.sigma);
   auto verdict = checker.Subsumes(*q, *v);
   ASSERT_TRUE(verdict.ok());
   EXPECT_TRUE(*verdict);

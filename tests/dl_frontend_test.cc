@@ -6,10 +6,11 @@
 
 #include "calculus/subsumption.h"
 #include "dl/analyzer.h"
+#include "dl/frontend.h"
 #include "dl/lexer.h"
 #include "dl/parser.h"
-#include "dl/translate.h"
 #include "dl_fixture.h"
+#include "obs/trace.h"
 #include "ql/print.h"
 #include "schema/schema.h"
 
@@ -192,16 +193,6 @@ TEST(Analyzer, ImplicitDeclarationsWarnInLenientMode) {
   EXPECT_TRUE(u->implicit);
 }
 
-TEST(Analyzer, StrictModeRejectsUnknownNames) {
-  SymbolTable symbols;
-  dl::AnalyzeOptions options;
-  options.allow_implicit_declarations = false;
-  auto model =
-      ParseAndAnalyze("Class A isA Undeclared with end A", &symbols, options);
-  EXPECT_FALSE(model.ok());
-  EXPECT_EQ(model.status().code(), StatusCode::kNotFound);
-}
-
 TEST(Analyzer, RejectsDuplicateClass) {
   SymbolTable symbols;
   auto model =
@@ -210,25 +201,37 @@ TEST(Analyzer, RejectsDuplicateClass) {
   EXPECT_EQ(model.status().code(), StatusCode::kAlreadyExists);
 }
 
+// --- The front end in one call ---------------------------------------------
+
+TEST(Frontend, LoadBooksParseAndTranslate) {
+  dl::Frontend front;
+  obs::TraceContext trace;
+  ASSERT_EQ(front.Load(testing::kMedicalDlSource, &trace), Status::Ok());
+  EXPECT_GT(trace.phase_ns[static_cast<size_t>(obs::Phase::kParse)], 0u);
+  EXPECT_GT(trace.phase_ns[static_cast<size_t>(obs::Phase::kTranslate)], 0u);
+  EXPECT_TRUE(front.model->warnings().empty());
+  EXPECT_FALSE(front.sigma->inclusions().empty());
+  EXPECT_TRUE(front.translator->ClassConcept("QueryPatient").ok());
+}
+
+TEST(Frontend, AParseErrorBooksNoTranslation) {
+  dl::Frontend front;
+  obs::TraceContext trace;
+  EXPECT_FALSE(front.Load("Class A isA", &trace).ok());
+  EXPECT_GT(trace.phase_ns[static_cast<size_t>(obs::Phase::kParse)], 0u);
+  EXPECT_EQ(trace.phase_ns[static_cast<size_t>(obs::Phase::kTranslate)], 0u);
+  EXPECT_EQ(front.translator, nullptr);
+  EXPECT_TRUE(front.sigma->inclusions().empty());
+}
+
 // --- Translation (Sect. 3.2) ----------------------------------------------
 
-struct Translated {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<Model> model;
-  std::unique_ptr<dl::Translator> translator;
+struct Translated : dl::Frontend {
   ql::ConceptId query = ql::kInvalidConcept;
   ql::ConceptId view = ql::kInvalidConcept;
 
   Translated() {
-    terms = std::make_unique<ql::TermFactory>(&symbols);
-    sigma = std::make_unique<schema::Schema>(terms.get());
-    auto m = ParseAndAnalyze(testing::kMedicalDlSource, &symbols);
-    EXPECT_TRUE(m.ok()) << m.status();
-    model = std::make_unique<Model>(std::move(m).value());
-    translator = std::make_unique<dl::Translator>(*model, terms.get());
-    EXPECT_TRUE(translator->BuildSchema(sigma.get()).ok());
+    EXPECT_EQ(Load(testing::kMedicalDlSource), Status::Ok());
     auto q = translator->QueryConcept(symbols.Find("QueryPatient"));
     EXPECT_TRUE(q.ok()) << q.status();
     query = *q;

@@ -12,8 +12,8 @@
 #include "db/evaluator.h"
 #include "db/instance.h"
 #include "dl/analyzer.h"
+#include "dl/frontend.h"
 #include "dl/printer.h"
-#include "dl/translate.h"
 #include "gen/dl_gen.h"
 #include "schema/schema.h"
 #include "views/views.h"
@@ -21,12 +21,7 @@
 namespace oodb {
 namespace {
 
-struct World {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
+struct World : dl::Frontend {
   std::unique_ptr<db::Database> database;
   gen::GeneratedDl dl;
 
@@ -35,17 +30,8 @@ struct World {
   // failure.
   bool Build(Rng& rng) {
     dl = gen::GenerateDlSource(rng);
-    terms = std::make_unique<ql::TermFactory>(&symbols);
-    sigma = std::make_unique<schema::Schema>(terms.get());
-    auto m = dl::ParseAndAnalyze(dl.source, &symbols);
-    if (!m.ok()) {
-      ADD_FAILURE() << m.status() << "\n" << dl.source;
-      return false;
-    }
-    model = std::make_unique<dl::Model>(std::move(m).value());
-    translator = std::make_unique<dl::Translator>(*model, terms.get());
-    if (auto s = translator->BuildSchema(sigma.get()); !s.ok()) {
-      ADD_FAILURE() << s.ToString();
+    if (Status s = Load(dl.source); !s.ok()) {
+      ADD_FAILURE() << s << "\n" << dl.source;
       return false;
     }
     database = std::make_unique<db::Database>(*model, &symbols);
@@ -151,11 +137,7 @@ TEST(EndToEnd, StateDumpRoundTripsGeneratedWorlds) {
     std::string dump = db::DumpInstance(*world.database);
     World fresh;
     fresh.dl = world.dl;
-    fresh.terms = std::make_unique<ql::TermFactory>(&fresh.symbols);
-    fresh.sigma = std::make_unique<schema::Schema>(fresh.terms.get());
-    auto m = dl::ParseAndAnalyze(world.dl.source, &fresh.symbols);
-    ASSERT_TRUE(m.ok());
-    fresh.model = std::make_unique<dl::Model>(std::move(m).value());
+    ASSERT_EQ(fresh.Load(world.dl.source), Status::Ok());
     fresh.database =
         std::make_unique<db::Database>(*fresh.model, &fresh.symbols);
     auto loaded = db::LoadInstance(dump, fresh.database.get());

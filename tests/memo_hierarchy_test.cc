@@ -6,8 +6,7 @@
 #include "base/rng.h"
 #include "calculus/services.h"
 #include "calculus/subsumption.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "dl_fixture.h"
 #include "gen/generators.h"
 #include "medical_fixture.h"
@@ -65,22 +64,17 @@ TEST(Memoization, CachedVerdictsMatchFreshOnes) {
 }
 
 TEST(Hierarchy, QueryClassesIntegrateWithSchemaClasses) {
-  SymbolTable symbols;
-  ql::TermFactory terms(&symbols);
-  schema::Schema sigma(&terms);
-  auto model = dl::ParseAndAnalyze(testing::kMedicalDlSource, &symbols);
-  ASSERT_TRUE(model.ok());
-  dl::Translator translator(*model, &terms);
-  ASSERT_TRUE(translator.BuildSchema(&sigma).ok());
+  dl::Frontend front;
+  ASSERT_EQ(front.Load(testing::kMedicalDlSource), Status::Ok());
+  const SymbolTable& symbols = front.symbols;
 
-  SubsumptionChecker checker(sigma);
+  SubsumptionChecker checker(*front.sigma);
   Classifier classifier(checker);
-  for (const dl::ClassDef& def : model->classes()) {
-    if (def.name == model->object_class) continue;
-    ql::ConceptId concept_id =
-        def.is_query ? *translator.QueryConcept(def.name)
-                     : terms.Primitive(def.name);
-    ASSERT_TRUE(classifier.Add(def.name, concept_id).ok());
+  for (const dl::ClassDef& def : front.model->classes()) {
+    if (def.name == front.model->object_class) continue;
+    auto concept_id = front.translator->ClassConcept(def.name);
+    ASSERT_TRUE(concept_id.ok()) << concept_id.status();
+    ASSERT_TRUE(classifier.Add(def.name, *concept_id).ok());
   }
   ASSERT_TRUE(classifier.Classify().ok());
 

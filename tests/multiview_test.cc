@@ -10,8 +10,7 @@
 #include "db/database.h"
 #include "db/evaluator.h"
 #include "db/instance.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "schema/schema.h"
 #include "views/views.h"
 
@@ -46,22 +45,11 @@ QueryClass TradedItems isA Item with
 end TradedItems
 )";
 
-struct Fx {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
+struct Fx : dl::Frontend {
   std::unique_ptr<db::Database> database;
 
   Fx() {
-    terms = std::make_unique<ql::TermFactory>(&symbols);
-    sigma = std::make_unique<schema::Schema>(terms.get());
-    auto m = dl::ParseAndAnalyze(kSource, &symbols);
-    EXPECT_TRUE(m.ok()) << m.status();
-    model = std::make_unique<dl::Model>(std::move(m).value());
-    translator = std::make_unique<dl::Translator>(*model, terms.get());
-    EXPECT_TRUE(translator->BuildSchema(sigma.get()).ok());
+    EXPECT_EQ(Load(kSource), Status::Ok());
     database = std::make_unique<db::Database>(*model, &symbols);
   }
   Symbol S(const char* s) { return symbols.Intern(s); }

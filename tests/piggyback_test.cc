@@ -8,8 +8,7 @@
 #include "db/database.h"
 #include "db/evaluator.h"
 #include "db/instance.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "dl_fixture.h"
 #include "gen/dl_gen.h"
 #include "schema/schema.h"
@@ -18,22 +17,11 @@
 namespace oodb {
 namespace {
 
-struct Fx {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
+struct Fx : dl::Frontend {
   std::unique_ptr<db::Database> database;
 
   Fx() {
-    terms = std::make_unique<ql::TermFactory>(&symbols);
-    sigma = std::make_unique<schema::Schema>(terms.get());
-    auto m = dl::ParseAndAnalyze(testing::kMedicalDlSource, &symbols);
-    EXPECT_TRUE(m.ok()) << m.status();
-    model = std::make_unique<dl::Model>(std::move(m).value());
-    translator = std::make_unique<dl::Translator>(*model, terms.get());
-    EXPECT_TRUE(translator->BuildSchema(sigma.get()).ok());
+    EXPECT_EQ(Load(testing::kMedicalDlSource), Status::Ok());
     database = std::make_unique<db::Database>(*model, &symbols);
     auto loaded = db::LoadInstance(R"(
       Object flu in Disease with
@@ -80,28 +68,22 @@ TEST(Piggyback, ReusesComputedAnswersWithoutReevaluation) {
 TEST(Piggyback, PiggybackedViewMatchesEvaluatedView) {
   Rng rng(99887);
   for (int round = 0; round < 15; ++round) {
-    SymbolTable symbols;
-    ql::TermFactory terms(&symbols);
-    schema::Schema sigma(&terms);
     gen::GeneratedDl dl_src = gen::GenerateDlSource(rng);
-    auto m = dl::ParseAndAnalyze(dl_src.source, &symbols);
-    ASSERT_TRUE(m.ok());
-    dl::Model model = std::move(m).value();
-    dl::Translator translator(model, &terms);
-    ASSERT_TRUE(translator.BuildSchema(&sigma).ok());
-    db::Database database(model, &symbols);
+    dl::Frontend front;
+    ASSERT_EQ(front.Load(dl_src.source), Status::Ok());
+    db::Database database(*front.model, &front.symbols);
     ASSERT_TRUE(
         db::LoadInstance(gen::GenerateDlState(dl_src, rng), &database)
             .ok());
 
     db::QueryEvaluator evaluator(database);
-    Symbol q = symbols.Intern(dl_src.query_names[0]);
+    Symbol q = front.symbols.Intern(dl_src.query_names[0]);
     auto answers = evaluator.Evaluate(q);
     ASSERT_TRUE(answers.ok());
 
-    views::ViewCatalog piggy(&database, &translator);
+    views::ViewCatalog piggy(&database, front.translator.get());
     ASSERT_TRUE(piggy.DefineViewFromAnswers(q, *answers).ok());
-    views::ViewCatalog fresh(&database, &translator);
+    views::ViewCatalog fresh(&database, front.translator.get());
     ASSERT_TRUE(fresh.DefineView(q).ok());
     EXPECT_EQ(piggy.Find(q)->extent, fresh.Find(q)->extent);
   }
@@ -120,21 +102,15 @@ TEST(Piggyback, RejectsNonStructuralAndDuplicates) {
 
 TEST(Catalog, DropViewRemovesAndReindexes) {
   Rng rng(5150);
-  SymbolTable symbols;
-  ql::TermFactory terms(&symbols);
-  schema::Schema sigma(&terms);
   gen::GeneratedDl dl_src = gen::GenerateDlSource(rng);
-  auto m = dl::ParseAndAnalyze(dl_src.source, &symbols);
-  ASSERT_TRUE(m.ok());
-  dl::Model model = std::move(m).value();
-  dl::Translator translator(model, &terms);
-  ASSERT_TRUE(translator.BuildSchema(&sigma).ok());
-  db::Database database(model, &symbols);
+  dl::Frontend front;
+  ASSERT_EQ(front.Load(dl_src.source), Status::Ok());
+  db::Database database(*front.model, &front.symbols);
 
-  views::ViewCatalog catalog(&database, &translator);
+  views::ViewCatalog catalog(&database, front.translator.get());
   ASSERT_GE(dl_src.query_names.size(), 2u);
-  Symbol q0 = symbols.Intern(dl_src.query_names[0]);
-  Symbol q1 = symbols.Intern(dl_src.query_names[1]);
+  Symbol q0 = front.symbols.Intern(dl_src.query_names[0]);
+  Symbol q1 = front.symbols.Intern(dl_src.query_names[1]);
   ASSERT_TRUE(catalog.DefineView(q0).ok());
   ASSERT_TRUE(catalog.DefineView(q1).ok());
   ASSERT_TRUE(catalog.DropView(q0).ok());

@@ -21,8 +21,7 @@
 #include "calculus/subsumption.h"
 #include "db/database.h"
 #include "db/instance.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "gen/dl_gen.h"
 #include "ql/term_factory.h"
 #include "schema/schema.h"
@@ -35,16 +34,10 @@ constexpr size_t kViews = 64;
 constexpr size_t kQueriesPerStage = 40;
 constexpr size_t kSwapped = 8;  // views dropped, and queries made views
 
-struct World {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
+struct World : dl::Frontend {
   gen::GeneratedDl dl;
 
   void Build(Rng& rng) {
-    terms = std::make_unique<ql::TermFactory>(&symbols);
     for (int i = 0; i < 70000; ++i) {
       terms->Primitive(symbols.Intern(StrCat("pad", i)));
     }
@@ -56,12 +49,7 @@ struct World {
     options.where_prob = 0.3;
     options.filter_prob = 0.6;
     dl = gen::GenerateDlSource(rng, options);
-    sigma = std::make_unique<schema::Schema>(terms.get());
-    auto parsed = dl::ParseAndAnalyze(dl.source, &symbols);
-    ASSERT_TRUE(parsed.ok()) << parsed.status();
-    model = std::make_unique<dl::Model>(std::move(parsed).value());
-    translator = std::make_unique<dl::Translator>(*model, terms.get());
-    ASSERT_TRUE(translator->BuildSchema(sigma.get()).ok());
+    ASSERT_EQ(Load(dl.source), Status::Ok());
   }
 
   std::unique_ptr<db::Database> NewState(Rng& rng) {

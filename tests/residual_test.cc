@@ -10,8 +10,7 @@
 #include "db/concept_eval.h"
 #include "db/database.h"
 #include "db/evaluator.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "dl_fixture.h"
 #include "gen/generators.h"
 #include "ql/print.h"
@@ -91,22 +90,11 @@ TEST(Residual, ExactnessPropertyOnRandomPairs) {
 
 // --- Database-level concept evaluation ---------------------------------------
 
-struct DbFx {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
+struct DbFx : dl::Frontend {
   std::unique_ptr<db::Database> database;
 
   DbFx() {
-    terms = std::make_unique<ql::TermFactory>(&symbols);
-    sigma = std::make_unique<schema::Schema>(terms.get());
-    auto m = dl::ParseAndAnalyze(testing::kMedicalDlSource, &symbols);
-    EXPECT_TRUE(m.ok()) << m.status();
-    model = std::make_unique<dl::Model>(std::move(m).value());
-    translator = std::make_unique<dl::Translator>(*model, terms.get());
-    EXPECT_TRUE(translator->BuildSchema(sigma.get()).ok());
+    EXPECT_EQ(Load(testing::kMedicalDlSource), Status::Ok());
     database = std::make_unique<db::Database>(*model, &symbols);
 
     auto S = [&](const char* s) { return symbols.Intern(s); };

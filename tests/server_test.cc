@@ -32,9 +32,8 @@
 #include "calculus/subsumption.h"
 #include "db/database.h"
 #include "db/instance.h"
+#include "dl/frontend.h"
 #include "dl_fixture.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
 #include "gen/dl_gen.h"
 #include "obs/exposition.h"
 #include "ql/term_factory.h"
@@ -47,24 +46,12 @@ namespace {
 
 // In-process reference: the same parse → translate → check pipeline the
 // daemon runs, built directly against the library.
-struct Reference {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
+struct Reference : dl::Frontend {
   std::unique_ptr<calculus::SubsumptionChecker> checker;
 
   static std::unique_ptr<Reference> FromSource(const std::string& source) {
     auto ref = std::make_unique<Reference>();
-    ref->terms = std::make_unique<ql::TermFactory>(&ref->symbols);
-    ref->sigma = std::make_unique<schema::Schema>(ref->terms.get());
-    auto parsed = dl::ParseAndAnalyze(source, &ref->symbols);
-    if (!parsed.ok()) return nullptr;
-    ref->model = std::make_unique<dl::Model>(*std::move(parsed));
-    ref->translator =
-        std::make_unique<dl::Translator>(*ref->model, ref->terms.get());
-    if (!ref->translator->BuildSchema(ref->sigma.get()).ok()) return nullptr;
+    if (!ref->Load(source).ok()) return nullptr;
     ref->checker =
         std::make_unique<calculus::SubsumptionChecker>(*ref->sigma);
     return ref;

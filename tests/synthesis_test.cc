@@ -11,8 +11,7 @@
 #include "db/database.h"
 #include "db/evaluator.h"
 #include "db/instance.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "gen/generators.h"
 #include "ql/print.h"
 #include "schema/schema.h"
@@ -126,22 +125,11 @@ Attribute skilled_in with
 end skilled_in
 )";
 
-struct Fx {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
+struct Fx : dl::Frontend {
   std::unique_ptr<db::Database> database;
 
   Fx() {
-    terms = std::make_unique<ql::TermFactory>(&symbols);
-    sigma = std::make_unique<schema::Schema>(terms.get());
-    auto m = dl::ParseAndAnalyze(kSchema, &symbols);
-    EXPECT_TRUE(m.ok()) << m.status();
-    model = std::make_unique<dl::Model>(std::move(m).value());
-    translator = std::make_unique<dl::Translator>(*model, terms.get());
-    EXPECT_TRUE(translator->BuildSchema(sigma.get()).ok());
+    EXPECT_EQ(Load(kSchema), Status::Ok());
     database = std::make_unique<db::Database>(*model, &symbols);
     auto loaded = db::LoadInstance(R"(
       Object flu in Disease with

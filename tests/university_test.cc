@@ -14,8 +14,7 @@
 #include "db/deduction.h"
 #include "db/evaluator.h"
 #include "db/instance.h"
-#include "dl/analyzer.h"
-#include "dl/translate.h"
+#include "dl/frontend.h"
 #include "schema/schema.h"
 #include "views/views.h"
 
@@ -30,26 +29,14 @@ std::string ReadFileOrDie(const std::string& path) {
   return buffer.str();
 }
 
-struct UniFx {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
+struct UniFx : dl::Frontend {
   std::unique_ptr<db::Database> database;
 
   UniFx() {
-    terms = std::make_unique<ql::TermFactory>(&symbols);
-    sigma = std::make_unique<schema::Schema>(terms.get());
-    auto m = dl::ParseAndAnalyze(
-        ReadFileOrDie(std::string(OODB_SOURCE_DIR) +
-                      "/examples/data/university.dl"),
-        &symbols);
-    EXPECT_TRUE(m.ok()) << m.status();
-    model = std::make_unique<dl::Model>(std::move(m).value());
+    EXPECT_EQ(Load(ReadFileOrDie(std::string(OODB_SOURCE_DIR) +
+                                 "/examples/data/university.dl")),
+              Status::Ok());
     EXPECT_TRUE(model->warnings().empty()) << model->warnings()[0];
-    translator = std::make_unique<dl::Translator>(*model, terms.get());
-    EXPECT_TRUE(translator->BuildSchema(sigma.get()).ok());
     database = std::make_unique<db::Database>(*model, &symbols);
     auto loaded = db::LoadInstance(
         ReadFileOrDie(std::string(OODB_SOURCE_DIR) +

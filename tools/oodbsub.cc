@@ -41,7 +41,7 @@
 #include "db/evaluator.h"
 #include "db/deduction.h"
 #include "db/instance.h"
-#include "dl/analyzer.h"
+#include "dl/frontend.h"
 #include "dl/printer.h"
 #include "dl/translate.h"
 #include "obs/exposition.h"
@@ -71,25 +71,16 @@ Result<std::string> ReadFile(const std::string& path) {
 }
 
 // Everything a subcommand needs: the parsed model, Σ and a translator.
-struct Session {
-  SymbolTable symbols;
-  std::unique_ptr<ql::TermFactory> terms;
-  std::unique_ptr<schema::Schema> sigma;
-  std::unique_ptr<dl::Model> model;
-  std::unique_ptr<dl::Translator> translator;
-
+struct Session : dl::Frontend {
   Status Open(const std::string& schema_path) {
     OODB_ASSIGN_OR_RETURN(std::string source, ReadFile(schema_path));
-    terms = std::make_unique<ql::TermFactory>(&symbols);
-    sigma = std::make_unique<schema::Schema>(terms.get());
-    OODB_ASSIGN_OR_RETURN(dl::Model parsed,
-                          dl::ParseAndAnalyze(source, &symbols));
-    model = std::make_unique<dl::Model>(std::move(parsed));
-    for (const std::string& warning : model->warnings()) {
-      std::fprintf(stderr, "note: %s\n", warning.c_str());
+    Status loaded = Load(source);
+    if (model != nullptr) {
+      for (const std::string& warning : model->warnings()) {
+        std::fprintf(stderr, "note: %s\n", warning.c_str());
+      }
     }
-    translator = std::make_unique<dl::Translator>(*model, terms.get());
-    return translator->BuildSchema(sigma.get());
+    return loaded;
   }
 
   Result<ql::ConceptId> Concept(const std::string& name) {
