@@ -2,7 +2,9 @@
 // concept minimization (the semantic-optimization use of containment the
 // related work pursues: remove redundant conjuncts) and classification of
 // named concepts into a subsumption DAG (the classic DL reasoner service;
-// the view catalog uses it to find most-specific subsuming views).
+// a daemon session keeps one as the taxonomy behind CLASSIFY). The view
+// catalog does not classify: `views::Optimizer::ChoosePlan` decides a
+// query against every view with one `SubsumesBatch`.
 #ifndef OODB_CALCULUS_SERVICES_H_
 #define OODB_CALCULUS_SERVICES_H_
 

@@ -108,8 +108,9 @@ Result<std::string> ClusterClient::Call(const std::string& line,
     last = r.status();
     switch (r.status().code()) {
       case StatusCode::kResourceExhausted:
-        // BUSY: the daemon rejected before dispatch; safe to retry for
-        // every verb, on the same node.
+        // BUSY: the daemon rejected before dispatch, so any verb may be
+        // resent. The next attempt goes to the next candidate: the owner
+        // again for a mutation, the next replica for a read.
         ++stats_.busy_retries;
         continue;
       case StatusCode::kInternal:
@@ -156,11 +157,6 @@ Result<size_t> ClusterClient::DefineView(const std::string& session,
   return server::ParseExtent(body);
 }
 
-Result<std::string> ClusterClient::Undefine(const std::string& session,
-                                            const std::string& query_class) {
-  return Call(StrCat("UNDEFINE ", session, " ", query_class));
-}
-
 Result<bool> ClusterClient::Check(const std::string& session,
                                   const std::string& c,
                                   const std::string& d) {
@@ -177,22 +173,6 @@ Result<std::vector<bool>> ClusterClient::CheckBatch(
   OODB_ASSIGN_OR_RETURN(std::string body,
                         Call(server::BatchCheckLine(session, pairs)));
   return server::ParseBatchVerdicts(body, pairs.size());
-}
-
-Result<std::string> ClusterClient::Classify(const std::string& session) {
-  return Call(StrCat("CLASSIFY ", session));
-}
-
-Result<std::string> ClusterClient::Stats(const std::string& session) {
-  return Call(session.empty() ? std::string("STATS")
-                              : StrCat("STATS ", session));
-}
-
-void ClusterClient::ShutdownAll() {
-  for (size_t node = 0; node < config_.nodes.size(); ++node) {
-    (void)CallAt(node, "SHUTDOWN");
-    Drop(node);
-  }
 }
 
 }  // namespace oodb::cluster

@@ -76,17 +76,11 @@ class ClusterClient {
                                 const std::string& odb_source);
   Result<size_t> DefineView(const std::string& session,
                             const std::string& query_class);
-  Result<std::string> Undefine(const std::string& session,
-                               const std::string& query_class);
   Result<bool> Check(const std::string& session, const std::string& c,
                      const std::string& d);
   Result<std::vector<bool>> CheckBatch(
       const std::string& session,
       const std::vector<std::pair<std::string, std::string>>& pairs);
-  Result<std::string> Classify(const std::string& session);
-  Result<std::string> Stats(const std::string& session);
-  // SHUTDOWN to every node that still answers; best-effort.
-  void ShutdownAll();
 
   size_t OwnerOf(std::string_view session) const {
     return ring_.OwnerOf(session);

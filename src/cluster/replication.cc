@@ -97,7 +97,6 @@ uint64_t Replicator::Record(const std::string& session, server::Verb verb,
   if (verb == server::Verb::kLoad) log.entries.clear();
   log.entries.push_back(
       Entry{seq, std::move(line), std::move(payload), trace_id});
-  recorded_.fetch_add(1, std::memory_order_relaxed);
   return seq;
 }
 
@@ -188,7 +187,6 @@ bool Replicator::PushToReplica(const std::string& session, size_t slot) {
 
 Replicator::Stats Replicator::stats() const {
   Stats s;
-  s.recorded = recorded_.load(std::memory_order_relaxed);
   s.sent = sent_.load(std::memory_order_relaxed);
   s.acked = acked_.load(std::memory_order_relaxed);
   s.failures = failures_.load(std::memory_order_relaxed);

@@ -95,7 +95,6 @@ class PeerPool {
 class Replicator {
  public:
   struct Stats {
-    uint64_t recorded = 0;   // mutations appended to a log
     uint64_t sent = 0;       // REPL frames pushed (including resends)
     uint64_t acked = 0;      // REPL frames acknowledged by a replica
     uint64_t failures = 0;   // transport/BUSY failures (retried later)
@@ -156,7 +155,6 @@ class Replicator {
   mutable base::Mutex mu_;
   std::map<std::string, Log> logs_ GUARDED_BY(mu_);
 
-  std::atomic<uint64_t> recorded_{0};
   std::atomic<uint64_t> sent_{0};
   std::atomic<uint64_t> acked_{0};
   std::atomic<uint64_t> failures_{0};

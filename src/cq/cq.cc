@@ -1,11 +1,11 @@
 #include "cq/cq.h"
 
 #include <algorithm>
-#include <cassert>
-#include <functional>
 #include <map>
+#include <numeric>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "base/strings.h"
 
@@ -55,10 +55,67 @@ class TermUnifier {
   bool inconsistent_ = false;
 };
 
-class Translator {
+// The part both translators share: the query as emitted, over terms that
+// only the unifier binds, and Finish, which applies the bindings.
+struct Draft {
+  explicit Draft(SymbolTable* symbols) : symbols(symbols) {}
+
+  SymbolTable* symbols;
+  ConjunctiveQuery q;
+  TermUnifier uf;
+
+  CqTerm Fresh() { return CqTerm::Var(symbols->Fresh("v")); }
+
+  // Starts the answer tuple with the answer object `this`; returns it.
+  CqTerm Root() {
+    q.heads = {Fresh()};
+    q.head_names = {symbols->Intern("this")};
+    return q.heads[0];
+  }
+
+  // The atom of one path step from `from` to `to`; an inverted attribute
+  // flips it.
+  void Step(const ql::Attr& attr, const CqTerm& from, const CqTerm& to) {
+    if (attr.inverted) {
+      q.binary.push_back(BinaryAtom{attr.prim, to, from});
+    } else {
+      q.binary.push_back(BinaryAtom{attr.prim, from, to});
+    }
+  }
+
+  // The query over the representatives of the terms, each distinct atom
+  // once.
+  ConjunctiveQuery Finish() {
+    ConjunctiveQuery out;
+    out.inconsistent = uf.inconsistent();
+    for (const CqTerm& h : q.heads) out.heads.push_back(uf.Find(h));
+    out.head_names = q.head_names;
+    std::set<std::pair<uint32_t, std::pair<int, uint32_t>>> seen_unary;
+    for (const UnaryAtom& a : q.unary) {
+      UnaryAtom r{a.pred, uf.Find(a.arg)};
+      if (seen_unary.insert({r.pred.id(), TermKey(r.arg)}).second) {
+        out.unary.push_back(r);
+      }
+    }
+    std::set<std::tuple<uint32_t, std::pair<int, uint32_t>,
+                        std::pair<int, uint32_t>>>
+        seen_binary;
+    for (const BinaryAtom& a : q.binary) {
+      BinaryAtom r{a.pred, uf.Find(a.lhs), uf.Find(a.rhs)};
+      if (seen_binary.insert({r.pred.id(), TermKey(r.lhs), TermKey(r.rhs)})
+              .second) {
+        out.binary.push_back(r);
+      }
+    }
+    return out;
+  }
+};
+
+// QL concept → atoms rooted at a term.
+class ConceptTranslator {
  public:
-  Translator(const ql::TermFactory& f, SymbolTable* symbols)
-      : f_(f), symbols_(symbols) {}
+  ConceptTranslator(const ql::TermFactory& f, Draft* draft)
+      : f_(f), draft_(*draft) {}
 
   Status Translate(ql::ConceptId c, const CqTerm& at) {
     const ql::ConceptNode& n = f_.node(c);
@@ -66,10 +123,10 @@ class Translator {
       case ql::ConceptKind::kTop:
         return Status::Ok();
       case ql::ConceptKind::kPrimitive:
-        q_.unary.push_back(UnaryAtom{n.sym, at});
+        draft_.q.unary.push_back(UnaryAtom{n.sym, at});
         return Status::Ok();
       case ql::ConceptKind::kSingleton:
-        uf_.Unite(at, CqTerm::Const(n.sym));
+        draft_.uf.Unite(at, CqTerm::Const(n.sym));
         return Status::Ok();
       case ql::ConceptKind::kAnd:
         OODB_RETURN_IF_ERROR(Translate(n.lhs, at));
@@ -86,30 +143,6 @@ class Translator {
     return InternalError("unreachable");
   }
 
-  ConjunctiveQuery Finish(const CqTerm& free) {
-    ConjunctiveQuery out;
-    out.inconsistent = uf_.inconsistent();
-    out.free = uf_.Find(free);
-    std::set<std::pair<uint32_t, std::pair<int, uint32_t>>> seen_unary;
-    for (const UnaryAtom& a : q_.unary) {
-      UnaryAtom r{a.pred, uf_.Find(a.arg)};
-      if (seen_unary.insert({r.pred.id(), TermKey(r.arg)}).second) {
-        out.unary.push_back(r);
-      }
-    }
-    std::set<std::tuple<uint32_t, std::pair<int, uint32_t>,
-                        std::pair<int, uint32_t>>>
-        seen_binary;
-    for (const BinaryAtom& a : q_.binary) {
-      BinaryAtom r{a.pred, uf_.Find(a.lhs), uf_.Find(a.rhs)};
-      if (seen_binary.insert({r.pred.id(), TermKey(r.lhs), TermKey(r.rhs)})
-              .second) {
-        out.binary.push_back(r);
-      }
-    }
-    return out;
-  }
-
  private:
   Status Chain(ql::PathId p, const CqTerm& start, bool close_at_start) {
     const auto& restrictions = f_.path(p);
@@ -118,12 +151,8 @@ class Translator {
       const ql::Restriction& r = restrictions[i];
       CqTerm next = (close_at_start && i + 1 == restrictions.size())
                         ? start
-                        : CqTerm::Var(symbols_->Fresh("v"));
-      if (r.attr.inverted) {
-        q_.binary.push_back(BinaryAtom{r.attr.prim, next, cur});
-      } else {
-        q_.binary.push_back(BinaryAtom{r.attr.prim, cur, next});
-      }
+                        : draft_.Fresh();
+      draft_.Step(r.attr, cur, next);
       OODB_RETURN_IF_ERROR(Translate(r.filter, next));
       cur = next;
     }
@@ -131,9 +160,89 @@ class Translator {
   }
 
   const ql::TermFactory& f_;
-  SymbolTable* symbols_;
-  ConjunctiveQuery q_;
-  TermUnifier uf_;
+  Draft& draft_;
+};
+
+// Query class → atoms rooted at a term. Labels of the top-level class
+// become heads; labels of inlined query classes stay existential.
+class ClassTranslator {
+ public:
+  ClassTranslator(const dl::Model& model, Draft* draft)
+      : model_(model), draft_(*draft) {}
+
+  Status Emit(Symbol query_class, const CqTerm& root, bool top_level) {
+    const SymbolTable& symbols = *draft_.symbols;
+    const dl::ClassDef* def = model_.FindClass(query_class);
+    if (def == nullptr) {
+      return NotFoundError(
+          StrCat("unknown class '", symbols.Name(query_class), "'"));
+    }
+    if (!def->is_query) {
+      draft_.q.unary.push_back(UnaryAtom{query_class, root});
+      return Status::Ok();
+    }
+    if (!def->IsStructural()) {
+      return FailedPreconditionError(
+          StrCat("query class '", symbols.Name(query_class),
+                 "' has a non-structural part or path variables"));
+    }
+    if (!visiting_.insert(query_class).second) {
+      return FailedPreconditionError(StrCat(
+          "recursive reference to '", symbols.Name(query_class), "'"));
+    }
+
+    for (Symbol super : def->supers) {
+      if (super == model_.object_class) continue;
+      OODB_RETURN_IF_ERROR(Emit(super, root, /*top_level=*/false));
+    }
+    // Labels: endpoints of labeled paths; a where-equality unites two.
+    std::unordered_map<Symbol, CqTerm> labels;
+    for (const dl::ResolvedPath& path : def->derived) {
+      OODB_ASSIGN_OR_RETURN(CqTerm end, Chain(path, root));
+      if (path.label.valid()) labels.emplace(path.label, end);
+    }
+    for (const auto& [l, r] : def->where) {
+      draft_.uf.Unite(labels.at(l), labels.at(r));
+    }
+    if (top_level) {
+      for (const dl::ResolvedPath& path : def->derived) {
+        if (!path.label.valid()) continue;
+        draft_.q.heads.push_back(labels.at(path.label));
+        draft_.q.head_names.push_back(path.label);
+      }
+    }
+    visiting_.erase(query_class);
+    return Status::Ok();
+  }
+
+ private:
+  // Emits the chain of `path` from `start` and returns its endpoint.
+  Result<CqTerm> Chain(const dl::ResolvedPath& path, const CqTerm& start) {
+    CqTerm cur = start;
+    for (const dl::ResolvedStep& step : path.steps) {
+      CqTerm next = draft_.Fresh();
+      draft_.Step(step.attr, cur, next);
+      switch (step.filter.kind) {
+        case dl::ResolvedFilter::Kind::kClass:
+          if (step.filter.name != model_.object_class) {
+            OODB_RETURN_IF_ERROR(
+                Emit(step.filter.name, next, /*top_level=*/false));
+          }
+          break;
+        case dl::ResolvedFilter::Kind::kConstant:
+          draft_.uf.Unite(next, CqTerm::Const(step.filter.name));
+          break;
+        case dl::ResolvedFilter::Kind::kVariable:
+          return FailedPreconditionError("path variables are unsupported");
+      }
+      cur = next;
+    }
+    return cur;
+  }
+
+  const dl::Model& model_;
+  Draft& draft_;
+  std::unordered_set<Symbol> visiting_;
 };
 
 }  // namespace
@@ -146,7 +255,7 @@ std::vector<Symbol> ConjunctiveQuery::Variables() const {
       vars.push_back(t.name);
     }
   };
-  add(free);
+  for (const CqTerm& h : heads) add(h);
   for (const UnaryAtom& a : unary) add(a.arg);
   for (const BinaryAtom& a : binary) {
     add(a.lhs);
@@ -157,6 +266,8 @@ std::vector<Symbol> ConjunctiveQuery::Variables() const {
 
 std::string ConjunctiveQuery::ToString(const SymbolTable& symbols) const {
   auto term = [&](const CqTerm& t) { return symbols.Name(t.name); };
+  std::vector<std::string> head_strs;
+  for (const CqTerm& h : heads) head_strs.push_back(term(h));
   std::vector<std::string> atoms;
   for (const UnaryAtom& a : unary) {
     atoms.push_back(StrCat(symbols.Name(a.pred), "(", term(a.arg), ")"));
@@ -165,16 +276,26 @@ std::string ConjunctiveQuery::ToString(const SymbolTable& symbols) const {
     atoms.push_back(StrCat(symbols.Name(a.pred), "(", term(a.lhs), ", ",
                            term(a.rhs), ")"));
   }
-  return StrCat("q(", term(free), ") :- ",
+  return StrCat("q(", StrJoin(head_strs, ", "), ") :- ",
                 inconsistent ? "⊥" : StrJoin(atoms, ", "));
 }
 
 Result<ConjunctiveQuery> ConceptToCq(const ql::TermFactory& f,
                                      ql::ConceptId c, SymbolTable* symbols) {
-  Translator tr(f, symbols);
-  CqTerm free = CqTerm::Var(symbols->Fresh("v"));
-  OODB_RETURN_IF_ERROR(tr.Translate(c, free));
-  return tr.Finish(free);
+  Draft draft(symbols);
+  ConceptTranslator translator(f, &draft);
+  OODB_RETURN_IF_ERROR(translator.Translate(c, draft.Root()));
+  return draft.Finish();
+}
+
+Result<ConjunctiveQuery> QueryClassToCq(const dl::Model& model,
+                                        Symbol query_class,
+                                        SymbolTable* symbols) {
+  Draft draft(symbols);
+  ClassTranslator translator(model, &draft);
+  OODB_RETURN_IF_ERROR(
+      translator.Emit(query_class, draft.Root(), /*top_level=*/true));
+  return draft.Finish();
 }
 
 namespace {
@@ -202,7 +323,7 @@ struct FrozenDb {
 
 FrozenDb Freeze(const ConjunctiveQuery& q) {
   FrozenDb db;
-  db.Elem(q.free);
+  for (const CqTerm& h : q.heads) db.Elem(h);
   for (const UnaryAtom& a : q.unary) {
     db.unary_facts.insert({a.pred.id(), db.Elem(a.arg)});
   }
@@ -212,24 +333,30 @@ FrozenDb Freeze(const ConjunctiveQuery& q) {
   return db;
 }
 
-// Backtracking homomorphism search: maps variables of q2 into the frozen
-// database of q1, with the free term pinned and constants fixed.
+// Backtracking homomorphism search: maps variables of q2 into a frozen
+// database, with q2's heads pinned and constants fixed.
 class HomSearch {
  public:
-  HomSearch(const ConjunctiveQuery& q2, FrozenDb db) : q2_(q2), db_(std::move(db)) {}
+  HomSearch(const ConjunctiveQuery& q2, const FrozenDb& db)
+      : q2_(q2), db_(db) {}
 
-  bool Exists(int free_target) {
-    // Pin the free term.
-    if (q2_.free.kind == CqTerm::Kind::kVar) {
-      assignment_[q2_.free.name.id()] = free_target;
-    } else {
-      auto it = db_.elem_of_const.find(q2_.free.name.id());
-      if (it == db_.elem_of_const.end() || it->second != free_target) {
-        return false;
+  // Whether a homomorphism sends q2's head i to the element of the
+  // frozen term targets[i], for every i.
+  bool Exists(const std::vector<CqTerm>& targets) {
+    assignment_.clear();
+    for (size_t i = 0; i < q2_.heads.size(); ++i) {
+      const CqTerm& h = q2_.heads[i];
+      const int pin = db_.elem_of_term.at(TermKey(targets[i]));
+      if (h.kind == CqTerm::Kind::kConst) {
+        auto it = db_.elem_of_const.find(h.name.id());
+        if (it == db_.elem_of_const.end() || it->second != pin) return false;
+        continue;
       }
+      auto [it, inserted] = assignment_.emplace(h.name.id(), pin);
+      if (!inserted && it->second != pin) return false;  // a repeated head
     }
     vars_ = q2_.Variables();
-    // Drop the pinned free variable from the search.
+    // Drop the pinned head variables from the search.
     vars_.erase(std::remove_if(vars_.begin(), vars_.end(),
                                [&](Symbol v) {
                                  return assignment_.count(v.id()) > 0;
@@ -241,7 +368,7 @@ class HomSearch {
  private:
   // Resolves a q2 term to an element, or -1 if not yet assigned /
   // unresolvable constant.
-  int Resolve(const CqTerm& t, bool& unassigned) {
+  int Resolve(const CqTerm& t, bool& unassigned) const {
     if (t.kind == CqTerm::Kind::kConst) {
       auto it = db_.elem_of_const.find(t.name.id());
       if (it == db_.elem_of_const.end()) return -1;  // no facts about it
@@ -256,7 +383,7 @@ class HomSearch {
   }
 
   // Checks all atoms whose terms are fully assigned.
-  bool Consistent() {
+  bool Consistent() const {
     for (const UnaryAtom& a : q2_.unary) {
       bool unassigned = false;
       int e = Resolve(a.arg, unassigned);
@@ -288,7 +415,7 @@ class HomSearch {
   }
 
   const ConjunctiveQuery& q2_;
-  FrozenDb db_;
+  const FrozenDb& db_;
   std::vector<Symbol> vars_;
   std::unordered_map<uint32_t, int> assignment_;
 };
@@ -296,12 +423,11 @@ class HomSearch {
 }  // namespace
 
 bool CqContained(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
+  if (q1.heads.size() != q2.heads.size()) return false;
   if (q1.inconsistent) return true;   // empty answer set
   if (q2.inconsistent) return false;  // q1 is satisfiable, q2 never answers
-  FrozenDb db = Freeze(q1);
-  int free_target = db.elem_of_term.at(TermKey(q1.free));
-  HomSearch search(q2, std::move(db));
-  return search.Exists(free_target);
+  const FrozenDb db = Freeze(q1);
+  return HomSearch(q2, db).Exists(q1.heads);
 }
 
 bool CqEquivalent(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
@@ -335,6 +461,24 @@ ConjunctiveQuery Minimize(const ConjunctiveQuery& q) {
     }
   }
   return cur;
+}
+
+std::optional<std::vector<size_t>> ContainedUnderPermutation(
+    const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
+  const size_t n = q1.heads.size();
+  if (q2.heads.size() != n) return std::nullopt;
+  std::vector<size_t> pi(n);
+  std::iota(pi.begin(), pi.end(), size_t{0});
+  if (q1.inconsistent) return pi;
+  if (q2.inconsistent) return std::nullopt;
+  const FrozenDb db = Freeze(q1);
+  HomSearch search(q2, db);
+  std::vector<CqTerm> targets(n);
+  do {
+    for (size_t i = 0; i < n; ++i) targets[i] = q1.heads[pi[i]];
+    if (search.Exists(targets)) return pi;
+  } while (n > 1 && std::next_permutation(pi.begin() + 1, pi.end()));
+  return std::nullopt;
 }
 
 }  // namespace oodb::cq

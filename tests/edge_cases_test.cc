@@ -4,7 +4,7 @@
 
 #include "calculus/services.h"
 #include "calculus/subsumption.h"
-#include "cq/multihead.h"
+#include "cq/cq.h"
 #include "dl/analyzer.h"
 #include "ql/print.h"
 
@@ -91,17 +91,15 @@ TEST(MultiHeadEdge, ConstantsInHeads) {
   )",
                                    &symbols);
   ASSERT_TRUE(model.ok()) << model.status();
-  auto q1 = cq::QueryClassToMultiHeadCq(*model, symbols.Find("PizzaFans"),
-                                        &symbols);
-  auto q2 = cq::QueryClassToMultiHeadCq(*model, symbols.Find("AnyFans"),
-                                        &symbols);
+  auto q1 = cq::QueryClassToCq(*model, symbols.Find("PizzaFans"), &symbols);
+  auto q2 = cq::QueryClassToCq(*model, symbols.Find("AnyFans"), &symbols);
   ASSERT_TRUE(q1.ok() && q2.ok());
   // The constant-filtered head is the constant itself.
   ASSERT_EQ(q1->heads.size(), 2u);
   EXPECT_EQ(q1->heads[1].kind, cq::CqTerm::Kind::kConst);
   // (this, pizza) tuples are (this, liked-thing) tuples.
-  EXPECT_TRUE(cq::MultiHeadContained(*q1, *q2));
-  EXPECT_FALSE(cq::MultiHeadContained(*q2, *q1));
+  EXPECT_TRUE(cq::CqContained(*q1, *q2));
+  EXPECT_FALSE(cq::CqContained(*q2, *q1));
 }
 
 TEST(MinimizeEdge, TopMinimizesToTop) {
