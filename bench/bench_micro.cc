@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the core operations: completion
-// runs at several sizes, DL parsing + translation, concept evaluation
-// over interpretations, and CQ containment. Complements the table-style
+// runs at several sizes, DL parsing + translation (of a small schema and
+// of catalogs of growing size), state loading, concept evaluation over
+// interpretations, and CQ containment. Complements the table-style
 // experiment binaries with statistically sampled timings.
 #include <benchmark/benchmark.h>
 
@@ -11,7 +12,10 @@
 #include "base/strings.h"
 #include "calculus/subsumption.h"
 #include "cq/cq.h"
+#include "db/database.h"
+#include "db/instance.h"
 #include "dl/frontend.h"
+#include "gen/dl_gen.h"
 #include "gen/generators.h"
 #include "interp/eval.h"
 #include "interp/model_gen.h"
@@ -111,7 +115,7 @@ void BM_SubsumesBatchCatalog(benchmark::State& state) {
 }
 BENCHMARK(BM_SubsumesBatchCatalog);
 
-// DL front end: tokenize + parse + analyze + translate the medical schema.
+// DL front end: parse + analyze + translate the medical schema.
 void BM_DlFrontEnd(benchmark::State& state) {
   constexpr const char* kSource = R"(
 Class Person with
@@ -143,6 +147,69 @@ end Q
   }
 }
 BENCHMARK(BM_DlFrontEnd);
+
+// A catalog shaped like perfbench's plan-cold one: 16 schema classes, 8
+// attributes (some with inverses) and `queries` query classes of one to
+// three paths of one or two steps.
+gen::GeneratedDl CatalogSource(size_t queries) {
+  Rng rng(16064);
+  gen::DlGenOptions options;
+  options.num_classes = 16;
+  options.num_attrs = 8;
+  options.num_queries = queries;
+  options.where_prob = 0;
+  options.filter_prob = 0.6;
+  return gen::GenerateDlSource(rng, options);
+}
+
+// LOAD's front end as the catalog grows: parse + analyze + translate a
+// catalog of state.range(0) query classes.
+void BM_DlFrontEndScale(benchmark::State& state) {
+  const std::string source =
+      CatalogSource(static_cast<size_t>(state.range(0))).source;
+  for (auto _ : state) {
+    dl::Frontend front;
+    if (Status loaded = front.Load(source); !loaded.ok()) {
+      state.SkipWithError(loaded.message().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(front.model.get());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(source.size()));
+}
+BENCHMARK(BM_DlFrontEndScale)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Unit(benchmark::kMillisecond);
+
+// STATE: a 1 000-object state with 2 000 attribute edges loaded into a
+// fresh database over a catalog-shaped schema.
+void BM_StateLoad(benchmark::State& state) {
+  const gen::GeneratedDl dl = CatalogSource(64);
+  Rng rng(1000);
+  gen::StateGenOptions options;
+  options.num_objects = 1000;
+  options.num_edges = 2000;
+  const std::string odb = gen::GenerateDlState(dl, rng, options);
+  dl::Frontend front;
+  if (Status loaded = front.Load(dl.source); !loaded.ok()) {
+    state.SkipWithError(loaded.message().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    db::Database database(*front.model, &front.symbols);
+    if (auto stats = db::LoadInstance(odb, &database); !stats.ok()) {
+      state.SkipWithError(stats.status().message().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(database.num_objects());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(odb.size()));
+}
+BENCHMARK(BM_StateLoad)->Unit(benchmark::kMicrosecond);
 
 // Concept evaluation over a random interpretation.
 void BM_ConceptEval(benchmark::State& state) {

@@ -1,6 +1,8 @@
 #include "db/instance.h"
 
 #include <map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/strings.h"
@@ -10,17 +12,18 @@ namespace oodb::db {
 
 namespace {
 
+// One `Object` frame. Its names are views into the parsed state.
 struct ObjectDecl {
-  std::string name;
-  std::vector<std::string> classes;
-  std::vector<std::pair<std::string, std::string>> attrs;  // attr → value
+  std::string_view name;
+  std::vector<std::string_view> classes;
+  // attr → value
+  std::vector<std::pair<std::string_view, std::string_view>> attrs;
   int line = 0;
 };
 
 class InstanceParser {
  public:
-  explicit InstanceParser(std::vector<dl::Token> tokens)
-      : tokens_(std::move(tokens)) {}
+  explicit InstanceParser(dl::Lexer* lexer) : lexer_(*lexer) {}
 
   Result<std::vector<ObjectDecl>> Parse() {
     std::vector<ObjectDecl> decls;
@@ -35,19 +38,20 @@ class InstanceParser {
       if (IsWord("in")) {
         Advance();
         do {
-          OODB_ASSIGN_OR_RETURN(std::string cls, ExpectIdent("class name"));
-          decl.classes.push_back(std::move(cls));
+          OODB_ASSIGN_OR_RETURN(std::string_view cls,
+                                ExpectIdent("class name"));
+          decl.classes.push_back(cls);
         } while (Consume(dl::TokenKind::kComma));
       }
       if (IsWord("with")) {
         Advance();
         while (Is(dl::TokenKind::kIdent) && !IsWord("end")) {
-          std::string attr;
-          std::string value;
-          OODB_ASSIGN_OR_RETURN(attr, ExpectIdent("attribute name"));
+          OODB_ASSIGN_OR_RETURN(std::string_view attr,
+                                ExpectIdent("attribute name"));
           if (!Consume(dl::TokenKind::kColon)) return Error("expected ':'");
-          OODB_ASSIGN_OR_RETURN(value, ExpectIdent("object name"));
-          decl.attrs.emplace_back(std::move(attr), std::move(value));
+          OODB_ASSIGN_OR_RETURN(std::string_view value,
+                                ExpectIdent("object name"));
+          decl.attrs.emplace_back(attr, value);
         }
       }
       if (!IsWord("end")) return Error("expected 'end'");
@@ -59,11 +63,11 @@ class InstanceParser {
   }
 
  private:
-  const dl::Token& Peek() const { return tokens_[pos_]; }
-  const dl::Token& Advance() { return tokens_[pos_++]; }
-  bool AtEof() const { return Peek().kind == dl::TokenKind::kEof; }
-  bool Is(dl::TokenKind k) const { return Peek().kind == k; }
-  bool IsWord(std::string_view w) const {
+  const dl::Token& Peek() { return lexer_.Peek(); }
+  dl::Token Advance() { return lexer_.Advance(); }
+  bool AtEof() { return Peek().kind == dl::TokenKind::kEof; }
+  bool Is(dl::TokenKind k) { return Peek().kind == k; }
+  bool IsWord(std::string_view w) {
     return Is(dl::TokenKind::kIdent) && Peek().text == w;
   }
   bool Consume(dl::TokenKind k) {
@@ -71,11 +75,11 @@ class InstanceParser {
     Advance();
     return true;
   }
-  Status Error(std::string_view message) const {
+  Status Error(std::string_view message) {
     return InvalidArgumentError(StrCat("line ", Peek().line, ": ", message,
                                        " (got '", Peek().text, "')"));
   }
-  Result<std::string> ExpectIdent(std::string_view what) {
+  Result<std::string_view> ExpectIdent(std::string_view what) {
     if (!Is(dl::TokenKind::kIdent)) {
       return Status(StatusCode::kInvalidArgument,
                     Error(StrCat("expected ", what)).message());
@@ -83,22 +87,23 @@ class InstanceParser {
     return Advance().text;
   }
 
-  std::vector<dl::Token> tokens_;
-  size_t pos_ = 0;
+  dl::Lexer& lexer_;
 };
 
 }  // namespace
 
 Result<LoadStats> LoadInstance(std::string_view source, Database* database) {
-  OODB_ASSIGN_OR_RETURN(std::vector<dl::Token> tokens,
-                        dl::Tokenize(source));
-  InstanceParser parser(std::move(tokens));
-  OODB_ASSIGN_OR_RETURN(std::vector<ObjectDecl> decls, parser.Parse());
+  dl::Lexer lexer(source);
+  InstanceParser parser(&lexer);
+  OODB_ASSIGN_OR_RETURN(std::vector<ObjectDecl> decls,
+                        lexer.Finish(parser.Parse()));
 
   LoadStats stats;
   SymbolTable& symbols = database->symbols();
 
   // Pass 1: create all declared objects (duplicates are errors).
+  std::vector<ObjectId> declared;
+  declared.reserve(decls.size());
   for (const ObjectDecl& decl : decls) {
     auto created = database->CreateObject(decl.name);
     if (!created.ok()) {
@@ -106,10 +111,11 @@ Result<LoadStats> LoadInstance(std::string_view source, Database* database) {
                     StrCat("line ", decl.line, ": ",
                            created.status().message()));
     }
+    declared.push_back(*created);
     ++stats.objects;
   }
   // Referenced-but-undeclared value objects are created on demand.
-  auto resolve = [&](const std::string& name, int line) -> Result<ObjectId> {
+  auto resolve = [&](std::string_view name, int line) -> Result<ObjectId> {
     if (auto found = database->FindObject(symbols.Intern(name))) {
       return *found;
     }
@@ -123,11 +129,11 @@ Result<LoadStats> LoadInstance(std::string_view source, Database* database) {
   };
 
   // Pass 2: memberships and attribute values.
-  for (const ObjectDecl& decl : decls) {
-    ObjectId o = *database->FindObject(symbols.Intern(decl.name));
-    for (const std::string& cls : decl.classes) {
-      Symbol s = symbols.Intern(cls);
-      Status added = database->AddToClass(o, s);
+  for (size_t i = 0; i < decls.size(); ++i) {
+    const ObjectDecl& decl = decls[i];
+    const ObjectId o = declared[i];
+    for (std::string_view cls : decl.classes) {
+      Status added = database->AddToClass(o, symbols.Intern(cls));
       if (!added.ok()) {
         return Status(added.code(), StrCat("line ", decl.line, ": ",
                                            added.message()));

@@ -1,8 +1,8 @@
 #include "dl/analyzer.h"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_set>
+#include <utility>
 
 #include "base/strings.h"
 #include "dl/parser.h"
@@ -48,6 +48,11 @@ class Analyzer {
       : file_(file), symbols_(symbols) {}
 
   Result<Model> Run() {
+    // Sized for the declared names; implicit declarations may add more.
+    model_.classes_.reserve(1 + file_.classes.size());
+    model_.class_index_.reserve(1 + file_.classes.size());
+    model_.attributes_.reserve(file_.attributes.size());
+    model_.attr_index_.reserve(file_.attributes.size());
     model_.object_class = symbols_->Intern("Object");
     // The builtin most-general class.
     AddClass(model_.object_class, /*is_query=*/false, /*implicit=*/false);
@@ -84,6 +89,10 @@ class Analyzer {
     return index;
   }
 
+  // Interns every declared name once, in source order (classes, then
+  // attributes, then synonyms), and declares it. The declared class i sits
+  // at classes_[1 + i], after Object, and the declared attribute i at
+  // attributes_[i], whose name and inverse the resolve pass reads back.
   Status DeclarePass() {
     for (const ast::ClassDecl& decl : file_.classes) {
       Symbol name = symbols_->Intern(decl.name);
@@ -108,7 +117,8 @@ class Analyzer {
       AddAttribute(name, /*implicit=*/false);
     }
     // Synonyms after all attributes are known.
-    for (const ast::AttributeDecl& decl : file_.attributes) {
+    for (size_t i = 0; i < file_.attributes.size(); ++i) {
+      const ast::AttributeDecl& decl = file_.attributes[i];
       if (decl.inverse.empty()) continue;
       Symbol syn = symbols_->Intern(decl.inverse);
       if (model_.attr_index_.count(syn) > 0 ||
@@ -117,14 +127,15 @@ class Analyzer {
             StrCat("line ", decl.line, ": inverse synonym '", decl.inverse,
                    "' collides with an existing attribute or synonym"));
       }
-      model_.synonym_to_attr_.emplace(syn, symbols_->Intern(decl.name));
+      model_.attributes_[i].inverse = syn;
+      model_.synonym_to_attr_.emplace(syn, model_.attributes_[i].name);
     }
     return Status::Ok();
   }
 
   // --- resolution helpers ---------------------------------------------------
 
-  Result<Symbol> ResolveClass(const std::string& name, int line) {
+  Result<Symbol> ResolveClass(std::string_view name, int line) {
     Symbol s = symbols_->Intern(name);
     if (model_.class_index_.count(s) > 0) return s;
     AddClass(s, /*is_query=*/false, /*implicit=*/true);
@@ -133,7 +144,7 @@ class Analyzer {
     return s;
   }
 
-  Result<Symbol> ResolvePrimitiveAttr(const std::string& name, int line) {
+  Result<Symbol> ResolvePrimitiveAttr(std::string_view name, int line) {
     Symbol s = symbols_->Intern(name);
     if (model_.attr_index_.count(s) > 0) return s;
     if (model_.synonym_to_attr_.count(s) > 0) {
@@ -148,7 +159,7 @@ class Analyzer {
     return s;
   }
 
-  Result<ql::Attr> ResolvePathAttr(const std::string& name, int line) {
+  Result<ql::Attr> ResolvePathAttr(std::string_view name, int line) {
     Symbol s = symbols_->Intern(name);
     if (auto attr = model_.ResolveAttrName(s)) return *attr;
     AddAttribute(s, /*implicit=*/true);
@@ -160,30 +171,29 @@ class Analyzer {
   // --- resolve pass ----------------------------------------------------------
 
   Status ResolvePass() {
-    for (const ast::AttributeDecl& decl : file_.attributes) {
-      AttributeDef& def =
-          model_.attributes_[model_.attr_index_.at(symbols_->Intern(decl.name))];
+    for (size_t i = 0; i < file_.attributes.size(); ++i) {
+      const ast::AttributeDecl& decl = file_.attributes[i];
+      AttributeDef& def = model_.attributes_[i];
       if (!decl.domain.empty()) {
         OODB_ASSIGN_OR_RETURN(def.domain, ResolveClass(decl.domain, decl.line));
       }
       if (!decl.range.empty()) {
         OODB_ASSIGN_OR_RETURN(def.range, ResolveClass(decl.range, decl.line));
       }
-      if (!decl.inverse.empty()) def.inverse = symbols_->Intern(decl.inverse);
     }
-    for (const ast::ClassDecl& decl : file_.classes) {
-      OODB_RETURN_IF_ERROR(ResolveClassDecl(decl));
+    for (size_t i = 0; i < file_.classes.size(); ++i) {
+      OODB_RETURN_IF_ERROR(ResolveClassDecl(file_.classes[i], 1 + i));
     }
     return Status::Ok();
   }
 
-  Status ResolveClassDecl(const ast::ClassDecl& decl) {
-    size_t index = model_.class_index_.at(symbols_->Intern(decl.name));
+  Status ResolveClassDecl(const ast::ClassDecl& decl, size_t index) {
     // Resolution may add implicit classes (invalidating references), so
-    // work on a local copy and write back at the end.
-    ClassDef def = model_.classes_[index];
+    // work on the definition moved out and move it back at the end; only
+    // its is_query flag is read in between (a class may be its own super).
+    ClassDef def = std::move(model_.classes_[index]);
 
-    for (const std::string& super : decl.supers) {
+    for (std::string_view super : ast::Slice(file_.supers, decl.supers)) {
       OODB_ASSIGN_OR_RETURN(Symbol s, ResolveClass(super, decl.line));
       if (!def.is_query) {
         const ClassDef* super_def = model_.FindClass(s);
@@ -213,7 +223,7 @@ class Analyzer {
     }
 
     if (!def.is_query) {
-      for (const ast::AttrEntry& entry : decl.attrs) {
+      for (const ast::AttrEntry& entry : ast::Slice(file_.attrs, decl.attrs)) {
         ClassDef::AttrSpec spec;
         OODB_ASSIGN_OR_RETURN(spec.attr,
                               ResolvePrimitiveAttr(entry.attr, entry.line));
@@ -226,14 +236,16 @@ class Analyzer {
     }
 
     // Derived labeled paths.
+    def.derived.reserve(decl.derived.size());
     std::unordered_set<Symbol> labels;
-    for (const ast::DerivedPath& path : decl.derived) {
+    for (const ast::DerivedPath& path :
+         ast::Slice(file_.derived, decl.derived)) {
       ResolvedPath resolved;
-      if (path.label.has_value()) {
-        resolved.label = symbols_->Intern(*path.label);
+      if (!path.label.empty()) {
+        resolved.label = symbols_->Intern(path.label);
         if (!labels.insert(resolved.label).second) {
           return AlreadyExistsError(StrCat("line ", path.line,
-                                           ": duplicate label '", *path.label,
+                                           ": duplicate label '", path.label,
                                            "'"));
         }
       }
@@ -241,7 +253,8 @@ class Analyzer {
         return InvalidArgumentError(
             StrCat("line ", path.line, ": empty path"));
       }
-      for (const ast::PathStep& step : path.steps) {
+      resolved.steps.reserve(path.steps.size());
+      for (const ast::PathStep& step : ast::Slice(file_.steps, path.steps)) {
         ResolvedStep rs;
         OODB_ASSIGN_OR_RETURN(rs.attr, ResolvePathAttr(step.attr, step.line));
         switch (step.filter_kind) {
@@ -272,7 +285,7 @@ class Analyzer {
     // Where clause: labels must exist; each label at most once overall
     // (paper footnote 5).
     std::unordered_set<Symbol> where_used;
-    for (const ast::WhereEq& eq : decl.where) {
+    for (const ast::WhereEq& eq : ast::Slice(file_.where, decl.where)) {
       Symbol l = symbols_->Intern(eq.lhs);
       Symbol r = symbols_->Intern(eq.rhs);
       for (Symbol s : {l, r}) {
@@ -373,25 +386,38 @@ class Analyzer {
     return CFormulaPtr(std::move(out));
   }
 
+  // Depth first up the supers of each class in turn, as a recursion over
+  // classes() and each supers list in order would go: the first class met
+  // again on the current path is the one the error names.
   Status CheckAcyclicSupers() {
     enum class Mark : uint8_t { kWhite, kGray, kBlack };
-    std::unordered_map<Symbol, Mark> marks;
-    std::function<Status(Symbol)> visit = [&](Symbol cls) -> Status {
-      Mark& m = marks[cls];
-      if (m == Mark::kGray) {
-        return InvalidArgumentError(StrCat("isA cycle through class '",
-                                           symbols_->Name(cls), "'"));
+    const std::vector<ClassDef>& classes = model_.classes_;
+    std::vector<Mark> marks(classes.size(), Mark::kWhite);
+    // The current path: (class index, next position in its supers).
+    std::vector<std::pair<size_t, size_t>> path;
+    for (size_t root = 0; root < classes.size(); ++root) {
+      if (marks[root] != Mark::kWhite) continue;
+      marks[root] = Mark::kGray;
+      path.emplace_back(root, 0);
+      while (!path.empty()) {
+        const size_t cls = path.back().first;
+        const std::vector<Symbol>& supers = classes[cls].supers;
+        if (path.back().second == supers.size()) {
+          marks[cls] = Mark::kBlack;
+          path.pop_back();
+          continue;
+        }
+        const Symbol super = supers[path.back().second++];
+        const size_t next = model_.class_index_.find(super)->second;
+        if (marks[next] == Mark::kGray) {
+          return InvalidArgumentError(StrCat("isA cycle through class '",
+                                             symbols_->Name(super), "'"));
+        }
+        if (marks[next] == Mark::kWhite) {
+          marks[next] = Mark::kGray;
+          path.emplace_back(next, 0);
+        }
       }
-      if (m == Mark::kBlack) return Status::Ok();
-      m = Mark::kGray;
-      if (const ClassDef* def = model_.FindClass(cls)) {
-        for (Symbol super : def->supers) OODB_RETURN_IF_ERROR(visit(super));
-      }
-      marks[cls] = Mark::kBlack;
-      return Status::Ok();
-    };
-    for (const ClassDef& def : model_.classes()) {
-      OODB_RETURN_IF_ERROR(visit(def.name));
     }
     return Status::Ok();
   }

@@ -23,7 +23,8 @@ namespace oodb::dl {
 //  * constraint formulas only reference visible variables/labels/classes
 Result<Model> Analyze(const ast::File& file, SymbolTable* symbols);
 
-// Convenience: parse + analyze in one step.
+// Parses `source` and analyzes the tree, which borrows its names from
+// `source` for the length of this call; the Model keeps none of them.
 Result<Model> ParseAndAnalyze(std::string_view source, SymbolTable* symbols);
 
 }  // namespace oodb::dl

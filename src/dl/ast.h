@@ -1,13 +1,17 @@
 // Raw (unresolved) syntax tree for the concrete database language DL
 // (paper Sect. 2): Class / QueryClass / Attribute declarations with
 // isA lists, attribute sections, derived labeled paths, where clauses and
-// first-order constraint clauses.
+// first-order constraint clauses. Every name is a view into the parsed
+// source, which must outlive the tree (ParseAndAnalyze holds it for the
+// tree's whole life).
 #ifndef OODB_DL_AST_H_
 #define OODB_DL_AST_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
+#include <span>
+#include <string_view>
 #include <vector>
 
 namespace oodb::dl::ast {
@@ -17,7 +21,7 @@ namespace oodb::dl::ast {
 struct Term {
   enum class Kind { kThis, kIdent };
   Kind kind = Kind::kIdent;
-  std::string name;  // empty for `this`
+  std::string_view name;  // empty for `this`
   int line = 0;
 };
 
@@ -36,9 +40,9 @@ struct Formula {
     kEq,    // (t1 = t2)
   };
   Kind kind;
-  std::string var;   // quantifiers
-  std::string cls;   // quantifiers, kIn
-  std::string attr;  // kAttr
+  std::string_view var;   // quantifiers
+  std::string_view cls;   // quantifiers, kIn
+  std::string_view attr;  // kAttr
   Term t1, t2;
   std::vector<FormulaPtr> children;
   int line = 0;
@@ -48,8 +52,8 @@ struct Formula {
 
 // One `a: C` entry of an attribute section, with the section's flags.
 struct AttrEntry {
-  std::string attr;
-  std::string range;
+  std::string_view attr;
+  std::string_view range;
   bool necessary = false;
   bool single = false;
   int line = 0;
@@ -58,47 +62,71 @@ struct AttrEntry {
 // A step of a labeled path: `a` (bare), `(a: C)`, `(a: {c})`, `(a: ?x)`.
 struct PathStep {
   enum class Filter { kNone, kClass, kConstant, kVariable };
-  std::string attr;
+  std::string_view attr;
   Filter filter_kind = Filter::kNone;
-  std::string filter;  // class / constant / variable name
+  std::string_view filter;  // class / constant / variable name
   int line = 0;
 };
 
+// The run [begin, end) of one of File's pools.
+struct Run {
+  uint32_t begin = 0;
+  uint32_t end = 0;
+
+  bool empty() const { return begin == end; }
+  size_t size() const { return end - begin; }
+};
+
 struct DerivedPath {
-  std::optional<std::string> label;
-  std::vector<PathStep> steps;
+  std::string_view label;  // empty when unlabeled
+  Run steps;               // of File::steps
   int line = 0;
 };
 
 struct WhereEq {
-  std::string lhs;
-  std::string rhs;
+  std::string_view lhs;
+  std::string_view rhs;
   int line = 0;
 };
 
 struct ClassDecl {
   bool is_query = false;
-  std::string name;
-  std::vector<std::string> supers;
-  std::vector<AttrEntry> attrs;        // schema classes
-  std::vector<DerivedPath> derived;    // query classes
-  std::vector<WhereEq> where;
-  FormulaPtr constraint;               // may be null
+  std::string_view name;
+  Run supers;                // of File::supers
+  Run attrs;                 // of File::attrs; schema classes
+  Run derived;               // of File::derived; query classes
+  Run where;                 // of File::where
+  FormulaPtr constraint;     // may be null
   int line = 0;
 };
 
 struct AttributeDecl {
-  std::string name;
-  std::string domain;  // empty = Object
-  std::string range;   // empty = Object
-  std::string inverse; // optional synonym name
+  std::string_view name;
+  std::string_view domain;   // empty = Object
+  std::string_view range;    // empty = Object
+  std::string_view inverse;  // optional synonym name
   int line = 0;
 };
 
+// The declarations in source order. Their lists live in one pool per
+// element type, filled in source order, so that a tree costs a handful of
+// allocations however many declarations it holds.
 struct File {
   std::vector<ClassDecl> classes;
   std::vector<AttributeDecl> attributes;
+
+  std::vector<std::string_view> supers;
+  std::vector<AttrEntry> attrs;
+  std::vector<DerivedPath> derived;
+  std::vector<PathStep> steps;
+  std::vector<WhereEq> where;
 };
+
+// The elements of `run` in `pool`.
+template <typename T>
+std::span<const T> Slice(const std::vector<T>& pool, Run run) {
+  return std::span<const T>(pool).subspan(run.begin, run.size());
+}
 
 }  // namespace oodb::dl::ast
 

@@ -1,78 +1,72 @@
 #include "dl/lexer.h"
 
-#include <cctype>
-
 #include "base/strings.h"
 
 namespace oodb::dl {
 
 namespace {
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+// ASCII classes, as <cctype> draws them in the C locale.
+bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+bool IsIdentStart(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
 }
+
+bool IsIdentChar(char c) { return IsIdentStart(c) || (c >= '0' && c <= '9'); }
 
 }  // namespace
 
-Result<std::vector<Token>> Tokenize(std::string_view source) {
-  std::vector<Token> tokens;
-  int line = 1;
-  int column = 1;
-  size_t i = 0;
-  auto push = [&](TokenKind kind, std::string text) {
-    tokens.push_back(Token{kind, std::move(text), line, column});
-  };
-  while (i < source.size()) {
-    char c = source[i];
+Token Lexer::Lex() {
+  if (!status_.ok()) return Token{TokenKind::kEof, {}, line_};
+  while (pos_ < source_.size()) {
+    const char c = source_[pos_];
     if (c == '\n') {
-      ++line;
-      column = 1;
-      ++i;
+      ++line_;
+      column_ = 1;
+      ++pos_;
       continue;
     }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++column;
-      ++i;
+    if (IsSpace(c)) {
+      ++column_;
+      ++pos_;
       continue;
     }
-    if (c == '/' && i + 1 < source.size() && source[i + 1] == '/') {
-      while (i < source.size() && source[i] != '\n') ++i;
+    if (c == '/' && pos_ + 1 < source_.size() && source_[pos_ + 1] == '/') {
+      while (pos_ < source_.size() && source_[pos_] != '\n') ++pos_;
       continue;
     }
+    const size_t start = pos_;
+    Token token{TokenKind::kIdent, {}, line_};
     if (IsIdentStart(c)) {
-      size_t start = i;
-      while (i < source.size() && IsIdentChar(source[i])) ++i;
-      push(TokenKind::kIdent, std::string(source.substr(start, i - start)));
-      column += static_cast<int>(i - start);
-      continue;
+      while (pos_ < source_.size() && IsIdentChar(source_[pos_])) ++pos_;
+    } else {
+      switch (c) {
+        case ',': token.kind = TokenKind::kComma; break;
+        case ':': token.kind = TokenKind::kColon; break;
+        case '.': token.kind = TokenKind::kDot; break;
+        case '(': token.kind = TokenKind::kLParen; break;
+        case ')': token.kind = TokenKind::kRParen; break;
+        case '=': token.kind = TokenKind::kEquals; break;
+        case '/': token.kind = TokenKind::kSlash; break;
+        case '{': token.kind = TokenKind::kLBrace; break;
+        case '}': token.kind = TokenKind::kRBrace; break;
+        case '?': token.kind = TokenKind::kQuestion; break;
+        default:
+          status_ = InvalidArgumentError(StrCat("line ", line_, ":", column_,
+                                                ": unexpected character '",
+                                                c, "'"));
+          return Token{TokenKind::kEof, {}, line_};
+      }
+      ++pos_;
     }
-    TokenKind kind;
-    switch (c) {
-      case ',': kind = TokenKind::kComma; break;
-      case ':': kind = TokenKind::kColon; break;
-      case '.': kind = TokenKind::kDot; break;
-      case '(': kind = TokenKind::kLParen; break;
-      case ')': kind = TokenKind::kRParen; break;
-      case '=': kind = TokenKind::kEquals; break;
-      case '/': kind = TokenKind::kSlash; break;
-      case '{': kind = TokenKind::kLBrace; break;
-      case '}': kind = TokenKind::kRBrace; break;
-      case '?': kind = TokenKind::kQuestion; break;
-      default:
-        return InvalidArgumentError(StrCat("line ", line, ":", column,
-                                           ": unexpected character '", c,
-                                           "'"));
-    }
-    push(kind, std::string(1, c));
-    ++column;
-    ++i;
+    token.text = source_.substr(start, pos_ - start);
+    column_ += static_cast<int>(pos_ - start);
+    return token;
   }
-  push(TokenKind::kEof, "");
-  return tokens;
+  return Token{TokenKind::kEof, {}, line_};
 }
 
 }  // namespace oodb::dl

@@ -14,30 +14,31 @@ using ast::FormulaPtr;
 
 // Identifiers that end an attribute/derived/where entry list when they
 // start the next section.
-bool IsSectionKeyword(const std::string& word) {
+bool IsSectionKeyword(std::string_view word) {
   return word == "attribute" || word == "derived" || word == "where" ||
          word == "constraint" || word == "end";
 }
 
+// Parses from a pull lexer. An illegal character ends the token stream
+// like the end of the source does, and Lexer::Finish then puts the
+// lexer's error in place of the parse's result.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(Lexer* lexer) : lexer_(*lexer) {}
 
   Result<ast::File> ParseFileBody() {
-    ast::File file;
     while (!AtEof()) {
-      const Token& t = Peek();
       if (IsWord("Class") || IsWord("QueryClass")) {
         OODB_ASSIGN_OR_RETURN(ast::ClassDecl decl, ParseClass());
-        file.classes.push_back(std::move(decl));
+        file_.classes.push_back(std::move(decl));
       } else if (IsWord("Attribute")) {
         OODB_ASSIGN_OR_RETURN(ast::AttributeDecl decl, ParseAttribute());
-        file.attributes.push_back(std::move(decl));
+        file_.attributes.push_back(decl);
       } else {
-        return Error(t, "expected Class, QueryClass or Attribute");
+        return Error(Peek(), "expected Class, QueryClass or Attribute");
       }
     }
-    return file;
+    return std::move(file_);
   }
 
   Result<FormulaPtr> ParseTopLevelFormula() {
@@ -49,15 +50,11 @@ class Parser {
  private:
   // --- token helpers -----------------------------------------------------
 
-  const Token& Peek(size_t ahead = 0) const {
-    size_t i = pos_ + ahead;
-    if (i >= tokens_.size()) i = tokens_.size() - 1;  // the EOF token
-    return tokens_[i];
-  }
-  const Token& Advance() { return tokens_[pos_++]; }
-  bool AtEof() const { return Peek().kind == TokenKind::kEof; }
-  bool Is(TokenKind k, size_t ahead = 0) const { return Peek(ahead).kind == k; }
-  bool IsWord(std::string_view w, size_t ahead = 0) const {
+  const Token& Peek(size_t ahead = 0) { return lexer_.Peek(ahead); }
+  Token Advance() { return lexer_.Advance(); }
+  bool AtEof() { return Peek().kind == TokenKind::kEof; }
+  bool Is(TokenKind k, size_t ahead = 0) { return Peek(ahead).kind == k; }
+  bool IsWord(std::string_view w, size_t ahead = 0) {
     return Is(TokenKind::kIdent, ahead) && Peek(ahead).text == w;
   }
   bool ConsumeWord(std::string_view w) {
@@ -77,7 +74,7 @@ class Parser {
                t.kind == TokenKind::kEof ? "<eof>" : t.text, "')"));
   }
 
-  Result<std::string> ExpectIdent(std::string_view what) {
+  Result<std::string_view> ExpectIdent(std::string_view what) {
     if (!Is(TokenKind::kIdent)) {
       return Status(StatusCode::kInvalidArgument,
                     Error(Peek(), StrCat("expected ", what)).message());
@@ -92,27 +89,41 @@ class Parser {
 
   // --- declarations -------------------------------------------------------
 
+  // The run of `pool` from `begin` to its end.
+  template <typename T>
+  static ast::Run RunFrom(const std::vector<T>& pool, size_t begin) {
+    return ast::Run{static_cast<uint32_t>(begin),
+                    static_cast<uint32_t>(pool.size())};
+  }
+
+  // A class's lists are appended to the pools as its sections come, and
+  // no other declaration's come in between, so each is one run.
   Result<ast::ClassDecl> ParseClass() {
     ast::ClassDecl decl;
     decl.line = Peek().line;
     decl.is_query = Peek().text == "QueryClass";
+    const size_t supers = file_.supers.size();
+    const size_t attrs = file_.attrs.size();
+    const size_t derived = file_.derived.size();
+    const size_t where = file_.where.size();
     Advance();  // Class / QueryClass
     OODB_ASSIGN_OR_RETURN(decl.name, ExpectIdent("class name"));
     if (ConsumeWord("isA")) {
       do {
-        OODB_ASSIGN_OR_RETURN(std::string super, ExpectIdent("superclass"));
-        decl.supers.push_back(std::move(super));
+        OODB_ASSIGN_OR_RETURN(std::string_view super,
+                              ExpectIdent("superclass"));
+        file_.supers.push_back(super);
       } while (Consume(TokenKind::kComma));
     }
     OODB_RETURN_IF_ERROR(ExpectWord("with"));
     while (!IsWord("end")) {
       if (AtEof()) return Error(Peek(), "expected section or end");
       if (IsWord("attribute")) {
-        OODB_RETURN_IF_ERROR(ParseAttrSection(&decl));
+        OODB_RETURN_IF_ERROR(ParseAttrSection());
       } else if (IsWord("derived")) {
-        OODB_RETURN_IF_ERROR(ParseDerivedSection(&decl));
+        OODB_RETURN_IF_ERROR(ParseDerivedSection());
       } else if (IsWord("where")) {
-        OODB_RETURN_IF_ERROR(ParseWhereSection(&decl));
+        OODB_RETURN_IF_ERROR(ParseWhereSection());
       } else if (IsWord("constraint")) {
         Advance();
         OODB_RETURN_IF_ERROR(Expect(TokenKind::kColon, "':'"));
@@ -128,6 +139,10 @@ class Parser {
     Advance();  // end
     // Optional trailing class name.
     if (Is(TokenKind::kIdent) && Peek().text == decl.name) Advance();
+    decl.supers = RunFrom(file_.supers, supers);
+    decl.attrs = RunFrom(file_.attrs, attrs);
+    decl.derived = RunFrom(file_.derived, derived);
+    decl.where = RunFrom(file_.where, where);
     return decl;
   }
 
@@ -136,7 +151,7 @@ class Parser {
     return Status::Ok();
   }
 
-  Status ParseAttrSection(ast::ClassDecl* decl) {
+  Status ParseAttrSection() {
     Advance();  // attribute
     bool necessary = false;
     bool single = false;
@@ -158,12 +173,12 @@ class Parser {
       OODB_ASSIGN_OR_RETURN(entry.attr, ExpectIdent("attribute name"));
       OODB_RETURN_IF_ERROR(Expect(TokenKind::kColon, "':'"));
       OODB_ASSIGN_OR_RETURN(entry.range, ExpectIdent("range class"));
-      decl->attrs.push_back(std::move(entry));
+      file_.attrs.push_back(entry);
     }
     return Status::Ok();
   }
 
-  Status ParseDerivedSection(ast::ClassDecl* decl) {
+  Status ParseDerivedSection() {
     Advance();  // derived
     for (;;) {
       if (Is(TokenKind::kIdent) && IsSectionKeyword(Peek().text)) break;
@@ -176,14 +191,15 @@ class Parser {
         path.label = Advance().text;
         Advance();  // ':'
       }
-      OODB_ASSIGN_OR_RETURN(path.steps, ParsePathSteps());
-      decl->derived.push_back(std::move(path));
+      const size_t steps = file_.steps.size();
+      OODB_RETURN_IF_ERROR(ParsePathSteps());
+      path.steps = RunFrom(file_.steps, steps);
+      file_.derived.push_back(path);
     }
     return Status::Ok();
   }
 
-  Result<std::vector<ast::PathStep>> ParsePathSteps() {
-    std::vector<ast::PathStep> steps;
+  Status ParsePathSteps() {
     do {
       ast::PathStep step;
       step.line = Peek().line;
@@ -206,12 +222,12 @@ class Parser {
         OODB_ASSIGN_OR_RETURN(step.attr, ExpectIdent("attribute name"));
         step.filter_kind = ast::PathStep::Filter::kNone;
       }
-      steps.push_back(std::move(step));
+      file_.steps.push_back(step);
     } while (Consume(TokenKind::kDot));
-    return steps;
+    return Status::Ok();
   }
 
-  Status ParseWhereSection(ast::ClassDecl* decl) {
+  Status ParseWhereSection() {
     Advance();  // where
     while (Is(TokenKind::kIdent) && !IsSectionKeyword(Peek().text)) {
       ast::WhereEq eq;
@@ -219,7 +235,7 @@ class Parser {
       OODB_ASSIGN_OR_RETURN(eq.lhs, ExpectIdent("label"));
       OODB_RETURN_IF_ERROR(Expect(TokenKind::kEquals, "'='"));
       OODB_ASSIGN_OR_RETURN(eq.rhs, ExpectIdent("label"));
-      decl->where.push_back(std::move(eq));
+      file_.where.push_back(eq);
     }
     return Status::Ok();
   }
@@ -232,11 +248,11 @@ class Parser {
     OODB_RETURN_IF_ERROR(ExpectWord("with"));
     while (!IsWord("end")) {
       if (AtEof()) return Error(Peek(), "expected attribute property or end");
-      std::string prop;
-      OODB_ASSIGN_OR_RETURN(prop, ExpectIdent("attribute property"));
+      OODB_ASSIGN_OR_RETURN(std::string_view prop,
+                            ExpectIdent("attribute property"));
       OODB_RETURN_IF_ERROR(Expect(TokenKind::kColon, "':'"));
-      std::string value;
-      OODB_ASSIGN_OR_RETURN(value, ExpectIdent("property value"));
+      OODB_ASSIGN_OR_RETURN(std::string_view value,
+                            ExpectIdent("property value"));
       if (prop == "domain") {
         decl.domain = value;
       } else if (prop == "range") {
@@ -371,22 +387,22 @@ class Parser {
     return f;
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  Lexer& lexer_;
+  ast::File file_;  // filled by ParseFileBody
 };
 
 }  // namespace
 
 Result<ast::File> ParseFile(std::string_view source) {
-  OODB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  Parser parser(std::move(tokens));
-  return parser.ParseFileBody();
+  Lexer lexer(source);
+  Parser parser(&lexer);
+  return lexer.Finish(parser.ParseFileBody());
 }
 
 Result<ast::FormulaPtr> ParseFormula(std::string_view source) {
-  OODB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  Parser parser(std::move(tokens));
-  return parser.ParseTopLevelFormula();
+  Lexer lexer(source);
+  Parser parser(&lexer);
+  return lexer.Finish(parser.ParseTopLevelFormula());
 }
 
 }  // namespace oodb::dl

@@ -11,10 +11,12 @@
 
 namespace oodb::dl {
 
-// Parses a whole DL source file.
+// Parses a whole DL source file. The tree's names are views into
+// `source`, which must outlive it.
 Result<ast::File> ParseFile(std::string_view source);
 
-// Parses a single constraint formula (for tests and interactive use).
+// Parses a single constraint formula (for tests and interactive use), with
+// names borrowed from `source` as ParseFile's.
 Result<ast::FormulaPtr> ParseFormula(std::string_view source);
 
 }  // namespace oodb::dl

@@ -20,33 +20,55 @@ namespace {
 using dl::Analyze;
 using dl::Model;
 using dl::ParseAndAnalyze;
+using dl::Lexer;
 using dl::ParseFile;
-using dl::Tokenize;
 
 TEST(Lexer, TokenizesPunctuationAndIdents) {
-  auto tokens = Tokenize("Class A isA B, C with l1: (a: {c}).(b: ?x) end");
-  ASSERT_TRUE(tokens.ok()) << tokens.status();
+  Lexer lexer("Class A isA B, C with l1: (a: {c}).(b: ?x) end");
   std::string kinds;
-  for (const auto& t : *tokens) {
-    kinds += t.kind == dl::TokenKind::kIdent ? 'i' : t.text.empty() ? 'E'
-                                                                     : t.text[0];
+  for (;;) {
+    const dl::Token t = lexer.Advance();
+    if (t.kind == dl::TokenKind::kEof) break;
+    kinds += t.kind == dl::TokenKind::kIdent ? 'i' : t.text[0];
   }
-  // Class A isA B , C with l1 : ( a : { c } ) . ( b : ? x ) end <eof>
-  EXPECT_EQ(kinds, "iiii,iii:(i:{i}).(i:?i)iE");
+  ASSERT_TRUE(lexer.status().ok()) << lexer.status();
+  // Class A isA B , C with l1 : ( a : { c } ) . ( b : ? x ) end
+  EXPECT_EQ(kinds, "iiii,iii:(i:{i}).(i:?i)i");
+  // Past the end, every token is the end.
+  EXPECT_EQ(lexer.Peek(2).kind, dl::TokenKind::kEof);
 }
 
 TEST(Lexer, SkipsComments) {
-  auto tokens = Tokenize("a // comment until eol\nb");
-  ASSERT_TRUE(tokens.ok());
-  ASSERT_EQ(tokens->size(), 3u);  // a, b, eof
-  EXPECT_EQ((*tokens)[1].text, "b");
-  EXPECT_EQ((*tokens)[1].line, 2);
+  Lexer lexer("a // comment until eol\nb");
+  EXPECT_EQ(lexer.Peek().text, "a");
+  const dl::Token b = lexer.Peek(1);
+  EXPECT_EQ(b.text, "b");
+  EXPECT_EQ(b.line, 2);
+  EXPECT_EQ(lexer.Peek(2).kind, dl::TokenKind::kEof);
+  EXPECT_EQ(lexer.Advance().text, "a");
+  EXPECT_EQ(lexer.Advance().text, "b");
+  EXPECT_TRUE(lexer.status().ok());
 }
 
 TEST(Lexer, RejectsIllegalCharacter) {
-  auto tokens = Tokenize("a $ b");
-  EXPECT_FALSE(tokens.ok());
-  EXPECT_EQ(tokens.status().code(), StatusCode::kInvalidArgument);
+  Lexer lexer("a $ b");
+  EXPECT_EQ(lexer.Advance().text, "a");
+  // The illegal character ends the stream, and status() names it.
+  EXPECT_EQ(lexer.Advance().kind, dl::TokenKind::kEof);
+  EXPECT_EQ(lexer.Peek().kind, dl::TokenKind::kEof);
+  EXPECT_EQ(lexer.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(lexer.status().message(), "line 1:3: unexpected character '$'");
+}
+
+TEST(Lexer, IllegalCharacterWinsOverAnEarlierSyntaxError) {
+  // The parse fails at `)` on line 1; the `$` on line 3 is reported.
+  auto file = ParseFile("Class A with ) end\nClass B with end\n$");
+  ASSERT_FALSE(file.ok());
+  EXPECT_EQ(file.status().message(), "line 3:1: unexpected character '$'");
+  // The parse ends at an illegal character even where it could go on.
+  auto cut = ParseFile("Class A with end $ Class B with end");
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.status().message(), "line 1:18: unexpected character '$'");
 }
 
 TEST(Parser, ParsesTheMedicalFile) {
@@ -57,14 +79,16 @@ TEST(Parser, ParsesTheMedicalFile) {
   const auto& query = file->classes[9];
   EXPECT_TRUE(query.is_query);
   EXPECT_EQ(query.name, "QueryPatient");
-  ASSERT_EQ(query.supers.size(), 2u);
-  EXPECT_EQ(query.supers[0], "Male");
-  ASSERT_EQ(query.derived.size(), 2u);
-  EXPECT_EQ(*query.derived[0].label, "l1");
-  ASSERT_EQ(query.derived[1].steps.size(), 2u);
-  EXPECT_EQ(query.derived[1].steps[0].attr, "suffers");
-  EXPECT_EQ(query.derived[1].steps[0].filter_kind,
-            dl::ast::PathStep::Filter::kNone);
+  const auto supers = dl::ast::Slice(file->supers, query.supers);
+  ASSERT_EQ(supers.size(), 2u);
+  EXPECT_EQ(supers[0], "Male");
+  const auto derived = dl::ast::Slice(file->derived, query.derived);
+  ASSERT_EQ(derived.size(), 2u);
+  EXPECT_EQ(derived[0].label, "l1");
+  const auto steps = dl::ast::Slice(file->steps, derived[1].steps);
+  ASSERT_EQ(steps.size(), 2u);
+  EXPECT_EQ(steps[0].attr, "suffers");
+  EXPECT_EQ(steps[0].filter_kind, dl::ast::PathStep::Filter::kNone);
   ASSERT_EQ(query.where.size(), 1u);
   ASSERT_NE(query.constraint, nullptr);
   EXPECT_EQ(query.constraint->kind, dl::ast::Formula::Kind::kForall);

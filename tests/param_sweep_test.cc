@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <tuple>
+#include <type_traits>
 
 #include "base/rng.h"
 #include "base/strings.h"
@@ -22,6 +23,9 @@
 namespace oodb::calculus {
 namespace {
 
+// gtest names each test of the grid after a dump of this struct's bytes
+// (ctest's "# GetParam() = 48-byte object <...>"), so no byte of it may be
+// padding, whose value differs from build to build.
 struct SweepParam {
   uint64_t seed;
   size_t num_classes;
@@ -29,6 +33,7 @@ struct SweepParam {
   size_t max_conjuncts;
   size_t max_path_length;
   bool with_schema;
+  char zero_tail[7] = {};  // what would be padding, zero in every instance
 
   std::string Name() const {
     return oodb::StrCat("seed", seed, "_c", num_classes, "_a", num_attrs, "_k",
@@ -36,6 +41,8 @@ struct SweepParam {
                   with_schema ? "_sigma" : "_empty");
   }
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>,
+              "SweepParam must have no padding bytes");
 
 class CalculusSweep : public ::testing::TestWithParam<SweepParam> {
  protected:
