@@ -17,13 +17,21 @@
 //     plus one StructuralPreFilter::Check per view, on a separate
 //     checker whose target signatures are already warm;
 //   * pre-filter tests, live goals (views the filter cannot reject) and
-//     subsuming views per query.
+//     subsuming views per query;
+//   * heap bytes per cold plan: the allocator's in-use bytes (mallinfo2)
+//     after each timed ChoosePlan minus before it, summed over the size's
+//     plans but the first and divided by their number: what a plan
+//     leaves behind, chiefly its query's translation and pre-filter
+//     signature. The first plan of a size is left out because it also
+//     allocates the new optimizer's tables.
 // It calls only ChoosePlan(Symbol), prefilter().QuerySignature, Check
 // and SubsumesBatch, so the same source builds against older trees.
 // `--quick` runs the two smaller sizes and checks every plan against a
 // per-pair oracle (a fresh checker with no memo and no pre-filter); it
 // exits non-zero on a mismatch. Results go to BENCH_plan.json (or
 // --out=<path>).
+#include <malloc.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -57,8 +65,16 @@ struct SizeResult {
   double prefilter_tests = 0;  // totals over the size's queries
   double live_goals = 0;
   double subsuming = 0;
+  double heap_bytes = 0;  // in-use delta over the cold plans but the first
   size_t mismatches = 0;
 };
+
+// Bytes the allocator has handed out and not taken back: arena chunks in
+// use plus mmapped ones.
+double HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd);
+}
 
 // The plan a per-pair oracle makes: a fresh checker with no memo and no
 // pre-filter decides each (query, view) pair on its own.
@@ -185,8 +201,10 @@ int main(int argc, char** argv) {
     for (size_t k = 0; k < per_size[s]; ++k, ++next_query) {
       const Symbol query = symbols.Find(dl.query_names[next_query]);
       Result<views::QueryPlan> plan = views::QueryPlan();
+      const double heap_before = HeapInUse();
       r.plan_us.push_back(
           bench::TimeUs([&] { plan = optimizer.ChoosePlan(query); }));
+      if (k > 0) r.heap_bytes += HeapInUse() - heap_before;
       if (!plan.ok()) {
         std::fprintf(stderr, "ChoosePlan(%s): %s\n",
                      dl.query_names[next_query].c_str(),
@@ -232,7 +250,7 @@ int main(int argc, char** argv) {
 
   bench::Table table({"views", "queries", "ChoosePlan p50 µs", "IQR",
                       "repeat p50 µs", "pre-filter p50 µs", "IQR", "tests/q",
-                      "live/q", "subsuming/q"});
+                      "live/q", "subsuming/q", "heap B/plan"});
   bench::JsonWriter json;
   json.Add("experiment", std::string("E22"));
   bench::AddHostStamp(json);
@@ -249,7 +267,8 @@ int main(int argc, char** argv) {
                   bench::Fmt(bench::Iqr(r.prefilter_us), 2),
                   bench::Fmt(r.prefilter_tests / n, 1),
                   bench::Fmt(r.live_goals / n, 2),
-                  bench::Fmt(r.subsuming / n, 2)});
+                  bench::Fmt(r.subsuming / n, 2),
+                  bench::Fmt(r.heap_bytes / (n - 1), 0)});
     const std::string key = StrCat("views_", r.views, "_");
     json.Add(key + "queries", static_cast<uint64_t>(r.queries));
     json.Add(key + "choose_plan_us_p50", bench::Quantile(r.plan_us, 0.5));
@@ -261,6 +280,7 @@ int main(int argc, char** argv) {
     json.Add(key + "prefilter_tests_per_query", r.prefilter_tests / n);
     json.Add(key + "live_goals_per_query", r.live_goals / n);
     json.Add(key + "subsuming_views_per_query", r.subsuming / n);
+    json.Add(key + "heap_bytes_per_plan", r.heap_bytes / (n - 1));
     mismatches += r.mismatches;
   }
   table.Print();

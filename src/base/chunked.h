@@ -7,11 +7,12 @@
 // elements live in fixed-size chunks that never move, so a reference
 // obtained for id i stays valid forever, and growing the container never
 // relocates published elements the way std::vector does. ChunkedIdMap
-// gives the same lock-free reads to a map keyed by such ids.
+// gives the same lock-free reads to a map keyed by such ids. Both allocate
+// their directory of chunk pointers on the first write, so an empty
+// container costs one null pointer.
 #ifndef OODB_BASE_CHUNKED_H_
 #define OODB_BASE_CHUNKED_H_
 
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -23,14 +24,15 @@ namespace oodb {
 // Concurrency contract:
 //   * push_back() calls must be serialized externally (the owner's intern
 //     mutex). A push_back publishes the element with a release store of
-//     size_, and new chunks with release stores of the chunk pointer.
+//     size_, new chunks with release stores of the chunk pointer, and the
+//     directory (on the first push_back) with a release store of dir_.
 //   * operator[] / size() are lock-free. A reader may access any index it
 //     learned through a happens-before edge with the publishing
 //     push_back: thread start, or an acquire of the same mutex the writer
 //     held. Indexes taken from a racy size() poll additionally synchronize
 //     through the release/acquire pair on size_.
 //   * Elements must not be mutated after publication (readers take plain
-//     const references).
+//     const references), except through atomic members of their own.
 template <typename T, size_t kChunkBits = 10>
 class ChunkedVector {
  public:
@@ -39,9 +41,12 @@ class ChunkedVector {
 
   ChunkedVector() = default;
   ~ChunkedVector() {
-    for (auto& slot : chunks_) {
-      delete[] slot.load(std::memory_order_relaxed);
+    std::atomic<T*>* dir = dir_.load(std::memory_order_relaxed);
+    if (dir == nullptr) return;
+    for (size_t c = 0; c < kMaxChunks; ++c) {
+      delete[] dir[c].load(std::memory_order_relaxed);
     }
+    delete[] dir;
   }
 
   ChunkedVector(const ChunkedVector&) = delete;
@@ -51,7 +56,8 @@ class ChunkedVector {
 
   const T& operator[](size_t i) const {
     assert(i < size());
-    const T* chunk = chunks_[i >> kChunkBits].load(std::memory_order_acquire);
+    const std::atomic<T*>* dir = dir_.load(std::memory_order_acquire);
+    const T* chunk = dir[i >> kChunkBits].load(std::memory_order_acquire);
     return chunk[i & (kChunkSize - 1)];
   }
 
@@ -61,10 +67,15 @@ class ChunkedVector {
     const size_t i = size_.load(std::memory_order_relaxed);
     const size_t chunk_index = i >> kChunkBits;
     assert(chunk_index < kMaxChunks && "ChunkedVector capacity exhausted");
-    T* chunk = chunks_[chunk_index].load(std::memory_order_relaxed);
+    std::atomic<T*>* dir = dir_.load(std::memory_order_relaxed);
+    if (dir == nullptr) {
+      dir = new std::atomic<T*>[kMaxChunks]();
+      dir_.store(dir, std::memory_order_release);
+    }
+    T* chunk = dir[chunk_index].load(std::memory_order_relaxed);
     if (chunk == nullptr) {
       chunk = new T[kChunkSize]();
-      chunks_[chunk_index].store(chunk, std::memory_order_release);
+      dir[chunk_index].store(chunk, std::memory_order_release);
     }
     chunk[i & (kChunkSize - 1)] = std::move(value);
     size_.store(i + 1, std::memory_order_release);
@@ -72,14 +83,15 @@ class ChunkedVector {
   }
 
  private:
-  std::array<std::atomic<T*>, kMaxChunks> chunks_{};
+  // kMaxChunks chunk pointers, allocated by the first push_back.
+  std::atomic<std::atomic<T*>*> dir_{nullptr};
   std::atomic<size_t> size_{0};
 };
 
 // Maps dense 32-bit ids (a factory's concept ids) to 32-bit values, with
 // the same concurrency contract as ChunkedVector: Set() calls are
 // serialized externally, Find() is lock-free. The id itself picks the
-// slot, so a lookup is two dependent loads and no hash or probe. Pages of
+// slot, so a lookup is three dependent loads and no hash or probe. Pages of
 // slots are allocated when an id in their range is first set, so memory
 // follows the ids stored. Set publishes a value with a release store;
 // a Find that reads it acquires everything written before the Set.
@@ -93,7 +105,12 @@ class ChunkedIdMap {
 
   ChunkedIdMap() = default;
   ~ChunkedIdMap() {
-    for (auto& page : pages_) delete[] page.load(std::memory_order_relaxed);
+    Page* dir = dir_.load(std::memory_order_relaxed);
+    if (dir == nullptr) return;
+    for (size_t p = 0; p < kMaxPages; ++p) {
+      delete[] dir[p].load(std::memory_order_relaxed);
+    }
+    delete[] dir;
   }
 
   ChunkedIdMap(const ChunkedIdMap&) = delete;
@@ -102,8 +119,10 @@ class ChunkedIdMap {
   // The value set for `id`, or kAbsent.
   uint32_t Find(uint32_t id) const {
     if ((id >> kPageBits) >= kMaxPages) return kAbsent;
+    const Page* dir = dir_.load(std::memory_order_acquire);
+    if (dir == nullptr) return kAbsent;
     const std::atomic<uint32_t>* page =
-        pages_[id >> kPageBits].load(std::memory_order_acquire);
+        dir[id >> kPageBits].load(std::memory_order_acquire);
     if (page == nullptr) return kAbsent;
     return page[id & (kPageSize - 1)].load(std::memory_order_acquire);
   }
@@ -112,7 +131,12 @@ class ChunkedIdMap {
   void Set(uint32_t id, uint32_t value) {
     assert((id >> kPageBits) < kMaxPages && "ChunkedIdMap id out of range");
     assert(value != kAbsent);
-    std::atomic<std::atomic<uint32_t>*>& slot = pages_[id >> kPageBits];
+    Page* dir = dir_.load(std::memory_order_relaxed);
+    if (dir == nullptr) {
+      dir = new Page[kMaxPages]();
+      dir_.store(dir, std::memory_order_release);
+    }
+    Page& slot = dir[id >> kPageBits];
     std::atomic<uint32_t>* page = slot.load(std::memory_order_relaxed);
     if (page == nullptr) {
       page = new std::atomic<uint32_t>[kPageSize];
@@ -125,7 +149,9 @@ class ChunkedIdMap {
   }
 
  private:
-  std::array<std::atomic<std::atomic<uint32_t>*>, kMaxPages> pages_{};
+  using Page = std::atomic<std::atomic<uint32_t>*>;
+  // kMaxPages page pointers, allocated by the first Set.
+  std::atomic<Page*> dir_{nullptr};
 };
 
 }  // namespace oodb

@@ -394,7 +394,6 @@ CompletionEngine::PassResult CompletionEngine::SchemaPass() {
   if (options_.eager_witnesses) {
     for (size_t i = 0; i < facts_.membs().size(); ++i) {
       const MembFact m = facts_.membs()[i];
-      // Copy: interning below may reallocate the concept arena.
       const ConceptNode n = terms_->node(m.c);
       if (n.kind != ConceptKind::kPrimitive) continue;
       for (Symbol p : sigma_.NecessaryAttrs(n.sym)) {
@@ -418,19 +417,18 @@ CompletionEngine::PassResult CompletionEngine::SchemaPass() {
   //   S5: existing goals at s may now be entitled to a witness
   while (schema_marks_.memb < facts_.membs().size()) {
     const MembFact m = facts_.membs()[schema_marks_.memb++];
-    // Copy: interning below may reallocate the concept arena.
     const ConceptNode n = terms_->node(m.c);
     if (n.kind != ConceptKind::kPrimitive) continue;
-    for (Symbol super : sigma_.SuperPrimitives(n.sym)) {
-      if (facts_.AddMemb(m.s, Prim(super))) {
+    for (const schema::ClassRef& super : sigma_.SuperPrimitives(n.sym)) {
+      if (facts_.AddMemb(m.s, super.primitive)) {
         changed = true;
         OODB_TRACE(Rule::kS1, StrCat("F += ", IndName(m.s), ":",
-                                 terms_->symbols().Name(super)));
+                                 terms_->symbols().Name(super.name)));
       }
     }
     for (Symbol p : sigma_.NecessaryAttrs(n.sym)) {
       for (const schema::TypingAxiom& typing : sigma_.TypingsOf(p)) {
-        if (facts_.AddMemb(m.s, Prim(typing.domain))) {
+        if (facts_.AddMemb(m.s, typing.domain_concept)) {
           changed = true;
           OODB_TRACE(Rule::kS6, StrCat("F += ", IndName(m.s), ":",
                                    terms_->symbols().Name(typing.domain)));
@@ -441,10 +439,10 @@ CompletionEngine::PassResult CompletionEngine::SchemaPass() {
       // Reference stays valid: AddMemb never touches the filler index.
       const std::vector<Ind>& fillers = facts_.PrimFillers(m.s, p);
       for (Ind t : fillers) {
-        if (facts_.AddMemb(t, Prim(range))) {
+        if (facts_.AddMemb(t, range.primitive)) {
           changed = true;
           OODB_TRACE(Rule::kS2, StrCat("F += ", IndName(t), ":",
-                                   terms_->symbols().Name(range)));
+                                   terms_->symbols().Name(range.name)));
         }
       }
     }
@@ -467,14 +465,14 @@ CompletionEngine::PassResult CompletionEngine::SchemaPass() {
     scratch_concepts_.assign(facts_.ConceptsOf(a.s).begin(),
                              facts_.ConceptsOf(a.s).end());
     for (ConceptId c : scratch_concepts_) {
-      // Copy: interning below may reallocate the concept arena.
       const ConceptNode n = terms_->node(c);
       if (n.kind != ConceptKind::kPrimitive) continue;
-      for (Symbol range : sigma_.ValueRestrictions(n.sym, a.p)) {
-        if (facts_.AddMemb(a.t, Prim(range))) {
+      for (const schema::ClassRef& range :
+           sigma_.ValueRestrictions(n.sym, a.p)) {
+        if (facts_.AddMemb(a.t, range.primitive)) {
           changed = true;
           OODB_TRACE(Rule::kS2, StrCat("F += ", IndName(a.t), ":",
-                                   terms_->symbols().Name(range)));
+                                   terms_->symbols().Name(range.name)));
         }
       }
       if (sigma_.IsFunctionalFor(n.sym, a.p)) {
@@ -483,8 +481,8 @@ CompletionEngine::PassResult CompletionEngine::SchemaPass() {
       }
     }
     for (const schema::TypingAxiom& typing : sigma_.TypingsOf(a.p)) {
-      bool added = facts_.AddMemb(a.s, Prim(typing.domain));
-      added |= facts_.AddMemb(a.t, Prim(typing.range));
+      bool added = facts_.AddMemb(a.s, typing.domain_concept);
+      added |= facts_.AddMemb(a.t, typing.range_concept);
       if (added) {
         changed = true;
         OODB_TRACE(Rule::kS3,

@@ -152,7 +152,6 @@ class CompletionEngine {
   void Count(Rule rule);
 
   Status CheckLimits() const;
-  ql::ConceptId Prim(Symbol a) { return terms_->Primitive(a); }
 
   const schema::Schema& sigma_;
   ql::TermFactory* terms_;

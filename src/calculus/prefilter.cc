@@ -13,6 +13,20 @@ using ql::ConceptNode;
 using ql::Restriction;
 }  // namespace
 
+void SymbolBitset::Set(uint32_t id) {
+  const uint32_t word = id >> 6;
+  if (words_.empty()) {
+    first_word_ = word;
+    words_.push_back(0);
+  } else if (word < first_word_) {
+    words_.insert(words_.begin(), first_word_ - word, 0);
+    first_word_ = word;
+  } else if (word - first_word_ >= words_.size()) {
+    words_.resize(word - first_word_ + 1, 0);
+  }
+  words_[word - first_word_] |= uint64_t{1} << (id & 63);
+}
+
 const ConceptSignature& StructuralPreFilter::QuerySignature(
     ql::ConceptId c) const {
   uint32_t slot = query_index_.Find(c);
@@ -112,10 +126,12 @@ ConceptSignature StructuralPreFilter::ComputeQuerySignature(
     if (!prim_worklist.empty()) {
       Symbol a = prim_worklist.back();
       prim_worklist.pop_back();
-      for (Symbol super : sigma_.SuperPrimitives(a)) add_prim(super);
+      for (const schema::ClassRef& super : sigma_.SuperPrimitives(a)) {
+        add_prim(super.name);
+      }
       for (const auto& [attr, range] : sigma_.ValueRestrictionsOf(a)) {
         (void)attr;
-        add_prim(range);
+        add_prim(range.name);
       }
       for (Symbol p : sigma_.NecessaryAttrs(a)) add_attr(p);
       continue;

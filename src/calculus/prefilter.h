@@ -42,26 +42,31 @@
 
 namespace oodb::calculus {
 
-// Dense bitset over symbol ids. Symbols are small (interned densely per
-// SymbolTable), so a word vector beats hash sets for the membership
-// probes the filter runs on every pair.
+// A set of symbol ids kept as bitset words from the word of its lowest id
+// to the word of its highest. Its size follows the span of the ids it
+// holds, not the session's symbol count: a query's Σ-closure names a few
+// schema classes and attributes, and a session that has interned 16 000
+// query-class names before its attributes still stores their set in a
+// word or two. A membership probe is one subtraction, one compare and
+// one bit test.
 class SymbolBitset {
  public:
-  void Set(uint32_t id) {
-    size_t word = id >> 6;
-    if (word >= words_.size()) words_.resize(word + 1, 0);
-    words_[word] |= uint64_t{1} << (id & 63);
-  }
+  void Set(uint32_t id);
   void Set(Symbol s) { Set(s.id()); }
 
   bool Test(uint32_t id) const {
-    size_t word = id >> 6;
-    return word < words_.size() &&
-           (words_[word] >> (id & 63)) & uint64_t{1};
+    // Ids below the first word wrap around to a large offset.
+    const uint32_t offset = (id >> 6) - first_word_;
+    return offset < words_.size() &&
+           (words_[offset] >> (id & 63)) & uint64_t{1};
   }
   bool Test(Symbol s) const { return Test(s.id()); }
 
+  // Words stored: (highest id >> 6) - (lowest id >> 6) + 1, or 0 if empty.
+  size_t num_words() const { return words_.size(); }
+
  private:
+  uint32_t first_word_ = 0;  // id >> 6 of the ids in words_[0]
   std::vector<uint64_t> words_;
 };
 
@@ -76,6 +81,11 @@ struct ConceptSignature {
   SymbolBitset constants;  // mentioned constants
   // Distinct constants mentioned (clash guard).
   uint32_t num_constants = 0;
+
+  // Bitset words held by the three sets.
+  size_t num_words() const {
+    return prims.num_words() + attrs.num_words() + constants.num_words();
+  }
 };
 
 // The target reading of a concept: the distinct primitive, attribute and

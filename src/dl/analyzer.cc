@@ -1,8 +1,12 @@
 #include "dl/analyzer.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "base/strings.h"
 #include "dl/parser.h"
@@ -42,10 +46,53 @@ std::vector<Symbol> Model::SuperClosure(Symbol cls) const {
   return out;
 }
 
+// The names the declare pass interned (Object and the declared classes,
+// attributes and inverse synonyms), found again without the symbol
+// table's lock: an open-addressing table of symbol ids, probed by a hash
+// of the name and compared through the table's lock-free Name().
+class DeclaredNames {
+ public:
+  DeclaredNames(const SymbolTable& symbols, size_t max_names)
+      : symbols_(symbols) {
+    size_t capacity = 16;
+    while (capacity < 2 * max_names) capacity *= 2;
+    slots_.assign(capacity, 0);
+  }
+
+  void Add(Symbol s) {
+    size_t slot = SlotOf(symbols_.Name(s));
+    while (slots_[slot] != 0 && slots_[slot] != s.id()) slot = Next(slot);
+    slots_[slot] = s.id();
+  }
+
+  // The declared symbol named `name`, or the invalid symbol.
+  Symbol Find(std::string_view name) const {
+    for (size_t slot = SlotOf(name); slots_[slot] != 0; slot = Next(slot)) {
+      if (symbols_.Name(Symbol(slots_[slot])) == name) {
+        return Symbol(slots_[slot]);
+      }
+    }
+    return Symbol();
+  }
+
+ private:
+  size_t SlotOf(std::string_view name) const {
+    return std::hash<std::string_view>()(name) & (slots_.size() - 1);
+  }
+  size_t Next(size_t slot) const { return (slot + 1) & (slots_.size() - 1); }
+
+  const SymbolTable& symbols_;
+  std::vector<uint32_t> slots_;  // symbol ids; 0 marks an empty slot
+};
+
 class Analyzer {
  public:
   Analyzer(const ast::File& file, SymbolTable* symbols)
-      : file_(file), symbols_(symbols) {}
+      : file_(file),
+        symbols_(symbols),
+        // Object, then each class, attribute and inverse synonym.
+        declared_(*symbols, 1 + file.classes.size() +
+                                2 * file.attributes.size()) {}
 
   Result<Model> Run() {
     // Sized for the declared names; implicit declarations may add more.
@@ -54,6 +101,7 @@ class Analyzer {
     model_.attributes_.reserve(file_.attributes.size());
     model_.attr_index_.reserve(file_.attributes.size());
     model_.object_class = symbols_->Intern("Object");
+    declared_.Add(model_.object_class);
     // The builtin most-general class.
     AddClass(model_.object_class, /*is_query=*/false, /*implicit=*/false);
 
@@ -102,6 +150,7 @@ class Analyzer {
                                          "'"));
       }
       AddClass(name, decl.is_query, /*implicit=*/false);
+      declared_.Add(name);
     }
     for (const ast::AttributeDecl& decl : file_.attributes) {
       Symbol name = symbols_->Intern(decl.name);
@@ -115,6 +164,7 @@ class Analyzer {
                                          "' is already a class name"));
       }
       AddAttribute(name, /*implicit=*/false);
+      declared_.Add(name);
     }
     // Synonyms after all attributes are known.
     for (size_t i = 0; i < file_.attributes.size(); ++i) {
@@ -129,14 +179,22 @@ class Analyzer {
       }
       model_.attributes_[i].inverse = syn;
       model_.synonym_to_attr_.emplace(syn, model_.attributes_[i].name);
+      declared_.Add(syn);
     }
     return Status::Ok();
   }
 
   // --- resolution helpers ---------------------------------------------------
 
+  // A declared name without the table's lock; any other name (an implicit
+  // declaration, a label, a constant or a variable) is interned.
+  Symbol Resolve(std::string_view name) {
+    Symbol s = declared_.Find(name);
+    return s.valid() ? s : symbols_->Intern(name);
+  }
+
   Result<Symbol> ResolveClass(std::string_view name, int line) {
-    Symbol s = symbols_->Intern(name);
+    Symbol s = Resolve(name);
     if (model_.class_index_.count(s) > 0) return s;
     AddClass(s, /*is_query=*/false, /*implicit=*/true);
     model_.warnings_.push_back(
@@ -145,7 +203,7 @@ class Analyzer {
   }
 
   Result<Symbol> ResolvePrimitiveAttr(std::string_view name, int line) {
-    Symbol s = symbols_->Intern(name);
+    Symbol s = Resolve(name);
     if (model_.attr_index_.count(s) > 0) return s;
     if (model_.synonym_to_attr_.count(s) > 0) {
       // Paper Sect. 2.1: synonyms may not occur in schema declarations.
@@ -160,7 +218,7 @@ class Analyzer {
   }
 
   Result<ql::Attr> ResolvePathAttr(std::string_view name, int line) {
-    Symbol s = symbols_->Intern(name);
+    Symbol s = Resolve(name);
     if (auto attr = model_.ResolveAttrName(s)) return *attr;
     AddAttribute(s, /*implicit=*/true);
     model_.warnings_.push_back(
@@ -424,6 +482,7 @@ class Analyzer {
 
   const ast::File& file_;
   SymbolTable* symbols_;
+  DeclaredNames declared_;
   Model model_;
 };
 

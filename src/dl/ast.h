@@ -60,12 +60,14 @@ struct AttrEntry {
 };
 
 // A step of a labeled path: `a` (bare), `(a: C)`, `(a: {c})`, `(a: ?x)`.
+// (Members are ordered so that the struct has no padding but its tail:
+// a large catalog holds tens of thousands of steps.)
 struct PathStep {
-  enum class Filter { kNone, kClass, kConstant, kVariable };
+  enum class Filter : uint8_t { kNone, kClass, kConstant, kVariable };
   std::string_view attr;
-  Filter filter_kind = Filter::kNone;
   std::string_view filter;  // class / constant / variable name
   int line = 0;
+  Filter filter_kind = Filter::kNone;
 };
 
 // The run [begin, end) of one of File's pools.
@@ -90,7 +92,6 @@ struct WhereEq {
 };
 
 struct ClassDecl {
-  bool is_query = false;
   std::string_view name;
   Run supers;                // of File::supers
   Run attrs;                 // of File::attrs; schema classes
@@ -98,6 +99,7 @@ struct ClassDecl {
   Run where;                 // of File::where
   FormulaPtr constraint;     // may be null
   int line = 0;
+  bool is_query = false;
 };
 
 struct AttributeDecl {

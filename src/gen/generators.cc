@@ -123,7 +123,7 @@ ql::ConceptId WeakenOnce(const schema::Schema& sigma, ql::TermFactory* terms,
     case ql::ConceptKind::kPrimitive: {
       const auto& supers = sigma.SuperPrimitives(n.sym);
       if (!supers.empty() && rng.Bernoulli(0.8)) {
-        return terms->Primitive(rng.Pick(supers));
+        return terms->Primitive(rng.Pick(supers).name);
       }
       return rng.Bernoulli(0.3) ? terms->Top() : c;
     }

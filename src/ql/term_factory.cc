@@ -11,7 +11,7 @@ TermFactory::TermFactory(SymbolTable* symbols) : symbols_(symbols) {
   concepts_.push_back(ConceptNode{});  // id 0: invalid sentinel.
   sizes_.push_back(0);
   is_ql_.push_back(false);
-  paths_.push_back({});  // id 0: the empty path ε.
+  paths_.push_back(PathNode());  // id 0: the empty path ε.
   path_index_.emplace(std::vector<Restriction>{}, kEmptyPath);
   ConceptNode top;
   top.kind = ConceptKind::kTop;
@@ -34,7 +34,7 @@ size_t TermFactory::ComputeSizeLocked(const ConceptNode& node) const {
     case ConceptKind::kExists:
     case ConceptKind::kAgree: {
       size_t size = 1;
-      for (const Restriction& r : paths_[node.path]) {
+      for (const Restriction& r : path(node.path)) {
         size += 1 + sizes_[r.filter];
       }
       return size;
@@ -53,7 +53,7 @@ bool TermFactory::ComputeIsQlLocked(const ConceptNode& node) const {
       return is_ql_[node.lhs] && is_ql_[node.rhs];
     case ConceptKind::kExists:
     case ConceptKind::kAgree:
-      for (const Restriction& r : paths_[node.path]) {
+      for (const Restriction& r : path(node.path)) {
         if (!is_ql_[r.filter]) return false;
       }
       return true;
@@ -124,10 +124,16 @@ ConceptId TermFactory::AndAll(const std::vector<ConceptId>& conjuncts) {
 }
 
 ConceptId TermFactory::Exists(PathId path) {
+  const PathNode& p = paths_[path];
+  ConceptId id = p.exists.load(std::memory_order_acquire);
+  if (id != PathNode::kUnset) return id;
   ConceptNode n;
   n.kind = ConceptKind::kExists;
   n.path = path;
-  return Intern(n);
+  base::MutexLock lock(&mu_);
+  id = InternLocked(n);
+  p.exists.store(id, std::memory_order_release);
+  return id;
 }
 
 ConceptId TermFactory::ExistsAttr(Attr attr) {
@@ -172,7 +178,7 @@ PathId TermFactory::InternPathLocked(std::vector<Restriction> restrictions) {
   auto it = path_index_.find(restrictions);
   if (it != path_index_.end()) return it->second;
   PathId id = static_cast<PathId>(paths_.size());
-  paths_.push_back(restrictions);
+  paths_.push_back(PathNode(restrictions));
   path_index_.emplace(std::move(restrictions), id);
   return id;
 }
@@ -208,15 +214,15 @@ PathId TermFactory::Suffix(PathId p, size_t from) {
   assert(from <= path(p).size());
   if (from == 0) return p;
   if (from == 1) {
-    // The calculus peels paths one restriction at a time; memoize the
-    // common case so repeated completions don't rebuild the tail vector.
+    // The calculus peels paths one restriction at a time, so the tail is
+    // kept beside the path.
+    const PathNode& node = paths_[p];
+    PathId tail = node.tail.load(std::memory_order_acquire);
+    if (tail != PathNode::kUnset) return tail;
     base::MutexLock lock(&mu_);
-    auto it = tail_cache_.find(p);
-    if (it != tail_cache_.end()) return it->second;
-    const auto& pr = paths_[p];
-    PathId tail =
-        InternPathLocked(std::vector<Restriction>(pr.begin() + 1, pr.end()));
-    tail_cache_.emplace(p, tail);
+    tail = InternPathLocked(
+        std::vector<Restriction>(node.steps.begin() + 1, node.steps.end()));
+    node.tail.store(tail, std::memory_order_release);
     return tail;
   }
   const auto& pr = path(p);
@@ -269,7 +275,7 @@ std::vector<ConceptId> TermFactory::Subconcepts(ConceptId id) const {
         break;
       case ConceptKind::kExists:
       case ConceptKind::kAgree:
-        for (const Restriction& r : paths_[n.path]) {
+        for (const Restriction& r : path(n.path)) {
           stack.push_back(r.filter);
         }
         break;

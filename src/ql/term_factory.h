@@ -2,6 +2,7 @@
 #ifndef OODB_QL_TERM_FACTORY_H_
 #define OODB_QL_TERM_FACTORY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string_view>
 #include <unordered_map>
@@ -20,7 +21,10 @@ namespace oodb::ql {
 //
 // Thread-safe: constructors (everything that may intern) serialize on an
 // internal mutex, while the id-dereferencing accessors node() / path() /
-// ConceptSize() / IsQl() — the calculus hot path — are lock-free.
+// ConceptSize() / IsQl() — the calculus hot path — are lock-free. So are
+// Exists(p) and Suffix(p, 1) once they have answered for p: each path
+// keeps both ids beside its restrictions, and only the first call for a
+// path takes the mutex.
 // Interned nodes live in chunked storage that never relocates
 // (base/chunked.h), so references handed out to one thread stay valid
 // while other threads intern. A reader may dereference any id it
@@ -53,7 +57,7 @@ class TermFactory {
   ConceptId And(ConceptId lhs, ConceptId rhs);
   // Right-folded intersection of a list; ⊤ for an empty list.
   ConceptId AndAll(const std::vector<ConceptId>& conjuncts);
-  // ∃p.
+  // ∃p. Lock-free after the first call for `path`.
   ConceptId Exists(PathId path);
   // ∃P, i.e. ∃(P:⊤). `attr` may be inverted in QL positions.
   ConceptId ExistsAttr(Attr attr);
@@ -78,7 +82,8 @@ class TermFactory {
   PathId Cons(const Restriction& head, PathId tail);
   // Concatenation p · q.
   PathId Concat(PathId p, PathId q);
-  // Drops the first `from` restrictions (from <= length).
+  // Drops the first `from` restrictions (from <= length). Lock-free after
+  // the first call for `p` when from is 1, the step the calculus peels.
   PathId Suffix(PathId p, size_t from);
 
   // Inverts a path for agreement normalization. For
@@ -92,8 +97,10 @@ class TermFactory {
   // --- Accessors (lock-free) --------------------------------------------
 
   const ConceptNode& node(ConceptId id) const { return concepts_[id]; }
-  const std::vector<Restriction>& path(PathId id) const { return paths_[id]; }
-  size_t path_length(PathId id) const { return paths_[id].size(); }
+  const std::vector<Restriction>& path(PathId id) const {
+    return paths_[id].steps;
+  }
+  size_t path_length(PathId id) const { return paths_[id].steps.size(); }
 
   size_t num_concepts() const { return concepts_.size() - 1; }
   size_t num_paths() const { return paths_.size(); }
@@ -117,6 +124,32 @@ class TermFactory {
   std::vector<ConceptId> Subconcepts(ConceptId id) const;
 
  private:
+  // An interned path: its restrictions, and the ids of Suffix(p, 1) and
+  // ∃p. Each id is set under mu_ by the first call that asks for it and
+  // published with a release store, so a later call reads it without a
+  // lock or a hash probe.
+  struct PathNode {
+    static constexpr uint32_t kUnset = UINT32_MAX;
+
+    PathNode() = default;
+    explicit PathNode(std::vector<Restriction> restrictions)
+        : steps(std::move(restrictions)) {}
+    // ChunkedVector moves a node into its slot before publishing it.
+    PathNode(PathNode&& other) noexcept { *this = std::move(other); }
+    PathNode& operator=(PathNode&& other) noexcept {
+      steps = std::move(other.steps);
+      tail.store(other.tail.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+      exists.store(other.exists.load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
+      return *this;
+    }
+
+    std::vector<Restriction> steps;
+    mutable std::atomic<PathId> tail{kUnset};
+    mutable std::atomic<ConceptId> exists{kUnset};
+  };
+
   ConceptId Intern(const ConceptNode& node) EXCLUDES(mu_);
   ConceptId InternLocked(const ConceptNode& node) REQUIRES(mu_);
   PathId InternPathLocked(std::vector<Restriction> restrictions)
@@ -129,16 +162,15 @@ class TermFactory {
   // Pointer-stable so accessors need no lock (see class comment);
   // deliberately unguarded, appends serialize on mu_.
   ChunkedVector<ConceptNode> concepts_;
-  ChunkedVector<std::vector<Restriction>> paths_;
+  ChunkedVector<PathNode> paths_;
   ChunkedVector<size_t> sizes_;  // ConceptSize, computed at intern time
   ChunkedVector<bool> is_ql_;    // IsQl, computed at intern time
   mutable base::Mutex mu_;
-  // Dedup indexes and the Suffix(p, 1) memo.
+  // Dedup indexes.
   std::unordered_map<ConceptNode, ConceptId, ConceptNodeHash> concept_index_
       GUARDED_BY(mu_);
   std::unordered_map<std::vector<Restriction>, PathId, PathVecHash>
       path_index_ GUARDED_BY(mu_);
-  std::unordered_map<PathId, PathId> tail_cache_ GUARDED_BY(mu_);
   ConceptId top_;
 };
 

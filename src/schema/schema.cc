@@ -14,6 +14,7 @@ namespace {
 uint64_t PairKey(Symbol a, Symbol b) { return PackKey(a.id(), b.id()); }
 
 const std::vector<Symbol> kNoSymbols;
+const std::vector<ClassRef> kNoClasses;
 const std::vector<TypingAxiom> kNoTypings;
 
 }  // namespace
@@ -89,14 +90,14 @@ Status Schema::AddSimpleInclusion(Symbol a, ql::ConceptId d) {
 
   switch (n.kind) {
     case ql::ConceptKind::kPrimitive:
-      supers_[a].push_back(n.sym);
+      supers_[a].push_back(ClassRef{n.sym, d});
       break;
-    case ql::ConceptKind::kAll:
-      value_restrictions_[PairKey(a, n.attr.prim)].push_back(
-          terms_->node(n.lhs).sym);
-      value_restrictions_by_class_[a].emplace_back(n.attr.prim,
-                                                   terms_->node(n.lhs).sym);
+    case ql::ConceptKind::kAll: {
+      const ClassRef range{terms_->node(n.lhs).sym, n.lhs};
+      value_restrictions_[PairKey(a, n.attr.prim)].push_back(range);
+      value_restrictions_by_class_[a].emplace_back(n.attr.prim, range);
       break;
+    }
     case ql::ConceptKind::kExists: {
       Symbol p = terms_->path(n.path)[0].attr.prim;
       if (necessary_.insert(PairKey(a, p)).second) {
@@ -119,7 +120,9 @@ Status Schema::AddTyping(Symbol attr, Symbol domain, Symbol range) {
   if (!attr.valid() || !domain.valid() || !range.valid()) {
     return InvalidArgumentError("invalid typing axiom");
   }
-  typings_.push_back(TypingAxiom{attr, domain, range});
+  typings_.push_back(TypingAxiom{attr, domain, range,
+                                 terms_->Primitive(domain),
+                                 terms_->Primitive(range)});
   typings_by_attr_[attr].push_back(typings_.back());
   return Status::Ok();
 }
@@ -141,20 +144,20 @@ Status Schema::AddFunctional(Symbol a, Symbol attr) {
   return AddInclusion(a, terms_->AtMostOne(ql::Attr{attr, false}));
 }
 
-const std::vector<Symbol>& Schema::SuperPrimitives(Symbol a) const {
+const std::vector<ClassRef>& Schema::SuperPrimitives(Symbol a) const {
   auto it = supers_.find(a);
-  return it == supers_.end() ? kNoSymbols : it->second;
+  return it == supers_.end() ? kNoClasses : it->second;
 }
 
-const std::vector<Symbol>& Schema::ValueRestrictions(Symbol a,
-                                                     Symbol attr) const {
+const std::vector<ClassRef>& Schema::ValueRestrictions(Symbol a,
+                                                       Symbol attr) const {
   auto it = value_restrictions_.find(PairKey(a, attr));
-  return it == value_restrictions_.end() ? kNoSymbols : it->second;
+  return it == value_restrictions_.end() ? kNoClasses : it->second;
 }
 
-const std::vector<std::pair<Symbol, Symbol>>& Schema::ValueRestrictionsOf(
+const std::vector<std::pair<Symbol, ClassRef>>& Schema::ValueRestrictionsOf(
     Symbol a) const {
-  static const std::vector<std::pair<Symbol, Symbol>> kNone;
+  static const std::vector<std::pair<Symbol, ClassRef>> kNone;
   auto it = value_restrictions_by_class_.find(a);
   return it == value_restrictions_by_class_.end() ? kNone : it->second;
 }
@@ -234,8 +237,8 @@ std::vector<Symbol> Schema::SuperClassesTransitive(Symbol a) const {
     Symbol cur = queue.front();
     queue.pop_front();
     out.push_back(cur);
-    for (Symbol super : SuperPrimitives(cur)) {
-      if (seen.insert(super).second) queue.push_back(super);
+    for (const ClassRef& super : SuperPrimitives(cur)) {
+      if (seen.insert(super.name).second) queue.push_back(super.name);
     }
   }
   return out;

@@ -23,11 +23,22 @@ struct InclusionAxiom {
   ql::ConceptId rhs;
 };
 
-// P ⊑ A₁ × A₂.
+// P ⊑ A₁ × A₂. The concepts are A₁ and A₂ as primitive concepts of Σ's
+// factory, interned by AddTyping.
 struct TypingAxiom {
   Symbol attr;
   Symbol domain;
   Symbol range;
+  ql::ConceptId domain_concept = ql::kInvalidConcept;
+  ql::ConceptId range_concept = ql::kInvalidConcept;
+};
+
+// A class named on the right of an axiom: its symbol, and the primitive
+// concept of that name in Σ's factory. The concept is interned when the
+// axiom is added, so the schema rules read it and never intern the name.
+struct ClassRef {
+  Symbol name;
+  ql::ConceptId primitive = ql::kInvalidConcept;
 };
 
 // An SL schema Σ. Axioms are validated on insertion: the right-hand side
@@ -61,14 +72,14 @@ class Schema {
   // --- Indexed access (used by calculus rules) ---------------------------
 
   // S1: all A₂ with A₁ ⊑ A₂ ∈ Σ (direct, not transitive).
-  const std::vector<Symbol>& SuperPrimitives(Symbol a) const;
+  const std::vector<ClassRef>& SuperPrimitives(Symbol a) const;
 
   // S2: all A₂ with A₁ ⊑ ∀P.A₂ ∈ Σ.
-  const std::vector<Symbol>& ValueRestrictions(Symbol a, Symbol attr) const;
+  const std::vector<ClassRef>& ValueRestrictions(Symbol a, Symbol attr) const;
 
   // S2 (semi-naive trigger from the membership side): all (P, A₂) with
   // A₁ ⊑ ∀P.A₂ ∈ Σ.
-  const std::vector<std::pair<Symbol, Symbol>>& ValueRestrictionsOf(
+  const std::vector<std::pair<Symbol, ClassRef>>& ValueRestrictionsOf(
       Symbol a) const;
 
   // S3: all typing axioms for attribute P.
@@ -109,10 +120,10 @@ class Schema {
   std::vector<InclusionAxiom> inclusions_;
   std::vector<TypingAxiom> typings_;
 
-  std::unordered_map<Symbol, std::vector<Symbol>> supers_;
+  std::unordered_map<Symbol, std::vector<ClassRef>> supers_;
   // Pair-keyed indexes use the exact key PackKey(lhs, rhs).
-  std::unordered_map<uint64_t, std::vector<Symbol>> value_restrictions_;
-  std::unordered_map<Symbol, std::vector<std::pair<Symbol, Symbol>>>
+  std::unordered_map<uint64_t, std::vector<ClassRef>> value_restrictions_;
+  std::unordered_map<Symbol, std::vector<std::pair<Symbol, ClassRef>>>
       value_restrictions_by_class_;
   std::unordered_map<Symbol, std::vector<TypingAxiom>> typings_by_attr_;
   std::unordered_set<uint64_t> functional_;

@@ -219,6 +219,69 @@ TEST(ConcurrentChecker, ConcurrentInterningIsConsistent) {
   }
 }
 
+// Fresh queries over one factory: every thread builds its own queries
+// through the shared factory while the others complete theirs, so the
+// engines' first Exists and Suffix lookups of a path race with lock-free
+// hits on it, and the pre-filter publishes signatures concurrently. Query
+// i is the same term in a serial world built from the same seeds, whose
+// checker gives the expected verdicts.
+TEST(ConcurrentChecker, FreshQueriesShareLockFreeTermLookups) {
+  constexpr size_t kQueries = 64;
+  // Query i conjoins base concept i % 8 with a concept drawn for i alone;
+  // the catalog holds weakenings of the bases, so some verdicts hold.
+  auto build_world = [&](Workload* w) {
+    Rng rng(20261019);
+    w->sig = gen::GenerateSchema(&w->sigma, rng);
+    for (size_t b = 0; b < 8; ++b) {
+      w->queries.push_back(gen::GenerateConcept(w->sig, &w->f, rng));
+    }
+    for (size_t i = 0; i < 24; ++i) {
+      ql::ConceptId base = w->queries[i % 8];
+      w->catalog.push_back(
+          i % 3 == 2 ? gen::GenerateConcept(w->sig, &w->f, rng)
+                     : gen::WeakenConcept(w->sigma, &w->f, base, rng, 2));
+    }
+  };
+  auto fresh_query = [&](Workload& w, size_t i) {
+    Rng rng(7000 + i);
+    return w.f.And(w.queries[i % 8], gen::GenerateConcept(w.sig, &w.f, rng));
+  };
+
+  Workload serial;
+  build_world(&serial);
+  calculus::CheckerOptions scan;  // the optimizer's configuration
+  scan.memoize = false;
+  calculus::SubsumptionChecker oracle(serial.sigma, scan);
+  std::vector<Row> want(kQueries);
+  size_t holds = 0;
+  for (size_t i = 0; i < kQueries; ++i) {
+    auto row = oracle.SubsumesBatch(fresh_query(serial, i), serial.catalog);
+    if (!row.ok()) continue;
+    for (bool v : *row) holds += v;
+    want[i] = std::move(*row);
+  }
+  ASSERT_GT(holds, 0u);
+
+  Workload shared;
+  build_world(&shared);
+  calculus::SubsumptionChecker checker(shared.sigma, scan);
+  std::vector<Row> got(kQueries);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = t; i < kQueries; i += kThreads) {
+        auto row = checker.SubsumesBatch(fresh_query(shared, i),
+                                         shared.catalog);
+        if (row.ok()) got[i] = std::move(*row);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t i = 0; i < kQueries; ++i) {
+    EXPECT_EQ(got[i], want[i]) << "query " << i;
+  }
+}
+
 // The pool itself: tasks all run, ParallelFor covers every index exactly
 // once, and reuse across batches works.
 TEST(ThreadPool, RunsEverythingExactlyOnce) {

@@ -5,7 +5,10 @@
 // checker and requires that every true subsumption is accepted by the
 // filter; deterministic cases pin the clash guard (the one branch where
 // a structurally "impossible" pair is still subsumed) and the non-QL
-// abstention.
+// abstention. Signature sets are stored from their lowest set word, so
+// they are also tested on ids far from 0 and far apart, and a query's
+// signature must keep its size when the symbol table is padded.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -15,6 +18,8 @@
 #include "base/rng.h"
 #include "calculus/prefilter.h"
 #include "calculus/subsumption.h"
+#include "dl/frontend.h"
+#include "gen/dl_gen.h"
 #include "gen/generators.h"
 #include "ql/print.h"
 #include "schema/schema.h"
@@ -97,6 +102,102 @@ TEST(PreFilter, AbstainsOnNonQlInput) {
   SubsumptionChecker checker(fx.sigma);
   EXPECT_FALSE(checker.Subsumes(fx.f.Primitive("A"), bad).ok());
 }
+// Interns `count` filler names, so that every later symbol id is past it.
+void Pad(SymbolTable* symbols, int count) {
+  for (int i = 0; i < count; ++i) symbols->Intern("pad" + std::to_string(i));
+}
+
+TEST(SymbolBitset, EmptySetHoldsNothing) {
+  SymbolBitset set;
+  EXPECT_EQ(set.num_words(), 0u);
+  EXPECT_FALSE(set.Test(0));
+  EXPECT_FALSE(set.Test(63));
+  EXPECT_FALSE(set.Test(UINT32_MAX));
+}
+
+TEST(SymbolBitset, StoresOnlyTheWordsBetweenItsLowestAndHighestIds) {
+  SymbolBitset set;
+  set.Set(16082);
+  set.Set(16089);
+  EXPECT_EQ(set.num_words(), 1u);
+  EXPECT_TRUE(set.Test(16082));
+  EXPECT_TRUE(set.Test(16089));
+  EXPECT_FALSE(set.Test(16083));
+  // Below the first set word and above the last one.
+  EXPECT_FALSE(set.Test(16082 - 64));
+  EXPECT_FALSE(set.Test(0));
+  EXPECT_FALSE(set.Test(16089 + 64));
+  EXPECT_FALSE(set.Test(UINT32_MAX));
+}
+
+TEST(SymbolBitset, GrowsDownwardAndUpward) {
+  SymbolBitset set;
+  set.Set(1000);
+  set.Set(640);  // a lower word: the words shift up
+  set.Set(1300);  // a higher word
+  EXPECT_EQ(set.num_words(), (1300u >> 6) - (640u >> 6) + 1);
+  for (uint32_t id = 0; id < 2000; ++id) {
+    EXPECT_EQ(set.Test(id), id == 640 || id == 1000 || id == 1300) << id;
+  }
+}
+
+TEST(SymbolBitset, FarApartIdsAndIdsPastTwoToTheSixteen) {
+  const std::vector<uint32_t> ids = {3,
+                                     (uint32_t{1} << 16) + 5,
+                                     (uint32_t{1} << 20) + 63,
+                                     (uint32_t{1} << 16) - 1};
+  SymbolBitset set;
+  for (uint32_t id : ids) set.Set(id);
+  for (uint32_t id : ids) {
+    EXPECT_TRUE(set.Test(id)) << id;
+    EXPECT_FALSE(set.Test(id + 1)) << id;
+  }
+  EXPECT_FALSE(set.Test(2));
+  EXPECT_FALSE(set.Test((uint32_t{1} << 20) + 64));
+  // Setting an id twice, or an id inside the span, adds no words.
+  const size_t words = set.num_words();
+  set.Set(3);
+  set.Set(uint32_t{1} << 18);
+  EXPECT_EQ(set.num_words(), words);
+  EXPECT_TRUE(set.Test(uint32_t{1} << 18));
+}
+
+// A query's signature is sized by the ids it holds: padding the symbol
+// table by 100 032 names before the schema is loaded moves every id and
+// leaves every signature's word count as it was. (100 032 is a multiple
+// of 64, so every id keeps its bit position within its word.)
+TEST(PreFilter, SignatureWordsDoNotGrowWithPadding) {
+  Rng rng(25);
+  gen::DlGenOptions options;
+  options.num_classes = 12;
+  options.num_attrs = 6;
+  options.num_queries = 400;  // the attributes are interned after them
+  const gen::GeneratedDl dl = gen::GenerateDlSource(rng, options);
+
+  dl::Frontend plain;
+  ASSERT_TRUE(plain.Load(dl.source).ok());
+  dl::Frontend padded;
+  Pad(&padded.symbols, 100032);
+  ASSERT_TRUE(padded.Load(dl.source).ok());
+  ASSERT_EQ(padded.symbols.size(), plain.symbols.size() + 100032);
+
+  StructuralPreFilter plain_filter(*plain.sigma);
+  StructuralPreFilter padded_filter(*padded.sigma);
+  size_t most_words = 0;
+  for (const std::string& name : dl.query_names) {
+    auto c = plain.translator->ClassConcept(name);
+    auto pc = padded.translator->ClassConcept(name);
+    ASSERT_TRUE(c.ok() && pc.ok()) << name;
+    const size_t words = plain_filter.QuerySignature(*c).num_words();
+    EXPECT_EQ(padded_filter.QuerySignature(*pc).num_words(), words) << name;
+    most_words = std::max(most_words, words);
+  }
+  // The attributes are interned after the 400 query classes, so a set
+  // sized by the session would take more words for them alone than any
+  // whole signature takes.
+  const uint32_t last_attr = plain.symbols.Find(dl.attr_names.back()).id();
+  EXPECT_LT(most_words, (last_attr >> 6) + 1);
+}
 
 TEST(PreFilterSoundness, NeverRejectsATrueSubsumption) {
   Rng rng(20260806);
@@ -116,6 +217,8 @@ TEST(PreFilterSoundness, NeverRejectsATrueSubsumption) {
   int subsumed = 0, rejected = 0, skipped = 0;
   for (int round = 0; round < kRounds; ++round) {
     SymbolTable symbols;
+    // Every 25th round moves every id of the round past 2^16.
+    if (round % 25 == 3) Pad(&symbols, 70000);
     ql::TermFactory f(&symbols);
     schema::Schema sigma(&f);
     gen::GeneratedSchema sig = gen::GenerateSchema(&sigma, rng,
@@ -209,7 +312,7 @@ TEST(PreFilterSoundness, LargeConstantIdsAndPrimitiveFreeTargets) {
   // must keep every such id exact.
   Rng rng(65539);
   SymbolTable symbols;
-  for (int i = 0; i < 70000; ++i) symbols.Intern("pad" + std::to_string(i));
+  Pad(&symbols, 70000);
   ql::TermFactory f(&symbols);
   schema::Schema sigma(&f);
   gen::SchemaGenOptions schema_options;

@@ -19,6 +19,12 @@ struct Fx {
   }
 };
 
+std::vector<Symbol> Names(const std::vector<ClassRef>& classes) {
+  std::vector<Symbol> names;
+  for (const ClassRef& c : classes) names.push_back(c.name);
+  return names;
+}
+
 TEST(Schema, AcceptsAllFourAxiomShapes) {
   Fx fx;
   EXPECT_TRUE(fx.sigma.AddIsA(fx.S("A"), fx.S("B")).ok());
@@ -109,10 +115,14 @@ TEST(Schema, IndexesSupportTheRules) {
   ASSERT_TRUE(fx.sigma.AddFunctional(fx.S("A"), fx.S("q")).ok());
   ASSERT_TRUE(fx.sigma.AddTyping(fx.S("p"), fx.S("D"), fx.S("E")).ok());
 
-  EXPECT_EQ(fx.sigma.SuperPrimitives(fx.S("A")),
+  EXPECT_EQ(Names(fx.sigma.SuperPrimitives(fx.S("A"))),
             std::vector<Symbol>{fx.S("B")});
-  EXPECT_EQ(fx.sigma.ValueRestrictions(fx.S("A"), fx.S("p")),
+  EXPECT_EQ(fx.sigma.SuperPrimitives(fx.S("A"))[0].primitive,
+            fx.f.Primitive("B"));
+  EXPECT_EQ(Names(fx.sigma.ValueRestrictions(fx.S("A"), fx.S("p"))),
             std::vector<Symbol>{fx.S("C")});
+  EXPECT_EQ(fx.sigma.ValueRestrictions(fx.S("A"), fx.S("p"))[0].primitive,
+            fx.f.Primitive("C"));
   EXPECT_TRUE(fx.sigma.ValueRestrictions(fx.S("A"), fx.S("q")).empty());
   EXPECT_TRUE(fx.sigma.IsNecessaryFor(fx.S("A"), fx.S("p")));
   EXPECT_FALSE(fx.sigma.IsNecessaryFor(fx.S("A"), fx.S("q")));
@@ -123,6 +133,10 @@ TEST(Schema, IndexesSupportTheRules) {
             std::vector<Symbol>{fx.S("q")});
   ASSERT_EQ(fx.sigma.TypingsOf(fx.S("p")).size(), 1u);
   EXPECT_EQ(fx.sigma.TypingsOf(fx.S("p"))[0].domain, fx.S("D"));
+  EXPECT_EQ(fx.sigma.TypingsOf(fx.S("p"))[0].domain_concept,
+            fx.f.Primitive("D"));
+  EXPECT_EQ(fx.sigma.TypingsOf(fx.S("p"))[0].range_concept,
+            fx.f.Primitive("E"));
 }
 
 TEST(Schema, TransitiveSuperClosure) {
@@ -169,7 +183,7 @@ TEST(Schema, AxiomsWithCollidingHashesAreBothKept) {
   ASSERT_TRUE(fx.sigma.AddIsA(Symbol(7), Symbol(4092)).ok());  // (7, 4093)
   ASSERT_TRUE(fx.sigma.AddIsA(Symbol(2), Symbol(3)).ok());     // (2, 4)
   EXPECT_EQ(fx.sigma.inclusions().size(), 2u);
-  EXPECT_EQ(fx.sigma.SuperPrimitives(Symbol(2)),
+  EXPECT_EQ(Names(fx.sigma.SuperPrimitives(Symbol(2))),
             std::vector<Symbol>{Symbol(3)});
 }
 
