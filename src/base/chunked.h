@@ -32,7 +32,8 @@ namespace oodb {
 //     held. Indexes taken from a racy size() poll additionally synchronize
 //     through the release/acquire pair on size_.
 //   * Elements must not be mutated after publication (readers take plain
-//     const references), except through atomic members of their own.
+//     const references), except through atomic members of their own or
+//     std::atomic_ref.
 template <typename T, size_t kChunkBits = 10>
 class ChunkedVector {
  public:

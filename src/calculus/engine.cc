@@ -70,7 +70,6 @@ void CompletionEngine::ResetAllMarks() {
   step_watch_.Clear();
   inv_step_watch_.Clear();
   watch_lists_.Clear();
-  goal_steps_.clear();
   armed_.clear();
   armed_at_.clear();
 }
@@ -226,8 +225,7 @@ CompletionEngine::PassResult CompletionEngine::DecompositionPass() {
   // D5: s:∃p≐ε ∈ F (p≠ε)  ⇒  F += {s p s}.
   while (decomp_marks_.memb < facts_.membs().size()) {
     const MembFact m = facts_.membs()[decomp_marks_.memb++];
-    // Copy: interning below may reallocate the concept arena.
-    const ConceptNode n = terms_->node(m.c);
+    const ConceptNode& n = terms_->node(m.c);
     switch (n.kind) {
       case ConceptKind::kAnd: {
         bool added = facts_.AddMemb(m.s, n.lhs);
@@ -289,9 +287,9 @@ CompletionEngine::PassResult CompletionEngine::DecompositionPass() {
   // D7: s(R:C)t ∈ F  ⇒  F += {sRt, t:C}.
   while (decomp_marks_.path < facts_.paths().size()) {
     const PathFact pf = facts_.paths()[decomp_marks_.path++];
-    // Copy: Suffix below may grow the path arena.
-    const Restriction head = terms_->path(pf.p)[0];
-    if (terms_->path_length(pf.p) == 1) {
+    const Restriction& head = terms_->head(pf.p);
+    const PathId tail = terms_->tail(pf.p);
+    if (tail == ql::kEmptyPath) {
       bool added = facts_.AddAttr(pf.s, head.attr, pf.t);
       added |= facts_.AddMemb(pf.t, head.filter);
       if (added) {
@@ -304,7 +302,6 @@ CompletionEngine::PassResult CompletionEngine::DecompositionPass() {
       }
       continue;
     }
-    PathId tail = terms_->Suffix(pf.p, 1);
     bool witness = false;
     for (Ind t2 : facts_.Fillers(pf.s, head.attr)) {
       if (facts_.HasMemb(t2, head.filter) &&
@@ -357,13 +354,12 @@ CompletionEngine::PassResult CompletionEngine::CheckFunctional(
 }
 
 bool CompletionEngine::ApplyS5For(Ind s, ql::ConceptId goal_concept) {
-  // Copy: interning below may reallocate the concept arena.
-  const ConceptNode n = terms_->node(goal_concept);
+  const ConceptNode& n = terms_->node(goal_concept);
   if (n.kind != ConceptKind::kExists && n.kind != ConceptKind::kAgree) {
     return false;
   }
   if (n.path == ql::kEmptyPath) return false;
-  const Restriction head = terms_->path(n.path)[0];
+  const Restriction& head = terms_->head(n.path);
   if (head.attr.inverted) return false;  // S5 needs a primitive first step.
   Symbol p = head.attr.prim;
   if (facts_.HasAnyPrimFiller(s, p)) return false;
@@ -508,8 +504,7 @@ CompletionEngine::PassResult CompletionEngine::SchemaPass() {
 // --------------------------------------------------------------------------
 
 bool CompletionEngine::ApplyGoalStepRules(Ind s, ql::ConceptId goal_concept) {
-  // Copy: interning below may reallocate the concept arena.
-  const ConceptNode n = terms_->node(goal_concept);
+  const ConceptNode& n = terms_->node(goal_concept);
   switch (n.kind) {
     // G1: s:C⊓D ∈ G  ⇒  G += {s:C, s:D}.
     case ConceptKind::kAnd: {
@@ -528,13 +523,11 @@ bool CompletionEngine::ApplyGoalStepRules(Ind s, ql::ConceptId goal_concept) {
     case ConceptKind::kExists:
     case ConceptKind::kAgree: {
       if (n.path == ql::kEmptyPath) return false;
-      // Copy: Suffix below may grow the path arena.
-      const Restriction head = terms_->path(n.path)[0];
-      const bool is_last = terms_->path_length(n.path) == 1;
-      ConceptId tail_goal = ql::kInvalidConcept;
-      if (!is_last) {
-        tail_goal = terms_->Exists(terms_->Suffix(n.path, 1));
-      }
+      const Restriction& head = terms_->head(n.path);
+      const PathId tail = terms_->tail(n.path);
+      const bool is_last = tail == ql::kEmptyPath;
+      const ConceptId tail_goal =
+          is_last ? ql::kInvalidConcept : terms_->Exists(tail);
       bool changed = false;
       for (Ind t : facts_.Fillers(s, head.attr)) {
         bool added = goals_.AddMemb(t, head.filter);
@@ -586,8 +579,7 @@ bool CompletionEngine::GoalPass() {
 // --------------------------------------------------------------------------
 
 bool CompletionEngine::ComposeForGoal(Ind s, ql::ConceptId goal_concept) {
-  // Copy: interning below may reallocate the concept arena.
-  const ConceptNode n = terms_->node(goal_concept);
+  const ConceptNode& n = terms_->node(goal_concept);
   bool changed = false;
   switch (n.kind) {
     // C1: {s:C, s:D} ⊆ F and s:C⊓D ∈ G  ⇒  F += s:C⊓D.
@@ -614,9 +606,9 @@ bool CompletionEngine::ComposeForGoal(Ind s, ql::ConceptId goal_concept) {
       const bool is_agree = n.kind == ConceptKind::kAgree;
       // C5/C6: compose path facts requested by the goal.
       if (n.path != ql::kEmptyPath) {
-        // Copy: Suffix below may grow the path arena.
-        const Restriction head = terms_->path(n.path)[0];
-        if (terms_->path_length(n.path) == 1) {
+        const Restriction& head = terms_->head(n.path);
+        const PathId tail = terms_->tail(n.path);
+        if (tail == ql::kEmptyPath) {
           // C6: sRt ∈ F, t:C ∈ F  ⇒  F += s(R:C)t.
           for (Ind t : facts_.Fillers(s, head.attr)) {
             if (facts_.HasMemb(t, head.filter) &&
@@ -630,7 +622,6 @@ bool CompletionEngine::ComposeForGoal(Ind s, ql::ConceptId goal_concept) {
           }
         } else {
           // C5: sRt' ∈ F, t':C ∈ F, t'pt ∈ F  ⇒  F += s(R:C)pt.
-          PathId tail = terms_->Suffix(n.path, 1);
           for (Ind t2 : facts_.Fillers(s, head.attr)) {
             if (!facts_.HasMemb(t2, head.filter)) continue;
             // No copy needed: AddPath appends only to the targets of
@@ -694,8 +685,7 @@ void CompletionEngine::Watch(FlatIndex& index, uint64_t key, uint32_t goal) {
 
 void CompletionEngine::WatchGoal(uint32_t goal) {
   const MembFact g = goals_.membs()[goal];
-  // Copy: Suffix below may grow the path arena.
-  const ConceptNode n = terms_->node(g.c);
+  const ConceptNode& n = terms_->node(g.c);
   switch (n.kind) {
     case ConceptKind::kAnd:
       Watch(memb_watch_, PackKey(g.s.id, n.lhs), goal);
@@ -705,15 +695,10 @@ void CompletionEngine::WatchGoal(uint32_t goal) {
     case ConceptKind::kAgree: {
       if (n.path == ql::kEmptyPath) break;
       Watch(path_watch_, PackKey(g.s.id, n.path), goal);
-      const Restriction head = terms_->path(n.path)[0];
-      GoalStep& step = goal_steps_[goal];
-      step.filter = head.filter;
-      if (terms_->path_length(n.path) > 1) {
-        step.tail = terms_->Suffix(n.path, 1);
-      }
-      Watch(head.attr.inverted ? inv_step_watch_ : step_watch_,
-            PackKey(g.s.id, head.attr.prim.id()), goal);
-      for (Ind t : facts_.Fillers(g.s, head.attr)) WatchFiller(goal, t);
+      const ql::Attr attr = terms_->head(n.path).attr;
+      Watch(attr.inverted ? inv_step_watch_ : step_watch_,
+            PackKey(g.s.id, attr.prim.id()), goal);
+      for (Ind t : facts_.Fillers(g.s, attr)) WatchFiller(goal, t);
       break;
     }
     default:
@@ -722,11 +707,10 @@ void CompletionEngine::WatchGoal(uint32_t goal) {
 }
 
 void CompletionEngine::WatchFiller(uint32_t goal, Ind t) {
-  const GoalStep& step = goal_steps_[goal];
-  Watch(memb_watch_, PackKey(t.id, step.filter), goal);
-  if (step.tail != ql::kEmptyPath) {
-    Watch(path_watch_, PackKey(t.id, step.tail), goal);
-  }
+  const PathId p = terms_->node(goals_.membs()[goal].c).path;
+  Watch(memb_watch_, PackKey(t.id, terms_->head(p).filter), goal);
+  const PathId tail = terms_->tail(p);
+  if (tail != ql::kEmptyPath) Watch(path_watch_, PackKey(t.id, tail), goal);
 }
 
 void CompletionEngine::Arm(uint32_t goal) {
@@ -808,7 +792,6 @@ bool CompletionEngine::CompositionPass() {
   if (semi_naive) {
     // Only the goal and decomposition passes create goals and
     // individuals, so the trigger state can be sized once per pass.
-    goal_steps_.resize(goals_.membs().size());
     armed_.resize(goals_.membs().size());
     armed_at_.resize(inds_.size());
     ArmFromNewFacts();

@@ -182,19 +182,14 @@ class CompletionEngine {
   //                    at predecessors of s whose path goes on with p;
   //   step_watch_,     (s, P): C5/C6 goals at s whose path starts with P,
   //   inv_step_watch_          or with P⁻¹.
-  struct GoalStep {
-    ql::ConceptId filter = ql::kInvalidConcept;  // C of the first (R:C)
-    ql::PathId tail = ql::kEmptyPath;            // the path after it
-  };
   PassMarks arm_marks_;  // facts already turned into arms
   FlatIndex memb_watch_;
   FlatIndex path_watch_;
   FlatIndex step_watch_;
   FlatIndex inv_step_watch_;
   ListPool<uint32_t> watch_lists_;
-  std::vector<GoalStep> goal_steps_;  // by goal
-  std::vector<uint8_t> armed_;        // by goal
-  std::vector<uint32_t> armed_at_;    // by individual: its armed goals
+  std::vector<uint8_t> armed_;      // by goal
+  std::vector<uint32_t> armed_at_;  // by individual: its armed goals
 
   // Reusable scratch for the few scan loops whose source list can grow
   // (same-key append) while being iterated: copying into these reuses

@@ -184,7 +184,7 @@ TargetRecord StructuralPreFilter::ComputeTarget(
         // x:∃p (or ∃p≐ε) with p ≠ ε needs an edge labeled with p's
         // first attribute at the root, in some orientation.
         if (n.path != ql::kEmptyPath) {
-          add(attrs, attr_ids, f.path(n.path)[0].attr.prim);
+          add(attrs, attr_ids, f.head(n.path).attr.prim);
         }
         break;
       default:

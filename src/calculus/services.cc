@@ -57,7 +57,7 @@ Result<ql::ConceptId> MinimizeConcept(const SubsumptionChecker& checker,
         n.kind != ql::ConceptKind::kAgree) {
       continue;
     }
-    std::vector<ql::Restriction> steps = terms->path(n.path);
+    std::vector<ql::Restriction> steps = terms->Restrictions(n.path);
     bool any = false;
     for (size_t k = 0; k < steps.size(); ++k) {
       if (steps[k].filter == terms->Top()) continue;

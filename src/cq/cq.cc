@@ -145,11 +145,10 @@ class ConceptTranslator {
 
  private:
   Status Chain(ql::PathId p, const CqTerm& start, bool close_at_start) {
-    const auto& restrictions = f_.path(p);
     CqTerm cur = start;
-    for (size_t i = 0; i < restrictions.size(); ++i) {
-      const ql::Restriction& r = restrictions[i];
-      CqTerm next = (close_at_start && i + 1 == restrictions.size())
+    for (ql::PathId rest = p; rest != ql::kEmptyPath; rest = f_.tail(rest)) {
+      const ql::Restriction& r = f_.head(rest);
+      CqTerm next = (close_at_start && f_.tail(rest) == ql::kEmptyPath)
                         ? start
                         : draft_.Fresh();
       draft_.Step(r.attr, cur, next);

@@ -142,7 +142,7 @@ ql::ConceptId WeakenOnce(const schema::Schema& sigma, ql::TermFactory* terms,
     case ql::ConceptKind::kExists:
     case ql::ConceptKind::kAgree: {
       const bool is_agree = n.kind == ql::ConceptKind::kAgree;
-      std::vector<ql::Restriction> steps = terms->path(n.path);
+      std::vector<ql::Restriction> steps = terms->Restrictions(n.path);
       if (steps.empty()) return c;
       if (is_agree && rng.Bernoulli(0.4)) {
         return terms->Exists(n.path);  // ∃p ≐ ε ⊑ ∃p

@@ -84,7 +84,7 @@ bool EnforceNecessary(const schema::Schema& sigma, Interpretation& interp,
   for (const auto& ax : sigma.inclusions()) {
     const ql::ConceptNode& n = sigma.terms().node(ax.rhs);
     if (n.kind != ql::ConceptKind::kExists) continue;
-    Symbol attr = sigma.terms().path(n.path)[0].attr.prim;
+    Symbol attr = sigma.terms().head(n.path).attr.prim;
     for (int d : interp.ConceptExtension(ax.lhs)) {
       if (interp.Successors(attr, d).empty()) {
         int t = static_cast<int>(rng.Index(interp.domain_size()));

@@ -129,15 +129,14 @@ FormulaPtr AttrAtom(const Attr& attr, FolTerm s, FolTerm t) {
 
 FormulaPtr PathToFol(const TermFactory& f, PathId p, FolTerm s, FolTerm t,
                      FolVarGen& vars) {
-  const auto& restrictions = f.path(p);
-  if (restrictions.empty()) return MakeEq(s, t);
+  if (p == kEmptyPath) return MakeEq(s, t);
   std::vector<FormulaPtr> conjuncts;
   std::vector<Symbol> intermediates;
   FolTerm cur = s;
-  for (size_t i = 0; i < restrictions.size(); ++i) {
-    const Restriction& r = restrictions[i];
+  for (PathId rest = p; rest != kEmptyPath; rest = f.tail(rest)) {
+    const Restriction& r = f.head(rest);
     FolTerm next = t;
-    if (i + 1 < restrictions.size()) {
+    if (f.tail(rest) != kEmptyPath) {
       Symbol z = vars.Fresh();
       intermediates.push_back(z);
       next = FolTerm::Var(z);
@@ -171,13 +170,13 @@ FormulaPtr ConceptToFol(const TermFactory& f, ConceptId c, FolTerm free_var,
       return MakeAnd(std::move(parts));
     }
     case ConceptKind::kExists: {
-      if (f.path(n.path).empty()) return MakeTrue();  // ∃ε is universal.
+      if (n.path == kEmptyPath) return MakeTrue();  // ∃ε is universal.
       Symbol y = vars.Fresh();
       return MakeExists(y,
                         PathToFol(f, n.path, free_var, FolTerm::Var(y), vars));
     }
     case ConceptKind::kAgree: {
-      if (f.path(n.path).empty()) return MakeTrue();  // ∃ε≐ε is universal.
+      if (n.path == kEmptyPath) return MakeTrue();  // ∃ε≐ε is universal.
       return PathToFol(f, n.path, free_var, free_var, vars);
     }
     case ConceptKind::kAll: {

@@ -22,10 +22,9 @@ bool NeedsParens(const ConceptNode& n) {
 std::string Render(const TermFactory& f, ConceptId id, bool parenthesize);
 
 std::string RenderPath(const TermFactory& f, PathId path) {
-  const auto& restrictions = f.path(path);
-  if (restrictions.empty()) return "ε";
+  if (path == kEmptyPath) return "ε";
   std::string out;
-  for (const Restriction& r : restrictions) {
+  for (const Restriction& r : f.path(path)) {
     out += StrCat("(", AttrToString(f, r.attr), ": ",
                   Render(f, r.filter, /*parenthesize=*/false), ")");
   }

@@ -16,7 +16,6 @@
 #define OODB_QL_TERM_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "base/hash.h"
 #include "base/symbol.h"
@@ -92,17 +91,6 @@ struct ConceptNodeHash {
   size_t operator()(const ConceptNode& n) const {
     return HashValues(static_cast<size_t>(n.kind), n.sym.id(),
                       n.attr.prim.id(), n.attr.inverted, n.lhs, n.rhs, n.path);
-  }
-};
-
-struct PathVecHash {
-  size_t operator()(const std::vector<Restriction>& p) const {
-    size_t seed = p.size();
-    for (const Restriction& r : p) {
-      HashCombine(seed, HashValues(r.attr.prim.id(), r.attr.inverted,
-                                   r.filter));
-    }
-    return seed;
   }
 };
 

@@ -1,5 +1,6 @@
 #include "ql/term_factory.h"
 
+#include <atomic>
 #include <cassert>
 
 #include "base/sync.h"
@@ -8,11 +9,8 @@ namespace oodb::ql {
 
 TermFactory::TermFactory(SymbolTable* symbols) : symbols_(symbols) {
   assert(symbols != nullptr);
-  concepts_.push_back(ConceptNode{});  // id 0: invalid sentinel.
-  sizes_.push_back(0);
-  is_ql_.push_back(false);
-  paths_.push_back(PathNode());  // id 0: the empty path ε.
-  path_index_.emplace(std::vector<Restriction>{}, kEmptyPath);
+  concepts_.push_back(ConceptSlot{});  // id 0: invalid sentinel.
+  paths_.push_back(PathNode());        // id 0: the empty path ε.
   ConceptNode top;
   top.kind = ConceptKind::kTop;
   top_ = Intern(top);
@@ -28,14 +26,14 @@ size_t TermFactory::ComputeSizeLocked(const ConceptNode& node) const {
     case ConceptKind::kAnd:
       // Children are interned before their parents, so their sizes are
       // already stored.
-      return sizes_[node.lhs] + sizes_[node.rhs];
+      return concepts_[node.lhs].size + concepts_[node.rhs].size;
     case ConceptKind::kAll:
       return 2;
     case ConceptKind::kExists:
     case ConceptKind::kAgree: {
       size_t size = 1;
       for (const Restriction& r : path(node.path)) {
-        size += 1 + sizes_[r.filter];
+        size += 1 + concepts_[r.filter].size;
       }
       return size;
     }
@@ -49,12 +47,12 @@ bool TermFactory::ComputeIsQlLocked(const ConceptNode& node) const {
     case ConceptKind::kAtMostOne:
       return false;
     case ConceptKind::kAnd:
-      // Children are interned before their parents (see sizes_).
-      return is_ql_[node.lhs] && is_ql_[node.rhs];
+      // Children are interned before their parents (see ConceptSize).
+      return concepts_[node.lhs].is_ql && concepts_[node.rhs].is_ql;
     case ConceptKind::kExists:
     case ConceptKind::kAgree:
       for (const Restriction& r : path(node.path)) {
-        if (!is_ql_[r.filter]) return false;
+        if (!concepts_[r.filter].is_ql) return false;
       }
       return true;
     default:
@@ -66,9 +64,8 @@ ConceptId TermFactory::InternLocked(const ConceptNode& node) {
   auto it = concept_index_.find(node);
   if (it != concept_index_.end()) return it->second;
   ConceptId id = static_cast<ConceptId>(concepts_.size());
-  sizes_.push_back(ComputeSizeLocked(node));
-  is_ql_.push_back(ComputeIsQlLocked(node));
-  concepts_.push_back(node);
+  concepts_.push_back(
+      ConceptSlot{node, ComputeIsQlLocked(node), ComputeSizeLocked(node)});
   concept_index_.emplace(node, id);
   return id;
 }
@@ -124,15 +121,15 @@ ConceptId TermFactory::AndAll(const std::vector<ConceptId>& conjuncts) {
 }
 
 ConceptId TermFactory::Exists(PathId path) {
-  const PathNode& p = paths_[path];
-  ConceptId id = p.exists.load(std::memory_order_acquire);
-  if (id != PathNode::kUnset) return id;
+  std::atomic_ref<ConceptId> cached(paths_[path].exists);
+  ConceptId id = cached.load(std::memory_order_acquire);
+  if (id != kInvalidConcept) return id;
   ConceptNode n;
   n.kind = ConceptKind::kExists;
   n.path = path;
   base::MutexLock lock(&mu_);
   id = InternLocked(n);
-  p.exists.store(id, std::memory_order_release);
+  cached.store(id, std::memory_order_release);
   return id;
 }
 
@@ -153,9 +150,9 @@ ConceptId TermFactory::AgreePair(PathId p, PathId q) {
   auto [q_inv, entry] = InvertPath(q);
   // Strengthen the last filter of p with q's entry filter, so that the
   // common filler satisfies both paths' final restrictions.
-  std::vector<Restriction> pr = path(p);
+  std::vector<Restriction> pr = Restrictions(p);
   pr.back().filter = And(pr.back().filter, entry);
-  return Agree(Concat(MakePath(std::move(pr)), q_inv));
+  return Agree(ConsAll(pr, q_inv));
 }
 
 ConceptId TermFactory::All(Attr attr, ConceptId filler) {
@@ -174,84 +171,72 @@ ConceptId TermFactory::AtMostOne(Attr attr) {
   return Intern(n);
 }
 
-PathId TermFactory::InternPathLocked(std::vector<Restriction> restrictions) {
-  auto it = path_index_.find(restrictions);
-  if (it != path_index_.end()) return it->second;
-  PathId id = static_cast<PathId>(paths_.size());
-  paths_.push_back(PathNode(restrictions));
-  path_index_.emplace(std::move(restrictions), id);
-  return id;
+PathId TermFactory::ConsLocked(const Restriction& head, PathId tail) {
+  const PathCell cell{head, tail};
+  auto [it, inserted] =
+      path_index_.try_emplace(cell, static_cast<PathId>(paths_.size()));
+  if (inserted) paths_.push_back(PathNode{cell});
+  return it->second;
+}
+
+PathId TermFactory::ConsAll(const std::vector<Restriction>& prefix,
+                            PathId tail) {
+  base::MutexLock lock(&mu_);
+  for (size_t i = prefix.size(); i-- > 0;) tail = ConsLocked(prefix[i], tail);
+  return tail;
 }
 
 PathId TermFactory::MakePath(std::vector<Restriction> restrictions) {
-  base::MutexLock lock(&mu_);
-  return InternPathLocked(std::move(restrictions));
+  return ConsAll(restrictions, kEmptyPath);
 }
 
 PathId TermFactory::Step(Attr attr, ConceptId filter) {
-  return MakePath({Restriction{attr, filter}});
+  return Cons(Restriction{attr, filter}, kEmptyPath);
 }
 
 PathId TermFactory::Cons(const Restriction& head, PathId tail) {
-  std::vector<Restriction> p;
-  p.reserve(path(tail).size() + 1);
-  p.push_back(head);
-  const auto& t = path(tail);
-  p.insert(p.end(), t.begin(), t.end());
-  return MakePath(std::move(p));
+  base::MutexLock lock(&mu_);
+  return ConsLocked(head, tail);
 }
 
 PathId TermFactory::Concat(PathId p, PathId q) {
-  if (p == kEmptyPath) return q;
-  if (q == kEmptyPath) return p;
-  std::vector<Restriction> out = path(p);
-  const auto& qr = path(q);
-  out.insert(out.end(), qr.begin(), qr.end());
-  return MakePath(std::move(out));
+  return ConsAll(Restrictions(p), q);
 }
 
-PathId TermFactory::Suffix(PathId p, size_t from) {
-  assert(from <= path(p).size());
-  if (from == 0) return p;
-  if (from == 1) {
-    // The calculus peels paths one restriction at a time, so the tail is
-    // kept beside the path.
-    const PathNode& node = paths_[p];
-    PathId tail = node.tail.load(std::memory_order_acquire);
-    if (tail != PathNode::kUnset) return tail;
-    base::MutexLock lock(&mu_);
-    tail = InternPathLocked(
-        std::vector<Restriction>(node.steps.begin() + 1, node.steps.end()));
-    node.tail.store(tail, std::memory_order_release);
-    return tail;
-  }
-  const auto& pr = path(p);
-  return MakePath(std::vector<Restriction>(pr.begin() + from, pr.end()));
+PathId TermFactory::Suffix(PathId p, size_t from) const {
+  for (; from > 0; --from) p = tail(p);
+  return p;
 }
 
 std::pair<PathId, ConceptId> TermFactory::InvertPath(PathId q) {
-  const std::vector<Restriction>& qr = path(q);
-  assert(!qr.empty() && "cannot invert the empty path");
-  std::vector<Restriction> inv;
-  inv.reserve(qr.size());
-  for (size_t i = qr.size(); i-- > 0;) {
-    // Step i (attribute S_{i+1}) reversed carries the filter of the
-    // *previous* node on the original path, D_i, or ⊤ at the start.
-    ConceptId filter = (i == 0) ? Top() : qr[i - 1].filter;
-    inv.push_back(Restriction{qr[i].attr.Inverse(), filter});
+  assert(q != kEmptyPath && "cannot invert the empty path");
+  // Consing q's steps in order reverses them. Each reversed step carries
+  // the filter of the node before it on q, or ⊤ at the start; after the
+  // last step that is q's final filter, the entry.
+  PathId inv = kEmptyPath;
+  ConceptId before = top_;
+  base::MutexLock lock(&mu_);
+  for (const Restriction& r : path(q)) {
+    inv = ConsLocked(Restriction{r.attr.Inverse(), before}, inv);
+    before = r.filter;
   }
-  ConceptId entry = qr.back().filter;
-  return {MakePath(std::move(inv)), entry};
+  return {inv, before};
+}
+
+std::vector<Restriction> TermFactory::Restrictions(PathId id) const {
+  std::vector<Restriction> out;
+  for (const Restriction& r : path(id)) out.push_back(r);
+  return out;
 }
 
 size_t TermFactory::ConceptSize(ConceptId id) const {
   assert(id != kInvalidConcept && id < concepts_.size());
-  return sizes_[id];
+  return concepts_[id].size;
 }
 
 bool TermFactory::IsQl(ConceptId id) const {
   assert(id < concepts_.size());
-  return is_ql_[id];
+  return concepts_[id].is_ql;
 }
 
 std::vector<ConceptId> TermFactory::Subconcepts(ConceptId id) const {
@@ -264,7 +249,7 @@ std::vector<ConceptId> TermFactory::Subconcepts(ConceptId id) const {
     if (seen[cur]) continue;
     seen[cur] = true;
     out.push_back(cur);
-    const ConceptNode& n = concepts_[cur];
+    const ConceptNode& n = concepts_[cur].node;
     switch (n.kind) {
       case ConceptKind::kAnd:
         stack.push_back(n.lhs);

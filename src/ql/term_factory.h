@@ -2,7 +2,7 @@
 #ifndef OODB_QL_TERM_FACTORY_H_
 #define OODB_QL_TERM_FACTORY_H_
 
-#include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <string_view>
 #include <unordered_map>
@@ -19,12 +19,14 @@ namespace oodb::ql {
 // Owns interned concepts and paths. One factory per engine instance; ids
 // from different factories must not be mixed.
 //
+// A non-empty path is one cons cell, its first restriction (R:C) and the
+// id of the rest, hash-consed on that pair so that paths share suffixes.
+//
 // Thread-safe: constructors (everything that may intern) serialize on an
 // internal mutex, while the id-dereferencing accessors node() / path() /
-// ConceptSize() / IsQl() — the calculus hot path — are lock-free. So are
-// Exists(p) and Suffix(p, 1) once they have answered for p: each path
-// keeps both ids beside its restrictions, and only the first call for a
-// path takes the mutex.
+// head() / tail() / Suffix() / ConceptSize() / IsQl() — the calculus hot
+// path — are lock-free. So is Exists(p) once it has answered for p: each
+// path keeps that id in its cell, and only the first call takes the mutex.
 // Interned nodes live in chunked storage that never relocates
 // (base/chunked.h), so references handed out to one thread stay valid
 // while other threads intern. A reader may dereference any id it
@@ -82,9 +84,9 @@ class TermFactory {
   PathId Cons(const Restriction& head, PathId tail);
   // Concatenation p · q.
   PathId Concat(PathId p, PathId q);
-  // Drops the first `from` restrictions (from <= length). Lock-free after
-  // the first call for `p` when from is 1, the step the calculus peels.
-  PathId Suffix(PathId p, size_t from);
+  // Drops the first `from` restrictions (from <= length) by walking tails;
+  // interns nothing.
+  PathId Suffix(PathId p, size_t from) const;
 
   // Inverts a path for agreement normalization. For
   // q = (S₁:D₁)…(Sₘ:Dₘ), m >= 1, returns
@@ -96,11 +98,35 @@ class TermFactory {
 
   // --- Accessors (lock-free) --------------------------------------------
 
-  const ConceptNode& node(ConceptId id) const { return concepts_[id]; }
-  const std::vector<Restriction>& path(PathId id) const {
-    return paths_[id].steps;
+  // Walks a path's restrictions from the first, one cell per step:
+  //   for (const Restriction& r : f.path(p)) ...
+  struct PathCursor {
+    const TermFactory* f;
+    PathId at;
+
+    PathCursor begin() const { return *this; }
+    PathCursor end() const { return {f, kEmptyPath}; }
+    const Restriction& operator*() const { return f->head(at); }
+    PathCursor& operator++() {
+      at = f->tail(at);
+      return *this;
+    }
+    bool operator==(const PathCursor&) const = default;
+  };
+
+  const ConceptNode& node(ConceptId id) const { return concepts_[id].node; }
+  PathCursor path(PathId id) const { return {this, id}; }
+  // The first restriction of a non-empty path, and the path after it.
+  const Restriction& head(PathId p) const {
+    assert(p != kEmptyPath);
+    return paths_[p].cell.head;
   }
-  size_t path_length(PathId id) const { return paths_[id].steps.size(); }
+  PathId tail(PathId p) const {
+    assert(p != kEmptyPath);
+    return paths_[p].cell.tail;
+  }
+  // A copy of a path's restrictions, for callers that edit them.
+  std::vector<Restriction> Restrictions(PathId id) const;
 
   size_t num_concepts() const { return concepts_.size() - 1; }
   size_t num_paths() const { return paths_.size(); }
@@ -124,53 +150,55 @@ class TermFactory {
   std::vector<ConceptId> Subconcepts(ConceptId id) const;
 
  private:
-  // An interned path: its restrictions, and the ids of Suffix(p, 1) and
-  // ∃p. Each id is set under mu_ by the first call that asks for it and
-  // published with a release store, so a later call reads it without a
-  // lock or a hash probe.
-  struct PathNode {
-    static constexpr uint32_t kUnset = UINT32_MAX;
+  // An interned concept and the metrics computed when it was interned.
+  // In this field order the slot takes 40 bytes; the size is 64-bit
+  // because it counts the unfolded DAG.
+  struct ConceptSlot {
+    ConceptNode node;
+    bool is_ql = false;
+    size_t size = 0;
+  };
+  struct PathCell {
+    Restriction head;
+    PathId tail = kEmptyPath;
 
-    PathNode() = default;
-    explicit PathNode(std::vector<Restriction> restrictions)
-        : steps(std::move(restrictions)) {}
-    // ChunkedVector moves a node into its slot before publishing it.
-    PathNode(PathNode&& other) noexcept { *this = std::move(other); }
-    PathNode& operator=(PathNode&& other) noexcept {
-      steps = std::move(other.steps);
-      tail.store(other.tail.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-      exists.store(other.exists.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-      return *this;
+    bool operator==(const PathCell&) const = default;
+  };
+  struct PathCellHash {
+    size_t operator()(const PathCell& c) const {
+      return HashValues(c.head.attr.prim.id(), c.head.attr.inverted,
+                        c.head.filter, c.tail);
     }
-
-    std::vector<Restriction> steps;
-    mutable std::atomic<PathId> tail{kUnset};
-    mutable std::atomic<ConceptId> exists{kUnset};
+  };
+  // An interned cell and the id of ∃p, set under mu_ by the first
+  // Exists(p) and published through std::atomic_ref with a release store,
+  // so a later call reads it without a lock or a hash probe.
+  struct PathNode {
+    PathCell cell;
+    mutable ConceptId exists = kInvalidConcept;
   };
 
   ConceptId Intern(const ConceptNode& node) EXCLUDES(mu_);
   ConceptId InternLocked(const ConceptNode& node) REQUIRES(mu_);
-  PathId InternPathLocked(std::vector<Restriction> restrictions)
-      REQUIRES(mu_);
+  PathId ConsLocked(const Restriction& head, PathId tail) REQUIRES(mu_);
+  // Conses `prefix` onto `tail`, last restriction first.
+  PathId ConsAll(const std::vector<Restriction>& prefix, PathId tail)
+      EXCLUDES(mu_);
   size_t ComputeSizeLocked(const ConceptNode& node) const REQUIRES(mu_);
   bool ComputeIsQlLocked(const ConceptNode& node) const REQUIRES(mu_);
 
   SymbolTable* symbols_;
-  // Interned nodes; [0] is an invalid sentinel ([0] of paths_ is ε).
-  // Pointer-stable so accessors need no lock (see class comment);
+  // Interned terms; [0] of concepts_ is an invalid sentinel, [0] of paths_
+  // is ε. Pointer-stable so accessors need no lock (see class comment);
   // deliberately unguarded, appends serialize on mu_.
-  ChunkedVector<ConceptNode> concepts_;
+  ChunkedVector<ConceptSlot> concepts_;
   ChunkedVector<PathNode> paths_;
-  ChunkedVector<size_t> sizes_;  // ConceptSize, computed at intern time
-  ChunkedVector<bool> is_ql_;    // IsQl, computed at intern time
   mutable base::Mutex mu_;
   // Dedup indexes.
   std::unordered_map<ConceptNode, ConceptId, ConceptNodeHash> concept_index_
       GUARDED_BY(mu_);
-  std::unordered_map<std::vector<Restriction>, PathId, PathVecHash>
-      path_index_ GUARDED_BY(mu_);
+  std::unordered_map<PathCell, PathId, PathCellHash> path_index_
+      GUARDED_BY(mu_);
   ConceptId top_;
 };
 

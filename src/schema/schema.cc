@@ -51,13 +51,13 @@ Status Schema::AddSimpleInclusion(Symbol a, ql::ConceptId d) {
       }
       break;
     case ql::ConceptKind::kExists: {
-      const auto& p = terms_->path(n.path);
-      if (p.size() != 1 || p[0].filter != terms_->Top()) {
+      if (n.path == ql::kEmptyPath || terms_->tail(n.path) != ql::kEmptyPath ||
+          terms_->head(n.path).filter != terms_->Top()) {
         return InvalidArgumentError(
             "qualified or chained existential in schema axiom (NP-hard "
             "extension, Prop. 4.10(1))");
       }
-      if (p[0].attr.inverted) {
+      if (terms_->head(n.path).attr.inverted) {
         return InvalidArgumentError(
             "inverse attribute in schema axiom (NP-hard extension, "
             "Prop. 4.10(2))");
@@ -99,7 +99,7 @@ Status Schema::AddSimpleInclusion(Symbol a, ql::ConceptId d) {
       break;
     }
     case ql::ConceptKind::kExists: {
-      Symbol p = terms_->path(n.path)[0].attr.prim;
+      Symbol p = terms_->head(n.path).attr.prim;
       if (necessary_.insert(PairKey(a, p)).second) {
         necessary_attrs_[a].push_back(p);
       }
@@ -218,7 +218,7 @@ std::vector<Symbol> Schema::MentionedAttrs() const {
         add(n.attr.prim);
         break;
       case ql::ConceptKind::kExists:
-        add(terms_->path(n.path)[0].attr.prim);
+        add(terms_->head(n.path).attr.prim);
         break;
       default:
         break;

@@ -221,8 +221,8 @@ TEST(ConcurrentChecker, ConcurrentInterningIsConsistent) {
 
 // Fresh queries over one factory: every thread builds its own queries
 // through the shared factory while the others complete theirs, so the
-// engines' first Exists and Suffix lookups of a path race with lock-free
-// hits on it, and the pre-filter publishes signatures concurrently. Query
+// engines' first Exists lookup of a path races with lock-free hits on
+// it, and the pre-filter publishes signatures concurrently. Query
 // i is the same term in a serial world built from the same seeds, whose
 // checker gives the expected verdicts.
 TEST(ConcurrentChecker, FreshQueriesShareLockFreeTermLookups) {

@@ -10,14 +10,17 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -2105,6 +2108,155 @@ TEST(Server, WritersOverlapLoopReadersOnOneSession) {
   EXPECT_GT(writes.load(), 0u);
   EXPECT_GT(answered, 0);
   EXPECT_GE(fallbacks, 0);
+  server.Shutdown();
+}
+
+// ---- Byte mutation of binary frames ----------------------------------------
+
+// Well-formed frames of every encoder: requests against session "s" of
+// FrameMutation's daemon, and replies, which the daemon must also survive
+// as requests.
+std::vector<std::string> SeedFrames() {
+  return {
+      EncodeBinaryLineRequest(1, "PING"),
+      EncodeBinaryLineRequest(2, "CHECK s B A"),
+      EncodeBinaryLineRequest(3, "LOAD m 19", "Class M with end M\n"),
+      EncodeBinaryCheckRequest(4, "s", "B", "A"),
+      EncodeBinaryBatchCheckRequest(5, "s", {{"B", "A"}, {"A", "B"}}),
+      EncodeBinaryReply(6, OkReply("subsumed=true\n")),
+      EncodeBinaryReply(7, ErrReply("not_found", "no class named 'Nope'")),
+      EncodeBinaryReply(8, Reply{Reply::Kind::kBusy, "", ""}),
+  };
+}
+
+// One seeded mutation: flipped bits, a truncation, a wrong length prefix
+// or a wrong length field inside the body.
+std::string MutateFrame(std::string frame, Rng& rng) {
+  switch (rng.Index(4)) {
+    case 0:
+      for (size_t n = 1 + rng.Index(3); n > 0; --n) {
+        const size_t at = rng.Index(frame.size());
+        frame[at] = static_cast<char>(frame[at] ^ (1 << rng.Index(8)));
+      }
+      break;
+    case 1:
+      frame.resize(rng.Index(frame.size()));
+      break;
+    case 2: {
+      // Below the header, one byte short or long, at or past the cap, or
+      // any value.
+      const auto body = static_cast<uint32_t>(frame.size() - 4);
+      const uint32_t cap = kMaxBinaryFrame;
+      const auto any = static_cast<uint32_t>(rng.Index(size_t{1} << 31));
+      const uint32_t lengths[] = {0, 9, body - 1, body + 1, cap, cap + 1, any};
+      std::string prefix;
+      AppendU32(&prefix, lengths[rng.Index(std::size(lengths))]);
+      frame.replace(0, 4, prefix);
+      break;
+    }
+    default: {
+      // A u16 string length or a u32 count/length, past the header.
+      const size_t range = rng.Bernoulli(0.5) ? 64 : size_t{1} << 31;
+      const auto value = static_cast<uint32_t>(rng.Index(range));
+      std::string field;
+      if (rng.Bernoulli(0.5)) {
+        AppendU16(&field, static_cast<uint16_t>(value));
+      } else {
+        AppendU32(&field, value);
+      }
+      if (frame.size() >= 13 + field.size()) {
+        const size_t at = 13 + rng.Index(frame.size() - 12 - field.size());
+        frame.replace(at, field.size(), field);
+      }
+      break;
+    }
+  }
+  return frame;
+}
+
+// Parsers fed mutants in buffers of exactly their size (so that ASan sees
+// any read past the end) never report consuming more than they were
+// given, and a parsed request's arguments lie inside its own bytes.
+TEST(FrameMutation, ParsersNeverConsumePastTheBuffer) {
+  const std::vector<std::string> seeds = SeedFrames();
+  Rng rng(2026);
+  size_t frames = 0;
+  size_t bad = 0;
+  size_t touched = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string mutant = MutateFrame(seeds[rng.Index(seeds.size())], rng);
+    const auto exact = std::make_unique<char[]>(mutant.size());
+    std::copy(mutant.begin(), mutant.end(), exact.get());
+    const std::string_view buf(exact.get(), mutant.size());
+    size_t consumed = 0;
+    std::string error;
+    BinaryRequest request;
+    const ParseStatus status =
+        ParseBinaryRequest(buf, &consumed, &request, &error);
+    ASSERT_LE(consumed, buf.size()) << "mutant " << i;
+    if (status == ParseStatus::kNeedMore) {
+      ASSERT_EQ(consumed, 0u);
+    }
+    if (status == ParseStatus::kBad) ++bad;
+    if (status == ParseStatus::kFrame) {
+      ++frames;
+      // Copying the arguments and the payload reads every byte they span.
+      const RequestView view = request.request.view();
+      std::string bytes(view.payload);
+      for (size_t a = 0; a < view.args.size(); ++a) bytes += view.args[a];
+      touched += bytes.size();
+    }
+    BinaryReply reply;
+    ParseBinaryReply(buf, &consumed, &reply, &error);
+    ASSERT_LE(consumed, buf.size()) << "mutant " << i;
+  }
+  // Mutants reach both outcomes, so they get past the header checks.
+  EXPECT_GT(frames, 1000u);
+  EXPECT_GT(bad, 1000u);
+  EXPECT_GT(touched, 0u);
+}
+
+// Reads until the daemon ends the connection (EOF or reset) and returns
+// the reply bytes it sent; -1 if it stays open for 10 s.
+ssize_t ReadUntilHangUp(int fd) {
+  timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  char buf[4096];
+  ssize_t total = 0;
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n > 0) total += n;
+    if (n > 0 || (n < 0 && errno == EINTR)) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return -1;
+    return total;
+  }
+}
+
+// Mutant frames on their own connections, each closed for writing after
+// its frame so that a long length prefix cannot leave the daemon waiting.
+// The daemon hangs up on every one and still answers PING.
+TEST(FrameMutation, DaemonSurvivesMutantFrames) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Client client = MustConnect(*port);
+  ASSERT_TRUE(
+      client.Load("s", "Class A with end A\nClass B isA A with end B\n").ok());
+  const std::vector<std::string> seeds = SeedFrames();
+  Rng rng(26);
+  int answered = 0;
+  for (int i = 0; i < 300; ++i) {
+    RawBinaryConn conn = RawBinaryConn::Open(*port);
+    WriteFully(conn.fd, MutateFrame(seeds[rng.Index(seeds.size())], rng));
+    ::shutdown(conn.fd, SHUT_WR);
+    const ssize_t replied = ReadUntilHangUp(conn.fd);
+    ASSERT_GE(replied, 0) << "mutant " << i << " left the connection open";
+    answered += replied > 0;
+  }
+  // Mutants reach the handlers, not only the framing checks.
+  EXPECT_GT(answered, 100);
+  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_TRUE(MustConnect(*port).Ping().ok());
   server.Shutdown();
 }
 
