@@ -309,6 +309,7 @@ int Run(int argc, char** argv) {
   }
   bench::JsonWriter json;
   json.Add("bench", std::string("cluster"));
+  bench::AddHostStamp(json);
   json.Add("quick", quick);
   json.Add("fleet_sizes", std::string("1,2,4"));
   json.Add("replicas", static_cast<uint64_t>(1));

@@ -160,7 +160,7 @@ int main() {
 
   bench::Section("Figure 11: completion trace for C_Q ⊑_Σ D_V");
   calculus::SubsumptionChecker::Options options;
-  options.record_trace = true;
+  options.engine.record_trace = true;
   calculus::SubsumptionChecker checker(sigma, options);
   auto outcome = checker.SubsumesDetailed(cq, dv);
   for (const auto& event : outcome->trace) {

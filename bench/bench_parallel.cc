@@ -170,6 +170,7 @@ int main(int argc, char** argv) {
     const uint64_t lookups = warmed.hits + warmed.misses;
     bench::JsonWriter json;
     json.Add("experiment", std::string("E15_parallel"));
+    bench::AddHostStamp(json);
     json.Add("queries", kQueries);
     json.Add("catalog", kCatalog);
     json.Add("baseline_ms", base_ms);

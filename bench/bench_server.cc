@@ -451,6 +451,7 @@ int Run(int argc, char** argv) {
   // ---- Artifact ------------------------------------------------------
   bench::JsonWriter json;
   json.Add("bench", std::string("server_load"));
+  bench::AddHostStamp(json);
   json.Add("quick", quick);
   json.Add("protocol_modes", std::string("text,binary"));
   json.Add("pipeline_depths", std::string("1,8,32"));

@@ -91,13 +91,6 @@ void CompletionEngine::SetClash(std::string reason) {
   clash_reason_ = std::move(reason);
 }
 
-void CompletionEngine::Record(Rule rule, std::string text) {
-  Count(rule);
-  if (options_.record_trace) {
-    trace_.push_back(TraceEvent{rule, std::move(text)});
-  }
-}
-
 // Lazy tracing: the (expensive) text expression is evaluated only when
 // trace recording is enabled.
 #define OODB_TRACE(rule, ...)                          \

@@ -148,7 +148,6 @@ class CompletionEngine {
   void Union(Ind from, Ind to);  // from := to, then rebuild both systems.
   void SetClash(std::string reason);
 
-  void Record(Rule rule, std::string text);
   void Count(Rule rule);
 
   Status CheckLimits() const;

@@ -52,11 +52,8 @@ Result<bool> SubsumptionChecker::Subsumes(ql::ConceptId c, ql::ConceptId d,
 
 Result<SubsumptionOutcome> SubsumptionChecker::SubsumesDetailed(
     ql::ConceptId c, ql::ConceptId d) const {
-  // Fresh engine, never pooled: record_trace may differ from the pool's
-  // engine options, and the explain path must stay a pure oracle.
-  CompletionEngine::Options engine_options = options_.engine;
-  engine_options.record_trace = options_.record_trace;
-  CompletionEngine engine(sigma_, engine_options);
+  // Fresh engine, never pooled: the explain path must stay a pure oracle.
+  CompletionEngine engine(sigma_, options_.engine);
   engine_runs_.fetch_add(1, kRelaxed);
   OODB_RETURN_IF_ERROR(engine.Run(c, d));
   RecordEngineRun(engine.stats(), nullptr);

@@ -36,7 +36,6 @@ struct SubsumptionOutcome {
 // by design — complete only for the structural fragment: non-structural
 // query parts never reach this layer (paper Sect. 3).
 struct CheckerOptions {
-  bool record_trace = false;
   // Memoize (C, D) → verdict across calls. Sound because Σ and the term
   // factory are append-only for the checker's lifetime and concept ids
   // are stable. It pays where pairs repeat: CHECK and BCHECK traffic and
@@ -131,8 +130,6 @@ class SubsumptionChecker {
   const StructuralPreFilter& prefilter() const { return prefilter_; }
 
   // Memoization statistics (0 when memoize is off).
-  size_t cache_hits() const { return cache_.Stats().hits; }
-  size_t cache_size() const { return cache_.size(); }
   MemoCacheStats cache_stats() const { return cache_.Stats(); }
 
   // Snapshot of the check-avoidance counters.
@@ -142,15 +139,6 @@ class SubsumptionChecker {
   // pool, per-rule application totals, completion-run latency) to a metrics
   // snapshot. `labels` is attached to every series, e.g. {{"session", n}}.
   void AppendMetrics(obs::Collector& out, const obs::Labels& labels = {}) const;
-
-  // Completion-run wall-time distribution (nanosecond samples).
-  const obs::Histogram& engine_run_histogram() const { return engine_run_ns_; }
-
-  // Aggregate applications of one calculus rule across all runs.
-  uint64_t rule_total(Rule rule) const {
-    return rule_totals_[static_cast<size_t>(rule)].load(
-        std::memory_order_relaxed);
-  }
 
  private:
   // RAII lease of a pooled engine: acquired from the freelist (or

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <thread>
+#include <utility>
 
 #include "base/strings.h"
 #include "server/wire.h"
@@ -19,33 +21,23 @@ uint64_t BackoffPolicy::DelayMs(size_t retry_index, Rng& rng) const {
       rng.UniformReal(lo, static_cast<double>(d)));
 }
 
+namespace {
+
+// Any reply (OK, ERR or BUSY) leaves a connection usable; a transport
+// fault (kInternal) poisons its framing.
+bool Answered(const Result<std::string>& r) {
+  return r.ok() || r.status().code() != StatusCode::kInternal;
+}
+
+}  // namespace
+
 ClusterClient::ClusterClient(ClusterConfig config, BackoffPolicy backoff,
                              uint64_t seed)
     : config_(std::move(config)),
       ring_(config_.nodes),
       backoff_(backoff),
       rng_(seed),
-      conns_(config_.nodes.size()) {}
-
-Result<server::Client*> ClusterClient::Conn(size_t node) {
-  if (node >= conns_.size()) {
-    return InvalidArgumentError(StrCat("no cluster node ", node));
-  }
-  if (conns_[node] == nullptr) {
-    OODB_ASSIGN_OR_RETURN(
-        server::Client fresh,
-        server::Client::Connect(config_.nodes[node].host,
-                                config_.nodes[node].port));
-    auto client = std::make_unique<server::Client>(std::move(fresh));
-    OODB_RETURN_IF_ERROR(client->EnableBinary());
-    conns_[node] = std::move(client);
-  }
-  return conns_[node].get();
-}
-
-void ClusterClient::Drop(size_t node) {
-  if (node < conns_.size()) conns_[node].reset();
-}
+      pool_(config_.nodes) {}
 
 Result<std::string> ClusterClient::Call(const std::string& line,
                                         const std::string* payload) {
@@ -60,23 +52,11 @@ Result<std::string> ClusterClient::Call(const std::string& line,
   server::Request request;
   server::ParseLine(line, {}, &request);
   const server::RequestView view = request.view();
-  const std::string_view session =
-      view.args.empty() ? std::string_view() : view.args[0];
   const bool idempotent = view.info().idempotent;
-
-  // Candidate nodes, in preference order: the owner first, then — for
-  // idempotent reads only — its replicas, which hold the same session
-  // state and may answer while the owner is down.
-  std::vector<size_t> candidates;
-  const size_t owner =
-      session.empty() ? size_t{0} : ring_.OwnerOf(session);
-  candidates.push_back(owner);
-  if (idempotent && !session.empty()) {
-    for (const size_t r :
-         ring_.ReplicasOf(session, config_.EffectiveReplicas())) {
-      candidates.push_back(r);
-    }
-  }
+  const size_t replicas = config_.EffectiveReplicas();
+  const std::vector<size_t> candidates =
+      view.args.empty() ? std::vector<size_t>{0}
+                        : ring_.ServersOf(view.args[0], replicas, idempotent);
 
   Status last = InternalError("no attempt made");
   size_t retry_index = 0;
@@ -88,21 +68,19 @@ Result<std::string> ClusterClient::Call(const std::string& line,
           backoff_.DelayMs(retry_index++, rng_)));
     }
     const size_t node = candidates[attempt % candidates.size()];
-    auto conn = Conn(node);
+    auto conn = pool_.Acquire(node);
     if (!conn.ok()) {
-      // Nothing was sent: a pure transport fault, retryable for any
-      // verb as long as we stay on the owner; replicas only for reads.
+      // Nothing was sent: a pure transport fault. A read moves on to the
+      // next candidate; a mutation redials its owner once, then fails.
       ++stats_.transport_errors;
       last = conn.status();
-      if (!idempotent && candidates.size() == 1 && attempt + 1 < 2) {
-        continue;  // one redial for a mutation, then fail fast
-      }
-      if (!idempotent) break;
+      if (!idempotent && attempt > 0) break;
       continue;
     }
     auto r = (*conn)->Roundtrip(line, payload);
+    pool_.Release(node, std::move(*conn), Answered(r));
     if (r.ok()) {
-      if (node != owner) ++stats_.failovers;
+      if (node != candidates[0]) ++stats_.failovers;
       return r;
     }
     last = r.status();
@@ -114,11 +92,10 @@ Result<std::string> ClusterClient::Call(const std::string& line,
         ++stats_.busy_retries;
         continue;
       case StatusCode::kInternal:
-        // Transport fault mid-roundtrip: the connection is poisoned.
-        // The request may or may not have executed, so only idempotent
-        // verbs are retried.
+        // Transport fault mid-roundtrip, a deadline expiry included. The
+        // request may or may not have executed, so only idempotent verbs
+        // are retried.
         ++stats_.transport_errors;
-        Drop(node);
         if (!idempotent) return last;
         continue;
       default:
@@ -132,9 +109,10 @@ Result<std::string> ClusterClient::Call(const std::string& line,
 Result<std::string> ClusterClient::CallAt(size_t node,
                                           const std::string& line,
                                           const std::string* payload) {
-  OODB_ASSIGN_OR_RETURN(server::Client * conn, Conn(node));
+  OODB_ASSIGN_OR_RETURN(std::unique_ptr<server::Client> conn,
+                        pool_.Acquire(node));
   auto r = conn->Roundtrip(line, payload);
-  if (!r.ok() && r.status().code() == StatusCode::kInternal) Drop(node);
+  pool_.Release(node, std::move(conn), Answered(r));
   return r;
 }
 

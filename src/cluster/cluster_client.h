@@ -1,19 +1,19 @@
 // Failover-aware client for a daemon fleet (docs/cluster.md §4).
 //
-// Routing: a request line whose verb names a session (server::kVerbTable)
-// goes to that session's owner on the consistent-hash ring; every other
-// line (PING, SLEEP, STATS with no argument, ...) goes to node 0. On a
-// transport error the client retries — but only for the table's
-// idempotent read verbs — with capped exponential backoff, rotating
-// through the owner's replicas so reads keep answering while the owner
-// is down. Mutations are never retried across nodes: they go to the
-// owner and fail fast, because a duplicated DEFINE/LOAD is not safe to
-// replay blindly.
+// Routing: a request line goes to the nodes Ring::ServersOf names for its
+// first argument (the session of a session verb), and a line without an
+// argument (PING, STATS, ...) to node 0. On a transport error the client
+// retries — but only for the table's idempotent read verbs — with capped
+// exponential backoff, rotating through the owner's replicas so reads
+// keep answering while the owner is down. Mutations are never retried
+// across nodes: they go to the owner and fail fast, because a duplicated
+// DEFINE/LOAD is not safe to replay blindly. Connections are borrowed
+// from a PeerPool, whose deadline (kDefaultPeerDeadlineMs) bounds every
+// call: a stalled owner's reads fail over after it.
 #ifndef OODB_CLUSTER_CLUSTER_CLIENT_H_
 #define OODB_CLUSTER_CLUSTER_CLIENT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,8 +22,8 @@
 #include "base/rng.h"
 #include "base/status.h"
 #include "cluster/membership.h"
+#include "cluster/replication.h"
 #include "cluster/ring.h"
-#include "server/client.h"
 
 namespace oodb::cluster {
 
@@ -43,8 +43,8 @@ struct BackoffPolicy {
 };
 
 // Not thread-safe (same contract as server::Client): give each thread
-// its own instance. Connections to nodes are dialed lazily, kept in
-// binary mode, and redialed transparently after a failure.
+// its own instance. The pool dials connections lazily, in binary mode,
+// and a connection that saw a transport fault is dropped and redialed.
 class ClusterClient {
  public:
   struct RetryStats {
@@ -92,18 +92,11 @@ class ClusterClient {
   const RetryStats& retry_stats() const { return stats_; }
 
  private:
-  // The live connection to `node`, dialing if needed. Any failure here
-  // is a transport fault by construction (no request was sent), however
-  // the status is coded.
-  Result<server::Client*> Conn(size_t node);
-  // Forgets the connection to `node` (next Conn redials).
-  void Drop(size_t node);
-
   const ClusterConfig config_;
   const Ring ring_;
   const BackoffPolicy backoff_;
   Rng rng_;
-  std::vector<std::unique_ptr<server::Client>> conns_;
+  PeerPool pool_;
   RetryStats stats_;
 };
 

@@ -24,8 +24,7 @@ uint64_t HashKey(std::string_view key) {
   return h;
 }
 
-Ring::Ring(const std::vector<NodeAddr>& nodes, size_t vnodes_per_node)
-    : num_nodes_(nodes.size()) {
+Ring::Ring(const std::vector<NodeAddr>& nodes, size_t vnodes_per_node) {
   points_.reserve(nodes.size() * vnodes_per_node);
   for (size_t i = 0; i < nodes.size(); ++i) {
     const std::string base = nodes[i].ToString();
@@ -37,37 +36,39 @@ Ring::Ring(const std::vector<NodeAddr>& nodes, size_t vnodes_per_node)
   std::sort(points_.begin(), points_.end());
 }
 
-size_t Ring::OwnerOf(std::string_view session) const {
-  if (points_.empty()) return kNotAMember;
-  const uint64_t h = HashKey(session);
-  auto it = std::upper_bound(points_.begin(), points_.end(),
-                             std::make_pair(h, uint32_t{0xffffffff}));
-  if (it == points_.end()) it = points_.begin();  // wrap past 2^64
-  return it->second;
+Ring::Points::const_iterator Ring::FirstPointOf(
+    std::string_view session) const {
+  const auto key = std::make_pair(HashKey(session), uint32_t{0xffffffff});
+  const auto it = std::upper_bound(points_.begin(), points_.end(), key);
+  return it == points_.end() ? points_.begin() : it;  // wrap past 2^64
 }
 
-std::vector<size_t> Ring::ReplicasOf(std::string_view session,
-                                     size_t r) const {
-  std::vector<size_t> replicas;
-  if (points_.empty() || r == 0) return replicas;
-  const uint64_t h = HashKey(session);
-  auto it = std::upper_bound(points_.begin(), points_.end(),
-                             std::make_pair(h, uint32_t{0xffffffff}));
-  if (it == points_.end()) it = points_.begin();
-  const size_t owner = it->second;
-  // Walk clockwise collecting distinct successors after the owner.
-  for (size_t step = 0; step < points_.size() && replicas.size() < r;
+size_t Ring::OwnerOf(std::string_view session) const {
+  if (points_.empty()) return kNotAMember;
+  return FirstPointOf(session)->second;
+}
+
+std::vector<size_t> Ring::ServersOf(std::string_view session, size_t r,
+                                    bool idempotent) const {
+  const size_t want = idempotent ? r + 1 : 1;
+  std::vector<size_t> servers;
+  if (points_.empty()) return servers;
+  // Walk clockwise from the owner's point collecting distinct nodes.
+  auto it = FirstPointOf(session);
+  for (size_t step = 0; step < points_.size() && servers.size() < want;
        ++step) {
-    ++it;
-    if (it == points_.end()) it = points_.begin();
     const size_t node = it->second;
-    if (node == owner) continue;
-    if (std::find(replicas.begin(), replicas.end(), node) !=
-        replicas.end()) {
-      continue;
+    if (std::find(servers.begin(), servers.end(), node) == servers.end()) {
+      servers.push_back(node);
     }
-    replicas.push_back(node);
+    if (++it == points_.end()) it = points_.begin();
   }
+  return servers;
+}
+
+std::vector<size_t> Ring::ReplicasOf(std::string_view session, size_t r) const {
+  std::vector<size_t> replicas = ServersOf(session, r, /*idempotent=*/true);
+  if (!replicas.empty()) replicas.erase(replicas.begin());  // the owner
   return replicas;
 }
 

@@ -28,10 +28,16 @@ class Ring {
   explicit Ring(const std::vector<NodeAddr>& nodes,
                 size_t vnodes_per_node = 64);
 
-  size_t num_nodes() const { return num_nodes_; }
-
   // Index (into the membership list) of the node owning `session`.
   size_t OwnerOf(std::string_view session) const;
+
+  // The nodes that may serve a request keyed by `session`, in preference
+  // order: the owner, then, for an idempotent verb, up to `r` replicas,
+  // which hold the same state (docs/cluster.md §4). Both the cluster
+  // client and a daemon forwarding to the owner route by it. Empty only
+  // for an empty ring.
+  std::vector<size_t> ServersOf(std::string_view session, size_t r,
+                                bool idempotent) const;
 
   // Up to `r` distinct non-owner nodes, in ring (successor) order.
   std::vector<size_t> ReplicasOf(std::string_view session, size_t r) const;
@@ -39,10 +45,14 @@ class Ring {
   bool IsReplicaOf(std::string_view session, size_t node, size_t r) const;
 
  private:
-  // Sorted (point hash, node index); lookups binary-search the first
-  // point clockwise of the key hash and wrap.
-  std::vector<std::pair<uint64_t, uint32_t>> points_;
-  size_t num_nodes_ = 0;
+  using Points = std::vector<std::pair<uint64_t, uint32_t>>;
+
+  // The first point clockwise of the key hash (wrapping); the ring must
+  // not be empty.
+  Points::const_iterator FirstPointOf(std::string_view session) const;
+
+  // Sorted (point hash, node index).
+  Points points_;
 };
 
 }  // namespace oodb::cluster

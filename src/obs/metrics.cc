@@ -185,24 +185,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
   return out;
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name,
-                                 const std::string& help,
-                                 const Labels& labels) {
-  base::MutexLock lock(&mu_);
-  if (Entry* entry = Find(Kind::kGauge, name, labels)) {
-    return entry->gauge.get();
-  }
-  auto entry = std::make_unique<Entry>();
-  entry->kind = Kind::kGauge;
-  entry->name = name;
-  entry->help = help;
-  entry->labels = labels;
-  entry->gauge = std::make_unique<Gauge>();
-  Gauge* out = entry->gauge.get();
-  entries_.push_back(std::move(entry));
-  return out;
-}
-
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          const std::string& help,
                                          const Labels& labels, double scale) {
@@ -243,10 +225,6 @@ void MetricsRegistry::Collect(Collector& out) const {
       case Kind::kCounter:
         out.AddCounter(entry->name, entry->help, entry->labels,
                        static_cast<double>(entry->counter->value()));
-        break;
-      case Kind::kGauge:
-        out.AddGauge(entry->name, entry->help, entry->labels,
-                     entry->gauge->value());
         break;
       case Kind::kHistogram:
         out.AddHistogram(entry->name, entry->help, entry->labels,

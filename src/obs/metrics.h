@@ -45,19 +45,6 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-// Instantaneous value (last-write-wins).
-class Gauge {
- public:
-  void Set(double v) {
-    if (!Enabled()) return;
-    value_.store(v, std::memory_order_relaxed);
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 // Log-linear histogram over uint64_t samples (typically nanoseconds).
 //
 // Buckets: values 0..3 get their own bucket; above that each power of two
@@ -171,8 +158,6 @@ class MetricsRegistry {
   // the registry's lifetime. Series identity is (name, labels).
   Counter* GetCounter(const std::string& name, const std::string& help,
                       const Labels& labels = {});
-  Gauge* GetGauge(const std::string& name, const std::string& help,
-                  const Labels& labels = {});
   // `scale` applies at exposition time (1e-9 renders ns samples as seconds).
   Histogram* GetHistogram(const std::string& name, const std::string& help,
                           const Labels& labels = {}, double scale = 1.0);
@@ -190,7 +175,7 @@ class MetricsRegistry {
   std::string RenderPrometheus() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
   struct Entry {
     Kind kind;
     std::string name;
@@ -198,7 +183,6 @@ class MetricsRegistry {
     Labels labels;
     double scale = 1.0;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
   Entry* Find(Kind kind, const std::string& name, const Labels& labels)

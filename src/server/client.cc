@@ -14,8 +14,7 @@
 
 namespace oodb::server {
 
-Client::Client(int fd)
-    : fd_(fd), reader_(std::make_unique<FrameReader>(fd)) {}
+Client::Client(int fd) : fd_(fd) {}
 
 Client::Client(Client&& other) noexcept { *this = std::move(other); }
 
@@ -23,7 +22,6 @@ Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
-    reader_ = std::move(other.reader_);
     binary_ = other.binary_;
     dead_ = other.dead_;
     timed_out_ = other.timed_out_;
@@ -168,8 +166,11 @@ Result<BinaryReply> Client::ReadReplyFrame() {
     size_t consumed = 0;
     BinaryReply out;
     std::string error;
-    std::string_view buf = std::string_view(in_).substr(in_pos_);
-    switch (ParseBinaryReply(buf, &consumed, &out, &error)) {
+    const std::string_view buf = std::string_view(in_).substr(in_pos_);
+    const ParseStatus status =
+        binary_ ? ParseBinaryReply(buf, &consumed, &out, &error)
+                : ParseTextReply(buf, &consumed, &out.reply, &error);
+    switch (status) {
       case ParseStatus::kFrame:
         // Consume by cursor, not erase: a pipelined burst of replies
         // would otherwise memmove the tail once per frame.
@@ -244,40 +245,17 @@ Result<std::string> Client::Roundtrip(const std::string& line,
     OODB_ASSIGN_OR_RETURN(uint64_t id, SubmitLine(line, payload));
     return Await(id);
   }
+  // Text: one request line (and its payload), then the next reply.
   if (dead_) return DeadConnectionError();
-  std::string frame = line;
-  frame += '\n';
+  out_ += line;
+  out_ += '\n';
   if (payload != nullptr) {
-    frame += *payload;
-    frame += '\n';
+    out_ += *payload;
+    out_ += '\n';
   }
-  if (!WriteFully(fd_, frame)) {
-    NoteTransportFault();
-    return InternalError("connection lost while sending");
-  }
-  std::string reply;
-  if (!reader_->ReadLine(&reply)) {
-    NoteTransportFault();
-    return InternalError("connection lost while awaiting reply");
-  }
-  if (reply == "BUSY") return ResourceExhaustedError("BUSY");
-  if (reply.rfind("ERR ", 0) == 0) {  // ERR <code> <message>
-    const size_t space = reply.find(' ', 4);
-    return FailedPreconditionError(StrCat(
-        reply.substr(4, space - 4), ": ",
-        space == std::string::npos ? "" : reply.substr(space + 1)));
-  }
-  uint64_t nbytes = 0;
-  if (reply.rfind("OK ", 0) != 0 ||
-      !ParseSize(std::string_view(reply).substr(3), &nbytes)) {
-    return InternalError(StrCat("malformed reply '", reply, "'"));
-  }
-  std::string body;
-  if (!reader_->ReadPayload(static_cast<size_t>(nbytes), &body)) {
-    NoteTransportFault();
-    return InternalError("connection lost while reading reply payload");
-  }
-  return body;
+  OODB_RETURN_IF_ERROR(Flush());
+  OODB_ASSIGN_OR_RETURN(BinaryReply frame, ReadReplyFrame());
+  return ReplyToResult(std::move(frame.reply));
 }
 
 std::string BatchCheckLine(

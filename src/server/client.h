@@ -12,12 +12,14 @@
 //   API (SubmitLine/SubmitCheck/SubmitCheckBatch + Await) allows many
 //   requests in flight, with replies matched by request id — the server
 //   may complete them out of order.
+//
+// Both modes read replies through one receive buffer and wire.h's
+// incremental reply parser for their framing.
 #ifndef OODB_SERVER_CLIENT_H_
 #define OODB_SERVER_CLIENT_H_
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -130,7 +132,9 @@ class Client {
   void NoteTransportFault();
   // Stages one encoded binary frame, returning the id it carries.
   Result<uint64_t> SendFrame(uint64_t id, std::string frame);
-  // Reads exactly one binary reply frame off the socket.
+  // Reads the next reply off the socket with the parser of this
+  // connection's framing (a text reply carries id 0). A malformed reply
+  // kills the connection in either framing.
   Result<BinaryReply> ReadReplyFrame();
   // Await without the OK/ERR/BUSY mapping.
   Result<Reply> AwaitReply(uint64_t id);
@@ -138,7 +142,6 @@ class Client {
   Result<std::string> ReplyToResult(Reply reply);
 
   int fd_ = -1;
-  std::unique_ptr<FrameReader> reader_;  // text mode framing
   bool binary_ = false;
   // Set on the first transport fault (send/recv failure, peer close,
   // malformed frame). The stream position is unknowable from then on,
@@ -151,7 +154,7 @@ class Client {
   bool deadline_armed_ = false;
   uint64_t next_id_ = 1;
   std::string out_;  // staged frames awaiting Flush
-  std::string in_;   // binary mode receive buffer
+  std::string in_;   // receive buffer, both framings
   size_t in_pos_ = 0;  // parse cursor into in_
   // Replies that arrived while awaiting a different id.
   std::map<uint64_t, Reply> pending_;

@@ -282,8 +282,8 @@ void Server::AppendServerMetrics(obs::Collector& out) const {
     all.assign(sessions_.begin(), sessions_.end());
   }
   out.AddGauge("oodb_server_sessions", "Live named sessions", {}, all.size());
-  // sessions_mu_ is released first, then each session takes its own
-  // shared lock in turn (docs/concurrency.md).
+  // sessions_mu_ is released first; a session's metrics take no session
+  // lock (docs/concurrency.md).
   for (const auto& [name, session] : all) {
     session->AppendMetrics(out, {{"session", name}});
   }
@@ -955,8 +955,7 @@ Reply Server::Execute(const RequestView& request, obs::TraceContext* trace,
         replica_reads_->Add();
         break;
       case Placement::kOwner:
-        return ForwardToOwner(ring_->OwnerOf(request.args[0]), request,
-                              trace);
+        return ForwardToOwner(request, trace);
     }
   }
 
@@ -1011,7 +1010,7 @@ Reply Server::DispatchRepl(const Request& request, obs::TraceContext* trace) {
   return OkReply(StrCat("applied=", seq));
 }
 
-Reply Server::ForwardToOwner(size_t owner, const RequestView& request,
+Reply Server::ForwardToOwner(const RequestView& request,
                              obs::TraceContext* trace) {
   forwards_->Add();
   // The whole proxy attempt — dialing, the round trip(s), failover — is
@@ -1022,14 +1021,11 @@ Reply Server::ForwardToOwner(size_t owner, const RequestView& request,
       StrCat("FORWARD @", options_.cluster.self, ":",
              trace != nullptr ? trace->id : 0, " ", RenderLine(request));
   // The owner first; for idempotent reads, the session's replicas next,
-  // so every node keeps answering reads while the owner is down.
-  std::vector<size_t> targets{owner};
-  if (request.info().idempotent) {
-    for (const size_t r : ring_->ReplicasOf(
-             request.args[0], options_.cluster.EffectiveReplicas())) {
-      if (r != options_.cluster.self) targets.push_back(r);
-    }
-  }
+  // so every node keeps answering reads while the owner is down. This
+  // node is none of them: it would have served the read itself.
+  const std::vector<size_t> targets =
+      ring_->ServersOf(request.args[0], options_.cluster.EffectiveReplicas(),
+                       request.info().idempotent);
   Reply reply = ErrReply("unavailable", "no cluster peer reachable");
   for (const size_t node : targets) {
     auto peer = peers_->Acquire(node);

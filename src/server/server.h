@@ -222,8 +222,7 @@ class Server {
   // reads fail over to the session's replicas when the owner is down.
   // The whole proxy attempt is a kForward span on `trace`, and the peer
   // that answered is stamped into trace->peer.
-  Reply ForwardToOwner(size_t owner, const RequestView& request,
-                       obs::TraceContext* trace);
+  Reply ForwardToOwner(const RequestView& request, obs::TraceContext* trace);
   // The STATS verb body, rendered from one registry snapshot.
   Reply DispatchStats(const RequestView& request);
   // The HEALTH verb body: "status=ok|degraded|draining" plus, in

@@ -34,6 +34,23 @@ void Session::ResetState(std::unique_ptr<db::Database> database) {
                                                   dl_.translator.get());
   optimizer_ = std::make_unique<views::Optimizer>(
       database_.get(), catalog_.get(), *dl_.sigma, dl_.translator.get());
+  PublishSizes();
+}
+
+void Session::PublishSizes() {
+  views_.store(catalog_->views().size(), std::memory_order_relaxed);
+  objects_.store(database_->num_objects(), std::memory_order_relaxed);
+}
+
+void Session::PublishTaxonomy() {
+  const calculus::Classifier::ClassifyStats& stats =
+      classifier_->classify_stats();
+  last_concepts_.store(stats.concepts, std::memory_order_relaxed);
+  last_checks_performed_.store(stats.checks_performed,
+                               std::memory_order_relaxed);
+  last_pairwise_checks_.store(stats.pairwise_checks, std::memory_order_relaxed);
+  last_checks_avoided_.store(stats.checks_avoided, std::memory_order_relaxed);
+  classified_.store(true, std::memory_order_release);
 }
 
 namespace {
@@ -100,6 +117,7 @@ Result<std::string> Session::Mutate(const RequestView& request,
         return NotFoundError(StrCat("no class named '", name, "'"));
       }
       OODB_RETURN_IF_ERROR(catalog_->DefineView(s));
+      PublishSizes();
       {
         // Keep the resident taxonomy in sync: a class UNDEFINEd out of it
         // re-enters on VIEW, by incremental insertion if the DAG is warm.
@@ -108,8 +126,10 @@ Result<std::string> Session::Mutate(const RequestView& request,
         if (classifier_ != nullptr && !classifier_->Contains(s)) {
           OODB_ASSIGN_OR_RETURN(ql::ConceptId concept_id,
                                 dl_.translator->ClassConcept(s));
-          OODB_RETURN_IF_ERROR(classifier_->Insert(s, concept_id));
-          ++taxonomy_inserts_;
+          const Status inserted = classifier_->Insert(s, concept_id);
+          PublishTaxonomy();  // a failed insertion may have counted checks
+          OODB_RETURN_IF_ERROR(inserted);
+          taxonomy_inserts_.fetch_add(1, std::memory_order_relaxed);
         }
       }
       return StrCat("extent=", catalog_->Find(s)->extent.size());
@@ -128,6 +148,7 @@ Result<std::string> Session::Mutate(const RequestView& request,
       if (catalog_->Find(s) != nullptr) {
         OODB_RETURN_IF_ERROR(catalog_->DropView(s));
         view_dropped = true;
+        PublishSizes();
       }
       bool taxonomy_removed = false;
       {
@@ -135,7 +156,8 @@ Result<std::string> Session::Mutate(const RequestView& request,
         if (classifier_ != nullptr && classifier_->Contains(s)) {
           OODB_RETURN_IF_ERROR(classifier_->Remove(s));
           taxonomy_removed = true;
-          ++taxonomy_removes_;
+          taxonomy_removes_.fetch_add(1, std::memory_order_relaxed);
+          PublishTaxonomy();
         }
         // Recorded even when the taxonomy is cold, so a later first
         // CLASSIFY builds without the class.
@@ -271,6 +293,7 @@ Status Session::EnsureClassifierLocked(obs::TraceContext* trace) {
     OODB_RETURN_IF_ERROR(classifier->Classify());
   }
   classifier_ = std::move(classifier);
+  PublishTaxonomy();
   return Status::Ok();
 }
 
@@ -286,47 +309,43 @@ std::string Session::Summary() const {
 
 void Session::AppendMetrics(obs::Collector& out,
                             const obs::Labels& labels) const {
-  base::ReaderLock session_lock(&mu_);
+  constexpr auto kRelaxed = std::memory_order_relaxed;
   out.AddCounter("oodb_session_checks_total",
                  "Pairs checked (CHECK, and every pair of a BCHECK)", labels,
-                 checks_.load(std::memory_order_relaxed));
+                 checks_.load(kRelaxed));
   out.AddCounter("oodb_session_classifies_total", "CLASSIFY requests served",
-                 labels, classifies_.load(std::memory_order_relaxed));
+                 labels, classifies_.load(kRelaxed));
   out.AddCounter("oodb_session_optimizes_total", "OPTIMIZE requests served",
-                 labels, optimizes_.load(std::memory_order_relaxed));
+                 labels, optimizes_.load(kRelaxed));
   out.AddCounter("oodb_session_undefines_total", "UNDEFINE requests served",
-                 labels, undefines_.load(std::memory_order_relaxed));
+                 labels, undefines_.load(kRelaxed));
   out.AddGauge("oodb_session_views", "Materialized views resident", labels,
-               catalog_->views().size());
+               views_.load(kRelaxed));
   out.AddGauge("oodb_session_objects", "Objects in the database state",
-               labels, database_->num_objects());
+               labels, objects_.load(kRelaxed));
   checker_->AppendMetrics(out, labels);
-  base::MutexLock lock(&classify_mu_);
-  if (classifier_ != nullptr) {
-    const calculus::Classifier::ClassifyStats& stats =
-        classifier_->classify_stats();
-    out.AddGauge("oodb_classify_last_concepts",
-                 "Concepts in the most recent classification", labels,
-                 stats.concepts);
-    out.AddGauge("oodb_classify_last_checks_performed",
-                 "Subsumption checks performed by the most recent "
-                 "classification",
-                 labels, stats.checks_performed);
-    out.AddGauge("oodb_classify_last_pairwise_checks",
-                 "Pairwise-oracle check count of the most recent "
-                 "classification",
-                 labels, stats.pairwise_checks);
-    out.AddGauge("oodb_classify_last_checks_avoided",
-                 "Checks avoided by enhanced traversal in the most recent "
-                 "classification",
-                 labels, stats.checks_avoided);
-    out.AddCounter("oodb_classify_inserts_total",
-                   "Incremental taxonomy insertions (DEFINE on a warm DAG)",
-                   labels, taxonomy_inserts_);
-    out.AddCounter("oodb_classify_removes_total",
-                   "Incremental taxonomy removals (UNDEFINE on a warm DAG)",
-                   labels, taxonomy_removes_);
-  }
+  if (!classified_.load(std::memory_order_acquire)) return;
+  out.AddGauge("oodb_classify_last_concepts",
+               "Concepts in the most recent classification", labels,
+               last_concepts_.load(kRelaxed));
+  out.AddGauge("oodb_classify_last_checks_performed",
+               "Subsumption checks performed by the most recent "
+               "classification",
+               labels, last_checks_performed_.load(kRelaxed));
+  out.AddGauge("oodb_classify_last_pairwise_checks",
+               "Pairwise-oracle check count of the most recent "
+               "classification",
+               labels, last_pairwise_checks_.load(kRelaxed));
+  out.AddGauge("oodb_classify_last_checks_avoided",
+               "Checks avoided by enhanced traversal in the most recent "
+               "classification",
+               labels, last_checks_avoided_.load(kRelaxed));
+  out.AddCounter("oodb_classify_inserts_total",
+                 "Incremental taxonomy insertions (DEFINE on a warm DAG)",
+                 labels, taxonomy_inserts_.load(kRelaxed));
+  out.AddCounter("oodb_classify_removes_total",
+                 "Incremental taxonomy removals (UNDEFINE on a warm DAG)",
+                 labels, taxonomy_removes_.load(kRelaxed));
 }
 
 }  // namespace oodb::server

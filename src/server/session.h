@@ -34,9 +34,10 @@ namespace oodb::server {
 // rest (CHECK/BCHECK/CLASSIFY/OPTIMIZE only read session structure; the
 // checker and the translator — whose concept cache these verbs
 // populate — are internally thread-safe). AnswerFromMemo takes the
-// shared side only if it is free, and AppendMetrics holds it shared.
-// The resident taxonomy (CLASSIFY) is additionally guarded by
-// classify_mu_, always acquired after mu_.
+// shared side only if it is free, and AppendMetrics takes no lock at
+// all: it reads atomics the writers publish. The resident taxonomy
+// (CLASSIFY) is additionally guarded by classify_mu_, always acquired
+// after mu_.
 class Session {
  public:
   // Parses and translates a DL source into a fresh session with an empty
@@ -63,9 +64,10 @@ class Session {
   std::string Summary() const;
 
   // Appends this session's counters plus its checker's metrics to a
-  // snapshot (METRICS and STATS both render it).
-  void AppendMetrics(obs::Collector& out, const obs::Labels& labels) const
-      EXCLUDES(mu_);
+  // snapshot (METRICS and STATS both render it). Takes no session lock,
+  // so the event loop never waits here behind a writer or a first
+  // CLASSIFY.
+  void AppendMetrics(obs::Collector& out, const obs::Labels& labels) const;
 
  private:
   Session() = default;
@@ -106,6 +108,11 @@ class Session {
   Status EnsureClassifierLocked(obs::TraceContext* trace)
       REQUIRES(classify_mu_);
 
+  // Publish what AppendMetrics reads: the view and object counts, and
+  // the resident classifier's ClassifyStats.
+  void PublishSizes() REQUIRES(mu_);
+  void PublishTaxonomy() REQUIRES(classify_mu_);
+
   dl::Frontend dl_;
   std::unique_ptr<calculus::SubsumptionChecker> checker_;
   // The database state and everything derived from it are replaced
@@ -121,16 +128,24 @@ class Session {
   std::atomic<uint64_t> classifies_{0};
   std::atomic<uint64_t> optimizes_{0};
   std::atomic<uint64_t> undefines_{0};
+  // Copies of what METRICS reports from locked state, set by its writers
+  // under their lock and read by AppendMetrics under none.
+  std::atomic<uint64_t> views_{0};
+  std::atomic<uint64_t> objects_{0};
+  std::atomic<bool> classified_{false};  // the four below are set
+  std::atomic<uint64_t> last_concepts_{0};
+  std::atomic<uint64_t> last_checks_performed_{0};
+  std::atomic<uint64_t> last_pairwise_checks_{0};
+  std::atomic<uint64_t> last_checks_avoided_{0};
+  std::atomic<uint64_t> taxonomy_inserts_{0};
+  std::atomic<uint64_t> taxonomy_removes_{0};
   // classify_mu_ guards the resident incrementally maintained
-  // classifier, the set of query classes UNDEFINEd out of it (until a
-  // VIEW or LOAD; STATE keeps it, the taxonomy being Σ-level), and
-  // insert/remove accounting. Lock order:
-  // mu_ (either side) before classify_mu_ — declared on mu_ below.
+  // classifier and the set of query classes UNDEFINEd out of it (until a
+  // VIEW or LOAD; STATE keeps it, the taxonomy being Σ-level). Lock
+  // order: mu_ (either side) before classify_mu_ — declared on mu_ below.
   mutable base::Mutex classify_mu_;
   std::unique_ptr<calculus::Classifier> classifier_ GUARDED_BY(classify_mu_);
   std::unordered_set<Symbol> taxonomy_excluded_ GUARDED_BY(classify_mu_);
-  uint64_t taxonomy_inserts_ GUARDED_BY(classify_mu_) = 0;
-  uint64_t taxonomy_removes_ GUARDED_BY(classify_mu_) = 0;
 
   mutable base::SharedMutex mu_ ACQUIRED_BEFORE(classify_mu_);
 };

@@ -1,9 +1,7 @@
 #include "server/wire.h"
 
 #include <sys/socket.h>
-#include <unistd.h>
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -509,6 +507,55 @@ ParseStatus ParseBinaryReply(std::string_view buf, size_t* consumed,
   return ParseStatus::kBad;
 }
 
+ParseStatus ParseTextReply(std::string_view buf, size_t* consumed, Reply* out,
+                           std::string* error) {
+  *consumed = 0;
+  // The status line ends at the first '\n': nothing of the payload can
+  // precede it, and the search stops one byte past the line cap.
+  const size_t nl = buf.substr(0, kMaxTextLine + 1).find('\n');
+  if (nl == std::string_view::npos) {
+    if (buf.size() <= kMaxTextLine) return ParseStatus::kNeedMore;
+    *error = "reply line exceeds " + std::to_string(kMaxTextLine) + " bytes";
+    return ParseStatus::kBad;
+  }
+  const std::string_view line = buf.substr(0, nl);
+  out->code.clear();
+  out->payload.clear();
+  if (line == "BUSY") {
+    out->kind = Reply::Kind::kBusy;
+    *consumed = nl + 1;
+    return ParseStatus::kFrame;
+  }
+  if (line.starts_with("ERR ")) {  // ERR <code>[ <message>]
+    const std::string_view rest = line.substr(4);
+    const size_t space = rest.find(' ');
+    out->kind = Reply::Kind::kErr;
+    out->code.assign(rest.substr(0, space));
+    if (space != std::string_view::npos) {
+      out->payload.assign(rest.substr(space + 1));
+    }
+    *consumed = nl + 1;
+    return ParseStatus::kFrame;
+  }
+  uint64_t n = 0;
+  if (!line.starts_with("OK ") || !ParseSize(line.substr(3), &n)) {
+    *error = "malformed reply line '" + SanitizeLine(line.substr(0, 64)) + "'";
+    return ParseStatus::kBad;
+  }
+  // The payload is taken by its announced length, never scanned.
+  const std::string_view rest = buf.substr(nl + 1);
+  if (rest.size() <= n) return ParseStatus::kNeedMore;  // n bytes + '\n'
+  if (rest[n] != '\n') {
+    *error = "reply payload of " + std::to_string(n) +
+             " bytes lacks its terminator";
+    return ParseStatus::kBad;
+  }
+  out->kind = Reply::Kind::kOk;
+  out->payload.assign(rest.substr(0, n));
+  *consumed = nl + 2 + n;
+  return ParseStatus::kFrame;
+}
+
 // ---- Blocking fd helpers ---------------------------------------------------
 
 bool WriteFully(int fd, std::string_view data) {
@@ -523,64 +570,6 @@ bool WriteFully(int fd, std::string_view data) {
       return false;
     }
     sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool ReadFully(int fd, size_t n, std::string* out) {
-  char chunk[4096];
-  size_t got = 0;
-  while (got < n) {
-    const size_t want = std::min(n - got, sizeof(chunk));
-    ssize_t r = ::recv(fd, chunk, want, 0);
-    if (r < 0 && errno == EINTR) continue;
-    if (r <= 0) return false;  // EOF or error before n bytes
-    out->append(chunk, static_cast<size_t>(r));
-    got += static_cast<size_t>(r);
-  }
-  return true;
-}
-
-bool FrameReader::FillSome() {
-  char chunk[4096];
-  for (;;) {
-    ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;  // EOF or error
-    buffer_.append(chunk, static_cast<size_t>(n));
-    return true;
-  }
-}
-
-bool FrameReader::ReadLine(std::string* line, size_t max_line) {
-  for (;;) {
-    size_t nl = buffer_.find('\n', pos_);
-    if (nl != std::string::npos) {
-      if (nl - pos_ > max_line) return false;
-      line->assign(buffer_, pos_, nl - pos_);
-      pos_ = nl + 1;
-      // Compact once the consumed prefix dominates the buffer.
-      if (pos_ > 4096 && pos_ * 2 > buffer_.size()) {
-        buffer_.erase(0, pos_);
-        pos_ = 0;
-      }
-      return true;
-    }
-    if (buffer_.size() - pos_ > max_line) return false;
-    if (!FillSome()) return false;
-  }
-}
-
-bool FrameReader::ReadPayload(size_t n, std::string* payload) {
-  while (buffer_.size() - pos_ < n + 1) {
-    if (!FillSome()) return false;
-  }
-  payload->assign(buffer_, pos_, n);
-  if (buffer_[pos_ + n] != '\n') return false;  // frame out of sync
-  pos_ += n + 1;
-  if (pos_ * 2 > buffer_.size()) {
-    buffer_.erase(0, pos_);
-    pos_ = 0;
   }
   return true;
 }

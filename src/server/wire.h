@@ -34,8 +34,8 @@ inline constexpr std::string_view kErrProto = "proto";       // malformed frame
 inline constexpr std::string_view kErrDeadline = "deadline"; // queue-wait budget
 inline constexpr std::string_view kErrShutdown = "shutdown"; // server draining
 
-// Text command lines longer than this are a malformed peer (matches
-// FrameReader::ReadLine's default cap on the client side).
+// Text command lines and reply status lines longer than this are a
+// malformed peer, on the server and the client side alike.
 inline constexpr size_t kMaxTextLine = 1 << 16;
 
 // ---- Binary framing constants ---------------------------------------------
@@ -167,6 +167,16 @@ constexpr bool VerbTableMatchesEnum() {
 }
 static_assert(VerbTableMatchesEnum(),
               "kVerbTable needs exactly one row per Verb, in enum order");
+
+// A replica serves an idempotent verb, so that verb must never mutate.
+constexpr bool IdempotentVerbsNeverMutate() {
+  for (const VerbInfo& info : kVerbTable) {
+    if (info.idempotent && info.mutates) return false;
+  }
+  return true;
+}
+static_assert(IdempotentVerbsNeverMutate(),
+              "an idempotent verb is served by replicas and must not mutate");
 
 constexpr const VerbInfo& InfoOf(Verb verb) {
   return kVerbTable[static_cast<size_t>(verb)];
@@ -382,40 +392,18 @@ ParseStatus ParseTextRequest(std::string_view buf, size_t max_payload,
 ParseStatus ParseBinaryRequest(std::string_view buf, size_t* consumed,
                                BinaryRequest* out, std::string* error);
 
-// Incremental reply parser (client side), same contract.
+// Incremental reply parsers (client side), one per framing, same
+// contract. Text: the status line (at most kMaxTextLine bytes) and, for
+// `OK <n>`, the n payload bytes and their '\n', taken by the announced
+// length.
+ParseStatus ParseTextReply(std::string_view buf, size_t* consumed, Reply* out,
+                           std::string* error);
 ParseStatus ParseBinaryReply(std::string_view buf, size_t* consumed,
                              BinaryReply* out, std::string* error);
-
-// ---- Blocking fd helpers ---------------------------------------------------
 
 // Writes all of `data` to `fd`, retrying on short writes and EINTR and
 // suppressing SIGPIPE. Returns false on any other error.
 bool WriteFully(int fd, std::string_view data);
-
-// Reads exactly `n` bytes into `out` (appended), retrying on short reads
-// and EINTR. Returns false on EOF or error before `n` bytes arrived.
-bool ReadFully(int fd, size_t n, std::string* out);
-
-// Buffered reader for the text framing layer. Not thread-safe.
-class FrameReader {
- public:
-  explicit FrameReader(int fd) : fd_(fd) {}
-
-  // Reads up to and including the next '\n'; returns the line without the
-  // terminator. False on EOF/error before a full line, or when the line
-  // exceeds `max_line` bytes (a malformed peer, not a real frame).
-  bool ReadLine(std::string* line, size_t max_line = kMaxTextLine);
-
-  // Reads exactly n payload bytes plus the terminating '\n'.
-  bool ReadPayload(size_t n, std::string* payload);
-
- private:
-  bool FillSome();
-
-  int fd_;
-  std::string buffer_;
-  size_t pos_ = 0;
-};
 
 }  // namespace oodb::server
 

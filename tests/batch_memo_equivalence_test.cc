@@ -102,9 +102,9 @@ TEST(BatchMemoEquivalence, MemoOnEqualsMemoOff) {
       }
     }
     // Passes 2 and 3 repeat every pair, so the cache must have been hit.
-    EXPECT_GT(with_memo.cache_hits(), 0u);
-    EXPECT_EQ(without_memo.cache_hits(), 0u);
-    EXPECT_EQ(without_memo.cache_size(), 0u);
+    EXPECT_GT(with_memo.cache_stats().hits, 0u);
+    EXPECT_EQ(without_memo.cache_stats().hits, 0u);
+    EXPECT_EQ(without_memo.cache_stats().entries, 0u);
   }
 }
 

@@ -69,7 +69,7 @@ TEST(MedicalExample, BothConceptsSatisfiable) {
 TEST(MedicalExample, TraceUsesTheExpectedRuleFamilies) {
   MedicalFixture fx;
   SubsumptionChecker::Options options;
-  options.record_trace = true;
+  options.engine.record_trace = true;
   SubsumptionChecker checker(*fx.sigma, options);
   auto result = checker.SubsumesDetailed(fx.query_patient, fx.view_patient);
   ASSERT_TRUE(result.ok()) << result.status();

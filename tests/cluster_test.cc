@@ -12,11 +12,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <memory>
 #include <regex>
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -105,6 +107,12 @@ TEST(Cluster, ReplicasAreDistinctNonOwnersCappedByFleetSize) {
         EXPECT_TRUE(ring.IsReplicaOf(key, node, r));
       }
       EXPECT_FALSE(ring.IsReplicaOf(key, owner, r));
+      // The one routing rule: the owner, then, for reads, its replicas.
+      std::vector<size_t> reads{owner};
+      reads.insert(reads.end(), replicas.begin(), replicas.end());
+      EXPECT_EQ(ring.ServersOf(key, r, /*idempotent=*/true), reads);
+      EXPECT_EQ(ring.ServersOf(key, r, /*idempotent=*/false),
+                std::vector<size_t>{owner});
     }
   }
 }
@@ -408,6 +416,56 @@ TEST(Cluster, ClusterClientRoutesToOwnersAndFailsOverReads) {
   ASSERT_TRUE(after_b.ok()) << after_b.status();
   EXPECT_EQ(*after_b, *before_b);
   EXPECT_FALSE(client.DefineView(a, "Q1").ok());
+  fleet->ShutdownAll();
+}
+
+// A stalled owner — both of its workers parked — is a transport fault to
+// the cluster client once the pool's deadline expires: a read fails over
+// to the replica, which answers with the owner's verdict long before the
+// owner's workers wake (docs/cluster.md §4).
+TEST(Cluster, ReadsFailOverFromAStalledOwnerAfterThePoolDeadline) {
+  using Clock = std::chrono::steady_clock;
+  auto fleet = Fleet::Start(2, 1);
+  ASSERT_NE(fleet, nullptr);
+  BackoffPolicy backoff;
+  backoff.base_ms = 1;
+  backoff.cap_ms = 20;
+  ClusterClient client(fleet->config, backoff);
+  const std::string session = "stalled";
+  ASSERT_TRUE(client.Load(session, TinyCorpus()).ok());
+  const size_t owner = client.OwnerOf(session);
+
+  constexpr int64_t kParkMs = kDefaultPeerDeadlineMs + 2000;
+  const Clock::time_point parked = Clock::now();
+  std::vector<server::Client> sleepers;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 2; ++i) {
+    sleepers.push_back(MustConnect(fleet->config.nodes[owner].port));
+    ASSERT_TRUE(sleepers.back().EnableBinary().ok());
+    auto id = sleepers.back().SubmitLine(StrCat("SLEEP ", kParkMs));
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(*id);
+    ASSERT_TRUE(sleepers.back().Flush().ok());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // A pair no node has checked, so that the owner's loop cannot answer it
+  // from the memo: it waits for a worker.
+  auto verdict = client.Check(session, "Q0", "Q1");
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          Clock::now() - parked)
+                          .count();
+  ASSERT_TRUE(verdict.ok()) << verdict.status();
+  EXPECT_LT(waited, kParkMs) << "the read waited for the stalled owner";
+  EXPECT_GE(client.retry_stats().failovers, 1u);
+
+  // The owner, awake again, gives the same verdict.
+  for (size_t i = 0; i < sleepers.size(); ++i) {
+    EXPECT_TRUE(sleepers[i].Await(ids[i]).ok());
+  }
+  auto owner_verdict =
+      client.CallAt(owner, StrCat("CHECK ", session, " Q0 Q1"));
+  ASSERT_TRUE(owner_verdict.ok()) << owner_verdict.status();
+  EXPECT_EQ(*owner_verdict, *verdict ? "subsumed=true" : "subsumed=false");
   fleet->ShutdownAll();
 }
 

@@ -32,7 +32,7 @@ cp "$ROOT/src/server/wire.h" "$ROOT/src/server/server.cc" "$TMP/src/server/"
 cp "$ROOT/docs/server.md" "$ROOT/docs/observability.md" "$TMP/docs/"
 cp "$ROOT/tests/server_test.cc" "$ROOT/tests/cluster_test.cc" "$TMP/tests/"
 cp "$ROOT/bench/CMakeLists.txt" "$TMP/bench/"
-cp "$ROOT"/bench/bench_*.cc "$TMP/bench/"
+cp "$ROOT"/bench/bench_*.cc "$ROOT/bench/bench_util.h" "$TMP/bench/"
 cp "$ROOT"/BENCH_*.json "$ROOT/EXPERIMENTS.md" "$TMP/"
 python3 "$LINTER" --root "$TMP"  # the copy must also pass
 

@@ -22,11 +22,11 @@ TEST(Memoization, RepeatedChecksHitTheCache) {
     ASSERT_TRUE(verdict.ok());
     EXPECT_TRUE(*verdict);
   }
-  EXPECT_EQ(checker.cache_hits(), 4u);
-  EXPECT_EQ(checker.cache_size(), 1u);
+  EXPECT_EQ(checker.cache_stats().hits, 4u);
+  EXPECT_EQ(checker.cache_stats().entries, 1u);
   // The reverse direction is a distinct cache entry.
   ASSERT_TRUE(checker.Subsumes(fx.view_patient, fx.query_patient).ok());
-  EXPECT_EQ(checker.cache_size(), 2u);
+  EXPECT_EQ(checker.cache_stats().entries, 2u);
 }
 
 TEST(Memoization, DisabledMeansNoCache) {
@@ -37,8 +37,8 @@ TEST(Memoization, DisabledMeansNoCache) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(checker.Subsumes(fx.query_patient, fx.view_patient).ok());
   }
-  EXPECT_EQ(checker.cache_hits(), 0u);
-  EXPECT_EQ(checker.cache_size(), 0u);
+  EXPECT_EQ(checker.cache_stats().hits, 0u);
+  EXPECT_EQ(checker.cache_stats().entries, 0u);
 }
 
 TEST(Memoization, CachedVerdictsMatchFreshOnes) {

@@ -149,17 +149,13 @@ TEST(Metrics, DisabledRecordingIsDropped) {
   EnabledGuard guard;
   SetEnabled(true);
   Counter counter;
-  Gauge gauge;
   Histogram hist;
   counter.Add(3);
-  gauge.Set(7.5);
   hist.Record(42);
   SetEnabled(false);
   counter.Add(100);
-  gauge.Set(99.0);
   hist.Record(100000);
   EXPECT_EQ(counter.value(), 3u);
-  EXPECT_EQ(gauge.value(), 7.5);
   EXPECT_EQ(hist.count(), 1u);
   EXPECT_EQ(hist.max(), 42u);
 }
@@ -178,13 +174,13 @@ TEST(MetricsRegistry, RenderedExpositionParsesAndRoundTrips) {
   SetEnabled(true);
   MetricsRegistry registry;
   registry.GetCounter("req_total", "requests", {{"verb", "CHECK"}})->Add(5);
-  registry.GetGauge("temp", "temperature")->Set(21.5);
   Histogram* hist =
       registry.GetHistogram("lat_seconds", "latency", {}, 1e-9);
   hist->Record(1000);     // 1us
   hist->Record(1000000);  // 1ms
   registry.AddCallback([](Collector& out) {
     out.AddCounter("cb_total", "from callback", {}, 9);
+    out.AddGauge("temp", "temperature", {}, 21.5);
   });
 
   const std::string text = registry.RenderPrometheus();

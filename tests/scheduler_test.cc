@@ -141,9 +141,9 @@ TEST(Scheduler, TraceIsIdenticalOnTheExample) {
   // derivation.
   testing::MedicalFixture fx;
   SubsumptionChecker::Options semi_options;
-  semi_options.record_trace = true;
+  semi_options.engine.record_trace = true;
   SubsumptionChecker::Options naive_options = NaiveOptions();
-  naive_options.record_trace = true;
+  naive_options.engine.record_trace = true;
   SubsumptionChecker semi(*fx.sigma, semi_options);
   SubsumptionChecker naive(*fx.sigma, naive_options);
   auto a = semi.SubsumesDetailed(fx.query_patient, fx.view_patient);

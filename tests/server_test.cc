@@ -490,6 +490,62 @@ TEST(Server, MalformedStateLeavesTheSessionAsItWas) {
   server.Shutdown();
 }
 
+// METRICS is answered on the event loop, and a session's metrics take no
+// session lock: while a first CLASSIFY holds the session's taxonomy lock
+// for the whole classification, METRICS and PING on other connections
+// reply at once, long before the CLASSIFY does.
+TEST(Server, MetricsAndPingAnswerDuringAFirstClassify) {
+  using Clock = std::chrono::steady_clock;
+  ServerOptions options;
+  options.num_threads = 2;
+  Server server(options);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+  Rng rng(27);
+  gen::DlGenOptions gen_options;
+  gen_options.num_classes = 16;
+  gen_options.num_attrs = 8;
+  gen_options.num_queries = 2000;
+  const gen::GeneratedDl dl = gen::GenerateDlSource(rng, gen_options);
+  Client loader = MustConnect(*port);
+  ASSERT_TRUE(loader.Load("big", dl.source).ok());
+
+  Client classifier = MustConnect(*port);
+  ASSERT_TRUE(classifier.EnableBinary().ok());
+  const Clock::time_point submitted = Clock::now();
+  auto id = classifier.SubmitLine("CLASSIFY big");
+  ASSERT_TRUE(id.ok()) << id.status();
+  ASSERT_TRUE(classifier.Flush().ok());
+  Clock::time_point classified;
+  std::thread awaiter([&] {
+    EXPECT_TRUE(classifier.Await(*id).ok());
+    classified = Clock::now();
+  });
+  // Let a worker take the CLASSIFY and start classifying.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const Clock::time_point asked = Clock::now();
+  auto metrics = MustConnect(*port).Metrics();
+  Client pinger = MustConnect(*port);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(pinger.Ping().ok());
+  const Clock::time_point answered = Clock::now();
+  awaiter.join();
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_NE(metrics->find("oodb_session_checks_total{session=\"big\"}"),
+            std::string::npos);
+
+  const auto ms = [](Clock::duration d) {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(d).count();
+  };
+  // The catalog is big enough that the classification is still running
+  // well after METRICS was sent; the replies came in a fraction of it.
+  ASSERT_GT(ms(classified - submitted), 200) << "catalog too small";
+  EXPECT_LT(ms(answered - asked), ms(classified - asked) / 4)
+      << "METRICS and PING took " << ms(answered - asked)
+      << " ms; CLASSIFY finished " << ms(classified - asked)
+      << " ms after METRICS was sent";
+  server.Shutdown();
+}
+
 TEST(Server, MetricsExpositionParsesAndCountersAreMonotone) {
   Server server;
   auto port = server.Start();
@@ -939,13 +995,18 @@ TEST(Server, OptimizeTraceBooksTranslatePrefilterAndEngine) {
   server.Shutdown();
 }
 
-// A raw binary-mode connection (no Client conveniences): preamble plus
-// hand-crafted frames, for exercising the server's parser directly.
-struct RawBinaryConn {
+// A raw connection of either framing (no Client conveniences): hand-
+// crafted frames, for exercising the server's parser directly. Replies
+// are read through the client's incremental parsers.
+struct RawConn {
   int fd = -1;
+  bool binary = true;
+  std::string in;  // received bytes not yet parsed
 
-  static RawBinaryConn Open(int port) {
-    RawBinaryConn conn;
+  // Connects; a binary connection sends the preamble.
+  static RawConn Open(int port, bool binary = true) {
+    RawConn conn;
+    conn.binary = binary;
     conn.fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(conn.fd, 0);
     sockaddr_in addr{};
@@ -955,31 +1016,34 @@ struct RawBinaryConn {
     EXPECT_EQ(
         ::connect(conn.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
         0);
-    EXPECT_TRUE(WriteFully(conn.fd, kBinaryPreamble));
+    if (binary) {
+      EXPECT_TRUE(WriteFully(conn.fd, kBinaryPreamble));
+    }
     return conn;
   }
 
-  // Reads one reply frame (blocking).
-  Result<BinaryReply> ReadReply() {
-    std::string buf;
-    if (!ReadFully(fd, 4, &buf)) return InternalError("EOF on length");
-    size_t consumed = 0;
-    BinaryReply out;
-    std::string error;
-    if (ParseBinaryReply(buf, &consumed, &out, &error) == ParseStatus::kBad) {
-      return InternalError(error);
+  // Reads one reply (blocking); a text reply carries id 0. `bytes`, when
+  // given, receives the reply's bytes as they arrived.
+  Result<BinaryReply> ReadReply(std::string* bytes = nullptr) {
+    for (;;) {
+      size_t consumed = 0;
+      BinaryReply out;
+      std::string error;
+      const ParseStatus status =
+          binary ? ParseBinaryReply(in, &consumed, &out, &error)
+                 : ParseTextReply(in, &consumed, &out.reply, &error);
+      if (status == ParseStatus::kBad) return InternalError(error);
+      if (status == ParseStatus::kFrame) {
+        if (bytes != nullptr) bytes->assign(in, 0, consumed);
+        in.erase(0, consumed);
+        return out;
+      }
+      char chunk[4096];
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return InternalError("connection closed before a reply");
+      in.append(chunk, static_cast<size_t>(n));
     }
-    const size_t frame_len = static_cast<uint8_t>(buf[0]) |
-                             (static_cast<uint8_t>(buf[1]) << 8) |
-                             (static_cast<uint8_t>(buf[2]) << 16) |
-                             (static_cast<size_t>(static_cast<uint8_t>(buf[3]))
-                              << 24);
-    if (!ReadFully(fd, frame_len, &buf)) return InternalError("EOF on body");
-    if (ParseBinaryReply(buf, &consumed, &out, &error) !=
-        ParseStatus::kFrame) {
-      return InternalError(error);
-    }
-    return out;
   }
 
   bool AtEof() {
@@ -991,7 +1055,7 @@ struct RawBinaryConn {
     return n == 0;
   }
 
-  ~RawBinaryConn() {
+  ~RawConn() {
     if (fd >= 0) ::close(fd);
   }
 };
@@ -1149,27 +1213,11 @@ TEST(Server, CheckAndBatchCheckResolveObjectToTop) {
 // One text request on a fresh connection: the reply's bytes as they
 // arrive (the status line, plus an OK reply's payload and terminator).
 std::string TextReplyBytes(int port, const std::string& line) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  RawConn conn = RawConn::Open(port, /*binary=*/false);
   std::string bytes;
-  std::string status;
-  std::string payload;
-  uint64_t n = 0;
-  FrameReader reader(fd);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
-      WriteFully(fd, line + "\n") && reader.ReadLine(&status)) {
-    bytes = status + "\n";
-    if (status.rfind("OK ", 0) == 0 &&
-        ParseSize(std::string_view(status).substr(3), &n) &&
-        reader.ReadPayload(n, &payload)) {
-      bytes += payload + "\n";
-    }
-  }
-  ::close(fd);
-  return bytes;
+  const bool replied =
+      WriteFully(conn.fd, line + "\n") && conn.ReadReply(&bytes).ok();
+  return replied ? bytes : "";
 }
 
 // CHECK is a one-pair BCHECK. In the text framing, and in the binary
@@ -1207,7 +1255,7 @@ TEST(Server, CheckRepliesAreTheBytesOfAOnePairBatchCheck) {
       EXPECT_EQ(TextReplyBytes(*port, line), k.reply) << line;
       EXPECT_EQ(checks() - before, k.counted) << line;
     }
-    RawBinaryConn conn = RawBinaryConn::Open(*port);
+    RawConn conn = RawConn::Open(*port);
     for (const std::string& frame :
          {EncodeBinaryLineRequest(9, "CHECK " + args),
           EncodeBinaryLineRequest(9, "BCHECK " + args),
@@ -1336,7 +1384,7 @@ TEST(Server, MalformedBinaryFramesGetAnAddressedErrThenClose) {
   ASSERT_TRUE(port.ok()) << port.status();
 
   {  // Unknown opcode: ERR proto addressed to the frame's id, then EOF.
-    RawBinaryConn conn = RawBinaryConn::Open(*port);
+    RawConn conn = RawConn::Open(*port);
     std::string frame;
     AppendU64(&frame, 55);
     frame.push_back(static_cast<char>(0x7f));
@@ -1352,7 +1400,7 @@ TEST(Server, MalformedBinaryFramesGetAnAddressedErrThenClose) {
     EXPECT_TRUE(conn.AtEof());
   }
   {  // Oversized frame announcement: fatal before any body arrives.
-    RawBinaryConn conn = RawBinaryConn::Open(*port);
+    RawConn conn = RawConn::Open(*port);
     std::string wire;
     AppendU32(&wire, kMaxBinaryFrame + 1);
     ASSERT_TRUE(WriteFully(conn.fd, wire));
@@ -1363,7 +1411,7 @@ TEST(Server, MalformedBinaryFramesGetAnAddressedErrThenClose) {
   }
   {  // A truncated frame never parses: the server just waits, and the
      // connection closes cleanly when the client gives up.
-    RawBinaryConn conn = RawBinaryConn::Open(*port);
+    RawConn conn = RawConn::Open(*port);
     std::string wire = EncodeBinaryCheckRequest(1, "s", "A", "B");
     ASSERT_TRUE(WriteFully(conn.fd, wire.substr(0, wire.size() - 3)));
     ::shutdown(conn.fd, SHUT_WR);
@@ -1534,7 +1582,7 @@ TEST(Server, BatchFramesDribbledInSevenByteSlicesMatchTheChecker) {
     wire += EncodeBinaryBatchCheckRequest(i + 1, "drip", batch);
     batches.push_back(std::move(batch));
   }
-  RawBinaryConn conn = RawBinaryConn::Open(*port);
+  RawConn conn = RawConn::Open(*port);
   for (size_t at = 0; at < wire.size(); at += 7) {
     ASSERT_TRUE(WriteFully(conn.fd, std::string_view(wire).substr(at, 7)));
   }
@@ -1645,55 +1693,29 @@ struct Piped {
 // text-framing bytes in request order.
 std::vector<std::string> Pipeline(int port, bool binary,
                                   const std::vector<Piped>& requests) {
-  std::vector<std::string> replies(requests.size());
-  if (binary) {
-    RawBinaryConn conn = RawBinaryConn::Open(port);
-    std::string wire;
-    for (size_t i = 0; i < requests.size(); ++i) {
+  std::string wire;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (binary) {
       wire += EncodeBinaryLineRequest(i + 1, requests[i].line,
                                       requests[i].payload);
+    } else {
+      wire += requests[i].line + "\n";
+      if (!requests[i].payload.empty()) wire += requests[i].payload + "\n";
     }
-    EXPECT_TRUE(WriteFully(conn.fd, wire));
-    for (size_t n = 0; n < requests.size(); ++n) {
-      auto reply = conn.ReadReply();
-      if (!reply.ok() || reply->id < 1 || reply->id > requests.size()) {
-        ADD_FAILURE() << "no reply to request " << n;
-        break;
-      }
-      replies[reply->id - 1] = EncodeReply(reply->reply);
-    }
-    return replies;
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  std::string wire;
-  for (const Piped& request : requests) {
-    wire += request.line + "\n";
-    if (!request.payload.empty()) wire += request.payload + "\n";
-  }
-  EXPECT_TRUE(WriteFully(fd, wire));
-  FrameReader reader(fd);
-  for (std::string& bytes : replies) {
-    std::string status;
-    std::string payload;
-    uint64_t n = 0;
-    if (!reader.ReadLine(&status)) {
-      ADD_FAILURE() << "connection closed before every reply";
+  RawConn conn = RawConn::Open(port, binary);
+  EXPECT_TRUE(WriteFully(conn.fd, wire));
+  std::vector<std::string> replies(requests.size());
+  for (size_t n = 0; n < requests.size(); ++n) {
+    auto reply = conn.ReadReply();
+    // Text replies carry no id: they come in request order.
+    const size_t at = binary && reply.ok() ? reply->id - 1 : n;
+    if (!reply.ok() || at >= requests.size()) {
+      ADD_FAILURE() << "no reply to request " << n;
       break;
     }
-    bytes = status + "\n";
-    if (status.rfind("OK ", 0) == 0 &&
-        ParseSize(std::string_view(status).substr(3), &n) &&
-        reader.ReadPayload(n, &payload)) {
-      bytes += payload + "\n";
-    }
+    replies[at] = EncodeReply(reply->reply);
   }
-  ::close(fd);
   return replies;
 }
 
@@ -2174,15 +2196,58 @@ std::string MutateFrame(std::string frame, Rng& rng) {
   return frame;
 }
 
+std::vector<std::string> SeedTextReplies() {
+  return {
+      EncodeReply(OkReply("")),
+      EncodeReply(OkReply("subsumed=true")),
+      EncodeReply(OkReply("two\nlines\n")),
+      EncodeReply(ErrReply("not_found", "no class named 'Nope'")),
+      EncodeReply(Reply{Reply::Kind::kBusy, "", ""}),
+  };
+}
+
+// One seeded mutation of a text reply: flipped bits, a truncation, or a
+// wrong byte count on an OK line.
+std::string MutateTextReply(std::string reply, Rng& rng) {
+  switch (rng.Index(3)) {
+    case 0:
+      for (size_t n = 1 + rng.Index(3); n > 0; --n) {
+        const size_t at = rng.Index(reply.size());
+        reply[at] = static_cast<char>(reply[at] ^ (1 << rng.Index(8)));
+      }
+      break;
+    case 1:
+      reply.resize(rng.Index(reply.size()));
+      break;
+    default: {
+      // Zero, one byte short (wrapping at zero) or long, or any count.
+      const size_t nl = reply.find('\n');
+      uint64_t n = 0;
+      if (reply.starts_with("OK ") &&
+          ParseSize(std::string_view(reply).substr(3, nl - 3), &n)) {
+        const uint64_t counts[] = {0, n - 1, n + 1, rng.Index(size_t{1} << 31)};
+        reply.replace(3, nl - 3,
+                      std::to_string(counts[rng.Index(std::size(counts))]));
+      }
+      break;
+    }
+  }
+  return reply;
+}
+
 // Parsers fed mutants in buffers of exactly their size (so that ASan sees
 // any read past the end) never report consuming more than they were
-// given, and a parsed request's arguments lie inside its own bytes.
+// given, and a parsed request's arguments lie inside its own bytes. The
+// reply parsers get mutants of both framings.
 TEST(FrameMutation, ParsersNeverConsumePastTheBuffer) {
   const std::vector<std::string> seeds = SeedFrames();
+  const std::vector<std::string> text_seeds = SeedTextReplies();
   Rng rng(2026);
   size_t frames = 0;
   size_t bad = 0;
   size_t touched = 0;
+  size_t text_frames = 0;
+  size_t text_bad = 0;
   for (int i = 0; i < 20000; ++i) {
     const std::string mutant = MutateFrame(seeds[rng.Index(seeds.size())], rng);
     const auto exact = std::make_unique<char[]>(mutant.size());
@@ -2209,11 +2274,28 @@ TEST(FrameMutation, ParsersNeverConsumePastTheBuffer) {
     BinaryReply reply;
     ParseBinaryReply(buf, &consumed, &reply, &error);
     ASSERT_LE(consumed, buf.size()) << "mutant " << i;
+
+    const std::string text =
+        MutateTextReply(text_seeds[rng.Index(text_seeds.size())], rng);
+    const auto text_exact = std::make_unique<char[]>(text.size());
+    std::copy(text.begin(), text.end(), text_exact.get());
+    const std::string_view text_buf(text_exact.get(), text.size());
+    Reply text_reply;
+    const ParseStatus text_status =
+        ParseTextReply(text_buf, &consumed, &text_reply, &error);
+    ASSERT_LE(consumed, text_buf.size()) << "text mutant " << i;
+    if (text_status == ParseStatus::kNeedMore) {
+      ASSERT_EQ(consumed, 0u) << "text mutant " << i;
+    }
+    text_frames += text_status == ParseStatus::kFrame;
+    text_bad += text_status == ParseStatus::kBad;
   }
   // Mutants reach both outcomes, so they get past the header checks.
   EXPECT_GT(frames, 1000u);
   EXPECT_GT(bad, 1000u);
   EXPECT_GT(touched, 0u);
+  EXPECT_GT(text_frames, 1000u);
+  EXPECT_GT(text_bad, 1000u);
 }
 
 // Reads until the daemon ends the connection (EOF or reset) and returns
@@ -2246,7 +2328,7 @@ TEST(FrameMutation, DaemonSurvivesMutantFrames) {
   Rng rng(26);
   int answered = 0;
   for (int i = 0; i < 300; ++i) {
-    RawBinaryConn conn = RawBinaryConn::Open(*port);
+    RawConn conn = RawConn::Open(*port);
     WriteFully(conn.fd, MutateFrame(seeds[rng.Index(seeds.size())], rng));
     ::shutdown(conn.fd, SHUT_WR);
     const ssize_t replied = ReadUntilHangUp(conn.fd);

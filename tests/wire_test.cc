@@ -1,14 +1,15 @@
-// Unit tests of the binary wire framing: encoder/parser roundtrips,
+// Unit tests of the wire framings: encoder/parser roundtrips,
 // malformed/truncated/oversized frames, incremental (byte-at-a-time)
-// parsing, and the blocking fd helpers under deliberately fragmented
-// socketpair traffic — every short-read/short-write path the epoll
-// server and the pipelined client rely on.
+// parsing, and the client against a fake daemon that fragments every
+// reply — every short-read/short-write path the epoll server and the
+// client rely on.
 #include "server/wire.h"
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -532,62 +533,188 @@ TEST(Wire, UnknownReplyStatusIsRejected) {
             ParseStatus::kBad);
 }
 
-// The fd helpers must assemble frames correctly no matter how the kernel
-// fragments them: the writer pushes one byte per send so every read on
-// the other side is a short read.
-TEST(Wire, ReadFullyReassemblesAFrameWrittenByteByByte) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  const std::string wire = EncodeBinaryReply(
-      321, OkReply(std::string(1000, 'x') + "end-of-payload"));
-  std::thread writer([&] {
-    for (char c : wire) {
-      ASSERT_TRUE(WriteFully(fds[0], std::string_view(&c, 1)));
+// Every text reply parses back from its encoding: each proper prefix
+// needs more bytes, the whole reply is one frame, and a stream of
+// replies fed one byte at a time yields them in order.
+TEST(Wire, TextRepliesRoundtripThroughTheIncrementalParser) {
+  Reply busy;
+  busy.kind = Reply::Kind::kBusy;
+  const std::vector<Reply> sent = {
+      OkReply(""), OkReply("subsumed=true"),
+      OkReply("a\nmulti-line\n\npayload\n"), ErrReply("proto", "bad frame"),
+      ErrReply("not_found", ""), busy};
+  std::string stream;
+  for (const Reply& reply : sent) {
+    const std::string wire = EncodeReply(reply);
+    stream += wire;
+    for (size_t n = 0; n < wire.size(); ++n) {
+      size_t consumed = 1;
+      Reply out;
+      std::string error;
+      EXPECT_EQ(ParseTextReply(std::string_view(wire).substr(0, n),
+                               &consumed, &out, &error),
+                ParseStatus::kNeedMore)
+          << wire.substr(0, n);
+      EXPECT_EQ(consumed, 0u);
     }
-    ::close(fds[0]);
-  });
+  }
   std::string buf;
-  ASSERT_TRUE(ReadFully(fds[1], 4, &buf));  // length prefix
-  size_t consumed = 0;
-  BinaryReply out;
-  std::string error;
-  ASSERT_EQ(ParseBinaryReply(buf, &consumed, &out, &error),
-            ParseStatus::kNeedMore);
-  ASSERT_TRUE(ReadFully(fds[1], wire.size() - 4, &buf));
-  ASSERT_EQ(ParseBinaryReply(buf, &consumed, &out, &error),
-            ParseStatus::kFrame)
-      << error;
-  EXPECT_EQ(out.id, 321u);
-  EXPECT_EQ(out.reply.payload.size(), 1014u);
-  // EOF before the requested byte count fails cleanly.
-  std::string rest;
-  EXPECT_FALSE(ReadFully(fds[1], 1, &rest));
-  writer.join();
-  ::close(fds[1]);
+  std::vector<Reply> got;
+  for (const char c : stream) {
+    buf += c;
+    size_t consumed = 0;
+    Reply out;
+    std::string error;
+    const ParseStatus status = ParseTextReply(buf, &consumed, &out, &error);
+    ASSERT_NE(status, ParseStatus::kBad) << error;
+    if (status == ParseStatus::kFrame) {
+      EXPECT_EQ(consumed, buf.size());
+      buf.erase(0, consumed);
+      got.push_back(std::move(out));
+    }
+  }
+  EXPECT_TRUE(buf.empty());
+  ASSERT_EQ(got.size(), sent.size());
+  for (size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(got[i].kind, sent[i].kind) << i;
+    EXPECT_EQ(got[i].code, sent[i].code) << i;
+    EXPECT_EQ(got[i].payload, sent[i].payload) << i;
+  }
 }
 
-TEST(Wire, FrameReaderHandlesFragmentedTextFrames) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  const std::string frames = "OK 5\nhello\nERR proto nope\n";
-  std::thread writer([&] {
-    for (char c : frames) {
-      ASSERT_TRUE(WriteFully(fds[0], std::string_view(&c, 1)));
+TEST(Wire, MalformedTextRepliesAreRejected) {
+  const std::string overlong(kMaxTextLine + 1, 'x');
+  for (const std::string& wire :
+       {std::string("OK \n\n"), std::string("OK x\nx\n"),
+        std::string("OK 3\nabcX"), std::string("HELLO\n"),
+        std::string("ok 0\n\n"), overlong}) {
+    size_t consumed = 0;
+    Reply out;
+    std::string error;
+    EXPECT_EQ(ParseTextReply(wire, &consumed, &out, &error), ParseStatus::kBad)
+        << wire.substr(0, 16);
+    EXPECT_FALSE(error.empty());
+  }
+  // A status line at the cap still waits for its '\n'.
+  size_t consumed = 0;
+  Reply out;
+  std::string error;
+  EXPECT_EQ(ParseTextReply(overlong.substr(1), &consumed, &out, &error),
+            ParseStatus::kNeedMore);
+  // ERR without a message has an empty one.
+  ASSERT_EQ(ParseTextReply("ERR proto\n", &consumed, &out, &error),
+            ParseStatus::kFrame);
+  EXPECT_EQ(out.code, "proto");
+  EXPECT_EQ(out.payload, "");
+}
+
+// A loopback listener that the test plays the daemon on, by hand.
+struct FakeServer {
+  int listen_fd = -1;
+  int port = 0;
+
+  FakeServer() {
+    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    socklen_t len = sizeof(addr);
+    if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), len) == 0 &&
+        ::listen(listen_fd, 1) == 0 &&
+        ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) ==
+            0) {
+      port = ntohs(addr.sin_port);
     }
-    ::close(fds[0]);
-  });
-  FrameReader reader(fds[1]);
-  std::string line;
-  ASSERT_TRUE(reader.ReadLine(&line));
-  EXPECT_EQ(line, "OK 5");
-  std::string payload;
-  ASSERT_TRUE(reader.ReadPayload(5, &payload));
-  EXPECT_EQ(payload, "hello");
-  ASSERT_TRUE(reader.ReadLine(&line));
-  EXPECT_EQ(line, "ERR proto nope");
-  EXPECT_FALSE(reader.ReadLine(&line));  // EOF
-  writer.join();
-  ::close(fds[1]);
+  }
+  ~FakeServer() { ::close(listen_fd); }
+
+  // Accepts one connection, with Nagle off so that each send is a segment.
+  int Accept() {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    return fd;
+  }
+};
+
+// The client reads replies that arrive one byte per send, in both
+// framings, through its one receive buffer: OK with an empty and with a
+// multi-line payload, ERR with and without a message, BUSY, and then a
+// reply cut short by the peer's close, which kills the client.
+TEST(Wire, ClientReadsRepliesWrittenOneBytePerSendInBothFramings) {
+  Reply busy;
+  busy.kind = Reply::Kind::kBusy;
+  const std::vector<Reply> replies = {
+      OkReply(""), OkReply("line one\nline two\n\nline four"),
+      ErrReply("proto", "bad frame"), ErrReply("proto", ""), busy};
+  for (const bool binary : {false, true}) {
+    SCOPED_TRACE(binary ? "binary" : "text");
+    FakeServer fake;
+    ASSERT_NE(fake.port, 0);
+    auto client = Client::Connect("127.0.0.1", fake.port);
+    ASSERT_TRUE(client.ok()) << client.status();
+    const int fd = fake.Accept();
+    ASSERT_GE(fd, 0);
+    if (binary) {
+      ASSERT_TRUE(client->EnableBinary().ok());
+    }
+    // Binary request ids run from 1; the last reply is cut mid-payload.
+    std::string wire;
+    for (size_t i = 0; i < replies.size(); ++i) {
+      wire += binary ? EncodeBinaryReply(i + 1, replies[i])
+                     : EncodeReply(replies[i]);
+    }
+    const std::string last =
+        binary ? EncodeBinaryReply(replies.size() + 1, OkReply("truncated"))
+               : EncodeReply(OkReply("truncated"));
+    wire += last.substr(0, last.size() - 3);
+    // The fake daemon half-closes after the cut reply, so that the client
+    // reads EOF (not a reset) once the bytes before it are read.
+    std::thread writer([&] {
+      for (const char c : wire) {
+        if (!WriteFully(fd, std::string_view(&c, 1))) break;
+      }
+      ::shutdown(fd, SHUT_WR);
+    });
+
+    // No ASSERT until the writer is joined.
+    auto empty = client->Roundtrip("PING");
+    EXPECT_TRUE(empty.ok() && empty->empty()) << empty.status();
+    auto lines = client->Roundtrip("STATS");
+    EXPECT_TRUE(lines.ok() && *lines == "line one\nline two\n\nline four")
+        << lines.status();
+    auto err = client->Roundtrip("CHECK");
+    EXPECT_EQ(err.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(err.status().message(), "proto: bad frame");
+    auto bare = client->Roundtrip("CHECK");
+    EXPECT_EQ(bare.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(bare.status().message(), "proto: ");
+    auto busy_reply = client->Roundtrip("CLASSIFY s");
+    EXPECT_EQ(busy_reply.status().code(), StatusCode::kResourceExhausted);
+    auto cut = client->Roundtrip("PING");
+    EXPECT_EQ(cut.status().code(), StatusCode::kInternal);
+    writer.join();
+    // Dead from here on: the call fails without touching the socket.
+    EXPECT_EQ(client->Roundtrip("PING").status().code(), StatusCode::kInternal);
+    ::close(fd);
+  }
+}
+
+// A malformed text reply kills the client: the stream position is lost,
+// so the well-formed reply behind it is never read.
+TEST(Wire, MalformedTextReplyKillsTheClient) {
+  FakeServer fake;
+  ASSERT_NE(fake.port, 0);
+  auto client = Client::Connect("127.0.0.1", fake.port);
+  ASSERT_TRUE(client.ok()) << client.status();
+  const int fd = fake.Accept();
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(WriteFully(fd, "HELLO 5\nOK 4\npong\n"));
+  auto bad = client->Roundtrip("PING");
+  EXPECT_EQ(bad.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(client->Roundtrip("PING").status().code(), StatusCode::kInternal);
+  ::close(fd);
 }
 
 // A reply frame truncated mid-header (the peer dies 6 bytes into the
@@ -595,20 +722,11 @@ TEST(Wire, FrameReaderHandlesFragmentedTextFrames) {
 // — and poison the client, so every later call fails fast instead of
 // rereading a closed socket.
 TEST(Wire, TruncatedReplyMidHeaderFailsAwaitAndPoisonsTheClient) {
-  int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(lfd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(lfd, 1), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-
-  auto client = Client::Connect("127.0.0.1", ntohs(addr.sin_port));
+  FakeServer fake;
+  ASSERT_NE(fake.port, 0);
+  auto client = Client::Connect("127.0.0.1", fake.port);
   ASSERT_TRUE(client.ok()) << client.status().message();
-  int sfd = ::accept(lfd, nullptr, nullptr);
+  int sfd = fake.Accept();
   ASSERT_GE(sfd, 0);
 
   ASSERT_TRUE(client->EnableBinary().ok());
@@ -641,7 +759,6 @@ TEST(Wire, TruncatedReplyMidHeaderFailsAwaitAndPoisonsTheClient) {
   EXPECT_EQ(rt.status().code(), StatusCode::kInternal);
   auto id3 = client->SubmitLine("PING");
   EXPECT_FALSE(id3.ok());
-  ::close(lfd);
 }
 
 TEST(Wire, WriteFullySurvivesAClosedPeerWithoutSignalling) {

@@ -39,7 +39,9 @@ Checks (each failure is one line on stderr; exit 1 if any):
      docs/server.md.
   9. The cluster bench artifact agrees with its source: the fields of
      BENCH_cluster.json are exactly the literal json.Add keys of
-     bench/bench_cluster.cc, and the checked-in baseline is a green run
+     bench/bench_cluster.cc, plus those of AddHostStamp in
+     bench/bench_util.h when the source calls it, and the checked-in
+     baseline is a green run
      (zero verdict mismatches, transport errors and failover failures;
      1->4 scaling at or above the 2.5x acceptance gate).
   10. Every quoted `oodb_*` metric name in a source file under src/ is
@@ -259,7 +261,12 @@ def check_cluster_bench(root: pathlib.Path, errors: list[str]) -> None:
         errors.append(f"BENCH_cluster.json is missing or unparsable: {e}")
         return
 
-    emitted = set(re.findall(r'json\.Add\("(\w+)"', bench_cc))
+    add_key = r'json\.Add\("(\w+)"'
+    emitted = set(re.findall(add_key, bench_cc))
+    if "AddHostStamp(json)" in bench_cc:
+        util = read(root, "bench/bench_util.h")
+        stamp = re.search(r"void AddHostStamp\(.*?\n\}", util, re.S)
+        emitted |= set(re.findall(add_key, stamp.group(0) if stamp else ""))
     fields = set(baseline.keys())
     for field in sorted(emitted - fields):
         errors.append(f"BENCH_cluster.json lacks field {field}, which "

@@ -439,6 +439,38 @@ int CmdServe(const std::vector<std::string>& args) {
   return 0;
 }
 
+// Sends one `rpc` request — `request` is the verb and its arguments —
+// through `call(line, payload)` and prints the reply. LOAD/STATE
+// <session> <file> carry the file's contents as their payload; `usage`
+// names the command in their usage error. Exits 4 on BUSY and 1 on any
+// other failure.
+template <typename Call>
+int SendRpc(const std::vector<std::string>& request, const char* usage,
+            Call call) {
+  if (request.empty()) return Usage();
+  const std::string& verb = request[0];
+  auto reply = [&]() -> Result<std::string> {
+    if (verb != "LOAD" && verb != "STATE") {
+      return call(StrJoin(request, " "), nullptr);
+    }
+    if (request.size() != 3) {
+      return InvalidArgumentError(
+          StrCat("usage: ", usage, " ", verb, " <session> <file>"));
+    }
+    OODB_ASSIGN_OR_RETURN(std::string source, ReadFile(request[2]));
+    return call(StrCat(verb, " ", request[1], " ", source.size()), &source);
+  }();
+  if (!reply.ok()) {
+    if (reply.status().code() == StatusCode::kResourceExhausted) {
+      std::fprintf(stderr, "busy: admission queue full, retry later\n");
+      return 4;
+    }
+    return Fail(reply.status());
+  }
+  std::printf("%s\n", reply->c_str());
+  return 0;
+}
+
 // `rpc --cluster=SPEC <VERB> [args...]`: route through the cluster
 // client instead of one explicit daemon. The connection is always
 // binary; reads retry and fail over per docs/cluster.md §4.
@@ -452,8 +484,7 @@ int CmdRpcCluster(const std::string& spec, size_t replicas,
   if (args.empty()) return Usage();
   cluster::ClusterClient client(config);
 
-  const std::string& verb = args[0];
-  if (verb == "OWNER") {
+  if (args[0] == "OWNER") {
     // Placement query, answered from the ring without any request.
     if (args.size() != 2) return Usage();
     const size_t owner = client.OwnerOf(args[1]);
@@ -466,28 +497,10 @@ int CmdRpcCluster(const std::string& spec, size_t replicas,
                 addrs.empty() ? "none" : StrJoin(addrs, ",").c_str());
     return 0;
   }
-  auto roundtrip = [&]() -> Result<std::string> {
-    if (verb == "LOAD" || verb == "STATE") {
-      if (args.size() != 3) {
-        return InvalidArgumentError(StrCat("usage: rpc --cluster=... ", verb,
-                                           " <session> <file>"));
-      }
-      OODB_ASSIGN_OR_RETURN(std::string source, ReadFile(args[2]));
-      return verb == "LOAD" ? client.Load(args[1], source)
-                            : client.LoadState(args[1], source);
-    }
-    return client.Call(StrJoin(args, " "));
-  };
-  auto reply = roundtrip();
-  if (!reply.ok()) {
-    if (reply.status().code() == StatusCode::kResourceExhausted) {
-      std::fprintf(stderr, "busy: admission queue full, retry later\n");
-      return 4;
-    }
-    return Fail(reply.status());
-  }
-  std::printf("%s\n", reply->c_str());
-  return 0;
+  return SendRpc(args, "rpc --cluster=...",
+                 [&](const std::string& line, const std::string* payload) {
+                   return client.Call(line, payload);
+                 });
 }
 
 int CmdRpc(std::vector<std::string> args) {
@@ -528,33 +541,10 @@ int CmdRpc(std::vector<std::string> args) {
     Status negotiated = client->EnableBinary();
     if (!negotiated.ok()) return Fail(negotiated);
   }
-
-  const std::string& verb = args[1];
-  auto roundtrip = [&]() -> Result<std::string> {
-    if (verb == "LOAD" || verb == "STATE") {
-      // `rpc ... LOAD <session> <file.dl>`: the CLI frames the file
-      // contents as the payload.
-      if (args.size() != 4) {
-        return InvalidArgumentError(
-            StrCat("usage: rpc <host:port> ", verb, " <session> <file>"));
-      }
-      OODB_ASSIGN_OR_RETURN(std::string source, ReadFile(args[3]));
-      return verb == "LOAD" ? client->Load(args[2], source)
-                            : client->LoadState(args[2], source);
-    }
-    const std::vector<std::string> rest(args.begin() + 1, args.end());
-    return client->Roundtrip(StrJoin(rest, " "));
-  };
-  auto reply = roundtrip();
-  if (!reply.ok()) {
-    if (reply.status().code() == StatusCode::kResourceExhausted) {
-      std::fprintf(stderr, "busy: admission queue full, retry later\n");
-      return 4;
-    }
-    return Fail(reply.status());
-  }
-  std::printf("%s\n", reply->c_str());
-  return 0;
+  return SendRpc({args.begin() + 1, args.end()}, "rpc <host:port>",
+                 [&](const std::string& line, const std::string* payload) {
+                   return client->Roundtrip(line, payload);
+                 });
 }
 
 // One parsed exposition sample as a JSON line, with an optional extra
