@@ -638,67 +638,76 @@ struct FakeServer {
   }
 };
 
-// The client reads replies that arrive one byte per send, in both
-// framings, through its one receive buffer: OK with an empty and with a
-// multi-line payload, ERR with and without a message, BUSY, and then a
-// reply cut short by the peer's close, which kills the client.
-TEST(Wire, ClientReadsRepliesWrittenOneBytePerSendInBothFramings) {
+// The client reads replies that arrive one byte per send through its one
+// receive buffer: OK with an empty and with a multi-line payload, ERR
+// with and without a message, BUSY, and then a reply cut short by the
+// peer's close, which kills the client.
+void ExpectClientReadsRepliesWrittenOneBytePerSend(bool binary) {
   Reply busy;
   busy.kind = Reply::Kind::kBusy;
   const std::vector<Reply> replies = {
       OkReply(""), OkReply("line one\nline two\n\nline four"),
       ErrReply("proto", "bad frame"), ErrReply("proto", ""), busy};
-  for (const bool binary : {false, true}) {
-    SCOPED_TRACE(binary ? "binary" : "text");
-    FakeServer fake;
-    ASSERT_NE(fake.port, 0);
-    auto client = Client::Connect("127.0.0.1", fake.port);
-    ASSERT_TRUE(client.ok()) << client.status();
-    const int fd = fake.Accept();
-    ASSERT_GE(fd, 0);
-    if (binary) {
-      ASSERT_TRUE(client->EnableBinary().ok());
-    }
-    // Binary request ids run from 1; the last reply is cut mid-payload.
-    std::string wire;
-    for (size_t i = 0; i < replies.size(); ++i) {
-      wire += binary ? EncodeBinaryReply(i + 1, replies[i])
-                     : EncodeReply(replies[i]);
-    }
-    const std::string last =
-        binary ? EncodeBinaryReply(replies.size() + 1, OkReply("truncated"))
-               : EncodeReply(OkReply("truncated"));
-    wire += last.substr(0, last.size() - 3);
-    // The fake daemon half-closes after the cut reply, so that the client
-    // reads EOF (not a reset) once the bytes before it are read.
-    std::thread writer([&] {
-      for (const char c : wire) {
-        if (!WriteFully(fd, std::string_view(&c, 1))) break;
-      }
-      ::shutdown(fd, SHUT_WR);
-    });
-
-    // No ASSERT until the writer is joined.
-    auto empty = client->Roundtrip("PING");
-    EXPECT_TRUE(empty.ok() && empty->empty()) << empty.status();
-    auto lines = client->Roundtrip("STATS");
-    EXPECT_TRUE(lines.ok() && *lines == "line one\nline two\n\nline four")
-        << lines.status();
-    auto err = client->Roundtrip("CHECK");
-    EXPECT_EQ(err.status().code(), StatusCode::kFailedPrecondition);
-    EXPECT_EQ(err.status().message(), "proto: bad frame");
-    auto bare = client->Roundtrip("CHECK");
-    EXPECT_EQ(bare.status().code(), StatusCode::kFailedPrecondition);
-    EXPECT_EQ(bare.status().message(), "proto: ");
-    auto busy_reply = client->Roundtrip("CLASSIFY s");
-    EXPECT_EQ(busy_reply.status().code(), StatusCode::kResourceExhausted);
-    auto cut = client->Roundtrip("PING");
-    EXPECT_EQ(cut.status().code(), StatusCode::kInternal);
-    writer.join();
-    // Dead from here on: the call fails without touching the socket.
-    EXPECT_EQ(client->Roundtrip("PING").status().code(), StatusCode::kInternal);
-    ::close(fd);
+  FakeServer fake;
+  ASSERT_NE(fake.port, 0);
+  auto client = Client::Connect("127.0.0.1", fake.port);
+  ASSERT_TRUE(client.ok()) << client.status();
+  const int fd = fake.Accept();
+  ASSERT_GE(fd, 0);
+  if (binary) {
+    ASSERT_TRUE(client->EnableBinary().ok());
   }
+  // Binary request ids run from 1; the last reply is cut mid-payload.
+  std::string wire;
+  for (size_t i = 0; i < replies.size(); ++i) {
+    wire += binary ? EncodeBinaryReply(i + 1, replies[i])
+                   : EncodeReply(replies[i]);
+  }
+  const std::string last =
+      binary ? EncodeBinaryReply(replies.size() + 1, OkReply("truncated"))
+             : EncodeReply(OkReply("truncated"));
+  wire += last.substr(0, last.size() - 3);
+  // The fake daemon half-closes after the cut reply, so that the client
+  // reads EOF (not a reset) once the bytes before it are read.
+  std::thread writer([&] {
+    for (const char c : wire) {
+      if (!WriteFully(fd, std::string_view(&c, 1))) break;
+    }
+    ::shutdown(fd, SHUT_WR);
+  });
+
+  // No ASSERT until the writer is joined.
+  auto empty = client->Roundtrip("PING");
+  EXPECT_TRUE(empty.ok() && empty->empty()) << empty.status();
+  auto lines = client->Roundtrip("STATS");
+  EXPECT_TRUE(lines.ok() && *lines == "line one\nline two\n\nline four")
+      << lines.status();
+  auto err = client->Roundtrip("CHECK");
+  EXPECT_EQ(err.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(err.status().message(), "proto: bad frame");
+  auto bare = client->Roundtrip("CHECK");
+  EXPECT_EQ(bare.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(bare.status().message(), "proto: ");
+  auto busy_reply = client->Roundtrip("CLASSIFY s");
+  EXPECT_EQ(busy_reply.status().code(), StatusCode::kResourceExhausted);
+  auto cut = client->Roundtrip("PING");
+  EXPECT_EQ(cut.status().code(), StatusCode::kInternal);
+  writer.join();
+  // Dead from here on: the call fails without touching the socket.
+  EXPECT_EQ(client->Roundtrip("PING").status().code(), StatusCode::kInternal);
+  ::close(fd);
+}
+
+// The binary framing. The name is older than the client's reader: the
+// frames it reassembles were once read with a ReadFully helper.
+TEST(Wire, ReadFullyReassemblesAFrameWrittenByteByByte) {
+  ExpectClientReadsRepliesWrittenOneBytePerSend(/*binary=*/true);
+}
+
+// The text framing. The name is older than the client's reader: the
+// frames it reassembles were once read with a FrameReader.
+TEST(Wire, FrameReaderHandlesFragmentedTextFrames) {
+  ExpectClientReadsRepliesWrittenOneBytePerSend(/*binary=*/false);
 }
 
 // A malformed text reply kills the client: the stream position is lost,
